@@ -292,6 +292,11 @@ class AioCluster:
         self._started_at: Optional[float] = None
         self._stopped = False
 
+    @property
+    def shaper(self) -> Optional[FaultyTransport]:
+        """The fault layer on the send path, once a plan is installed."""
+        return self._fault_transport
+
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:

@@ -371,7 +371,7 @@ class GossipService:
         cluster = self.cluster
         if cluster is None:
             return {"ok": True, "running": False}
-        return {
+        status = {
             "ok": True,
             "running": True,
             "n": cluster.config.n,
@@ -384,6 +384,12 @@ class GossipService:
             if cluster.config.faults is None
             else cluster.config.faults.describe(),
         }
+        shaper = cluster.shaper
+        if shaper is not None:
+            # Self-health of the fault layer: a growing ``pending``
+            # means the delay line is filling faster than it drains.
+            status["shaper"] = shaper.counters()
+        return status
 
     async def _op_multicast(self, request: dict) -> dict:
         cluster = self._require_cluster()

@@ -4,49 +4,112 @@ Two ways onto the event loop:
 
 - :class:`AioLoopbackTransport` — in-process delivery via
   ``loop.call_soon``.  Sends from the loop itself (the common case:
-  every node callback runs on the loop) enqueue directly; sends from
-  foreign threads (a :class:`~repro.faults.live.FaultyTransport` delay
-  timer, a test harness) marshal through ``call_soon_threadsafe``.
+  every node callback runs on the loop, and so does a packet that a
+  :class:`~repro.faults.live.FaultyTransport` held back) enqueue
+  directly; sends from foreign threads (a service worker, a test
+  harness) marshal through ``call_soon_threadsafe``.
   Handler lookup happens at *dispatch* time, so a random port unbound
   between send and delivery dead-letters exactly like a closed socket.
 - :class:`AioUdpBridge` — wraps the existing
   :class:`~repro.net.transport.UdpTransport`: real UDP datagrams on
   localhost, with the receiver threads' callbacks marshalled onto the
   loop so node logic still runs single-threaded.
+
+Both keep time on the loop: ``call_later`` is an entry in the loop's
+timer heap, not a thread, so a shaped link costs one heap push per
+delayed packet and the delayed delivery runs on the loop like every
+other callback.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.net.address import Address
 from repro.net.link import LossModel
 from repro.net.transport import Handler, Transport
 
 
-class AioLoopbackTransport(Transport):
-    """Loopback transport dispatching every delivery on the event loop.
+class _OffLoopTimer:
+    """``call_later`` handle for a timer armed from a foreign thread.
+
+    The loop arms the real timer one hop later, so there is no
+    ``TimerHandle`` to hand back yet; ``cancel`` instead disarms the
+    callback, which the timer checks when it fires.
+    """
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn: Callable[[], None]):
+        self._fn: Optional[Callable[[], None]] = fn
+
+    def cancel(self) -> None:
+        self._fn = None
+
+    def __call__(self) -> None:
+        fn = self._fn
+        if fn is not None:
+            fn()
+
+
+class _LoopTransport(Transport):
+    """What both asyncio transports share: the loop and its clock.
 
     Construct anywhere; call :meth:`attach` from loop context (the
-    cluster does this in ``start()``) before traffic flows.  Sends
-    before attachment are dropped like packets on a downed interface.
+    cluster does this in ``start()``) before traffic flows.
     """
 
     def __init__(self, loss: Optional[LossModel] = None):
         super().__init__(loss)
-        self._handlers: Dict[Address, Handler] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[int] = None
         self._closed = False
-        self.delivered = 0
         self.dropped = 0
 
     def attach(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
         """Bind the transport to ``loop`` (default: the running loop)."""
         self._loop = loop if loop is not None else asyncio.get_running_loop()
         self._loop_thread = threading.get_ident()
+
+    def call_later(self, delay_s: float, fn: Callable[[], None]):
+        """``loop.call_later``; ``fn`` always runs on the loop thread.
+
+        Before :meth:`attach`, after ``close()`` or on a dead loop the
+        call is a counted drop and returns ``None``, like ``send``.
+        """
+        loop = self._loop
+        if self._closed or loop is None or loop.is_closed():
+            self.dropped += 1
+            return None
+        if threading.get_ident() == self._loop_thread:
+            return loop.call_later(delay_s, fn)
+        # Off-loop caller: the timer heap is not thread-safe, so the
+        # loop arms it — at the absolute time asked for, so the hop
+        # does not stretch the delay.
+        timer = _OffLoopTimer(fn)
+        try:
+            loop.call_soon_threadsafe(
+                loop.call_at, loop.time() + delay_s, timer
+            )
+        except RuntimeError:
+            self.dropped += 1  # loop shut down mid-call
+            return None
+        return timer
+
+
+class AioLoopbackTransport(_LoopTransport):
+    """Loopback transport dispatching every delivery on the event loop.
+
+    Sends before attachment are dropped like packets on a downed
+    interface.
+    """
+
+    def __init__(self, loss: Optional[LossModel] = None):
+        super().__init__(loss)
+        self._handlers: Dict[Address, Handler] = {}
+        self.delivered = 0
 
     def bind(self, addr: Address, handler: Handler) -> None:
         self._handlers[addr] = handler
@@ -75,7 +138,7 @@ class AioLoopbackTransport(Transport):
         if threading.get_ident() == self._loop_thread:
             loop.call_soon(self._dispatch, src, dst, payload)
         else:
-            # Off-loop producer (FaultyTransport delay timers, tests).
+            # Off-loop producer (a service worker thread, tests).
             try:
                 loop.call_soon_threadsafe(self._dispatch, src, dst, payload)
             except RuntimeError:
@@ -86,7 +149,7 @@ class AioLoopbackTransport(Transport):
         self._handlers.clear()
 
 
-class AioUdpBridge(Transport):
+class AioUdpBridge(_LoopTransport):
     """Marshals a :class:`~repro.net.transport.UdpTransport` onto a loop.
 
     ``bind`` wraps each handler so the UDP receiver thread's callback is
@@ -99,12 +162,6 @@ class AioUdpBridge(Transport):
     def __init__(self, inner: Transport):
         super().__init__(loss=None)
         self.inner = inner
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._closed = False
-        self.dropped = 0
-
-    def attach(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop if loop is not None else asyncio.get_running_loop()
 
     def bind(self, addr: Address, handler: Handler) -> None:
         def _to_loop(src: Address, payload: object) -> None:

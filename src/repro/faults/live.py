@@ -1,22 +1,28 @@
-"""Fault injection for the live threaded runtime.
+"""Fault injection for the live runtimes (threaded and asyncio).
 
-The live stack has no event loop to hook, so a plan is applied with two
-small pieces:
+A plan is applied with two small pieces, neither of which knows which
+runtime it is serving:
 
 - :class:`FaultyTransport` wraps any :class:`~repro.net.transport.Transport`
   and applies the plan's *link* conditions (Gilbert–Elliott loss, delay
   and jitter, reordering, duplication) plus the packet-level effects of
   scheduled events (partition cuts, stall muting, traffic touching a
-  crashed machine).  The fault round is derived from the wall clock:
+  crashed machine).  A delayed packet waits on the wrapped transport's
+  own clock (:meth:`~repro.net.transport.Transport.call_later`): a
+  timer thread under the threaded transports, an entry in the event
+  loop's timer heap under :mod:`repro.aio` — where the shaper therefore
+  starts no thread and the delayed delivery runs on the loop.  The
+  fault round is derived from the wall clock:
   round ``r`` spans ``[(r-1)·round_duration_ms, r·round_duration_ms)``
   measured from :meth:`FaultyTransport.start_clock` — the same global
   fault clock the discrete-event stack uses.
 - :class:`LiveFaultDriver` runs crash / recover windows from a small
   timer thread, calling ``node.stop()`` / ``node.start()`` at the round
   boundaries.  It takes the *nodes* mapping rather than the cluster
-  object, so this module never imports the runtime package.
+  object, so this module never imports the runtime package.  (The
+  asyncio cluster has its own loop-timer driver for the same schedule.)
 
-Both are deterministic given a seed only up to thread scheduling — live
+Both are deterministic given a seed only up to scheduling — live
 runs are wall-clock programs, so the contract here is weaker than the
 simulators': the *plan* (who crashes when, which links are cut) is
 exactly reproducible, while packet-level interleaving is not.
@@ -24,6 +30,7 @@ exactly reproducible, while packet-level interleaving is not.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -81,7 +88,9 @@ class FaultyTransport(Transport):
         self._rng = derive_rng(seed)
         self._rng_lock = threading.Lock()
         self._timer_lock = threading.Lock()
-        self._timers: set = set()
+        #: Armed, undelivered packets: key -> ``call_later`` handle.
+        self._timers: Dict[int, object] = {}
+        self._timer_keys = itertools.count()
         self._origin = time.monotonic()
         self._closed = False
         #: Counters for tests and reports.
@@ -169,27 +178,49 @@ class FaultyTransport(Transport):
         if delay_ms <= 0:
             self.inner.send(src, dst, payload)
             return
-        self.delayed += 1
+        key = next(self._timer_keys)
 
         def _deliver() -> None:
             with self._timer_lock:
-                self._timers.discard(timer)
+                self._timers.pop(key, None)
                 if self._closed:
                     return
             self.inner.send(src, dst, payload)
 
-        timer = threading.Timer(delay_ms / 1000.0, _deliver)
-        timer.daemon = True
+        # Armed under the lock, so ``_deliver`` (which takes it first)
+        # never runs ahead of its own bookkeeping.
         with self._timer_lock:
             if self._closed:
                 return
-            self._timers.add(timer)
-        timer.start()
+            handle = self.inner.call_later(delay_ms / 1000.0, _deliver)
+            if handle is None:
+                return  # inner is down and has counted the drop
+            self._timers[key] = handle
+            self.delayed += 1
+
+    def call_later(self, delay_s: float, fn: Callable[[], None]):
+        """The inner transport's clock, so stacked shapers share it."""
+        return self.inner.call_later(delay_s, fn)
+
+    @property
+    def pending(self) -> int:
+        """Packets armed on the delay line and not yet delivered."""
+        return len(self._timers)
+
+    def counters(self) -> Dict[str, int]:
+        """The shaper's self-health counters, for status reports."""
+        return {
+            "blocked": self.blocked,
+            "dropped": self.dropped,
+            "delayed": self.delayed,
+            "duplicated": self.duplicated,
+            "pending": self.pending,
+        }
 
     def close(self) -> None:
         with self._timer_lock:
             self._closed = True
-            timers = list(self._timers)
+            timers = list(self._timers.values())
             self._timers.clear()
         for timer in timers:
             timer.cancel()

@@ -13,6 +13,13 @@ transports are provided:
 
 Both apply an optional :class:`~repro.net.link.LossModel` on send and
 deliver to per-port handler callbacks registered by receivers.
+
+Every transport also owns a clock, :meth:`Transport.call_later`: "run
+this after a delay, in the context my deliveries run in".  The link
+shaper (:class:`~repro.faults.live.FaultyTransport`) holds delayed
+packets on it, so each stack pays for delay in its own currency — a
+timer thread here, an entry in the event loop's timer heap on
+:mod:`repro.aio.transport`.
 """
 
 from __future__ import annotations
@@ -49,6 +56,21 @@ class Transport(ABC):
     @abstractmethod
     def send(self, src: Address, dst: Address, payload: object) -> None:
         """Send one datagram.  Silently dropped on loss or closed port."""
+
+    def call_later(self, delay_s: float, fn: Callable[[], None]):
+        """Run ``fn`` after ``delay_s`` in this transport's delivery context.
+
+        Returns a handle with ``cancel()``, or ``None`` when the
+        transport is down: ``fn`` will never run and the transport has
+        counted the drop, as its ``send`` would.  The default is one
+        daemon timer thread per call, which suits the threaded runtime
+        (handlers run on whatever thread delivers); a transport with an
+        event loop overrides it.
+        """
+        timer = threading.Timer(delay_s, fn)
+        timer.daemon = True
+        timer.start()
+        return timer
 
     def close(self) -> None:
         """Release any resources held by the transport."""

@@ -1,13 +1,17 @@
 """The asyncio cluster runtime (`repro.aio`)."""
 
 import asyncio
+import threading
+import time
 
 import pytest
 
 from repro.adversary import AttackSpec
 from repro.aio import AioCluster, AioClusterConfig, run_aio_experiment
+from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.api import Experiment, result_from_dict
 from repro.des.measurement import MeasurementResult
+from repro.net import UdpTransport
 from repro.obs import MemorySink, Tracer
 
 # Small, quick wall-clock settings shared by most tests.
@@ -242,6 +246,120 @@ class TestAioClusterLifecycle:
                 await cluster.stop()
 
         self.run(go())
+
+
+def _loop_transports():
+    return [
+        AioLoopbackTransport(),
+        AioUdpBridge(UdpTransport(base_port=28400, ports_per_node=16)),
+    ]
+
+
+class TestAioTransportClock:
+    """``call_later`` on both asyncio transports is the loop's timer heap."""
+
+    def run_on_each(self, scenario):
+        for transport in _loop_transports():
+            try:
+                asyncio.run(scenario(transport))
+            finally:
+                transport.close()
+
+    def test_on_loop_call_is_a_plain_loop_timer(self):
+        async def scenario(transport):
+            transport.attach()
+            ran = []
+            t0 = time.monotonic()
+            handle = transport.call_later(
+                0.02, lambda: ran.append(threading.get_ident())
+            )
+            assert isinstance(handle, asyncio.TimerHandle)
+            await asyncio.sleep(0.06)
+            assert ran == [threading.get_ident()]
+            assert time.monotonic() - t0 >= 0.02
+            cancelled = transport.call_later(0.01, lambda: ran.append("no"))
+            cancelled.cancel()
+            await asyncio.sleep(0.04)
+            assert len(ran) == 1
+
+        self.run_on_each(scenario)
+
+    def test_off_loop_call_runs_on_the_loop_and_can_be_cancelled(self):
+        async def scenario(transport):
+            transport.attach()
+            loop = asyncio.get_running_loop()
+            ran = []
+            before = threading.active_count()
+
+            def arm():
+                keep = transport.call_later(
+                    0.02, lambda: ran.append(threading.get_ident())
+                )
+                drop = transport.call_later(0.02, lambda: ran.append("no"))
+                drop.cancel()
+                return keep
+
+            t0 = time.monotonic()
+            handle = await loop.run_in_executor(None, arm)
+            assert handle is not None
+            # The executor's worker is the only thread that appeared.
+            assert threading.active_count() <= before + 1
+            while not ran and time.monotonic() - t0 < 2.0:
+                await asyncio.sleep(0.005)
+            assert time.monotonic() - t0 >= 0.02
+            await asyncio.sleep(0.03)
+            assert ran == [threading.get_ident()]
+
+        self.run_on_each(scenario)
+
+    def test_down_transport_counts_a_drop_and_returns_none(self):
+        for transport in _loop_transports():
+            try:
+                assert transport.call_later(0.01, lambda: None) is None
+                assert transport.dropped == 1  # never attached
+                loop = asyncio.new_event_loop()
+                transport.attach(loop)
+                loop.close()
+                assert transport.call_later(0.01, lambda: None) is None
+                assert transport.dropped == 2  # loop gone
+            finally:
+                transport.close()
+            assert transport.call_later(0.01, lambda: None) is None
+            assert transport.dropped == 3  # closed
+
+
+class TestShapedCluster:
+    def test_delay_plan_end_to_end_without_timer_threads(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a threading.Timer was started")
+
+        monkeypatch.setattr(threading, "Timer", refuse)
+
+        async def go():
+            cluster = AioCluster(
+                AioClusterConfig(
+                    n=12, round_duration_ms=100.0, faults="delay:20~10"
+                ),
+                seed=13,
+            )
+            await cluster.start()
+            try:
+                for i in range(3):
+                    mid = cluster.multicast(0, f"shaped-{i}".encode())
+                    assert await cluster.await_delivery(
+                        mid, fraction=1.0, timeout_s=15.0
+                    )
+                assert cluster.shaper.delayed > 0
+            finally:
+                await cluster.stop()
+            return cluster
+
+        cluster = asyncio.run(go())
+        assert cluster.node_errors == []
+        assert cluster.shaper.pending == 0
+        result = cluster.result(10.0, 3)
+        assert result.faults == "delay:20~10"
+        assert result.residual_reliability() >= 0.99
 
 
 class TestSerialScoping:

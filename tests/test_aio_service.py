@@ -168,6 +168,33 @@ class TestGossipService:
         assert stopped["ok"] is True and stopped["deliveries"] > 0
         assert rpc(service, {"op": "status"})["running"] is False
 
+    def test_status_reports_the_shaper_once_a_plan_is_installed(self, service):
+        rpc(
+            service,
+            {
+                "op": "start", "n": 8, "round_duration_ms": 60.0,
+                "loss": 0.0, "seed": 24,
+            },
+        )
+        assert "shaper" not in rpc(service, {"op": "status"})
+        rpc(service, {"op": "inject", "faults": "delay:15~5; dup:0.2"})
+        sent = rpc(
+            service,
+            {
+                "op": "multicast", "payload": "shaped",
+                "await_fraction": 1.0, "timeout_s": 15.0,
+            },
+        )
+        assert sent["delivered"] is True
+        shaper = rpc(service, {"op": "status"})["shaper"]
+        assert sorted(shaper) == [
+            "blocked", "delayed", "dropped", "duplicated", "pending",
+        ]
+        assert shaper["delayed"] > 0 and shaper["duplicated"] > 0
+        assert shaper["blocked"] == shaper["dropped"] == 0
+        assert 0 <= shaper["pending"] <= shaper["delayed"]
+        rpc(service, {"op": "stop"})
+
     def test_metrics_exposes_prometheus_counters(self, service):
         """Satellite check: the obs counters are scrape-ready over TCP."""
         rpc(

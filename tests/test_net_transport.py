@@ -62,6 +62,38 @@ class TestInMemoryTransport:
         assert len(received) == 400
 
 
+class TestCallLater:
+    """The default clock: one daemon timer thread per call."""
+
+    def test_runs_fn_later_on_a_timer_thread(self):
+        transport = InMemoryTransport()
+        ran = []
+        done = threading.Event()
+
+        def fn():
+            ran.append((time.monotonic(), threading.current_thread()))
+            done.set()
+
+        t0 = time.monotonic()
+        handle = transport.call_later(0.03, fn)
+        assert handle is not None and not ran
+        assert done.wait(timeout=2.0)
+        at, thread = ran[0]
+        assert at - t0 >= 0.025
+        assert thread is not threading.current_thread()
+        assert thread.daemon
+
+    def test_cancel_stops_the_call(self):
+        transport = InMemoryTransport()
+        ran = []
+        transport.call_later(0.03, lambda: ran.append(1)).cancel()
+        time.sleep(0.08)
+        assert ran == []
+
+    def test_udp_transport_inherits_the_default(self):
+        assert UdpTransport.call_later is InMemoryTransport.call_later
+
+
 class TestUdpTransport:
     def test_roundtrip_localhost(self):
         transport = UdpTransport(base_port=23000, ports_per_node=16)
