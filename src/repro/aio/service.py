@@ -18,7 +18,9 @@ experiment:
 - ``{"op": "status"}`` / ``{"op": "stop"}`` / ``{"op": "shutdown"}``.
 
 Every request is one JSON object on one line; every response is one
-JSON object on one line with an ``"ok"`` flag.  The service owns a
+JSON object on one line with an ``"ok"`` flag.  A line over asyncio's
+64 KiB stream limit is answered with the same error envelope and that
+connection is closed; the service carries on.  The service owns a
 thread-safe :class:`~repro.obs.Tracer` feeding a
 :class:`~repro.obs.sinks.PrometheusSink` (for ``metrics``) and an
 :class:`EventStreamSink` (for ``stream``); both attach to each cluster
@@ -245,7 +247,18 @@ class GossipService:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # Over the stream limit: the rest of the line is
+                    # still in flight, so the connection cannot be
+                    # resynchronised — say why, then drop it.
+                    await self._reply(
+                        writer,
+                        {"ok": False,
+                         "error": f"request line too long: {exc}"},
+                    )
+                    break
                 if not line:
                     break
                 try:

@@ -19,16 +19,27 @@ axis as the vectorised dimension, and the hot state packed tight:
   resolved to bitmaps once per schedule state and applied with
   bitwise masks.
 
-Rounds stream the node axis **shard by shard**.  Randomness is drawn
-per fixed-size *block* of :data:`MEGA_BLOCK_NODES` node ids from a
-generator seeded positionally — ``SeedSequence(entropy, run_spawn_key +
-(round, block))``, the same positional derivation
+Rounds walk the node axis one fixed-size *block* of
+:data:`MEGA_BLOCK_NODES` node ids at a time.  Randomness is drawn per
+block from a generator seeded positionally — ``SeedSequence(entropy,
+run_spawn_key + (round, block))``, the same positional derivation
 :mod:`repro.sim.parallel` uses for run shards — so the sampled values
-depend only on ``(seed, run, round, block)``.  A *shard* is merely the
-group of consecutive blocks processed through one set of vectorised
-operations; regrouping blocks into different shard sizes (or fanning
-runs out over any number of pool workers) therefore produces
-**byte-identical** results.
+depend only on ``(seed, run, round, block)`` and fanning runs out over
+any number of pool workers produces **byte-identical** results.
+
+Cost model: a round is O(n·v) draws plus O(hits) scatters.  Each block
+draws its ``(block, v)`` views and loss masks and scatter-adds its hits
+into the persistent n-wide arrival counters (``np.add.at``); the n-wide
+passes (counter reset, acceptance probabilities, popcounts) run once
+per round, never inside a block loop, so no block materialises an
+n-wide temporary and the per-node-round cost does not grow with n
+beyond what random gathers and scatters cost once they leave cache.
+
+``shard_nodes`` is a recorded layout label with no effect on work or
+bytes: blocks are processed one at a time whatever its value.  It is
+still accepted, validated, rounded to a block multiple and stored,
+because every stored mega envelope and ``mega_meta`` side-car carries
+it.
 
 Equivalence story: the packed engine draws from the same per-round
 distributions as the fast engine (exact F-subset views, hypergeometric
@@ -60,9 +71,8 @@ from repro.util.rng import SeedLike
 #: if you ever do).
 MEGA_BLOCK_NODES = 4096
 
-#: Default streaming width (nodes per shard): how many blocks are
-#: concatenated into one set of vectorised operations.  Purely a
-#: memory/speed trade — any value yields byte-identical results.
+#: Default ``shard_nodes`` label recorded in a result's layout facts.
+#: It changes neither the work done nor the bytes produced.
 DEFAULT_SHARD_NODES = 1 << 18
 
 #: Popcount lookup table for packed-bitmap byte counts.
@@ -228,8 +238,7 @@ class _BlockRngs:
 
     Block ``b``'s generator is seeded ``SeedSequence(entropy,
     run_spawn_key + (round, b))`` and is reused across all of the
-    round's phases in a fixed per-block order, so values never depend
-    on how blocks are grouped into shards.  Index ``n_blocks`` (one
+    round's phases in a fixed per-block order.  Index ``n_blocks`` (one
     past the last node block) is the run-level stream (Gilbert–Elliott
     chain steps).
     """
@@ -255,6 +264,20 @@ class _BlockRngs:
         return gen
 
 
+def _repeated_rows(targets: np.ndarray) -> np.ndarray:
+    """Bool mask of the rows of ``targets`` that repeat a value.
+
+    One column compare per pair of columns: at gossip fan-outs
+    (v·(v−1)/2 = 6 pairs for v = 4) this is an order of magnitude
+    cheaper than sorting every row to compare neighbours.
+    """
+    dup = np.zeros(len(targets), dtype=bool)
+    for i in range(targets.shape[1] - 1):
+        for j in range(i + 1, targets.shape[1]):
+            dup |= targets[:, i] == targets[:, j]
+    return dup
+
+
 def _block_views(
     g: np.random.Generator, senders: np.ndarray, n: int, v: int
 ) -> np.ndarray:
@@ -271,15 +294,13 @@ def _block_views(
         return targets
     targets = g.integers(0, n - 1, size=(blen, v))
     targets += targets >= senders[:, None]
-    if v > 1:
-        while True:
-            ordered = np.sort(targets, axis=1)
-            dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-            if not dup.any():
-                break
-            redraw = g.integers(0, n - 1, size=(int(dup.sum()), v))
-            redraw += redraw >= senders[dup][:, None]
-            targets[dup] = redraw
+    while True:
+        dup = _repeated_rows(targets)
+        if not dup.any():
+            break
+        redraw = g.integers(0, n - 1, size=(int(dup.sum()), v))
+        redraw += redraw >= senders[dup][:, None]
+        targets[dup] = redraw
     return targets
 
 
@@ -311,20 +332,11 @@ def _fault_masks_for(state, n: int, cache: dict):
     return masks
 
 
-def _shard_ranges(limit: int, shard_nodes: int) -> List[Tuple[int, int]]:
-    """Consecutive ``[start, stop)`` shard ranges covering ``[0, limit)``."""
-    return [
-        (start, min(start + shard_nodes, limit))
-        for start in range(0, limit, shard_nodes)
-    ]
-
-
 def _run_one(
     scenario: Scenario,
     *,
     seed: SeedLike,
     horizon: Optional[int],
-    shard_nodes: int,
     tracer=None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[int], int, Optional[tuple]]:
     """One packed run.
@@ -341,7 +353,6 @@ def _run_one(
             schedule,
             seed=seed,
             horizon=horizon,
-            shard_nodes=shard_nodes,
             tracer=tracer,
         )
     root = _run_root(seed)
@@ -461,56 +472,51 @@ def _run_one(
         pull_stash: List[Tuple[int, np.ndarray, np.ndarray]] = []
         push_stash: List[Tuple[int, np.ndarray]] = []
         sender_attempts = 0
-        for start, stop in _shard_ranges(num_alive, shard_nodes):
-            for b_start in range(start, stop, MEGA_BLOCK_NODES):
-                b_stop = min(b_start + MEGA_BLOCK_NODES, stop, num_alive)
-                block = b_start // MEGA_BLOCK_NODES
-                g = rngs(block)
-                senders = np.arange(b_start, b_stop)
-                awake_b = alive_awake[b_start:b_stop]
-                # (a) perturbation sleep draws for ids in this block
-                if num_perturbed and perturb_prob > 0:
-                    lo = max(b_start, perturb_lo)
-                    hi = min(b_stop, num_alive)
-                    if lo < hi:
-                        asleep = g.random(hi - lo) < perturb_prob
-                        awake_b = awake_b.copy()
-                        awake_b[lo - b_start:hi - b_start] &= ~asleep
-                        alive_awake[lo:hi] = awake_b[lo - b_start:hi - b_start]
-                send_ok = awake_b
-                if stall_ok is not None:
-                    send_ok = send_ok & stall_ok[b_start:b_stop]
-                # (b) view draws, (c) push loss, (d) pull loss
-                views = _block_views(g, senders, n, v)
-                t_push = views[:, :v_push]
-                t_pull = views[:, v_push:]
-                has_b = bit_get(has, senders)
-                if v_push:
-                    sent = (
-                        (g.random(t_push.shape) >= loss_round)
-                        & send_ok[:, None]
-                    )
-                    if in_a is not None:
-                        sent &= in_a[senders][:, None] == in_a[t_push]
-                    push_valid += np.bincount(
-                        t_push[sent], minlength=n
-                    )
-                    holder = sent & has_b[:, None]
-                    push_m += np.bincount(t_push[holder], minlength=n)
-                    if shared_bound is not None:
-                        push_stash.append((b_start, t_push))
-                if v_pull:
-                    req_sent = (
-                        (g.random(t_pull.shape) >= loss_round)
-                        & send_ok[:, None]
-                    )
-                    if in_a is not None:
-                        req_sent &= in_a[senders][:, None] == in_a[t_pull]
-                    req_valid += np.bincount(
-                        t_pull[req_sent], minlength=n
-                    )
-                    pull_stash.append((b_start, t_pull, req_sent))
-                sender_attempts += int(send_ok.sum()) * v
+        for b_start in range(0, num_alive, MEGA_BLOCK_NODES):
+            b_stop = min(b_start + MEGA_BLOCK_NODES, num_alive)
+            block = b_start // MEGA_BLOCK_NODES
+            g = rngs(block)
+            senders = np.arange(b_start, b_stop)
+            awake_b = alive_awake[b_start:b_stop]
+            # (a) perturbation sleep draws for ids in this block
+            if num_perturbed and perturb_prob > 0:
+                lo = max(b_start, perturb_lo)
+                hi = min(b_stop, num_alive)
+                if lo < hi:
+                    asleep = g.random(hi - lo) < perturb_prob
+                    awake_b = awake_b.copy()
+                    awake_b[lo - b_start:hi - b_start] &= ~asleep
+                    alive_awake[lo:hi] = awake_b[lo - b_start:hi - b_start]
+            send_ok = awake_b
+            if stall_ok is not None:
+                send_ok = send_ok & stall_ok[b_start:b_stop]
+            # (b) view draws, (c) push loss, (d) pull loss
+            views = _block_views(g, senders, n, v)
+            t_push = views[:, :v_push]
+            t_pull = views[:, v_push:]
+            has_b = bit_get(has, senders)
+            if v_push:
+                sent = (
+                    (g.random(t_push.shape) >= loss_round)
+                    & send_ok[:, None]
+                )
+                if in_a is not None:
+                    sent &= in_a[senders][:, None] == in_a[t_push]
+                np.add.at(push_valid, t_push[sent], 1)
+                holder = sent & has_b[:, None]
+                np.add.at(push_m, t_push[holder], 1)
+                if shared_bound is not None:
+                    push_stash.append((b_start, t_push))
+            if v_pull:
+                req_sent = (
+                    (g.random(t_pull.shape) >= loss_round)
+                    & send_ok[:, None]
+                )
+                if in_a is not None:
+                    req_sent &= in_a[senders][:, None] == in_a[t_pull]
+                np.add.at(req_valid, t_pull[req_sent], 1)
+                pull_stash.append((b_start, t_pull, req_sent))
+            sender_attempts += int(send_ok.sum()) * v
         round_bytes += sum(
             t.nbytes + m.nbytes for _, t, m in pull_stash
         ) + sum(t.nbytes for _, t in push_stash)
@@ -559,18 +565,17 @@ def _run_one(
             total = push_valid.copy()
             if fab_push is not None:
                 total[:num_attacked] += fab_push
-            for start, stop in _shard_ranges(n, shard_nodes):
-                for b_start in range(start, stop, MEGA_BLOCK_NODES):
-                    b_stop = min(b_start + MEGA_BLOCK_NODES, stop)
-                    g = rngs(b_start // MEGA_BLOCK_NODES)
-                    got = _accept_any(
-                        g,
-                        push_m[b_start:b_stop],
-                        total[b_start:b_stop],
-                        cfg.push_in_bound,
-                    )
-                    got &= alive_awake[b_start:b_stop]
-                    bit_or_block(new_has, b_start, got)
+            for b_start in range(0, n, MEGA_BLOCK_NODES):
+                b_stop = min(b_start + MEGA_BLOCK_NODES, n)
+                g = rngs(b_start // MEGA_BLOCK_NODES)
+                got = _accept_any(
+                    g,
+                    push_m[b_start:b_stop],
+                    total[b_start:b_stop],
+                    cfg.push_in_bound,
+                )
+                got &= alive_awake[b_start:b_stop]
+                bit_or_block(new_has, b_start, got)
         elif v_push:
             # Offer handshake (shared-bounds variant): offer wins the
             # target's pool, push-reply wins the sender's pool, each leg
@@ -601,11 +606,9 @@ def _run_one(
                 )
                 data_ok = reply_acc & (g.random(t_push.shape) >= loss_round)
                 m_data = data_ok & bit_get(has, senders)[:, None]
-                arrivals += np.bincount(t_push[m_data], minlength=n)
+                np.add.at(arrivals, t_push[m_data], 1)
             got_all = (arrivals >= 1) & alive_awake
-            for b_start in range(0, n, MEGA_BLOCK_NODES):
-                b_stop = min(b_start + MEGA_BLOCK_NODES, n)
-                bit_or_block(new_has, b_start, got_all[b_start:b_stop])
+            bit_or_block(new_has, 0, got_all)
             round_bytes += arrivals.nbytes
 
         # -- phase D: pull requests and replies -------------------------------
@@ -727,17 +730,15 @@ def _block_views_pool(
         return pool[idx]
     idx = g.integers(0, high[:, None], size=(len(senders), v))
     idx += in_pool[:, None] & (idx >= pos[:, None])
-    if v > 1:
-        while True:
-            ordered = np.sort(idx, axis=1)
-            dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-            if not dup.any():
-                break
-            redraw = g.integers(
-                0, high[dup][:, None], size=(int(dup.sum()), v)
-            )
-            redraw += in_pool[dup][:, None] & (redraw >= pos[dup][:, None])
-            idx[dup] = redraw
+    while True:
+        dup = _repeated_rows(idx)
+        if not dup.any():
+            break
+        redraw = g.integers(
+            0, high[dup][:, None], size=(int(dup.sum()), v)
+        )
+        redraw += in_pool[dup][:, None] & (redraw >= pos[dup][:, None])
+        idx[dup] = redraw
     return pool[idx]
 
 
@@ -756,7 +757,6 @@ def _run_one_churn(
     *,
     seed: SeedLike,
     horizon: Optional[int],
-    shard_nodes: int,
     tracer=None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[int], int, Optional[tuple]]:
     """One packed run under a churn plan.
@@ -766,10 +766,9 @@ def _run_one_churn(
     awareness-lag model as the fast engine's churn loop: view draws are
     restricted to ``schedule.aware_targets_at(round, lag)`` and sender
     participation to the present, unsuspected, responsive membership.
-    Randomness stays positional per ``(round, node-block)`` — the
-    sender set of each block is schedule-determined, never
-    shard-determined — so any ``shard_nodes`` and any worker count
-    yield byte-identical results.
+    Randomness stays positional per ``(round, node-block)`` and the
+    sender set of each block is schedule-determined, so any worker
+    count yields byte-identical results.
     """
     root = _run_root(seed)
     n = scenario.n
@@ -931,57 +930,52 @@ def _run_one_churn(
         pull_stash: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         push_stash: List[Tuple[np.ndarray, np.ndarray]] = []
         sender_attempts = 0
-        for start, stop in _shard_ranges(nm, shard_nodes):
-            for b_start in range(start, stop, MEGA_BLOCK_NODES):
-                b_stop = min(b_start + MEGA_BLOCK_NODES, stop, nm)
-                block = b_start // MEGA_BLOCK_NODES
-                b_senders = np.flatnonzero(
-                    sender_mask[b_start:b_stop]
-                ) + b_start
-                lo = max(b_start, perturb_lo)
-                hi = min(b_stop, num_alive)
-                needs_perturb = (
-                    num_perturbed and perturb_prob > 0 and lo < hi
+        for b_start in range(0, nm, MEGA_BLOCK_NODES):
+            b_stop = min(b_start + MEGA_BLOCK_NODES, nm)
+            block = b_start // MEGA_BLOCK_NODES
+            b_senders = np.flatnonzero(
+                sender_mask[b_start:b_stop]
+            ) + b_start
+            lo = max(b_start, perturb_lo)
+            hi = min(b_stop, num_alive)
+            needs_perturb = (
+                num_perturbed and perturb_prob > 0 and lo < hi
+            )
+            if not len(b_senders) and not needs_perturb:
+                continue  # positional seeding: skipping burns no draws
+            g = rngs(block)
+            if needs_perturb:
+                asleep = g.random(hi - lo) < perturb_prob
+                alive_awake[lo:hi] &= ~asleep
+            if not len(b_senders):
+                continue
+            send_ok = alive_awake[b_senders]
+            views = _block_views_pool(g, b_senders, pool, v)
+            t_push = views[:, :v_push]
+            t_pull = views[:, v_push:]
+            has_b = bit_get(has, b_senders)
+            if v_push:
+                sent = (
+                    (g.random(t_push.shape) >= loss_round)
+                    & send_ok[:, None]
                 )
-                if not len(b_senders) and not needs_perturb:
-                    continue  # positional seeding: skipping burns no draws
-                g = rngs(block)
-                if needs_perturb:
-                    asleep = g.random(hi - lo) < perturb_prob
-                    alive_awake[lo:hi] &= ~asleep
-                if not len(b_senders):
-                    continue
-                send_ok = alive_awake[b_senders]
-                views = _block_views_pool(g, b_senders, pool, v)
-                t_push = views[:, :v_push]
-                t_pull = views[:, v_push:]
-                has_b = bit_get(has, b_senders)
-                if v_push:
-                    sent = (
-                        (g.random(t_push.shape) >= loss_round)
-                        & send_ok[:, None]
-                    )
-                    if in_a is not None:
-                        sent &= in_a[b_senders][:, None] == in_a[t_push]
-                    push_valid += np.bincount(
-                        t_push[sent], minlength=nm
-                    )
-                    holder = sent & has_b[:, None]
-                    push_m += np.bincount(t_push[holder], minlength=nm)
-                    if shared_bound is not None:
-                        push_stash.append((b_senders, t_push))
-                if v_pull:
-                    req_sent = (
-                        (g.random(t_pull.shape) >= loss_round)
-                        & send_ok[:, None]
-                    )
-                    if in_a is not None:
-                        req_sent &= in_a[b_senders][:, None] == in_a[t_pull]
-                    req_valid += np.bincount(
-                        t_pull[req_sent], minlength=nm
-                    )
-                    pull_stash.append((b_senders, t_pull, req_sent))
-                sender_attempts += int(send_ok.sum()) * v
+                if in_a is not None:
+                    sent &= in_a[b_senders][:, None] == in_a[t_push]
+                np.add.at(push_valid, t_push[sent], 1)
+                holder = sent & has_b[:, None]
+                np.add.at(push_m, t_push[holder], 1)
+                if shared_bound is not None:
+                    push_stash.append((b_senders, t_push))
+            if v_pull:
+                req_sent = (
+                    (g.random(t_pull.shape) >= loss_round)
+                    & send_ok[:, None]
+                )
+                if in_a is not None:
+                    req_sent &= in_a[b_senders][:, None] == in_a[t_pull]
+                np.add.at(req_valid, t_pull[req_sent], 1)
+                pull_stash.append((b_senders, t_pull, req_sent))
+            sender_attempts += int(send_ok.sum()) * v
         round_bytes += sum(
             s.nbytes + t.nbytes + m.nbytes for s, t, m in pull_stash
         ) + sum(s.nbytes + t.nbytes for s, t in push_stash)
@@ -1032,18 +1026,17 @@ def _run_one_churn(
             total = push_valid.copy()
             if fab_push is not None:
                 total[:num_attacked] += fab_push
-            for start, stop in _shard_ranges(nm, shard_nodes):
-                for b_start in range(start, stop, MEGA_BLOCK_NODES):
-                    b_stop = min(b_start + MEGA_BLOCK_NODES, stop)
-                    g = rngs(b_start // MEGA_BLOCK_NODES)
-                    got = _accept_any(
-                        g,
-                        push_m[b_start:b_stop],
-                        total[b_start:b_stop],
-                        cfg.push_in_bound,
-                    )
-                    got &= alive_awake[b_start:b_stop]
-                    bit_or_block(new_has, b_start, got)
+            for b_start in range(0, nm, MEGA_BLOCK_NODES):
+                b_stop = min(b_start + MEGA_BLOCK_NODES, nm)
+                g = rngs(b_start // MEGA_BLOCK_NODES)
+                got = _accept_any(
+                    g,
+                    push_m[b_start:b_stop],
+                    total[b_start:b_stop],
+                    cfg.push_in_bound,
+                )
+                got &= alive_awake[b_start:b_stop]
+                bit_or_block(new_has, b_start, got)
         elif v_push:
             arrivals = np.zeros(nm, dtype=np.int64)
             for b_senders, t_push in push_stash:
@@ -1067,11 +1060,9 @@ def _run_one_churn(
                 )
                 data_ok = reply_acc & (g.random(t_push.shape) >= loss_round)
                 m_data = data_ok & bit_get(has, b_senders)[:, None]
-                arrivals += np.bincount(t_push[m_data], minlength=nm)
+                np.add.at(arrivals, t_push[m_data], 1)
             got_all = (arrivals >= 1) & alive_awake
-            for b_start in range(0, nm, MEGA_BLOCK_NODES):
-                b_stop = min(b_start + MEGA_BLOCK_NODES, nm)
-                bit_or_block(new_has, b_start, got_all[b_start:b_stop])
+            bit_or_block(new_has, 0, got_all)
             round_bytes += arrivals.nbytes
 
         # -- phase D: pull requests and replies -------------------------------
@@ -1188,18 +1179,14 @@ def _run_one_churn(
 # ---------------------------------------------------------------------------
 
 def _mega_task(task):
-    scenario, seed, horizon, shard_nodes, trace = task
+    scenario, seed, horizon, trace = task
     tracer = sink = None
     if trace:
         from repro.sim.parallel import _shard_tracer
 
         tracer, sink = _shard_tracer()
     counts, attacked, reachable, peak, churn = _run_one(
-        scenario,
-        seed=seed,
-        horizon=horizon,
-        shard_nodes=shard_nodes,
-        tracer=tracer,
+        scenario, seed=seed, horizon=horizon, tracer=tracer
     )
     return (
         counts,
@@ -1214,9 +1201,9 @@ def _mega_task(task):
 def _mega_task_shm(task):
     """One packed run on the zero-copy path: the trajectory lands in the
     parent's shared-memory row, only ``(width, peak_bytes)`` pickles."""
-    scenario, seed, horizon, shard_nodes, descriptor, row = task
+    scenario, seed, horizon, descriptor, row = task
     counts, attacked, reachable, peak, churn = _run_one(
-        scenario, seed=seed, horizon=horizon, shard_nodes=shard_nodes
+        scenario, seed=seed, horizon=horizon
     )
     from repro.sim.executor import SharedArrays
 
@@ -1241,7 +1228,7 @@ def _mega_task_shm(task):
 class MegaJob:
     """``runs`` packed runs as an executor job (one task per run).
 
-    Node-block shards stream *inside* each task; the run fan-out rides
+    Node blocks stream *inside* each task; the run fan-out rides
     the same persistent pool and zero-copy result path as the dense
     engines (see :class:`repro.sim.parallel._DenseJob` for the two-path
     contract).  ``runs == 1`` passes the caller's seed straight through,
@@ -1269,12 +1256,8 @@ class MegaJob:
             raise ValueError(
                 f"shard_nodes must be a positive integer, got {shard_nodes!r}"
             )
-        # Shard boundaries must land on the atomic block grid —
-        # otherwise a block would straddle two shards and the per-block
-        # generators would collide.  Rounding up preserves the
-        # contract: any requested width maps to a block-aligned one,
-        # and *all* widths give identical results because draws are per
-        # block, never per shard.
+        # Recorded, not used: rounded up to the block grid exactly as
+        # every stored envelope has it.
         self.shard_nodes = max(
             MEGA_BLOCK_NODES,
             ((int(shard_nodes) + MEGA_BLOCK_NODES - 1) // MEGA_BLOCK_NODES)
@@ -1299,11 +1282,7 @@ class MegaJob:
 
     def pickle_calls(self, trace: bool):
         return [
-            (
-                _mega_task,
-                (self.scenario, run_seed, self.horizon, self.shard_nodes,
-                 trace),
-            )
+            (_mega_task, (self.scenario, run_seed, self.horizon, trace))
             for run_seed in self._seeds
         ]
 
@@ -1357,8 +1336,7 @@ class MegaJob:
         return [
             (
                 _mega_task_shm,
-                (self.scenario, run_seed, self.horizon, self.shard_nodes,
-                 descriptor, row),
+                (self.scenario, run_seed, self.horizon, descriptor, row),
             )
             for row, run_seed in enumerate(self._seeds)
         ]
@@ -1413,10 +1391,11 @@ def run_mega(
 
     One child seed per run is derived positionally (``runs == 1`` passes
     the caller's seed straight through, mirroring the fast engine's
-    single-shard behaviour), runs fan out over ``workers`` persistent
-    pool processes with shared-memory result rows, and each run streams
-    the node axis in ``shard_nodes``-wide shards — the result is
-    byte-identical for every ``workers`` *and* every ``shard_nodes``.
+    single-shard behaviour) and runs fan out over ``workers`` persistent
+    pool processes with shared-memory result rows — the result is
+    byte-identical for every ``workers``.  ``shard_nodes`` is a layout
+    label recorded in the result (rounded up to a block multiple); it
+    affects neither the work done nor any other byte.
     ``tracer`` attaches aggregate per-round events (run-ordered and
     worker-count invariant, like the fast engine's sharded stream).
     """

@@ -120,6 +120,22 @@ class TestGossipService:
             reply = json.loads(stream.readline())
         assert reply["ok"] is False
 
+    def test_oversized_line_gets_the_error_envelope(self, service):
+        """A line over asyncio's 64 KiB stream limit costs that client
+        its connection, not the service: it is told why, and a second
+        client is still answered."""
+        with socket.create_connection(
+            (service.host, service.port), timeout=15
+        ) as sock:
+            sock.sendall(b"x" * 100_000 + b"\n")
+            stream = sock.makefile("r", encoding="utf-8")
+            reply = json.loads(stream.readline())
+        assert reply["ok"] is False
+        assert "too long" in reply["error"]
+        assert rpc(service, {"op": "status"}) == {
+            "ok": True, "running": False,
+        }
+
     def test_ops_require_a_cluster(self, service):
         reply = rpc(service, {"op": "multicast", "payload": "x"})
         assert reply["ok"] is False

@@ -12,9 +12,15 @@ is statistical (:mod:`equivalence`), not byte-level:
   pinned to golden envelope files — regenerating one (only when a
   change is *meant* to alter seeded output) is the test body itself:
   run the case and write ``encode_envelope`` + newline to
-  ``tests/golden/mega_<protocol>.json``.
+  ``tests/golden/mega_<protocol>.json``;
+- the goldens are one 4096-node block with no faults and no churn, so
+  seeded envelopes at n = 12 000 (three blocks; four under churn) are
+  pinned by hash for the multi-block accumulation, the shared-bounds
+  handshake, the well-known reply port, a combined fault plan and the
+  churn loop.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -40,14 +46,50 @@ GOLDEN_CASES = {
     "drum-shared-bounds": 9555,
 }
 
+MULTI_BLOCK_CHAOS = (
+    "crash@3:0.1;partition@2-6:0.4;stall@2-5:0.1;gilbert:0.01,0.3,0.05,0.25"
+)
+MULTI_BLOCK_CHURN = "join@2:0.1;leave@4:0.05;expel@5:0.05"
 
-def attacked_scenario(n, protocol="drum"):
+#: case -> (protocol, fault plan, sha256 of the seeded n = 12 000
+#: envelope).  Regenerate only when seeded output is *meant* to change:
+#: the failing assertion prints the new hash.
+MULTI_BLOCK_CASES = {
+    "drum": (
+        "drum", None,
+        "937b2a0d3113db3f55707841e37d6b442c7e4e12f892e854eb4a3fedbce969b3",
+    ),
+    "shared-bounds": (
+        "drum-shared-bounds", None,
+        "53e307dca783558d2c92257123d17bfd3fc9a687b87826e3541c7fa2b810a642",
+    ),
+    "no-random-ports": (
+        "drum-no-random-ports", None,
+        "c6a8bedcd85b013cf939e94b80f805e9a652763c80b108bd3031d6f95f8756c8",
+    ),
+    "chaos": (
+        "drum", MULTI_BLOCK_CHAOS,
+        "4804e3762b733a7001180d44c918bdd0edeae45376ada4d116f413fba29d1afc",
+    ),
+    "churn": (
+        "drum", MULTI_BLOCK_CHURN,
+        "3b62a33bfa4cd8775ad96459fc90b9a4a7ef92396cf8885faa9ce784dad77028",
+    ),
+    "shared-bounds-churn": (
+        "drum-shared-bounds", MULTI_BLOCK_CHURN,
+        "2d635bba42be328bc4f179ebd7f70a7e86428a50fbc4684324fb97291d40b401",
+    ),
+}
+
+
+def attacked_scenario(n, protocol="drum", faults=None):
     return Scenario(
         protocol=protocol,
         n=n,
         malicious_fraction=0.1,
         attack=AttackSpec(alpha=0.1, x=64.0),
         max_rounds=200,
+        faults=faults,
     )
 
 
@@ -174,3 +216,18 @@ def test_golden_files_are_mega_envelopes():
         blob = json.loads(path.read_text())
         assert blob["kind"] == "mega"
         assert blob["data"]["mega"]["shard_nodes"] > 0
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_BLOCK_CASES))
+def test_multi_block_mega_envelopes_are_pinned(case):
+    protocol, faults, pinned = MULTI_BLOCK_CASES[case]
+    result = run_mega(
+        attacked_scenario(12_000, protocol, faults), 2, seed=4242
+    )
+    assert result.blocks >= 3
+    digest = hashlib.sha256(golden_render(result).encode()).hexdigest()
+    assert digest == pinned, (
+        f"seeded multi-block mega {case} envelope diverged from its "
+        "pinned hash; the packed engine no longer reproduces its "
+        "recorded behaviour"
+    )
