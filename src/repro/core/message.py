@@ -76,13 +76,13 @@ class DataMessage:
         default=None, repr=False, compare=False
     )
 
-    def aged(self) -> "DataMessage":
-        """Copy with the round counter incremented (one round elapsed)."""
+    def aged(self, rounds: int = 1) -> "DataMessage":
+        """Copy with the round counter advanced by ``rounds`` elapsed rounds."""
         return DataMessage(
             msg_id=self.msg_id,
             source=self.source,
             payload=self.payload,
-            round_counter=self.round_counter + 1,
+            round_counter=self.round_counter + rounds,
             signature=self.signature,
             certificate=self.certificate,
             _body_digest=self._body_digest,

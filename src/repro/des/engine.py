@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class EventHandle:
     """Returned by :meth:`EventLoop.schedule`; allows cancellation."""
 
@@ -40,7 +40,7 @@ class EventLoop:
 
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> EventHandle:
         """Run ``fn`` after ``delay_ms`` of virtual time."""
-        if delay_ms < 0:
+        if not delay_ms >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
         handle = EventHandle(when=self._now + delay_ms)
         heapq.heappush(

@@ -155,7 +155,8 @@ class SimEnvironment(Environment):
                 )
             return
         lo, hi = self.latency_range_ms
-        latency = lo if hi == lo else float(self._rng.uniform(lo, hi))
+        # ``lo + (hi - lo) * random()`` is ``uniform(lo, hi)`` bit for bit.
+        latency = lo if hi == lo else lo + (hi - lo) * self._rng.random()
 
         def _deliver() -> None:
             handler = self._handlers.get(dst)
@@ -173,10 +174,9 @@ class SimEnvironment(Environment):
         if lf is not None and lf.shapes_timing:
             latency += lf.delay_ms
             if lf.jitter_ms > 0:
+                j = lf.jitter_ms
                 latency = max(
-                    0.0,
-                    latency
-                    + float(self._rng.uniform(-lf.jitter_ms, lf.jitter_ms)),
+                    0.0, latency + (-j + 2.0 * j * self._rng.random())
                 )
             if lf.reorder_prob > 0 and self._rng.random() < lf.reorder_prob:
                 # Hold the packet back past anything sent in the next

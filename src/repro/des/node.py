@@ -110,6 +110,10 @@ class GossipNode:
             config.random_port_lifetime, seed=self.rng
         )
         self.bounds = self._build_bounds(data_bound)
+        # The well-known endpoints every send names, built once.
+        self._offer_addr = Address(pid, PORT_PUSH_OFFER)
+        self._request_addr = Address(pid, PORT_PULL_REQUEST)
+        self._reply_addr = Address(pid, PORT_PULL_REPLY)
 
         self.round_no = 0
         self.running = False
@@ -188,17 +192,11 @@ class GossipNode:
             raise RuntimeError(f"node {self.pid} is already running")
         self.running = True
         if self.uses_push:
-            self.env.bind(
-                Address(self.pid, PORT_PUSH_OFFER), self._on_push_offer
-            )
+            self.env.bind(self._offer_addr, self._on_push_offer)
         if self.uses_pull:
-            self.env.bind(
-                Address(self.pid, PORT_PULL_REQUEST), self._on_pull_request
-            )
+            self.env.bind(self._request_addr, self._on_pull_request)
             if not self.config.uses_random_ports:
-                self.env.bind(
-                    Address(self.pid, PORT_PULL_REPLY), self._on_pull_data
-                )
+                self.env.bind(self._reply_addr, self._on_pull_data)
         if initial_delay_ms is None:
             initial_delay_ms = float(
                 self.rng.uniform(0, self.config.round_duration_ms)
@@ -212,11 +210,11 @@ class GossipNode:
             self.env.cancel(self._round_handle)
             self._round_handle = None
         if self.uses_push:
-            self.env.unbind(Address(self.pid, PORT_PUSH_OFFER))
+            self.env.unbind(self._offer_addr)
         if self.uses_pull:
-            self.env.unbind(Address(self.pid, PORT_PULL_REQUEST))
+            self.env.unbind(self._request_addr)
             if not self.config.uses_random_ports:
-                self.env.unbind(Address(self.pid, PORT_PULL_REPLY))
+                self.env.unbind(self._reply_addr)
         for port in list(self.ports.open_ports):
             self.ports.release(port)
             self.env.unbind(Address(self.pid, port))
@@ -280,13 +278,12 @@ class GossipNode:
         # the quota window opens.  This matters for fidelity: were the
         # offers sent exactly at quota reset, their replies would race
         # ahead of any flood and mask the shared-bounds vulnerability.
-        offset = float(
-            self.rng.uniform(0, 0.5 * self.config.round_duration_ms)
-        )
+        # (``lo + (hi - lo) * random()`` is ``uniform(lo, hi)`` bit for bit.)
+        offset = 0.5 * self.config.round_duration_ms * self.rng.random()
         self.env.schedule(offset, self._gossip)
 
         jitter = self.config.round_jitter
-        factor = 1.0 + float(self.rng.uniform(-jitter, jitter))
+        factor = 1.0 + (-jitter + 2.0 * jitter * self.rng.random())
         self._round_handle = self.env.schedule(
             self.config.round_duration_ms * factor, self._round
         )
@@ -312,7 +309,7 @@ class GossipNode:
         reply_port = self.ports.allocate()
         self.env.bind(Address(self.pid, reply_port), self._on_push_reply)
         self._send(
-            Address(self.pid, PORT_PUSH_OFFER),
+            self._offer_addr,
             Address(target, PORT_PUSH_OFFER),
             PushOffer(sender=self.pid, reply_port=self._seal_for(target, reply_port)),
         )
@@ -333,7 +330,7 @@ class GossipNode:
         data_port = self.ports.allocate()
         self.env.bind(Address(self.pid, data_port), self._on_push_data)
         self._send(
-            Address(self.pid, PORT_PUSH_OFFER),
+            self._offer_addr,
             Address(payload.sender, reply_port),
             PushReply(
                 sender=self.pid,
@@ -359,7 +356,7 @@ class GossipNode:
         if not missing:
             return
         self._send(
-            Address(self.pid, PORT_PUSH_OFFER),
+            self._offer_addr,
             Address(payload.sender, data_port),
             PushData(sender=self.pid, messages=tuple(missing)),
         )
@@ -384,7 +381,7 @@ class GossipNode:
         else:
             advertised = PORT_PULL_REPLY
         self._send(
-            Address(self.pid, PORT_PULL_REQUEST),
+            self._request_addr,
             Address(target, PORT_PULL_REQUEST),
             PullRequest(
                 sender=self.pid,
@@ -410,7 +407,7 @@ class GossipNode:
         if not missing:
             return
         self._send(
-            Address(self.pid, PORT_PULL_REQUEST),
+            self._request_addr,
             Address(payload.sender, reply_port),
             PullReply(sender=self.pid, messages=tuple(missing)),
         )

@@ -73,6 +73,20 @@ class TestEventLoop:
         with pytest.raises(ValueError):
             EventLoop().schedule(-1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # A NaN key breaks the heap invariant: events queued around it
+        # would silently never run.
+        loop = EventLoop()
+        fired = []
+        loop.schedule(5, lambda: fired.append(5))
+        with pytest.raises(ValueError):
+            loop.schedule(float("nan"), lambda: fired.append("nan"))
+        loop.schedule(1, lambda: fired.append(1))
+        loop.schedule(3, lambda: fired.append(3))
+        loop.run_until(10)
+        assert fired == [1, 3, 5]
+        assert loop.pending() == 0
+
 
 class TestSimEnvironment:
     def test_send_and_receive_with_latency(self):

@@ -1,0 +1,93 @@
+"""Cross-commit byte pins for the discrete-event stack.
+
+The other DES determinism tests run one seed twice on one commit; these
+pin seeded output by hash, so a change to ``des.node``, ``core.buffer``
+or ``des.environment`` that moves a single RNG draw, hop counter or
+delivery time fails here.  Regenerate only when seeded output is
+*meant* to change: the failing assertion prints the new hash.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.adversary.attacks import AttackSpec
+from repro.api import Experiment, encode_envelope
+from repro.des import ClusterConfig, run_single_message_experiment
+
+#: Toy ``E`` of ``perf/workloads.stream_experiment``.
+TOY_E = dict(
+    n=20, attack=AttackSpec(alpha=0.1, x=64), loss=0.01,
+    round_duration_ms=100, purge_rounds=20, send_rate=50, messages=20,
+    faults="loss:0.02; delay:4~2",
+)
+CHURN = "loss:0.02; delay:4~2; join@3:0.1; leave@5:0.1; expel@6:0.05"
+
+#: case -> (``TOY_E`` overrides, sha256 of the seeded envelope).
+ENVELOPE_CASES = {
+    "drum": (
+        {},
+        "d3ef926824f6839494bbb7cd11c2c704031eae60b30ef439ee550969e0cb4ba3",
+    ),
+    "push": (
+        {"protocol": "push"},
+        "e89e16db327080dcd84b9c5eb31e09ed673e5da6b3b47067568126fd3e7259ec",
+    ),
+    "pull": (
+        {"protocol": "pull"},
+        "bc2101815b43d2428ebc5f88f8ac4eb3d42d96baf62a0f576e7aa0220227d9fb",
+    ),
+    "drum-no-random-ports": (
+        {"protocol": "drum-no-random-ports"},
+        "12e03ea4ed5eb3be660fb1a5fd7bfca1612f95e05421b4bd437edbb2866ac4e1",
+    ),
+    "drum-shared-bounds": (
+        {"protocol": "drum-shared-bounds"},
+        "57dce0dbea61fc82ba189d7791ae70db2b9ff1dd2ef9f691601782e765eaf3a6",
+    ),
+    # Messages expire before they reach everyone, so expiry order and
+    # timing show in the envelope.
+    "short-purge": (
+        {"purge_rounds": 2, "send_rate": 20},
+        "c83a16ac15385a5017d81a8bc281cd40a7f1f1673bbcfd5a42efdb2edaad9a53",
+    ),
+    "churn": (
+        {"faults": CHURN},
+        "df39a4e938cc906c20ab46c14b4549546cfaab720ebfb4bf82944caeec48d6e3",
+    ),
+}
+
+#: sha256 of the per-run propagation rounds of one tagged message whose
+#: per-message ttl (horizon + 5) outlives ``purge_rounds`` at every node.
+HORIZON_PIN = (
+    "ea34ef9959e3ac347f2e3cd047567c673de2e8d7a60906e705ea1274dddb9684"
+)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(ENVELOPE_CASES))
+def test_seeded_des_envelopes_are_pinned(case):
+    overrides, pinned = ENVELOPE_CASES[case]
+    exp = Experiment(**{**TOY_E, **overrides})
+    result = exp.run(engine="des", seed=2121)
+    assert result.deliveries
+    digest = sha256(encode_envelope(result) + "\n")
+    assert digest == pinned, (
+        f"seeded des {case} envelope diverged from its pinned hash; the "
+        "discrete-event stack no longer reproduces its recorded behaviour"
+    )
+
+
+def test_seeded_horizon_ttl_override_run_is_pinned():
+    config = ClusterConfig(
+        protocol="push", n=12, malicious_fraction=0.0,
+        attack=AttackSpec(alpha=0.25, x=64), round_duration_ms=100.0,
+        purge_rounds=4, background_rate=0.5,
+    )
+    rounds = run_single_message_experiment(
+        config, runs=3, seed=2121, horizon_rounds=30
+    )
+    assert sha256(repr(rounds.tolist())) == HORIZON_PIN, rounds

@@ -72,3 +72,28 @@ class TestSeedSequenceFactory:
             va = np.random.default_rng(fa.next_seed()).integers(0, 1 << 30)
             vb = np.random.default_rng(fb.next_seed()).integers(0, 1 << 30)
             assert va == vb
+
+
+class TestScalarUniformIdentity:
+    """The DES send path draws ``lo + (hi - lo) * g.random()`` where it
+    used to draw ``float(g.uniform(lo, hi))``; seeded bytes depend on the
+    two being the same number from the same stream position."""
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.5, 2.0), (0.0, 50.0), (0.0, 250.0), (-0.1, 0.1), (-2.0, 2.0),
+         (-10.0, 10.0), (1.0, 2.0), (0.0, 1e-3), (-1e9, 3.0)],
+    )
+    def test_bit_identical_to_generator_uniform(self, lo, hi):
+        a, b = np.random.default_rng(77), np.random.default_rng(77)
+        for _ in range(10_000):
+            assert lo + (hi - lo) * a.random() == float(b.uniform(lo, hi))
+        # ... and both leave the stream at the same position.
+        assert a.random() == b.random()
+
+    def test_the_shortened_forms_the_send_path_uses(self):
+        a, b = np.random.default_rng(78), np.random.default_rng(78)
+        for j, h in [(0.1, 500.0), (2.0, 100.0), (0.0, 7.0), (10.0, 0.3)]:
+            for _ in range(2_500):
+                assert -j + 2.0 * j * a.random() == float(b.uniform(-j, j))
+                assert 0.5 * h * a.random() == float(b.uniform(0, 0.5 * h))
