@@ -8,7 +8,8 @@ Equivalence notes (validated by tests against the exact engine and the
 Appendix C numerical analysis):
 
 - View draws are exact F-subsets without replacement (duplicate rows are
-  resampled), targets uniform over the other ``n - 1`` members.
+  resampled), targets uniform over the other ``n - 1`` members; the
+  draw is :mod:`repro.sim.views`, shared with :mod:`repro.sim.mega`.
 - Channel acceptance is exact at the margin: the number of M-carrying
   messages accepted on a flooded channel is hypergeometric over the mix
   of valid and fabricated arrivals, which is precisely the distribution
@@ -35,6 +36,7 @@ from repro.adversary.attacks import PortLoad
 from repro.core.config import ProtocolKind
 from repro.sim.results import MonteCarloResult
 from repro.sim.scenario import Scenario
+from repro.sim.views import draw_views, draw_views_from_pool
 from repro.util import derive_rng
 from repro.util.rng import SeedLike
 
@@ -45,43 +47,6 @@ from repro.util.rng import SeedLike
 #: groups belong on the packed engine (``engine="mega"``), which holds
 #: per-node state in bitmaps and streams the node axis.
 FAST_MAX_N = 100_000
-
-
-def _draw_views(
-    rng: np.random.Generator, runs: int, senders: np.ndarray, n: int, v: int
-) -> np.ndarray:
-    """(runs, S, v) gossip targets: uniform, self-free, distinct per row."""
-    if v * (v - 1) >= n - 1:
-        # Dense fan-out: whole-row rejection sampling stalls (for
-        # v = n-1 it essentially never terminates), so take the first v
-        # entries of a uniform permutation of the other n-1 members —
-        # the same uniform ordered v-subset distribution.
-        keys = rng.random((runs, len(senders), n - 1))
-        targets = np.argsort(keys, axis=2)[:, :, :v]
-        targets += targets >= senders[None, :, None]
-        return targets
-    targets = rng.integers(0, n - 1, size=(runs, len(senders), v))
-    # Skip the sender's own id so targets are uniform over the others.
-    targets += targets >= senders[None, :, None]
-    if v > 1:
-        while True:
-            ordered = np.sort(targets, axis=2)
-            dup_rows = (ordered[:, :, 1:] == ordered[:, :, :-1]).any(axis=2)
-            if not dup_rows.any():
-                break
-            redraw = rng.integers(0, n - 1, size=(int(dup_rows.sum()), v))
-            sender_of_row = np.broadcast_to(
-                senders[None, :], dup_rows.shape
-            )[dup_rows]
-            redraw += redraw >= sender_of_row[:, None]
-            targets[dup_rows] = redraw
-    return targets
-
-
-def _bincount(run_ix: np.ndarray, targets: np.ndarray, runs: int, n: int) -> np.ndarray:
-    """Per-(run, target) arrival counts from flat index arrays."""
-    flat = run_ix * n + targets
-    return np.bincount(flat, minlength=runs * n).reshape(runs, n)
 
 
 def _fabricated_counts(
@@ -107,56 +72,6 @@ def _fabricated_counts(
     return counts
 
 
-def _draw_views_from_pool(
-    rng: np.random.Generator,
-    r_count: int,
-    sender_ids: np.ndarray,
-    pool: np.ndarray,
-    v: int,
-) -> np.ndarray:
-    """(runs, S, v) gossip targets drawn from a membership pool.
-
-    The churn-mode analogue of :func:`_draw_views`: targets are uniform
-    distinct ``v``-subsets of ``pool`` (a sorted id array — the current
-    aware-and-responsive membership view), excluding the sender itself
-    when it appears in the pool.
-    """
-    k = len(pool)
-    pos = np.searchsorted(pool, sender_ids)
-    in_pool = (pos < k) & (pool[np.minimum(pos, k - 1)] == sender_ids)
-    high = k - in_pool.astype(np.int64)  # per-sender candidate count
-    if np.any(high < v):
-        raise ValueError(
-            f"membership view too small for {v} distinct gossip targets "
-            f"(churn left only {int(high.min())} candidates)"
-        )
-    if v * (v - 1) >= int(high.min()) - 1:
-        # Dense fan-out relative to the pool: permutation draw, with the
-        # sender's own slot pushed past every candidate.
-        keys = rng.random((r_count, len(sender_ids), k))
-        rows = np.flatnonzero(in_pool)
-        if len(rows):
-            keys[:, rows, pos[rows]] = np.inf
-        idx = np.argsort(keys, axis=2)[:, :, :v]
-        return pool[idx]
-    idx = rng.integers(0, high[None, :, None], size=(r_count, len(sender_ids), v))
-    idx += in_pool[None, :, None] & (idx >= pos[None, :, None])
-    if v > 1:
-        while True:
-            ordered = np.sort(idx, axis=2)
-            dup_rows = (ordered[:, :, 1:] == ordered[:, :, :-1]).any(axis=2)
-            if not dup_rows.any():
-                break
-            count = int(dup_rows.sum())
-            high_of = np.broadcast_to(high[None, :], dup_rows.shape)[dup_rows]
-            redraw = rng.integers(0, high_of[:, None], size=(count, v))
-            pos_of = np.broadcast_to(pos[None, :], dup_rows.shape)[dup_rows]
-            inp_of = np.broadcast_to(in_pool[None, :], dup_rows.shape)[dup_rows]
-            redraw += inp_of[:, None] & (redraw >= pos_of[:, None])
-            idx[dup_rows] = redraw
-    return pool[idx]
-
-
 def _accept_any(
     rng: np.random.Generator,
     m_arrivals: np.ndarray,
@@ -168,15 +83,26 @@ def _accept_any(
     Exact: the accepted subset is uniform over all arrivals, so the
     number of accepted M-messages is hypergeometric.
     """
-    got = np.zeros(m_arrivals.shape, dtype=bool)
     under = total_arrivals <= bound
-    got[under] = m_arrivals[under] >= 1
+    got = under & (m_arrivals >= 1)
     over = ~under & (m_arrivals > 0)
     if over.any():
         accepted = rng.hypergeometric(
             m_arrivals[over], total_arrivals[over] - m_arrivals[over], bound
         )
         got[over] = accepted >= 1
+    return got
+
+
+def _any_target(mask: np.ndarray) -> np.ndarray:
+    """Whether any entry of each sender's view is set in ``mask``.
+
+    One OR per view column: ``mask.any(axis=2)`` walks the 1–3-long
+    axis once per sender and costs twenty times as much.
+    """
+    got = mask[:, :, 0].copy()
+    for j in range(1, mask.shape[2]):
+        got |= mask[:, :, j]
     return got
 
 
@@ -241,11 +167,6 @@ def run_fast(
     v_push = cfg.view_push_size
     v_pull = cfg.view_pull_size
     shared_bound = cfg.shared_in_bound
-    if v_push + v_pull > n - 1:
-        raise ValueError(
-            f"group of {n} is too small for a combined fan-out of "
-            f"{v_push + v_pull} distinct targets"
-        )
 
     if scenario.attack is not None:
         load = scenario.attack.port_load(kind)
@@ -326,9 +247,17 @@ def run_fast(
         else:
             loss2 = loss3 = loss
 
-        views = _draw_views(rng, r_count, senders, n, v_push + v_pull)
+        views = draw_views(
+            rng, np.tile(senders, r_count), n, v_push + v_pull
+        ).reshape(r_count, num_alive, v_push + v_pull)
         t_push = views[:, :, :v_push]
         t_pull = views[:, :, v_push:]
+        # One (run, target) cell index per view entry, shared by every
+        # gather and arrival count below.
+        cells = r_count * n
+        first_cell = (np.arange(r_count) * n)[:, None, None]
+        f_push = t_push + first_cell
+        f_pull = t_pull + first_cell
 
         # Perturbed processes sleep through a round with probability
         # perturbation_prob: no sending, no accepting, no replying.
@@ -369,14 +298,13 @@ def run_fast(
             sent = (rng.random(t_push.shape) >= loss3) & sender_awake
             if in_a is not None:
                 sent &= in_a[:num_alive][None, :, None] == in_a[t_push]
-            run_ix = np.broadcast_to(
-                np.arange(r_count)[:, None, None], t_push.shape
-            )
-            push_valid = _bincount(
-                run_ix[sent], t_push[sent], r_count, n
+            push_valid = np.bincount(f_push[sent], minlength=cells).reshape(
+                r_count, n
             )
             holder = sent & has_start[:, :num_alive, None]
-            push_m = _bincount(run_ix[holder], t_push[holder], r_count, n)
+            push_m = np.bincount(f_push[holder], minlength=cells).reshape(
+                r_count, n
+            )
             fab_push = np.zeros((r_count, n), dtype=np.int64)
             if load.push > 0 and num_attacked:
                 fab_push[:, :num_attacked] = _fabricated_counts(
@@ -389,12 +317,9 @@ def run_fast(
             req_sent = (rng.random(t_pull.shape) >= loss3) & sender_awake
             if in_a is not None:
                 req_sent &= in_a[:num_alive][None, :, None] == in_a[t_pull]
-            run_ix_q = np.broadcast_to(
-                np.arange(r_count)[:, None, None], t_pull.shape
-            )
-            req_valid = _bincount(
-                run_ix_q[req_sent], t_pull[req_sent], r_count, n
-            )
+            req_valid = np.bincount(
+                f_pull[req_sent], minlength=cells
+            ).reshape(r_count, n)
             fab_req = np.zeros((r_count, n), dtype=np.int64)
             if load.pull_request > 0 and num_attacked:
                 fab_req[:, :num_attacked] = _fabricated_counts(
@@ -427,14 +352,11 @@ def run_fast(
             # Offer handshake: the offer must win the target's pool, the
             # push-reply must win the sender's pool, and each of offer /
             # reply / data crosses one lossy link.
-            run_ix = np.broadcast_to(
-                np.arange(r_count)[:, None, None], t_push.shape
-            )
             offer_ok = (rng.random(t_push.shape) >= loss3) & sender_awake
             if in_a is not None:
                 offer_ok &= in_a[:num_alive][None, :, None] == in_a[t_push]
             offer_acc = offer_ok & (
-                rng.random(t_push.shape) < p_pool[run_ix, t_push]
+                rng.random(t_push.shape) < p_pool.ravel()[f_push]
             )
             if stall_ok is not None:
                 # A stalled target accepts the offer but its push-reply
@@ -447,7 +369,9 @@ def run_fast(
             )
             data_ok = reply_acc & (rng.random(t_push.shape) >= loss3)
             m_data = data_ok & has_start[:, :num_alive, None]
-            arrivals = _bincount(run_ix[m_data], t_push[m_data], r_count, n)
+            arrivals = np.bincount(f_push[m_data], minlength=cells).reshape(
+                r_count, n
+            )
             got_push = (arrivals >= 1) & alive_mask[None, :] & awake
             new_has |= got_push
 
@@ -465,21 +389,18 @@ def run_fast(
                     )
                 accept_prob = accept_prob * alive_mask[None, :] * awake
 
-            run_ix_q = np.broadcast_to(
-                np.arange(r_count)[:, None, None], t_pull.shape
-            )
             accepted = req_sent & (
-                rng.random(t_pull.shape) < accept_prob[run_ix_q, t_pull]
+                rng.random(t_pull.shape) < accept_prob.ravel()[f_pull]
             )
             if stall_ok is not None:
                 # A stalled target accepts the request but its reply
                 # never leaves the machine.
                 accepted &= stall_ok[t_pull]
             reply_ok = accepted & (rng.random(t_pull.shape) >= loss3)
-            m_reply = reply_ok & has_start[run_ix_q, t_pull]
+            m_reply = reply_ok & has_start.ravel()[f_pull]
 
             if cfg.uses_random_ports:
-                got_pull = m_reply.any(axis=2)
+                got_pull = _any_target(m_reply)
             else:
                 # Well-known reply port: bounded and attacked (Fig 12a).
                 replies = reply_ok.sum(axis=2)
@@ -604,11 +525,6 @@ def _run_fast_churn(
     v_push = cfg.view_push_size
     v_pull = cfg.view_pull_size
     shared_bound = cfg.shared_in_bound
-    if v_push + v_pull > n - 1:
-        raise ValueError(
-            f"group of {n} is too small for a combined fan-out of "
-            f"{v_push + v_pull} distinct targets"
-        )
 
     if scenario.attack is not None:
         load = scenario.attack.port_load(scenario.protocol)
@@ -717,11 +633,15 @@ def _run_fast_churn(
             dtype=np.int64,
         )
 
-        views = _draw_views_from_pool(
-            rng, r_count, sender_ids, pool, v_push + v_pull
-        )
+        views = draw_views_from_pool(
+            rng, np.tile(sender_ids, r_count), pool, v_push + v_pull
+        ).reshape(r_count, len(sender_ids), v_push + v_pull)
         t_push = views[:, :, :v_push]
         t_pull = views[:, :, v_push:]
+        cells = r_count * total_n
+        first_cell = (np.arange(r_count) * total_n)[:, None, None]
+        f_push = t_push + first_cell
+        f_pull = t_pull + first_cell
 
         awake = np.ones((r_count, total_n), dtype=bool)
         if num_perturbed and perturb_prob > 0:
@@ -752,15 +672,12 @@ def _run_fast_churn(
             sent = (rng.random(t_push.shape) >= loss3) & sender_awake
             if in_a is not None:
                 sent &= in_a[sender_ids][None, :, None] == in_a[t_push]
-            run_ix = np.broadcast_to(
-                np.arange(r_count)[:, None, None], t_push.shape
-            )
-            push_valid = _bincount(
-                run_ix[sent], t_push[sent], r_count, total_n
+            push_valid = np.bincount(f_push[sent], minlength=cells).reshape(
+                r_count, total_n
             )
             holder = sent & has_start[:, sender_ids][:, :, None]
-            push_m = _bincount(
-                run_ix[holder], t_push[holder], r_count, total_n
+            push_m = np.bincount(f_push[holder], minlength=cells).reshape(
+                r_count, total_n
             )
             fab_push = np.zeros((r_count, total_n), dtype=np.int64)
             if load.push > 0 and num_attacked:
@@ -774,12 +691,9 @@ def _run_fast_churn(
             req_sent = (rng.random(t_pull.shape) >= loss3) & sender_awake
             if in_a is not None:
                 req_sent &= in_a[sender_ids][None, :, None] == in_a[t_pull]
-            run_ix_q = np.broadcast_to(
-                np.arange(r_count)[:, None, None], t_pull.shape
-            )
-            req_valid = _bincount(
-                run_ix_q[req_sent], t_pull[req_sent], r_count, total_n
-            )
+            req_valid = np.bincount(
+                f_pull[req_sent], minlength=cells
+            ).reshape(r_count, total_n)
             fab_req = np.zeros((r_count, total_n), dtype=np.int64)
             if load.pull_request > 0 and num_attacked:
                 fab_req[:, :num_attacked] = _fabricated_counts(
@@ -806,14 +720,11 @@ def _run_fast_churn(
             got_push &= can_recv[None, :] & awake
             new_has |= got_push
         elif v_push:
-            run_ix = np.broadcast_to(
-                np.arange(r_count)[:, None, None], t_push.shape
-            )
             offer_ok = (rng.random(t_push.shape) >= loss3) & sender_awake
             if in_a is not None:
                 offer_ok &= in_a[sender_ids][None, :, None] == in_a[t_push]
             offer_acc = offer_ok & (
-                rng.random(t_push.shape) < p_pool[run_ix, t_push]
+                rng.random(t_push.shape) < p_pool.ravel()[f_push]
             )
             if stall_ok is not None:
                 offer_acc &= stall_ok[t_push]
@@ -824,8 +735,8 @@ def _run_fast_churn(
             )
             data_ok = reply_acc & (rng.random(t_push.shape) >= loss3)
             m_data = data_ok & has_start[:, sender_ids][:, :, None]
-            arrivals = _bincount(
-                run_ix[m_data], t_push[m_data], r_count, total_n
+            arrivals = np.bincount(f_push[m_data], minlength=cells).reshape(
+                r_count, total_n
             )
             got_push = (arrivals >= 1) & can_recv[None, :] & awake
             new_has |= got_push
@@ -843,19 +754,16 @@ def _run_fast_churn(
                     )
                 accept_prob = accept_prob * can_recv[None, :] * awake
 
-            run_ix_q = np.broadcast_to(
-                np.arange(r_count)[:, None, None], t_pull.shape
-            )
             accepted = req_sent & (
-                rng.random(t_pull.shape) < accept_prob[run_ix_q, t_pull]
+                rng.random(t_pull.shape) < accept_prob.ravel()[f_pull]
             )
             if stall_ok is not None:
                 accepted &= stall_ok[t_pull]
             reply_ok = accepted & (rng.random(t_pull.shape) >= loss3)
-            m_reply = reply_ok & has_start[run_ix_q, t_pull]
+            m_reply = reply_ok & has_start.ravel()[f_pull]
 
             if cfg.uses_random_ports:
-                got_pull = m_reply.any(axis=2)
+                got_pull = _any_target(m_reply)
             else:
                 replies = reply_ok.sum(axis=2)
                 m_replies = m_reply.sum(axis=2)

@@ -28,7 +28,8 @@ depend only on ``(seed, run, round, block)`` and fanning runs out over
 any number of pool workers produces **byte-identical** results.
 
 Cost model: a round is O(n·v) draws plus O(hits) scatters.  Each block
-draws its ``(block, v)`` views and loss masks and scatter-adds its hits
+draws its ``(block, v)`` views (:mod:`repro.sim.views`, the kernel the
+fast engine calls too) and loss masks and scatter-adds its hits
 into the persistent n-wide arrival counters (``np.add.at``); the n-wide
 passes (counter reset, acceptance probabilities, popcounts) run once
 per round, never inside a block loop, so no block materialises an
@@ -61,6 +62,7 @@ from repro.adversary.attacks import PortLoad
 from repro.sim.fast import _accept_any, _fabricated_counts
 from repro.sim.results import MonteCarloResult, check_envelope
 from repro.sim.scenario import Scenario
+from repro.sim.views import draw_views, draw_views_from_pool
 from repro.util.rng import SeedLike
 
 #: Atomic randomness granularity: one positionally seeded generator per
@@ -264,46 +266,6 @@ class _BlockRngs:
         return gen
 
 
-def _repeated_rows(targets: np.ndarray) -> np.ndarray:
-    """Bool mask of the rows of ``targets`` that repeat a value.
-
-    One column compare per pair of columns: at gossip fan-outs
-    (v·(v−1)/2 = 6 pairs for v = 4) this is an order of magnitude
-    cheaper than sorting every row to compare neighbours.
-    """
-    dup = np.zeros(len(targets), dtype=bool)
-    for i in range(targets.shape[1] - 1):
-        for j in range(i + 1, targets.shape[1]):
-            dup |= targets[:, i] == targets[:, j]
-    return dup
-
-
-def _block_views(
-    g: np.random.Generator, senders: np.ndarray, n: int, v: int
-) -> np.ndarray:
-    """(block, v) gossip targets: uniform, self-free, distinct per row.
-
-    Same distribution as :func:`repro.sim.fast._draw_views` (including
-    the dense-fan-out permutation fallback), drawn per node block.
-    """
-    blen = len(senders)
-    if v * (v - 1) >= n - 1:
-        keys = g.random((blen, n - 1))
-        targets = np.argsort(keys, axis=1)[:, :v]
-        targets += targets >= senders[:, None]
-        return targets
-    targets = g.integers(0, n - 1, size=(blen, v))
-    targets += targets >= senders[:, None]
-    while True:
-        dup = _repeated_rows(targets)
-        if not dup.any():
-            break
-        redraw = g.integers(0, n - 1, size=(int(dup.sum()), v))
-        redraw += redraw >= senders[dup][:, None]
-        targets[dup] = redraw
-    return targets
-
-
 def _fault_masks_for(state, n: int, cache: dict):
     """Bool masks (crashed, stall_ok, side_a) for one schedule state.
 
@@ -369,11 +331,6 @@ def _run_one(
     v_pull = cfg.view_pull_size
     v = v_push + v_pull
     shared_bound = cfg.shared_in_bound
-    if v > n - 1:
-        raise ValueError(
-            f"group of {n} is too small for a combined fan-out of "
-            f"{v} distinct targets"
-        )
 
     load = (
         scenario.attack.port_load(scenario.protocol)
@@ -491,7 +448,7 @@ def _run_one(
             if stall_ok is not None:
                 send_ok = send_ok & stall_ok[b_start:b_stop]
             # (b) view draws, (c) push loss, (d) pull loss
-            views = _block_views(g, senders, n, v)
+            views = draw_views(g, senders, n, v)
             t_push = views[:, :v_push]
             t_pull = views[:, v_push:]
             has_b = bit_get(has, senders)
@@ -702,46 +659,6 @@ def _run_one(
     )
 
 
-def _block_views_pool(
-    g: np.random.Generator, senders: np.ndarray, pool: np.ndarray, v: int
-) -> np.ndarray:
-    """(block, v) gossip targets drawn from a sorted membership pool.
-
-    The churn-mode analogue of :func:`_block_views`, matching the fast
-    engine's :func:`repro.sim.fast._draw_views_from_pool` distribution:
-    uniform distinct ``v``-subsets of ``pool`` excluding the sender
-    itself where it appears.
-    """
-    k = len(pool)
-    pos = np.searchsorted(pool, senders)
-    in_pool = (pos < k) & (pool[np.minimum(pos, k - 1)] == senders)
-    high = k - in_pool.astype(np.int64)
-    if np.any(high < v):
-        raise ValueError(
-            f"membership view too small for {v} distinct gossip targets "
-            f"(churn left only {int(high.min())} candidates)"
-        )
-    if v * (v - 1) >= int(high.min()) - 1:
-        keys = g.random((len(senders), k))
-        rows = np.flatnonzero(in_pool)
-        if len(rows):
-            keys[rows, pos[rows]] = np.inf
-        idx = np.argsort(keys, axis=1)[:, :v]
-        return pool[idx]
-    idx = g.integers(0, high[:, None], size=(len(senders), v))
-    idx += in_pool[:, None] & (idx >= pos[:, None])
-    while True:
-        dup = _repeated_rows(idx)
-        if not dup.any():
-            break
-        redraw = g.integers(
-            0, high[dup][:, None], size=(int(dup.sum()), v)
-        )
-        redraw += in_pool[dup][:, None] & (redraw >= pos[dup][:, None])
-        idx[dup] = redraw
-    return pool[idx]
-
-
 def _bit_or_ids(packed: np.ndarray, ids: np.ndarray) -> None:
     """Set the (arbitrary, possibly unaligned) bits ``ids`` in ``packed``."""
     if len(ids) == 0:
@@ -786,11 +703,6 @@ def _run_one_churn(
     v_pull = cfg.view_pull_size
     v = v_push + v_pull
     shared_bound = cfg.shared_in_bound
-    if v > n - 1:
-        raise ValueError(
-            f"group of {n} is too small for a combined fan-out of "
-            f"{v} distinct targets"
-        )
 
     load = (
         scenario.attack.port_load(scenario.protocol)
@@ -950,7 +862,7 @@ def _run_one_churn(
             if not len(b_senders):
                 continue
             send_ok = alive_awake[b_senders]
-            views = _block_views_pool(g, b_senders, pool, v)
+            views = draw_views_from_pool(g, b_senders, pool, v)
             t_push = views[:, :v_push]
             t_pull = views[:, v_push:]
             has_b = bit_get(has, b_senders)

@@ -8,7 +8,8 @@ from scipy import stats
 
 from repro.adversary import AttackSpec
 from repro.sim import Scenario, run_exact, run_fast
-from repro.sim.fast import _draw_views
+from repro.sim.views import draw_views, draw_views_from_pool
+from test_sim_views import stacked
 
 protocols = st.sampled_from(
     ["drum", "push", "pull", "drum-no-random-ports", "drum-shared-bounds"]
@@ -63,17 +64,21 @@ class TestFastEngineInvariants:
 
 
 class TestDrawViewsProperties:
-    """The fast engine's view sampler: targets must be self-free,
-    distinct within a row, and marginally uniform over the other n-1
-    group members — including the v=1 and v=n-1 corner cases."""
+    """The shared view sampler: targets must be self-free, distinct
+    within a row, and marginally uniform over the other n-1 group
+    members — including the v=1 and v=n-1 corner cases."""
 
     CASES = [(5, 1), (5, 4), (8, 3), (12, 1), (12, 11), (30, 4), (30, 29)]
+
+    @staticmethod
+    def draw(rng, runs, senders, n, v):
+        return stacked(draw_views, rng, runs, senders, n, v)
 
     @pytest.mark.parametrize("n,v", CASES)
     def test_targets_are_self_free(self, n, v):
         rng = np.random.default_rng(100 + n * v)
         senders = np.arange(n)
-        targets = _draw_views(rng, 200, senders, n, v)
+        targets = self.draw(rng, 200, senders, n, v)
         assert targets.shape == (200, n, v)
         assert (targets != senders[None, :, None]).all()
         assert (targets >= 0).all() and (targets < n).all()
@@ -81,7 +86,7 @@ class TestDrawViewsProperties:
     @pytest.mark.parametrize("n,v", CASES)
     def test_rows_are_distinct(self, n, v):
         rng = np.random.default_rng(200 + n * v)
-        targets = _draw_views(rng, 200, np.arange(n), n, v)
+        targets = self.draw(rng, 200, np.arange(n), n, v)
         ordered = np.sort(targets, axis=2)
         assert (np.diff(ordered, axis=2) > 0).all()
 
@@ -92,7 +97,7 @@ class TestDrawViewsProperties:
         rng = np.random.default_rng(300 + n * v)
         draws = 4000
         sender = n // 2
-        targets = _draw_views(
+        targets = self.draw(
             rng, draws, np.array([sender]), n, v
         ).ravel()
         observed = np.bincount(targets, minlength=n)
@@ -109,12 +114,23 @@ class TestDrawViewsProperties:
     def test_full_fanout_rows_cover_everyone(self):
         n = 7
         rng = np.random.default_rng(11)
-        targets = _draw_views(rng, 50, np.arange(n), n, n - 1)
+        targets = self.draw(rng, 50, np.arange(n), n, n - 1)
         expected = np.arange(n)
         for run in range(50):
             for sender in range(n):
                 row = set(targets[run, sender])
                 assert row == set(expected) - {sender}
+
+
+class TestDrawViewsFromPoolProperties(TestDrawViewsProperties):
+    """The same properties for the churn form, the pool being the
+    whole group."""
+
+    @staticmethod
+    def draw(rng, runs, senders, n, v):
+        return stacked(
+            draw_views_from_pool, rng, runs, senders, np.arange(n), v
+        )
 
 
 class TestExactEngineInvariants:

@@ -75,9 +75,10 @@ class TestSeedSequenceFactory:
 
 
 class TestScalarUniformIdentity:
-    """The DES send path draws ``lo + (hi - lo) * g.random()`` where it
-    used to draw ``float(g.uniform(lo, hi))``; seeded bytes depend on the
-    two being the same number from the same stream position."""
+    """The DES send path and ``faults.live.FaultyTransport.send`` draw
+    ``lo + (hi - lo) * g.random()`` where they used to draw
+    ``float(g.uniform(lo, hi))``; seeded bytes depend on the two being
+    the same number from the same stream position."""
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -97,3 +98,6 @@ class TestScalarUniformIdentity:
             for _ in range(2_500):
                 assert -j + 2.0 * j * a.random() == float(b.uniform(-j, j))
                 assert 0.5 * h * a.random() == float(b.uniform(0, 0.5 * h))
+                # FaultyTransport: reorder push-back and duplicate delay.
+                assert 1.0 + a.random() == float(b.uniform(1.0, 2.0))
+                assert j * a.random() == float(b.uniform(0, j))
