@@ -9,11 +9,11 @@ tasks over an in-process datagram loopback
 :class:`~repro.net.transport.UdpTransport`).
 
 Where the threaded runtime spends one OS thread per node (and tops out
-around a few hundred nodes), the asyncio runtime spends one timer handle
+around a few hundred nodes), the asyncio runtime spends one heap entry
 per node round, so group sizes in the thousands fit in a single process.
-Wall-clock contention shows up as uniform time dilation — every node's
-round stretches together, and purging counts *local* rounds — so
-reliability measurements survive a saturated loop.
+Wall-clock contention shows up as slow motion — every timer and link
+delay on the one :class:`~repro.aio.env.LoopClock` stretches together,
+and purging counts *local* rounds — so reliability survives load.
 
 Entry points:
 
@@ -32,7 +32,7 @@ path).
 """
 
 from repro.aio.cluster import AioCluster, AioClusterConfig, run_aio_experiment
-from repro.aio.env import AsyncEnvironment
+from repro.aio.env import AsyncEnvironment, LoopClock
 from repro.aio.service import EventStreamSink, GossipService
 from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 
@@ -48,5 +48,6 @@ __all__ = [
     "AsyncEnvironment",
     "EventStreamSink",
     "GossipService",
+    "LoopClock",
     "run_aio_experiment",
 ]

@@ -7,9 +7,10 @@ node runs as timers on a single :mod:`asyncio` loop instead of owning
 OS threads.  The per-node cost drops from a thread stack to a timer
 handle, so group sizes in the thousands fit one process.
 
-Wall-clock fidelity: a saturated loop stretches *every* node's round
-uniformly (time dilation), and purging counts local rounds, so
-reliability survives; latency in milliseconds dilates with the load.
+Wall-clock fidelity: all timers and datagrams share one
+:class:`~repro.aio.env.LoopClock`, so a saturated loop runs the whole
+protocol in slow motion, and purging counts local rounds, so
+reliability survives; latency in milliseconds stretches with the load.
 This is the same weakened determinism contract as the threaded runtime
 — the fault/attack *plan* is seed-exact, packet interleaving is not.
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.adversary.attacks import AttackSpec
-from repro.aio.env import AsyncEnvironment
+from repro.aio.env import AsyncEnvironment, LoopClock
 from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.core.config import ProtocolConfig, ProtocolKind
 from repro.core.message import MessageIdFactory
@@ -38,7 +39,6 @@ from repro.des.measurement import DeliveryRecord, MeasurementResult
 from repro.des.node import GossipNode
 from repro.faults.live import FaultyTransport
 from repro.faults.plan import FaultPlan
-from repro.faults.schedule import FaultSchedule
 from repro.net.link import LossModel
 from repro.net.transport import Transport, UdpTransport
 from repro.util import SeedSequenceFactory, check_fraction, check_probability
@@ -174,56 +174,20 @@ class AioClusterConfig:
         return replace(self, **changes)
 
 
-class AioFaultDriver:
-    """Runs a plan's crash / recover windows as loop timers.
+def _arm_flips(clock, schedule, nodes, round_ms: float, tracer) -> None:
+    """Put a plan's crash / recover windows on the cluster's clock.
 
     The asyncio analogue of :class:`~repro.faults.live.LiveFaultDriver`:
-    the same ``((round-1)·round_ms, action, ids)`` event list, fired
-    with ``loop.call_later`` instead of a timer thread — flips execute
-    on the loop, serialised with protocol callbacks for free.
+    the same ``((round-1)·round_ms, action, ids)`` event list — flips
+    execute on the loop, in one due order with the packets they cut off,
+    until the clock's ``close()`` drops the ones still pending.
     """
+    origin = clock.loop.time()
 
-    def __init__(
-        self,
-        schedule: FaultSchedule,
-        nodes: Dict[int, object],
-        *,
-        round_duration_ms: float,
-        tracer=None,
-    ):
-        if round_duration_ms <= 0:
-            raise ValueError(
-                f"round_duration_ms must be > 0, got {round_duration_ms}"
-            )
-        self.schedule = schedule
-        self.nodes = nodes
-        self.tracer = tracer
-        self.round_duration_ms = float(round_duration_ms)
-        events: List[Tuple[float, str, frozenset]] = []
-        for start, stop, ids in schedule._crash_windows:
-            events.append(((start - 1) * self.round_duration_ms, "crash", ids))
-            if stop is not None:
-                events.append(
-                    ((stop - 1) * self.round_duration_ms, "recover", ids)
-                )
-        self.events = sorted(events, key=lambda e: (e[0], e[1]))
-        self._handles: List[object] = []
-        self._origin: Optional[float] = None
-
-    def start(self) -> None:
-        if self._handles:
-            raise RuntimeError("fault driver already started")
-        loop = asyncio.get_running_loop()
-        self._origin = loop.time()
-        for at_ms, action, ids in self.events:
-            self._handles.append(
-                loop.call_later(at_ms / 1000.0, self._flip, action, ids)
-            )
-
-    def _flip(self, action: str, ids: frozenset) -> None:
+    def flip(action: str, ids: frozenset) -> None:
         flipped = []
         for pid in sorted(ids):
-            node = self.nodes.get(pid)
+            node = nodes.get(pid)
             if node is None:
                 continue
             if action == "crash" and node.running:
@@ -232,17 +196,20 @@ class AioFaultDriver:
             elif action == "recover" and not node.running:
                 node.start()
                 flipped.append(pid)
-        if self.tracer is not None and flipped:
-            t = (asyncio.get_running_loop().time() - self._origin) * 1000.0
+        if tracer is not None and flipped:
+            t = (clock.loop.time() - origin) * 1000.0
             if action == "crash":
-                self.tracer.crash(flipped, t=t)
+                tracer.crash(flipped, t=t)
             else:
-                self.tracer.heal(flipped, t=t)
+                tracer.heal(flipped, t=t)
 
-    def stop(self) -> None:
-        for handle in self._handles:
-            handle.cancel()
-        self._handles.clear()
+    events: List[Tuple[float, str, frozenset]] = []
+    for start, stop, ids in schedule._crash_windows:
+        events.append(((start - 1) * round_ms, "crash", ids))
+        if stop is not None:
+            events.append(((stop - 1) * round_ms, "recover", ids))
+    for at_ms, action, ids in sorted(events, key=lambda e: (e[0], e[1])):
+        clock.schedule(at_ms, flip, action, ids)
 
 
 class AioCluster:
@@ -273,7 +240,6 @@ class AioCluster:
         self._given_transport = transport
         self.transport: Optional[Transport] = None
         self._fault_transport: Optional[FaultyTransport] = None
-        self._fault_driver: Optional[AioFaultDriver] = None
         self.envs: Dict[int, AsyncEnvironment] = {}
         self.nodes: Dict[int, GossipNode] = {}
         self.registry = SignatureRegistry()
@@ -289,6 +255,8 @@ class AioCluster:
         self._got: Dict[Tuple[int, int], Set[int]] = {}
         self.node_errors: List[Tuple[int, BaseException]] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Every timer and in-flight datagram of the cluster, once started.
+        self.clock: Optional[LoopClock] = None
         self._started_at: Optional[float] = None
         self._stopped = False
 
@@ -313,6 +281,9 @@ class AioCluster:
         config = self.config
         loop = asyncio.get_running_loop()
         self._loop = loop
+        # A tick is 1/128 round: every timer in the stack carries a random
+        # term (round jitter, gossip offsets, link jitter) far wider.
+        clock = self.clock = LoopClock(loop, config.round_duration_ms / 128)
 
         transport = self._given_transport
         if transport is None:
@@ -328,7 +299,7 @@ class AioCluster:
                 )
         attach = getattr(transport, "attach", None)
         if attach is not None:
-            attach(loop)
+            attach(loop, clock)
         if config.faults is not None:
             transport = self._fault_transport = FaultyTransport(
                 transport,
@@ -346,7 +317,7 @@ class AioCluster:
         for pid in config.correct_ids():
             env = AsyncEnvironment(
                 transport,
-                loop=loop,
+                clock=clock,
                 seed=self._seeds.next_seed(),
                 on_error=lambda exc, pid=pid: self._record_node_error(
                     pid, exc
@@ -369,17 +340,6 @@ class AioCluster:
         for node in self.nodes.values():
             node.learn_keys(keys, copy=False)
 
-        if (
-            self._fault_transport is not None
-            and self._fault_transport.schedule is not None
-        ):
-            self._fault_driver = AioFaultDriver(
-                self._fault_transport.schedule,
-                self.nodes,
-                round_duration_ms=config.round_duration_ms,
-                tracer=self.tracer,
-            )
-
         if config.attack is not None:
             self._spawn_attacker(
                 config.attack, seed=self._seeds.next_seed()
@@ -396,14 +356,9 @@ class AioCluster:
         for node in self.nodes.values():
             node.start()
         if self._fault_transport is not None:
-            self._fault_transport.start_clock()
-        if self._fault_driver is not None:
-            self._fault_driver.start()
+            self._start_faults(self._fault_transport)
         for attacker in self.attackers:
             attacker.start()
-        # Yield once so the first batch of round timers is registered
-        # before the caller starts multicasting.
-        await asyncio.sleep(0)
 
     async def stop(self) -> None:
         """Tear down.  Idempotent; environments close even on failure."""
@@ -411,8 +366,6 @@ class AioCluster:
             return
         self._stopped = True
         first_error: Optional[BaseException] = None
-        if self._fault_driver is not None:
-            self._fault_driver.stop()
         for attacker in self.attackers:
             if attacker.running:
                 attacker.stop()
@@ -431,6 +384,8 @@ class AioCluster:
                 self._attacker_env.close()
             if self.transport is not None:
                 self.transport.close()
+            if self.clock is not None:
+                self.clock.close()
         if self.tracer is not None:
             self.tracer.run_end(delivered=len(self.deliveries))
         # Let cancelled callbacks drain before the loop is torn down.
@@ -480,7 +435,7 @@ class AioCluster:
         Wraps the live transport in a
         :class:`~repro.faults.live.FaultyTransport` (fault round 1
         anchored now) and re-points every environment's sends through
-        it; crash windows run on an :class:`AioFaultDriver`.  One plan
+        it; crash windows ride the cluster's clock.  One plan
         at a time — stack refinements by describing them in one spec.
         """
         if isinstance(plan, str):
@@ -521,18 +476,19 @@ class AioCluster:
             env.transport = faulty
         if self._attacker_env is not None:
             self._attacker_env.transport = faulty
-        faulty.start_clock()
-        if faulty.schedule is not None:
-            self._fault_driver = AioFaultDriver(
-                faulty.schedule,
-                self.nodes,
-                round_duration_ms=config.round_duration_ms,
-                tracer=self.tracer,
-            )
-            self._fault_driver.start()
+        self._start_faults(faulty)
         # The *post-injection* config carries the plan so result()
         # reports faults and reachability like a configured run.
         self.config = replace(config, faults=plan)
+
+    def _start_faults(self, faulty: FaultyTransport) -> None:
+        """Anchor fault round 1 now and put the crash windows on the clock."""
+        faulty.start_clock()
+        if faulty.schedule is not None:
+            _arm_flips(
+                self.clock, faulty.schedule, self.nodes,
+                self.config.round_duration_ms, self.tracer,
+            )
 
     def inject_attack(self, spec: AttackSpec) -> AttackerProcess:
         """Start a DoS attacker against a running cluster."""
@@ -545,7 +501,7 @@ class AioCluster:
     def _spawn_attacker(self, spec: AttackSpec, *, seed) -> AttackerProcess:
         if self._attacker_env is None:
             self._attacker_env = AsyncEnvironment(
-                self.transport, loop=self._loop, seed=None
+                self.transport, clock=self.clock, seed=None
             )
         attacker = AttackerProcess(
             self._attacker_env,

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import repro.api.engines as engines
 
-#: Declared group-size ceiling.  Each node costs a timer handle plus
+#: Declared group-size ceiling.  Each node costs a heap entry plus
 #: protocol state (not a thread), so the binding limit is loop
 #: throughput: beyond ~5·10⁴ nodes a round's control traffic outruns
-#: what one loop dispatches per round duration and time dilation stops
+#: what one loop dispatches per round duration and slow motion stops
 #: being "uniform slowdown" and becomes collapse.
 AIO_MAX_N = 50_000
 

@@ -1,24 +1,26 @@
 """Asyncio implementation of the node environment.
 
+:class:`LoopClock` is a cluster's one clock — the discrete-event heap
+pumped by an :mod:`asyncio` loop's wall clock — and
 :class:`AsyncEnvironment` gives one :class:`~repro.des.node.GossipNode`
-(or :class:`~repro.des.attacker.AttackerProcess`) a clock, timers, and a
-datagram service backed by a running :mod:`asyncio` event loop.  All
-callbacks execute on the loop, so — unlike the threaded
-:class:`~repro.runtime.env.RealTimeEnvironment` — no lock is needed to
-serialise protocol logic: cooperative scheduling *is* the lock.
-
-Timers are ``loop.call_later`` handles; time is ``loop.time()`` (a
-monotonic clock) rebased to the environment's creation, in milliseconds,
-matching the contract of :class:`~repro.des.environment.Environment`.
+(or :class:`~repro.des.attacker.AttackerProcess`) time, timers and a
+datagram service on it.  All callbacks execute on the loop, so — unlike
+the threaded :class:`~repro.runtime.env.RealTimeEnvironment` — no lock
+is needed to serialise protocol logic: cooperative scheduling *is* the
+lock.  Time is milliseconds since the clock's creation, matching the
+contract of :class:`~repro.des.environment.Environment`.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Optional
+import functools
+import math
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.des.engine import EventHandle, EventLoop
 from repro.des.environment import Environment, Handler
 from repro.net.address import Address
 from repro.net.transport import Transport
@@ -26,72 +28,148 @@ from repro.util import derive_rng
 from repro.util.rng import SeedLike
 
 
-class AsyncEnvironment(Environment):
-    """One node's view of loop time and a shared transport.
+class LoopClock(EventLoop):
+    """The event heap, fired from one armed asyncio handle.
 
-    Must be constructed on (or handed) the running event loop; every
-    scheduled callback and every bound handler fires on that loop.
-    ``on_error`` receives exceptions escaping a timer or receive
-    callback — the loop would otherwise swallow them into its exception
-    handler and the node would just go quiet (see the cluster's node
-    watchdog).
+    The handle waits for the earliest due time rounded *up* to a
+    multiple of ``tick_ms`` (0 coalesces nothing); its pass fires what
+    was due by then, in due order: never early, at most a tick plus
+    loop lag late, one wake-up per tick however many packets.  Inside a
+    pass :attr:`now` is the running event's *due* time, so delays chain
+    off due times as on the virtual clock and an overloaded loop runs
+    the protocol in slow motion; outside one (coroutines, cross-thread
+    hops) it is the wall clock.  Loop thread only.
+    """
+
+    def __init__(self, loop=None, tick_ms: float = 0.0):
+        super().__init__()
+        self.loop = loop if loop is not None else asyncio.get_running_loop()
+        self.tick_ms = tick_ms
+        self._origin = self.loop.time()
+        self._handle: Optional[asyncio.TimerHandle] = None
+        #: How far the armed pass will reach; ``-inf`` once closed.
+        self._armed_for = math.inf
+        self._pumping = False
+        self.wakes = 0
+        #: Worst wall − due, read on the first event of each pass.
+        self.late_ms_max = 0.0
+
+    def _wall(self) -> float:
+        return (self.loop.time() - self._origin) * 1000.0
+
+    @property
+    def now(self) -> float:
+        if not self._pumping:
+            self._now = self._wall()
+        return self._now
+
+    def schedule(self, delay_ms: float, fn: Callable, *args) -> EventHandle:
+        if self._pumping:
+            return super().schedule(delay_ms, fn, *args)
+        self._now = self._wall()
+        handle = super().schedule(delay_ms, fn, *args)
+        if handle.when < self._armed_for:
+            self._arm(handle.when)
+        return handle
+
+    def _arm(self, when_ms: float) -> None:
+        if self.tick_ms:
+            when_ms += -when_ms % self.tick_ms  # up to the tick, never down
+        if when_ms >= self._armed_for:
+            return
+        if self._handle is not None:
+            self._handle.cancel()
+        self._armed_for = when_ms
+        self._handle = self.loop.call_at(
+            self._origin + when_ms / 1000.0, self._pump
+        )
+
+    def _pump(self) -> None:
+        wall, horizon = self._wall(), self._armed_for
+        if self._queue:
+            self.late_ms_max = max(self.late_ms_max, wall - self._queue[0][0])
+        # With a tick a pass reaches the armed time and no further: a
+        # backlog is worked off a tick per turn, other tasks in between,
+        # instead of in passes that each outlast the one before.
+        if not self.tick_ms and wall > horizon:
+            horizon = wall
+        self._handle, self._armed_for = None, math.inf
+        self.wakes += 1
+        self._pumping = True
+        try:
+            while True:
+                try:
+                    self.run_until(horizon)
+                    break
+                except Exception as exc:
+                    self.loop.call_exception_handler(
+                        {"message": "clock callback failed", "exception": exc}
+                    )
+        finally:
+            self._pumping = False
+            if self._queue:
+                self._arm(self._queue[0][0])
+
+    def stats(self) -> Dict[str, float]:
+        """The clock's self-health counters, for status reports."""
+        return dict(
+            tick_ms=self.tick_ms, wakes=self.wakes,
+            events=self.events_run, late_ms_max=self.late_ms_max,
+        )
+
+    def close(self) -> None:
+        """Drop what is pending and never wake again."""
+        self._queue.clear()
+        self._armed_for = -math.inf
+        if self._handle is not None:
+            self._handle.cancel()
+
+
+class AsyncEnvironment(Environment):
+    """One node's view of a shared clock and a shared transport.
+
+    Every scheduled callback and every bound handler fires on the
+    clock's loop.  ``on_error`` receives exceptions escaping a timer or
+    receive callback — the loop would otherwise swallow them into its
+    exception handler and the node would just go quiet (see the
+    cluster's node watchdog).
     """
 
     def __init__(
         self,
         transport: Transport,
         *,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
+        clock: LoopClock,
         seed: SeedLike = None,
         on_error: Optional[Callable[[BaseException], None]] = None,
     ):
         self.transport = transport
-        self.loop = loop if loop is not None else asyncio.get_running_loop()
+        self.clock = clock
         self._rng = derive_rng(seed)
-        self._origin = self.loop.time()
-        self._timers: set = set()
         self._closed = False
         self.on_error = on_error
 
     def now(self) -> float:
-        return (self.loop.time() - self._origin) * 1000.0
+        return self.clock.now
+
+    def _fire(self, fn: Callable, *args) -> None:
+        if self._closed:
+            return
+        try:
+            fn(*args)
+        except Exception as exc:
+            if self.on_error is None:
+                raise
+            self.on_error(exc)
 
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object:
-        handle_box = []
-
-        def _fire() -> None:
-            if handle_box:
-                self._timers.discard(handle_box[0])
-            if self._closed:
-                return
-            try:
-                fn()
-            except Exception as exc:
-                if self.on_error is None:
-                    raise
-                self.on_error(exc)
-
-        handle = self.loop.call_later(max(0.0, delay_ms) / 1000.0, _fire)
-        handle_box.append(handle)
-        self._timers.add(handle)
-        return handle
+        return self.clock.schedule(delay_ms, self._fire, fn)
 
     def cancel(self, handle: object) -> None:
         handle.cancel()
-        self._timers.discard(handle)
 
     def bind(self, addr: Address, handler: Handler) -> None:
-        def _guarded(src: Address, payload: object) -> None:
-            if self._closed:
-                return
-            try:
-                handler(src, payload)
-            except Exception as exc:
-                if self.on_error is None:
-                    raise
-                self.on_error(exc)
-
-        self.transport.bind(addr, _guarded)
+        self.transport.bind(addr, functools.partial(self._fire, handler))
 
     def unbind(self, addr: Address) -> None:
         self.transport.unbind(addr)
@@ -104,8 +182,5 @@ class AsyncEnvironment(Environment):
         return self._rng
 
     def close(self) -> None:
-        """Cancel outstanding timers and refuse further callbacks."""
+        """Refuse further callbacks; pending timers fire as no-ops."""
         self._closed = True
-        for handle in list(self._timers):
-            handle.cancel()
-        self._timers.clear()

@@ -396,6 +396,8 @@ class GossipService:
             "faults": None
             if cluster.config.faults is None
             else cluster.config.faults.describe(),
+            # A growing ``late_ms_max``: saturated loop, slow motion.
+            "clock": cluster.clock.stats(),
         }
         shaper = cluster.shaper
         if shaper is not None:

@@ -2,8 +2,8 @@
 
 Two ways onto the event loop:
 
-- :class:`AioLoopbackTransport` — in-process delivery via
-  ``loop.call_soon``.  Sends from the loop itself (the common case:
+- :class:`AioLoopbackTransport` — in-process delivery as a zero-delay
+  event on the clock.  Sends from the loop itself (the common case:
   every node callback runs on the loop, and so does a packet that a
   :class:`~repro.faults.live.FaultyTransport` held back) enqueue
   directly; sends from foreign threads (a service worker, a test
@@ -15,10 +15,11 @@ Two ways onto the event loop:
   localhost, with the receiver threads' callbacks marshalled onto the
   loop so node logic still runs single-threaded.
 
-Both keep time on the loop: ``call_later`` is an entry in the loop's
-timer heap, not a thread, so a shaped link costs one heap push per
-delayed packet and the delayed delivery runs on the loop like every
-other callback.
+Both keep time on a :class:`~repro.aio.env.LoopClock`: ``call_later``
+is an entry in the clock's event heap, not a thread and not a loop
+timer of its own, so a shaped link costs one heap push per delayed
+packet and the delayed delivery runs on the loop, in due order with
+every other callback of the cluster whose clock it is.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import asyncio
 import threading
 from typing import Callable, Dict, Optional
 
+from repro.aio.env import LoopClock
 from repro.net.address import Address
 from repro.net.link import LossModel
 from repro.net.transport import Handler, Transport
@@ -36,8 +38,8 @@ class _OffLoopTimer:
     """``call_later`` handle for a timer armed from a foreign thread.
 
     The loop arms the real timer one hop later, so there is no
-    ``TimerHandle`` to hand back yet; ``cancel`` instead disarms the
-    callback, which the timer checks when it fires.
+    handle to hand back yet; ``cancel`` instead disarms the callback,
+    which the timer checks when it fires.
     """
 
     __slots__ = ("_fn",)
@@ -64,17 +66,24 @@ class _LoopTransport(Transport):
     def __init__(self, loss: Optional[LossModel] = None):
         super().__init__(loss)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self.clock: Optional[LoopClock] = None
         self._loop_thread: Optional[int] = None
         self._closed = False
         self.dropped = 0
 
-    def attach(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        """Bind the transport to ``loop`` (default: the running loop)."""
-        self._loop = loop if loop is not None else asyncio.get_running_loop()
+    def attach(
+        self,
+        loop: Optional[asyncio.AbstractEventLoop] = None,
+        clock: Optional[LoopClock] = None,
+    ) -> None:
+        """Bind the transport to ``loop`` (default: the running loop) and
+        to the cluster's ``clock`` (default: its own, coalescing nothing)."""
+        self.clock = clock if clock is not None else LoopClock(loop)
+        self._loop = self.clock.loop
         self._loop_thread = threading.get_ident()
 
     def call_later(self, delay_s: float, fn: Callable[[], None]):
-        """``loop.call_later``; ``fn`` always runs on the loop thread.
+        """An event on the clock; ``fn`` always runs on the loop thread.
 
         Before :meth:`attach`, after ``close()`` or on a dead loop the
         call is a counted drop and returns ``None``, like ``send``.
@@ -83,15 +92,19 @@ class _LoopTransport(Transport):
         if self._closed or loop is None or loop.is_closed():
             self.dropped += 1
             return None
+        clock = self.clock
         if threading.get_ident() == self._loop_thread:
-            return loop.call_later(delay_s, fn)
-        # Off-loop caller: the timer heap is not thread-safe, so the
-        # loop arms it — at the absolute time asked for, so the hop
+            return clock.schedule(delay_s * 1000.0, fn)
+        # Off-loop caller: the event heap is not thread-safe, so the
+        # loop arms it — for the absolute time asked for, so the hop
         # does not stretch the delay.
         timer = _OffLoopTimer(fn)
+        due = loop.time() + delay_s
         try:
             loop.call_soon_threadsafe(
-                loop.call_at, loop.time() + delay_s, timer
+                lambda: clock.schedule(
+                    max(0.0, due - loop.time()) * 1000.0, timer
+                )
             )
         except RuntimeError:
             self.dropped += 1  # loop shut down mid-call
@@ -136,7 +149,7 @@ class AioLoopbackTransport(_LoopTransport):
             self.dropped += 1
             return
         if threading.get_ident() == self._loop_thread:
-            loop.call_soon(self._dispatch, src, dst, payload)
+            self.clock.schedule(0.0, self._dispatch, src, dst, payload)
         else:
             # Off-loop producer (a service worker thread, tests).
             try:

@@ -30,7 +30,7 @@ class EventLoop:
     def __init__(self):
         self._now = 0.0
         self._seq = itertools.count()
-        self._queue: List[Tuple[float, int, EventHandle, Callable[[], None]]] = []
+        self._queue: List[Tuple[float, int, EventHandle, Callable, tuple]] = []
         self.events_run = 0
 
     @property
@@ -38,13 +38,13 @@ class EventLoop:
         """Current virtual time in milliseconds."""
         return self._now
 
-    def schedule(self, delay_ms: float, fn: Callable[[], None]) -> EventHandle:
-        """Run ``fn`` after ``delay_ms`` of virtual time."""
+    def schedule(self, delay_ms: float, fn: Callable, *args) -> EventHandle:
+        """Run ``fn(*args)`` after ``delay_ms`` of virtual time."""
         if not delay_ms >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
         handle = EventHandle(when=self._now + delay_ms)
         heapq.heappush(
-            self._queue, (handle.when, next(self._seq), handle, fn)
+            self._queue, (handle.when, next(self._seq), handle, fn, args)
         )
         return handle
 
@@ -56,11 +56,11 @@ class EventLoop:
         """
         executed = 0
         while self._queue and self._queue[0][0] <= t_end:
-            when, _, handle, fn = heapq.heappop(self._queue)
+            when, _, handle, fn, args = heapq.heappop(self._queue)
             if handle.cancelled:
                 continue
             self._now = when
-            fn()
+            fn(*args)
             executed += 1
             self.events_run += 1
         self._now = max(self._now, t_end)
@@ -74,11 +74,11 @@ class EventLoop:
                 raise RuntimeError(
                     f"event loop did not go idle within {max_events} events"
                 )
-            when, _, handle, fn = heapq.heappop(self._queue)
+            when, _, handle, fn, args = heapq.heappop(self._queue)
             if handle.cancelled:
                 continue
             self._now = when
-            fn()
+            fn(*args)
             executed += 1
             self.events_run += 1
         return executed

@@ -9,9 +9,9 @@ runtime it is serving:
   scheduled events (partition cuts, stall muting, traffic touching a
   crashed machine).  A delayed packet waits on the wrapped transport's
   own clock (:meth:`~repro.net.transport.Transport.call_later`): a
-  timer thread under the threaded transports, an entry in the event
-  loop's timer heap under :mod:`repro.aio` — where the shaper therefore
-  starts no thread and the delayed delivery runs on the loop.  The
+  timer thread under the threaded transports, an event on the cluster's
+  one clock under :mod:`repro.aio` — where the shaper therefore starts
+  no thread and the delayed delivery runs on the loop.  The
   fault round is derived from the wall clock:
   round ``r`` spans ``[(r-1)·round_duration_ms, r·round_duration_ms)``
   measured from :meth:`FaultyTransport.start_clock` — the same global
@@ -20,7 +20,7 @@ runtime it is serving:
   timer thread, calling ``node.stop()`` / ``node.start()`` at the round
   boundaries.  It takes the *nodes* mapping rather than the cluster
   object, so this module never imports the runtime package.  (The
-  asyncio cluster has its own loop-timer driver for the same schedule.)
+  asyncio cluster has its own driver, on its clock, for the same schedule.)
 
 Both are deterministic given a seed only up to scheduling — live
 runs are wall-clock programs, so the contract here is weaker than the

@@ -18,7 +18,7 @@ Every transport also owns a clock, :meth:`Transport.call_later`: "run
 this after a delay, in the context my deliveries run in".  The link
 shaper (:class:`~repro.faults.live.FaultyTransport`) holds delayed
 packets on it, so each stack pays for delay in its own currency — a
-timer thread here, an entry in the event loop's timer heap on
+timer thread here, an event on the cluster's clock on
 :mod:`repro.aio.transport`.
 """
 

@@ -1,0 +1,317 @@
+"""The cluster's one clock (`repro.aio.env.LoopClock`).
+
+Most tests here run on :class:`FakeTimeLoop`, an asyncio loop whose
+clock jumps instead of sleeping: the pump's arming, ordering and
+lateness are then exact statements, not timings on a shared box.
+"""
+
+import asyncio
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.adversary import AttackSpec
+from repro.aio import AioCluster, AioClusterConfig, AsyncEnvironment, LoopClock
+from repro.aio.transport import AioLoopbackTransport
+from repro.des.engine import EventLoop
+from repro.des.environment import SimEnvironment
+
+TICKS_PER_ROUND = 128
+
+
+class FakeTimeLoop(asyncio.SelectorEventLoop):
+    """Virtual time: a ``select`` that would sleep advances the clock."""
+
+    def __init__(self):
+        super().__init__()
+        self.fake_s = 0.0
+        select = self._selector.select
+
+        def jump(timeout=None):
+            if timeout:
+                self.fake_s += timeout
+            return select(0)
+
+        self._selector.select = jump
+
+    def time(self):
+        return self.fake_s
+
+    def burn(self, ms):
+        """A callback that held the CPU for ``ms``."""
+        self.fake_s += ms / 1000.0
+
+
+def run_fake(main):
+    """Run ``main(loop)`` to completion on a fresh :class:`FakeTimeLoop`."""
+    with asyncio.Runner(loop_factory=FakeTimeLoop) as runner:
+        return runner.run(main(runner.get_loop()))
+
+
+def watch_arming(loop):
+    """Record every timer the loop is asked for.
+
+    Returns ``(arms, others)``: ``arms`` counts pump handles and trips
+    if a second one is armed while the first is live; ``others`` names
+    the callbacks of every timer that is not the pump.
+    """
+    arms, others, live = [0], set(), []
+    real_call_at = loop.call_at
+
+    def call_at(when, callback, *args, **kwargs):
+        if getattr(callback, "__func__", None) is not LoopClock._pump:
+            others.add(getattr(callback, "__qualname__", repr(callback)))
+            return real_call_at(when, callback, *args, **kwargs)
+        assert all(h.cancelled() for h in live), "two pump handles armed"
+
+        def pump():
+            live.clear()
+            callback()
+
+        arms[0] += 1
+        live[:] = [real_call_at(when, pump)]
+        return live[0]
+
+    loop.call_at = call_at
+    return arms, others
+
+
+# -- (a) the pumped clock is the event loop, late by at most a tick ---------
+
+# One scripted event: (delay ms, burn ms, label to cancel or None, children).
+_leaf = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    st.sampled_from([0.0, 0.0, 0.0, 2.5, 9.0]),
+    st.one_of(st.none(), st.integers(0, 40)),
+    st.just(()),
+)
+_events = st.recursive(
+    _leaf,
+    lambda inner: st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+        st.sampled_from([0.0, 0.0, 2.5]),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.lists(inner, max_size=4).map(tuple),
+    ),
+    max_leaves=25,
+)
+
+
+def play(clock, script, burn, fired):
+    """Schedule ``script`` from inside one root event of ``clock``."""
+    handles = {}
+    labels = iter(range(10**6))
+
+    def arm(event):
+        delay, burn_ms, cancels, children = event
+        label = next(labels)
+
+        def fire():
+            fired.append((label, clock.now, burn()))
+            burn(burn_ms)
+            if cancels in handles:
+                handles[cancels].cancel()
+            for child in children:
+                arm(child)
+
+        handles[label] = clock.schedule(delay, fire)
+
+    clock.schedule(0.0, lambda: [arm(event) for event in script])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    script=st.lists(_events, min_size=1, max_size=6),
+    tick=st.sampled_from([0.0, 0.5, 3.90625, 7.3]),
+)
+def test_pumped_clock_fires_what_the_event_loop_fires(script, tick):
+    reference = []
+    loop_ref = EventLoop()
+    play(loop_ref, script, lambda ms=0.0: 0.0, reference)
+    loop_ref.run_until_idle()
+
+    async def main(loop):
+        arms, _ = watch_arming(loop)
+        clock = LoopClock(tick_ms=tick)
+        burned = [0.0]
+
+        def burn(ms=0.0):
+            """Hold the CPU for ``ms``; returns (wall, burned so far)."""
+            loop.burn(ms)
+            burned[0] += ms
+            return clock._wall(), burned[0] - ms
+
+        fired = []
+        play(clock, script, burn, fired)
+        root_due = clock._queue[0][0]
+        while clock.pending():
+            await asyncio.sleep(0.05)
+        assert clock.wakes == arms[0]  # scheduling inside a pass never re-arms
+        return root_due, fired
+
+    root_due, fired = run_fake(main)
+    assert [label for label, _, _ in fired] == [
+        label for label, _, _ in reference
+    ]
+    for (_, due, (wall, burned)), (_, ref_due, _) in zip(fired, reference):
+        assert due - root_due == pytest.approx(ref_due, abs=1e-6)
+        assert wall >= due - 1e-6  # never early (to the loop's ns)
+        assert wall - due <= tick + burned + 1e-6
+
+
+# -- (b) errors, close, re-arming -------------------------------------------
+
+
+class TestPump:
+    def test_a_raising_callback_stops_neither_the_pass_nor_the_rearm(self):
+        async def main(loop):
+            complaints = []
+            loop.set_exception_handler(
+                lambda _loop, context: complaints.append(context["exception"])
+            )
+            clock = LoopClock(tick_ms=4.0)
+            ran = []
+            clock.schedule(1.0, lambda: 1 / 0)
+            clock.schedule(2.0, ran.append, "same pass")
+            clock.schedule(9.0, ran.append, "next pass")
+            await asyncio.sleep(0.02)
+            return clock, ran, complaints
+
+        clock, ran, complaints = run_fake(main)
+        assert ran == ["same pass", "next pass"]
+        assert [type(exc) for exc in complaints] == [ZeroDivisionError]
+        assert clock.wakes == 2
+
+    def test_close_cancels_what_is_pending_and_never_wakes_again(self):
+        async def main(loop):
+            arms, _ = watch_arming(loop)
+            clock = LoopClock(tick_ms=4.0)
+            ran = []
+            clock.schedule(5.0, ran.append, "pending")
+            clock.close()
+            clock.schedule(1.0, ran.append, "after close")
+            await asyncio.sleep(0.05)
+            return clock, ran, arms[0]
+
+        clock, ran, arms = run_fake(main)
+        assert (ran, clock.wakes, arms) == ([], 0, 1)
+
+    def test_an_earlier_event_rearms_a_later_one_does_not(self):
+        async def main(loop):
+            arms, _ = watch_arming(loop)
+            clock = LoopClock(tick_ms=4.0)
+            fired = []
+
+            def note(name):
+                fired.append((name, loop.time() * 1000.0))
+
+            clock.schedule(50.0, note, "late")
+            clock.schedule(51.0, note, "same tick")
+            assert arms[0] == 1
+            clock.schedule(10.0, note, "early")
+            assert arms[0] == 2
+            await asyncio.sleep(0.1)
+            return clock, fired
+
+        clock, fired = run_fake(main)
+        assert [name for name, _ in fired] == ["early", "late", "same tick"]
+        # Each at the first tick boundary at or after its due time.
+        assert [at for _, at in fired] == pytest.approx([12.0, 52.0, 52.0])
+        assert clock.wakes == 2
+        assert clock.stats() == {
+            "tick_ms": 4.0,
+            "wakes": 2,
+            "events": 3,
+            "late_ms_max": pytest.approx(2.0),
+        }
+
+    def test_delays_chain_off_due_times_not_off_the_wall(self):
+        """Tick and burn lateness does not add up over hops."""
+
+        async def main(loop):
+            clock = LoopClock(tick_ms=4.0)
+            dues = []
+
+            def hop(left):
+                dues.append(clock.now)
+                loop.burn(3.0)
+                if left:
+                    clock.schedule(5.0, hop, left - 1)
+
+            clock.schedule(5.0, hop, 20)
+            await asyncio.sleep(0.5)
+            outside = clock.now
+            return dues, outside, loop.time() * 1000.0
+
+        dues, outside, wall = run_fake(main)
+        assert dues == pytest.approx([5.0 * (i + 1) for i in range(21)])
+        assert outside == pytest.approx(wall)  # outside a pass: the wall
+
+    def test_an_untied_transport_coalesces_nothing(self):
+        async def main(loop):
+            transport = AioLoopbackTransport()
+            transport.attach()
+            at = []
+            transport.call_later(0.0101, lambda: at.append(loop.time()))
+            transport.call_later(0.0102, lambda: at.append(loop.time()))
+            await asyncio.sleep(0.05)
+            return transport.clock, at
+
+        clock, at = run_fake(main)
+        assert at == pytest.approx([0.0101, 0.0102], abs=1e-9)
+        assert (clock.tick_ms, clock.wakes) == (0.0, 2)
+
+
+@pytest.mark.parametrize("delay_ms", [-1.0, -1e-9, math.nan])
+def test_negative_or_nan_delay_raises_on_both_continuous_stacks(delay_ms):
+    sim = SimEnvironment()
+    with pytest.raises(ValueError, match="delay_ms"):
+        sim.schedule(delay_ms, lambda: None)
+
+    async def main(loop):
+        env = AsyncEnvironment(AioLoopbackTransport(), clock=LoopClock())
+        with pytest.raises(ValueError, match="delay_ms"):
+            env.schedule(delay_ms, lambda: None)
+        return env.clock.pending()
+
+    assert run_fake(main) == 0
+
+
+# -- (c) the wake-up tripwire -----------------------------------------------
+
+
+def test_a_cluster_wakes_at_most_once_per_tick_on_one_handle():
+    """Deterministic: counted on virtual time, not timed.
+
+    With flips, shaped packets and a flood all riding the clock, the
+    only timers the loop ever sees are the pump (one at a time) and the
+    test's own sleeps.
+    """
+    rounds = 12
+    config = AioClusterConfig(
+        n=12, round_duration_ms=100.0, loss=0.0,
+        faults="delay:8~4; dup:0.1; crash@3-6:0.2",
+        attack=AttackSpec(alpha=0.2, x=16.0),
+    )
+
+    async def main(loop):
+        arms, others = watch_arming(loop)
+        cluster = AioCluster(config, seed=31)
+        await cluster.start()
+        mid = cluster.multicast(0, b"tick")
+        await asyncio.sleep(rounds * config.round_duration_ms / 1000.0)
+        stats = cluster.clock.stats()
+        delivered = cluster.delivered_counts()[mid]
+        await cluster.stop()
+        return stats, arms[0], others, delivered, cluster
+
+    stats, arms, others, delivered, cluster = run_fake(main)
+    assert stats["tick_ms"] == config.round_duration_ms / TICKS_PER_ROUND
+    assert stats["wakes"] <= TICKS_PER_ROUND * rounds + 8
+    assert stats["events"] > 2 * stats["wakes"]  # it does coalesce
+    assert stats["wakes"] <= arms <= stats["wakes"] + 8 + 2 * config.n
+    assert others <= {"_set_result_unless_cancelled"}
+    assert delivered >= 8 and not cluster.node_errors
+    # Virtual time has no lag: nothing fired more than a tick late.
+    assert stats["late_ms_max"] <= stats["tick_ms"] + 1e-6

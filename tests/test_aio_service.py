@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -210,6 +211,55 @@ class TestGossipService:
         assert shaper["blocked"] == shaper["dropped"] == 0
         assert 0 <= shaper["pending"] <= shaper["delayed"]
         rpc(service, {"op": "stop"})
+
+    def test_status_reports_the_clock(self, service):
+        rpc(
+            service,
+            {
+                "op": "start", "n": 8, "round_duration_ms": 64.0,
+                "loss": 0.0, "seed": 25,
+            },
+        )
+        sent = rpc(
+            service,
+            {
+                "op": "multicast", "payload": "timed",
+                "await_fraction": 1.0, "timeout_s": 15.0,
+            },
+        )
+        assert sent["delivered"] is True
+        clock = rpc(service, {"op": "status"})["clock"]
+        assert sorted(clock) == ["events", "late_ms_max", "tick_ms", "wakes"]
+        assert clock["tick_ms"] == 0.5  # 1/128 round
+        assert clock["events"] > clock["wakes"] > 0
+        assert clock["late_ms_max"] >= 0.0
+        rpc(service, {"op": "stop"})
+
+    def test_a_saturated_clock_still_lets_status_and_stop_answer(self, service):
+        """A pass is bounded, however far behind the wall the events are."""
+        rpc(
+            service,
+            {
+                "op": "start", "n": 8, "round_duration_ms": 64.0,
+                "loss": 0.0, "seed": 26,
+            },
+        )
+        clock = service.cluster.clock
+
+        def burn():
+            # Three ticks of CPU for every tick of event time.
+            time.sleep(3 * clock.tick_ms / 1000.0)
+            clock.schedule(clock.tick_ms, burn)
+
+        service._loop.call_soon_threadsafe(clock.schedule, 0.0, burn)
+        time.sleep(1.5)
+        asked = time.monotonic()
+        status = rpc(service, {"op": "status"})
+        stopped = rpc(service, {"op": "stop"})
+        assert time.monotonic() - asked < 0.5
+        assert stopped["ok"] is True
+        # Slow motion, reported: event time is most of a second behind.
+        assert status["clock"]["late_ms_max"] > 500.0
 
     def test_metrics_exposes_prometheus_counters(self, service):
         """Satellite check: the obs counters are scrape-ready over TCP."""
