@@ -7,8 +7,9 @@ node runs as timers on a single :mod:`asyncio` loop instead of owning
 OS threads.  The per-node cost drops from a thread stack to a timer
 handle, so group sizes in the thousands fit one process.
 
-Wall-clock fidelity: all timers and datagrams share one
-:class:`~repro.aio.env.LoopClock`, so a saturated loop runs the whole
+Wall-clock fidelity: all timers, datagrams and stamps share one
+:class:`~repro.aio.env.LoopClock`, which every entry from outside
+first catches up to the wall, so a saturated loop runs the whole
 protocol in slow motion, and purging counts local rounds, so
 reliability survives; latency in milliseconds stretches with the load.
 This is the same weakened determinism contract as the threaded runtime
@@ -37,7 +38,7 @@ from repro.crypto.signatures import SignatureRegistry
 from repro.des.attacker import AttackerProcess
 from repro.des.measurement import DeliveryRecord, MeasurementResult
 from repro.des.node import GossipNode
-from repro.faults.live import FaultyTransport
+from repro.faults.live import FaultyTransport, crash_flips
 from repro.faults.plan import FaultPlan
 from repro.net.link import LossModel
 from repro.net.transport import Transport, UdpTransport
@@ -175,14 +176,10 @@ class AioClusterConfig:
 
 
 def _arm_flips(clock, schedule, nodes, round_ms: float, tracer) -> None:
-    """Put a plan's crash / recover windows on the cluster's clock.
-
-    The asyncio analogue of :class:`~repro.faults.live.LiveFaultDriver`:
-    the same ``((round-1)·round_ms, action, ids)`` event list — flips
-    execute on the loop, in one due order with the packets they cut off,
-    until the clock's ``close()`` drops the ones still pending.
-    """
-    origin = clock.loop.time()
+    """:class:`~repro.faults.live.LiveFaultDriver`'s flips, on the clock:
+    they execute on the loop, in one due order with the packets they cut
+    off, until the clock's ``close()`` drops the ones still pending."""
+    origin = clock.now
 
     def flip(action: str, ids: frozenset) -> None:
         flipped = []
@@ -197,18 +194,13 @@ def _arm_flips(clock, schedule, nodes, round_ms: float, tracer) -> None:
                 node.start()
                 flipped.append(pid)
         if tracer is not None and flipped:
-            t = (clock.loop.time() - origin) * 1000.0
+            t = clock.now - origin
             if action == "crash":
                 tracer.crash(flipped, t=t)
             else:
                 tracer.heal(flipped, t=t)
 
-    events: List[Tuple[float, str, frozenset]] = []
-    for start, stop, ids in schedule._crash_windows:
-        events.append(((start - 1) * round_ms, "crash", ids))
-        if stop is not None:
-            events.append(((stop - 1) * round_ms, "recover", ids))
-    for at_ms, action, ids in sorted(events, key=lambda e: (e[0], e[1])):
+    for at_ms, action, ids in crash_flips(schedule, round_ms):
         clock.schedule(at_ms, flip, action, ids)
 
 
@@ -232,7 +224,7 @@ class AioCluster:
     ):
         self.config = config
         # Observability: a repro.obs Tracer or None.  Events are
-        # wall-clock ``t``-stamped (ms).  Node callbacks all run on the
+        # ``t``-stamped (ms) by the clock.  Node callbacks all run on the
         # loop, but a service may scrape from other threads — pass
         # ``Tracer(..., thread_safe=True)`` when sharing one.
         self.tracer = tracer
@@ -254,7 +246,6 @@ class AioCluster:
         #: log — the log can hold messages × thousands of records).
         self._got: Dict[Tuple[int, int], Set[int]] = {}
         self.node_errors: List[Tuple[int, BaseException]] = []
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Every timer and in-flight datagram of the cluster, once started.
         self.clock: Optional[LoopClock] = None
         self._started_at: Optional[float] = None
@@ -276,14 +267,10 @@ class AioCluster:
         """
         if self._stopped:
             raise RuntimeError("cluster already stopped")
-        if self._loop is not None:
+        if self.clock is not None:
             raise RuntimeError("cluster already started")
         config = self.config
         loop = asyncio.get_running_loop()
-        self._loop = loop
-        # A tick is 1/128 round: every timer in the stack carries a random
-        # term (round jitter, gossip offsets, link jitter) far wider.
-        clock = self.clock = LoopClock(loop, config.round_duration_ms / 128)
 
         transport = self._given_transport
         if transport is None:
@@ -297,6 +284,8 @@ class AioCluster:
                 transport = AioLoopbackTransport(
                     LossModel(config.loss, seed=self._seeds.next_seed())
                 )
+        ticks = getattr(transport, "_TICKS_PER_ROUND", 128)  # else as UDP
+        clock = self.clock = LoopClock(loop, config.round_duration_ms / ticks)
         attach = getattr(transport, "attach", None)
         if attach is not None:
             attach(loop, clock)
@@ -352,7 +341,7 @@ class AioCluster:
                 protocol=config.protocol.value, n=config.n,
             )
 
-        self._started_at = loop.time() * 1000.0
+        self._started_at = clock.time() * 1000.0
         for node in self.nodes.values():
             node.start()
         if self._fault_transport is not None:
@@ -365,6 +354,8 @@ class AioCluster:
         if self._stopped:
             return
         self._stopped = True
+        if self.clock is not None:  # what was due before the stop lands
+            self.clock.catch_up()
         first_error: Optional[BaseException] = None
         for attacker in self.attackers:
             if attacker.running:
@@ -411,20 +402,20 @@ class AioCluster:
         created = self.created_at.get(message.msg_id)
         if created is None:
             return
-        wall = self._loop.time() * 1000.0
+        stamp = self.clock.time() * 1000.0
         self.deliveries.append(
             DeliveryRecord(
                 receiver=pid,
                 msg_id=message.msg_id,
-                delivered_at_ms=wall,
-                latency_ms=wall - created,
+                delivered_at_ms=stamp,
+                latency_ms=stamp - created,
                 round_counter=message.round_counter,
             )
         )
         self._got[message.msg_id].add(pid)
         if self.tracer is not None:
             self.tracer.delivered(
-                node=pid, t=wall, round_counter=message.round_counter
+                node=pid, t=stamp, round_counter=message.round_counter
             )
 
     # -- runtime injection (the service's control plane) ----------------------
@@ -451,7 +442,7 @@ class AioCluster:
                 "a fault plan is already installed; describe the whole "
                 "condition in one spec"
             )
-        if self._loop is None or self._stopped:
+        if self.clock is None or self._stopped:
             raise RuntimeError("cluster is not running")
         config = self.config
         plan.validate_for(
@@ -459,6 +450,7 @@ class AioCluster:
             num_alive_correct=config.num_correct,
             max_rounds=10**9,
         )
+        self.clock.catch_up()
         faulty = FaultyTransport(
             self.transport,
             plan,
@@ -492,8 +484,9 @@ class AioCluster:
 
     def inject_attack(self, spec: AttackSpec) -> AttackerProcess:
         """Start a DoS attacker against a running cluster."""
-        if self._loop is None or self._stopped:
+        if self.clock is None or self._stopped:
             raise RuntimeError("cluster is not running")
+        self.clock.catch_up()
         attacker = self._spawn_attacker(spec, seed=self._seeds.next_seed())
         attacker.start()
         return attacker
@@ -518,21 +511,22 @@ class AioCluster:
 
     def multicast(self, source: int, payload: object) -> Tuple[int, int]:
         """Multicast ``payload`` from ``source`` and track deliveries."""
-        wall = self._loop.time() * 1000.0
+        self.clock.catch_up()
+        stamp = self.clock.time() * 1000.0
         msg = self.nodes[source].multicast(payload)
-        self.created_at[msg.msg_id] = wall
+        self.created_at[msg.msg_id] = stamp
         self._got[msg.msg_id] = {source}
         self.deliveries.append(
             DeliveryRecord(
                 receiver=source,
                 msg_id=msg.msg_id,
-                delivered_at_ms=wall,
+                delivered_at_ms=stamp,
                 latency_ms=0.0,
                 round_counter=0,
             )
         )
         if self.tracer is not None:
-            self.tracer.delivered(node=source, via="source", t=wall)
+            self.tracer.delivered(node=source, via="source", t=stamp)
         return msg.msg_id
 
     async def await_delivery(
@@ -553,6 +547,7 @@ class AioCluster:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout_s
         while True:
+            self.clock.catch_up()
             self._check_node_errors()
             got = self._got.get(msg_id, ())
             if len(got) >= needed:
@@ -563,6 +558,7 @@ class AioCluster:
 
     def delivered_counts(self) -> Dict[Tuple[int, int], int]:
         """Receivers reached per tracked message (status queries)."""
+        self.clock.catch_up()
         return {mid: len(got) for mid, got in self._got.items()}
 
     def result(self, send_rate: float, messages_sent: int) -> MeasurementResult:
@@ -593,7 +589,7 @@ class AioCluster:
             send_rate=send_rate,
             messages_sent=messages_sent,
             experiment_start_ms=self._started_at,
-            experiment_end_ms=self._loop.time() * 1000.0,
+            experiment_end_ms=self.clock.time() * 1000.0,
             deliveries=list(self.deliveries),
             reachable_receivers=reachable,
             faults=faults_desc,

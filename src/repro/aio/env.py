@@ -1,7 +1,7 @@
 """Asyncio implementation of the node environment.
 
-:class:`LoopClock` is a cluster's one clock — the discrete-event heap
-pumped by an :mod:`asyncio` loop's wall clock — and
+:class:`LoopClock` is a cluster's one clock and only time base — the
+discrete-event heap, pumped from an :mod:`asyncio` loop — and
 :class:`AsyncEnvironment` gives one :class:`~repro.des.node.GossipNode`
 (or :class:`~repro.des.attacker.AttackerProcess`) time, timers and a
 datagram service on it.  All callbacks execute on the loop, so — unlike
@@ -31,14 +31,13 @@ from repro.util.rng import SeedLike
 class LoopClock(EventLoop):
     """The event heap, fired from one armed asyncio handle.
 
-    The handle waits for the earliest due time rounded *up* to a
-    multiple of ``tick_ms`` (0 coalesces nothing); its pass fires what
-    was due by then, in due order: never early, at most a tick plus
-    loop lag late, one wake-up per tick however many packets.  Inside a
-    pass :attr:`now` is the running event's *due* time, so delays chain
-    off due times as on the virtual clock and an overloaded loop runs
-    the protocol in slow motion; outside one (coroutines, cross-thread
-    hops) it is the wall clock.  Loop thread only.
+    Inside a pass :attr:`now` is the running event's *due* time, so
+    delays chain off due times as on the virtual clock and an
+    overloaded loop runs the protocol in slow motion; outside one it is
+    the wall, which :meth:`catch_up` brings the heap up to.  Stamps read
+    :meth:`time`, so the tick (the handle waits for the earliest due
+    time rounded *up* to a multiple of ``tick_ms``; 0 coalesces
+    nothing) only sets how often the loop wakes.  Loop thread only.
     """
 
     def __init__(self, loop=None, tick_ms: float = 0.0):
@@ -51,6 +50,7 @@ class LoopClock(EventLoop):
         self._armed_for = math.inf
         self._pumping = False
         self.wakes = 0
+        self.refused = 0  # events scheduled after close()
         #: Worst wall − due, read on the first event of each pass.
         self.late_ms_max = 0.0
 
@@ -63,7 +63,14 @@ class LoopClock(EventLoop):
             self._now = self._wall()
         return self._now
 
+    def time(self) -> float:
+        """:attr:`now` in ``loop.time()`` seconds — what stamps read."""
+        return self._origin + self.now / 1000.0
+
     def schedule(self, delay_ms: float, fn: Callable, *args) -> EventHandle:
+        if self._armed_for == -math.inf:  # closed: nobody would pump it
+            self.refused += 1
+            return EventHandle(self._now + delay_ms, cancelled=True)
         if self._pumping:
             return super().schedule(delay_ms, fn, *args)
         self._now = self._wall()
@@ -93,8 +100,24 @@ class LoopClock(EventLoop):
         # instead of in passes that each outlast the one before.
         if not self.tick_ms and wall > horizon:
             horizon = wall
-        self._handle, self._armed_for = None, math.inf
         self.wakes += 1
+        self._pass(horizon)
+
+    def catch_up(self) -> None:
+        """A pass up to the wall now — with a tick, the armed tick at most,
+        so a saturated loop still works a backlog off a tick per turn.
+        Every entry from outside the clock calls this first."""
+        if self._pumping or not self._queue:
+            return
+        wall = self._wall()
+        horizon = min(wall, self._armed_for) if self.tick_ms else wall
+        if self._queue[0][0] <= horizon:
+            self._pass(horizon)
+
+    def _pass(self, horizon: float) -> None:
+        if self._handle is not None:
+            self._handle.cancel()  # re-armed for what is left, below
+        self._handle, self._armed_for = None, math.inf
         self._pumping = True
         try:
             while True:
@@ -113,8 +136,8 @@ class LoopClock(EventLoop):
     def stats(self) -> Dict[str, float]:
         """The clock's self-health counters, for status reports."""
         return dict(
-            tick_ms=self.tick_ms, wakes=self.wakes,
-            events=self.events_run, late_ms_max=self.late_ms_max,
+            tick_ms=self.tick_ms, wakes=self.wakes, events=self.events_run,
+            late_ms_max=self.late_ms_max, refused=self.refused,
         )
 
     def close(self) -> None:
@@ -155,6 +178,7 @@ class AsyncEnvironment(Environment):
     def _fire(self, fn: Callable, *args) -> None:
         if self._closed:
             return
+        self.clock.catch_up()  # a receive arriving from outside a pass
         try:
             fn(*args)
         except Exception as exc:

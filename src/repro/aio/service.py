@@ -12,7 +12,7 @@ experiment:
   ``{"op": "inject", "attack": {"alpha": 0.1, "x": 128}}`` — fault
   plans and DoS floods against the live group;
 - ``{"op": "metrics"}`` — the Prometheus text exposition of the obs
-  counters (scrape-ready);
+  counters and the ``status`` self-health blocks (scrape-ready);
 - ``{"op": "stream"}`` — switches the connection to a JSONL stream of
   observability events (one encoded event per line);
 - ``{"op": "status"}`` / ``{"op": "stop"}`` / ``{"op": "shutdown"}``.
@@ -352,7 +352,7 @@ class GossipService:
         if op == "inject":
             return self._op_inject(request)
         if op == "metrics":
-            return {"ok": True, "exposition": self.prometheus.render()}
+            return {"ok": True, "exposition": self._exposition()}
         if op == "stop":
             return await self._op_stop()
         raise ValueError(f"unknown op {op!r}")
@@ -405,6 +405,15 @@ class GossipService:
             # means the delay line is filling faster than it drains.
             status["shaper"] = shaper.counters()
         return status
+
+    def _exposition(self) -> str:
+        """The obs counters, then ``status``'s self-health as gauges."""
+        text, status = self.prometheus.render(), self._op_status()
+        for block in ("clock", "shaper"):
+            for key, value in status.get(block, {}).items():
+                name = f"repro_aio_{block}_{key}"
+                text += f"# TYPE {name} gauge\n{name} {value}\n"
+        return text
 
     async def _op_multicast(self, request: dict) -> dict:
         cluster = self._require_cluster()

@@ -4,10 +4,9 @@ Two ways onto the event loop:
 
 - :class:`AioLoopbackTransport` — in-process delivery as a zero-delay
   event on the clock.  Sends from the loop itself (the common case:
-  every node callback runs on the loop, and so does a packet that a
-  :class:`~repro.faults.live.FaultyTransport` held back) enqueue
-  directly; sends from foreign threads (a service worker, a test
-  harness) marshal through ``call_soon_threadsafe``.
+  every node callback runs on the loop) enqueue directly; sends from
+  foreign threads (a service worker, a test harness) marshal through
+  ``call_soon_threadsafe``.
   Handler lookup happens at *dispatch* time, so a random port unbound
   between send and delivery dead-letters exactly like a closed socket.
 - :class:`AioUdpBridge` — wraps the existing
@@ -17,9 +16,9 @@ Two ways onto the event loop:
 
 Both keep time on a :class:`~repro.aio.env.LoopClock`: ``call_later``
 is an entry in the clock's event heap, not a thread and not a loop
-timer of its own, so a shaped link costs one heap push per delayed
-packet and the delayed delivery runs on the loop, in due order with
-every other callback of the cluster whose clock it is.
+timer of its own, and ``time`` is its event time: a shaped link costs
+one heap event per delayed packet, dispatched on the spot when it
+fires (:meth:`deliver`), in due order with the rest of the cluster.
 """
 
 from __future__ import annotations
@@ -29,31 +28,10 @@ import threading
 from typing import Callable, Dict, Optional
 
 from repro.aio.env import LoopClock
+from repro.des.engine import EventHandle
 from repro.net.address import Address
 from repro.net.link import LossModel
 from repro.net.transport import Handler, Transport
-
-
-class _OffLoopTimer:
-    """``call_later`` handle for a timer armed from a foreign thread.
-
-    The loop arms the real timer one hop later, so there is no
-    handle to hand back yet; ``cancel`` instead disarms the callback,
-    which the timer checks when it fires.
-    """
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable[[], None]):
-        self._fn: Optional[Callable[[], None]] = fn
-
-    def cancel(self) -> None:
-        self._fn = None
-
-    def __call__(self) -> None:
-        fn = self._fn
-        if fn is not None:
-            fn()
 
 
 class _LoopTransport(Transport):
@@ -62,6 +40,10 @@ class _LoopTransport(Transport):
     Construct anywhere; call :meth:`attach` from loop context (the
     cluster does this in ``start()``) before traffic flows.
     """
+
+    #: Clock ticks per round: a datagram leaving the process goes at the
+    #: wall time of its pass, so the tick is latency on every hop.
+    _TICKS_PER_ROUND = 128
 
     def __init__(self, loss: Optional[LossModel] = None):
         super().__init__(loss)
@@ -82,6 +64,10 @@ class _LoopTransport(Transport):
         self._loop = self.clock.loop
         self._loop_thread = threading.get_ident()
 
+    def time(self) -> float:
+        """The clock's event time (before :meth:`attach`, the wall)."""
+        return super().time() if self.clock is None else self.clock.time()
+
     def call_later(self, delay_s: float, fn: Callable[[], None]):
         """An event on the clock; ``fn`` always runs on the loop thread.
 
@@ -96,14 +82,14 @@ class _LoopTransport(Transport):
         if threading.get_ident() == self._loop_thread:
             return clock.schedule(delay_s * 1000.0, fn)
         # Off-loop caller: the event heap is not thread-safe, so the
-        # loop arms it — for the absolute time asked for, so the hop
-        # does not stretch the delay.
-        timer = _OffLoopTimer(fn)
-        due = loop.time() + delay_s
+        # loop arms it for the absolute time asked for (the hop does not
+        # stretch the delay); the event checks the handle given back here.
+        timer = EventHandle(clock._wall() + delay_s * 1000.0)
         try:
             loop.call_soon_threadsafe(
                 lambda: clock.schedule(
-                    max(0.0, due - loop.time()) * 1000.0, timer
+                    max(0.0, timer.when - clock._wall()),
+                    lambda: timer.cancelled or fn(),
                 )
             )
         except RuntimeError:
@@ -118,6 +104,9 @@ class AioLoopbackTransport(_LoopTransport):
     Sends before attachment are dropped like packets on a downed
     interface.
     """
+
+    #: Every hop is a clock event, so the tick only batches wake-ups.
+    _TICKS_PER_ROUND = 16
 
     def __init__(self, loss: Optional[LossModel] = None):
         super().__init__(loss)
@@ -156,6 +145,14 @@ class AioLoopbackTransport(_LoopTransport):
                 loop.call_soon_threadsafe(self._dispatch, src, dst, payload)
             except RuntimeError:
                 self.dropped += 1  # loop shut down mid-send
+
+    def deliver(self, src: Address, dst: Address, payload: object) -> None:
+        """``send`` from a clock event that runs no handler itself (a
+        packet the shaper held back): dispatched now, not an event later."""
+        if self._closed or self.loss is not None and not self.loss.delivered():
+            self.dropped += 1
+            return
+        self._dispatch(src, dst, payload)
 
     def close(self) -> None:
         self._closed = True

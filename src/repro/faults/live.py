@@ -11,8 +11,8 @@ runtime it is serving:
   own clock (:meth:`~repro.net.transport.Transport.call_later`): a
   timer thread under the threaded transports, an event on the cluster's
   one clock under :mod:`repro.aio` — where the shaper therefore starts
-  no thread and the delayed delivery runs on the loop.  The
-  fault round is derived from the wall clock:
+  no thread and the delayed delivery runs on the loop.  The fault
+  round (and drop stamps) read the same transport's ``time()``:
   round ``r`` spans ``[(r-1)·round_duration_ms, r·round_duration_ms)``
   measured from :meth:`FaultyTransport.start_clock` — the same global
   fault clock the discrete-event stack uses.
@@ -64,9 +64,11 @@ class FaultyTransport(Transport):
                 f"round_duration_ms must be > 0, got {round_duration_ms}"
             )
         self.inner = inner
+        # A fired delayed packet: a loop transport dispatches it at once.
+        self._forward = getattr(inner, "deliver", inner.send)
         self.plan = plan
         # Observability: dropped events (partition cuts, bursty loss)
-        # stamped with ``t`` = wall ms since the fault clock's origin.
+        # stamped with ``t`` = ms since the fault clock's origin.
         # Share a thread-safe tracer — sends arrive from node threads.
         self.tracer = tracer
         self.round_duration_ms = float(round_duration_ms)
@@ -91,7 +93,7 @@ class FaultyTransport(Transport):
         #: Armed, undelivered packets: key -> ``call_later`` handle.
         self._timers: Dict[int, object] = {}
         self._timer_keys = itertools.count()
-        self._origin = time.monotonic()
+        self._origin = inner.time()
         self._closed = False
         #: Counters for tests and reports.
         self.blocked = 0
@@ -103,14 +105,13 @@ class FaultyTransport(Transport):
 
     def start_clock(self) -> None:
         """Anchor fault round 1 at the current instant (call on start)."""
-        self._origin = time.monotonic()
+        self._origin = self.inner.time()
 
     def current_round(self) -> int:
-        elapsed_ms = (time.monotonic() - self._origin) * 1000.0
-        return int(elapsed_ms // self.round_duration_ms) + 1
+        return int(self._elapsed_ms() // self.round_duration_ms) + 1
 
     def _elapsed_ms(self) -> float:
-        return (time.monotonic() - self._origin) * 1000.0
+        return (self.inner.time() - self._origin) * 1000.0
 
     # -- Transport interface --------------------------------------------------
 
@@ -187,7 +188,7 @@ class FaultyTransport(Transport):
                 self._timers.pop(key, None)
                 if self._closed:
                     return
-            self.inner.send(src, dst, payload)
+            self._forward(src, dst, payload)
 
         # Armed under the lock, so ``_deliver`` (which takes it first)
         # never runs ahead of its own bookkeeping.
@@ -199,6 +200,10 @@ class FaultyTransport(Transport):
                 return  # inner is down and has counted the drop
             self._timers[key] = handle
             self.delayed += 1
+
+    def time(self) -> float:
+        """The inner transport's clock, so stacked shapers share it."""
+        return self.inner.time()
 
     def call_later(self, delay_s: float, fn: Callable[[], None]):
         """The inner transport's clock, so stacked shapers share it."""
@@ -227,6 +232,19 @@ class FaultyTransport(Transport):
         for timer in timers:
             timer.cancel()
         self.inner.close()
+
+
+def crash_flips(
+    schedule: FaultSchedule, round_ms: float
+) -> List[Tuple[float, str, frozenset]]:
+    """A plan's crash / recover windows as sorted ``(at_ms, action, ids)``:
+    a crash at round r flips the nodes down at the boundary into r."""
+    events = []
+    for start, stop, ids in schedule._crash_windows:
+        events.append(((start - 1) * round_ms, "crash", ids))
+        if stop is not None:
+            events.append(((stop - 1) * round_ms, "recover", ids))
+    return sorted(events, key=lambda e: (e[0], e[1]))
 
 
 class LiveFaultDriver:
@@ -263,16 +281,7 @@ class LiveFaultDriver:
         self._on_error = on_error
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        # (at_ms, action, ids), sorted; crash at round r flips the nodes
-        # down at the boundary into r.
-        events: List[Tuple[float, str, frozenset]] = []
-        for start, stop, ids in schedule._crash_windows:
-            events.append(((start - 1) * self.round_duration_ms, "crash", ids))
-            if stop is not None:
-                events.append(
-                    ((stop - 1) * self.round_duration_ms, "recover", ids)
-                )
-        self.events = sorted(events, key=lambda e: (e[0], e[1]))
+        self.events = crash_flips(schedule, self.round_duration_ms)
 
     def start(self) -> None:
         if self._thread is not None:

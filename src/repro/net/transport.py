@@ -14,11 +14,11 @@ transports are provided:
 Both apply an optional :class:`~repro.net.link.LossModel` on send and
 deliver to per-port handler callbacks registered by receivers.
 
-Every transport also owns a clock, :meth:`Transport.call_later`: "run
-this after a delay, in the context my deliveries run in".  The link
-shaper (:class:`~repro.faults.live.FaultyTransport`) holds delayed
-packets on it, so each stack pays for delay in its own currency — a
-timer thread here, an event on the cluster's clock on
+Every transport also owns a clock — :meth:`Transport.call_later` ("run
+this after a delay, in the context my deliveries run in") and
+:meth:`Transport.time`.  The link shaper holds delayed packets and
+counts fault rounds on it, so each stack pays for delay in its own
+currency — a timer thread here, an event on the cluster's clock on
 :mod:`repro.aio.transport`.
 """
 
@@ -56,6 +56,10 @@ class Transport(ABC):
     @abstractmethod
     def send(self, src: Address, dst: Address, payload: object) -> None:
         """Send one datagram.  Silently dropped on loss or closed port."""
+
+    def time(self) -> float:
+        """Seconds on the clock ``call_later`` delays count on."""
+        return time.monotonic()
 
     def call_later(self, delay_s: float, fn: Callable[[], None]):
         """Run ``fn`` after ``delay_s`` in this transport's delivery context.

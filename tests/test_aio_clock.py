@@ -6,6 +6,7 @@ lateness are then exact statements, not timings on a shared box.
 """
 
 import asyncio
+import json
 import math
 
 import pytest
@@ -13,11 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary import AttackSpec
 from repro.aio import AioCluster, AioClusterConfig, AsyncEnvironment, LoopClock
-from repro.aio.transport import AioLoopbackTransport
+from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.des.engine import EventLoop
 from repro.des.environment import SimEnvironment
-
-TICKS_PER_ROUND = 128
+from repro.faults import FaultPlan
+from repro.faults.live import FaultyTransport
+from repro.net import Address, UdpTransport
+from repro.obs import MemorySink, Tracer
+from repro.obs.sinks import encode_event
 
 
 class FakeTimeLoop(asyncio.SelectorEventLoop):
@@ -30,7 +34,10 @@ class FakeTimeLoop(asyncio.SelectorEventLoop):
 
         def jump(timeout=None):
             if timeout:
-                self.fake_s += timeout
+                # Land on the timer itself, not on a float sum: virtual
+                # time then does not depend on the timers passed on the
+                # way (byte-identical runs across tick sizes).
+                self.fake_s = self._scheduled[0].when()
             return select(0)
 
         self._selector.select = jump
@@ -197,6 +204,24 @@ class TestPump:
         clock, ran, arms = run_fake(main)
         assert (ran, clock.wakes, arms) == ([], 0, 1)
 
+    def test_a_closed_clock_refuses_events_instead_of_queueing_them(self):
+        """Nobody pumps a closed clock, so a late hop or a restarted node
+        would otherwise grow its heap for ever."""
+
+        async def main(loop):
+            cluster = AioCluster(AioClusterConfig(n=4), seed=3)
+            await cluster.start()
+            await cluster.stop()
+            clock = cluster.clock
+            handle = clock.schedule(1.0, lambda: None)
+            cluster.nodes[1].start()  # restarted on a stopped cluster
+            return clock, handle
+
+        clock, handle = run_fake(main)
+        assert handle.cancelled
+        assert clock.pending() == 0
+        assert clock.stats()["refused"] >= 2
+
     def test_an_earlier_event_rearms_a_later_one_does_not(self):
         async def main(loop):
             arms, _ = watch_arming(loop)
@@ -224,6 +249,7 @@ class TestPump:
             "wakes": 2,
             "events": 3,
             "late_ms_max": pytest.approx(2.0),
+            "refused": 0,
         }
 
     def test_delays_chain_off_due_times_not_off_the_wall(self):
@@ -278,16 +304,136 @@ def test_negative_or_nan_delay_raises_on_both_continuous_stacks(delay_ms):
     assert run_fake(main) == 0
 
 
-# -- (c) the wake-up tripwire -----------------------------------------------
+# -- (c) outside entries catch the clock up ---------------------------------
 
 
-def test_a_cluster_wakes_at_most_once_per_tick_on_one_handle():
-    """Deterministic: counted on virtual time, not timed.
+def _entries():
+    """Every way into a running cluster from outside the clock."""
+    return {
+        "multicast": lambda cluster: cluster.multicast(0, b"entry"),
+        "inject_faults": lambda cluster: cluster.inject_faults("delay:5"),
+        "inject_attack": lambda cluster: cluster.inject_attack(
+            AttackSpec(alpha=0.25, x=4.0)
+        ),
+        "delivered_counts": lambda cluster: cluster.delivered_counts(),
+    }
 
-    With flips, shaped packets and a flood all riding the clock, the
-    only timers the loop ever sees are the pump (one at a time) and the
-    test's own sleeps.
-    """
+
+async def _bracket_an_entry(enter):
+    """Two events 0.1 ms either side of an outside entry that lands
+    between two ticks; returns what had fired before and after it."""
+    cluster = AioCluster(AioClusterConfig(n=4, round_duration_ms=160.0), seed=5)
+    await cluster.start()
+    clock, fired = cluster.clock, []
+    t0 = clock.now
+    clock.schedule(104.9, fired.append, "before")
+    clock.schedule(105.1, fired.append, "after")
+    await asyncio.sleep(0.105)
+    assert clock.now - t0 == pytest.approx(105.0)
+    assert clock.tick_ms == 10.0  # "before" waits for the 110 ms pump
+    seen = list(fired)
+    await enter(cluster)
+    entered = list(fired)
+    await asyncio.sleep(0.05)
+    await cluster.stop()
+    return seen, entered, fired
+
+
+@pytest.mark.parametrize("entry", sorted(_entries()))
+def test_an_entry_between_ticks_finds_exactly_the_past_fired(entry):
+    async def enter(cluster):
+        _entries()[entry](cluster)
+
+    seen, entered, fired = run_fake(lambda loop: _bracket_an_entry(enter))
+    assert seen == []
+    assert entered == ["before"]
+    assert fired == ["before", "after"]
+
+
+def test_stop_fires_what_was_due_and_drops_only_later_events():
+    async def enter(cluster):
+        await cluster.stop()
+
+    seen, entered, fired = run_fake(lambda loop: _bracket_an_entry(enter))
+    assert (seen, entered, fired) == ([], ["before"], ["before"])
+
+
+# -- (d) the tick is invisible ----------------------------------------------
+
+
+def _traced_run(ticks, monkeypatch):
+    """One seeded fake-time run; returns (delivery log, trace, stats)."""
+    monkeypatch.setattr(AioLoopbackTransport, "_TICKS_PER_ROUND", ticks)
+    config = AioClusterConfig(
+        n=12, round_duration_ms=100.0, loss=0.01,
+        faults="delay:8~4; dup:0.1; loss:0.05; crash@2-4:0.2; "
+        "partition@5-8:0.4",
+        attack=AttackSpec(alpha=0.2, x=16.0),
+    )
+    sink = MemorySink()
+
+    async def main(loop):
+        cluster = AioCluster(config, seed=41, tracer=Tracer(sink))
+        await cluster.start()
+        for i in range(3):
+            cluster.multicast(0, b"m%d" % i)
+            await asyncio.sleep(0.0371)  # between ticks of either size
+        await asyncio.sleep(1.2)
+        await cluster.stop()
+        return cluster
+
+    cluster = run_fake(main)
+    log = [
+        (d.receiver, d.msg_id, d.delivered_at_ms, d.latency_ms,
+         d.round_counter)
+        for d in cluster.deliveries
+    ]
+    return log, [encode_event(e) for e in sink.events], cluster.clock.stats()
+
+
+def test_the_tick_moves_no_stamp_and_no_event(monkeypatch):
+    coarse_log, coarse_trace, coarse = _traced_run(16, monkeypatch)
+    fine_log, fine_trace, fine = _traced_run(128, monkeypatch)
+    assert (coarse["tick_ms"], fine["tick_ms"]) == (100.0 / 16, 100.0 / 128)
+    assert coarse["wakes"] < fine["wakes"]
+    kinds = {json.loads(line)["ev"] for line in coarse_trace}
+    assert {"delivered", "dropped", "crash", "heal"} <= kinds
+    assert len(coarse_log) > 12
+    assert coarse_log == fine_log
+    assert coarse_trace == fine_trace
+
+
+# -- (e) one heap event per shaped datagram ---------------------------------
+
+
+def test_a_shaped_datagram_costs_one_heap_event():
+    sends = 40
+
+    async def main(loop):
+        inner = AioLoopbackTransport()
+        inner.attach()
+        shaper = FaultyTransport(
+            inner, FaultPlan.parse("delay:5~2"), n=2, num_alive_correct=2,
+            round_duration_ms=100.0, seed=1,
+        )
+        got = []
+        shaper.bind(Address(1, 1), lambda src, payload: got.append(payload))
+        before = inner.clock.events_run
+        for i in range(sends):
+            shaper.send(Address(0, 1), Address(1, 1), i)
+        await asyncio.sleep(0.05)
+        return inner.clock.events_run - before, got, shaper, inner
+
+    events, got, shaper, inner = run_fake(main)
+    assert sorted(got) == list(range(sends))
+    assert (shaper.delayed, shaper.pending, inner.delivered) == (sends, 0, sends)
+    assert events == sends
+
+
+# -- (f) the wake-up tripwire -----------------------------------------------
+
+
+def _tripwire_run(transport=None):
     rounds = 12
     config = AioClusterConfig(
         n=12, round_duration_ms=100.0, loss=0.0,
@@ -297,7 +443,7 @@ def test_a_cluster_wakes_at_most_once_per_tick_on_one_handle():
 
     async def main(loop):
         arms, others = watch_arming(loop)
-        cluster = AioCluster(config, seed=31)
+        cluster = AioCluster(config, seed=31, transport=transport)
         await cluster.start()
         mid = cluster.multicast(0, b"tick")
         await asyncio.sleep(rounds * config.round_duration_ms / 1000.0)
@@ -306,12 +452,83 @@ def test_a_cluster_wakes_at_most_once_per_tick_on_one_handle():
         await cluster.stop()
         return stats, arms[0], others, delivered, cluster
 
-    stats, arms, others, delivered, cluster = run_fake(main)
-    assert stats["tick_ms"] == config.round_duration_ms / TICKS_PER_ROUND
-    assert stats["wakes"] <= TICKS_PER_ROUND * rounds + 8
+    return (rounds, config) + run_fake(main)
+
+
+def test_a_cluster_wakes_at_most_once_per_tick_on_one_handle():
+    """Deterministic: counted on virtual time, not timed.
+
+    With flips, shaped packets and a flood all riding the clock, the
+    only timers the loop ever sees are the pump (one at a time) and the
+    test's own sleeps.  On loopback the tick is 1/16 round.
+    """
+    rounds, config, stats, arms, others, delivered, cluster = _tripwire_run()
+    assert stats["tick_ms"] == config.round_duration_ms / 16
+    assert stats["wakes"] <= 16 * rounds + 8
     assert stats["events"] > 2 * stats["wakes"]  # it does coalesce
     assert stats["wakes"] <= arms <= stats["wakes"] + 8 + 2 * config.n
     assert others <= {"_set_result_unless_cancelled"}
     assert delivered >= 8 and not cluster.node_errors
     # Virtual time has no lag: nothing fired more than a tick late.
     assert stats["late_ms_max"] <= stats["tick_ms"] + 1e-6
+
+
+def test_the_udp_bridge_keeps_the_fine_tick():
+    """A datagram leaves at the wall time of its pass, so over real
+    sockets the tick is latency on every hop: 1/128 round."""
+    rounds, config, stats, arms, others, _, _ = _tripwire_run(
+        AioUdpBridge(UdpTransport(base_port=28800, ports_per_node=16))
+    )
+    assert stats["tick_ms"] == config.round_duration_ms / 128
+    assert 0 < stats["wakes"] <= 128 * rounds + 8
+    assert others <= {"_set_result_unless_cancelled"}
+
+
+# -- (g) the chaos plan on the asyncio stack --------------------------------
+
+CHAOS = "crash@5:0.1;partition@8-15:0.4;gilbert:0.01,0.3,0.05,0.25"
+
+
+def test_chaos_plan_on_the_aio_stack():
+    """The plan every other stack runs, at n = 30 on virtual time:
+    partition drops stamped inside the plan's windows, residual
+    reliability over reachable receivers, and a reconciled trace."""
+    config = AioClusterConfig(
+        n=30, round_duration_ms=100.0, loss=0.01, faults=CHAOS,
+    )
+    sink = MemorySink()
+    tracer = Tracer(sink)
+
+    async def main(loop):
+        cluster = AioCluster(config, seed=2024, tracer=tracer)
+        await cluster.start()
+        for i in range(20):
+            last = cluster.multicast(0, b"chaos-%d" % i)
+            await asyncio.sleep(0.1)
+        await cluster.await_delivery(last, fraction=0.5, timeout_s=5.0)
+        await asyncio.sleep(2.5)
+        await cluster.stop()
+        return cluster
+
+    cluster = run_fake(main)
+    result = cluster.result(10.0, 20)
+    round_ms = config.round_duration_ms
+    crashed = set(range(27, 30))  # crash@5:0.1 takes the top three ids
+    assert result.reachable_receivers == list(range(1, 27))
+    crashes = [e for e in sink.events if e["ev"] == "crash"]
+    assert [(e["nodes"], e["t"]) for e in crashes] == [
+        (sorted(crashed), pytest.approx(4 * round_ms))
+    ]
+    cuts = [
+        e for e in sink.events
+        if e["ev"] == "dropped" and e["reason"] == "partition"
+    ]
+    in_window = [e for e in cuts if 7 * round_ms <= e["t"] < 14 * round_ms]
+    assert any(e["node"] not in crashed for e in in_window)
+    for event in cuts:
+        # Outside the partition only the crashed machines are cut off.
+        assert event["t"] >= 4 * round_ms
+        assert event in in_window or event["node"] in crashed
+    assert result.residual_reliability() >= 0.95
+    assert tracer.counters.reconcile_measurement(result) == []
+    assert not cluster.node_errors

@@ -1,5 +1,6 @@
 """The gossip service control plane (`repro.aio.service`)."""
 
+import asyncio
 import json
 import socket
 import threading
@@ -229,8 +230,10 @@ class TestGossipService:
         )
         assert sent["delivered"] is True
         clock = rpc(service, {"op": "status"})["clock"]
-        assert sorted(clock) == ["events", "late_ms_max", "tick_ms", "wakes"]
-        assert clock["tick_ms"] == 0.5  # 1/128 round
+        assert sorted(clock) == [
+            "events", "late_ms_max", "refused", "tick_ms", "wakes",
+        ]
+        assert clock["tick_ms"] == 4.0  # 1/16 round on loopback
         assert clock["events"] > clock["wakes"] > 0
         assert clock["late_ms_max"] >= 0.0
         rpc(service, {"op": "stop"})
@@ -283,6 +286,47 @@ class TestGossipService:
         assert "# TYPE repro_events_total counter" in exposition
         assert 'repro_events_total{type="delivered"}' in exposition
         rpc(service, {"op": "stop"})
+
+    def test_a_scrape_carries_the_self_health_status_reports(self, service):
+        rpc(
+            service,
+            {
+                "op": "start", "n": 8, "round_duration_ms": 60.0,
+                "loss": 0.0, "seed": 27,
+            },
+        )
+        rpc(service, {"op": "inject", "faults": "delay:15~5"})
+        rpc(
+            service,
+            {
+                "op": "multicast", "payload": "m",
+                "await_fraction": 1.0, "timeout_s": 15.0,
+            },
+        )
+
+        async def both():
+            # One loop turn, so the clock cannot move between the two.
+            status = service._op_status()
+            return status, (await service._dispatch("metrics", {}))
+
+        status, reply = asyncio.run_coroutine_threadsafe(
+            both(), service._loop
+        ).result(timeout=15)
+        rpc(service, {"op": "stop"})
+        gauges = {}
+        for line in reply["exposition"].splitlines():
+            if line.startswith("repro_aio_"):
+                name, value = line.split()
+                gauges[name] = float(value)
+        expected = {
+            f"repro_aio_{block}_{key}": float(value)
+            for block in ("clock", "shaper")
+            for key, value in status[block].items()
+        }
+        assert gauges == expected
+        assert "# TYPE repro_aio_clock_wakes gauge" in reply["exposition"]
+        assert gauges["repro_aio_clock_wakes"] > 0
+        assert gauges["repro_aio_shaper_delayed"] > 0
 
     def test_stream_replays_history_and_reports_drops(self, service):
         rpc(

@@ -32,6 +32,17 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().out)
         assert "mean rounds to 99%" in payload
 
+    def test_fault_injected_json(self, capsys):
+        code = main([
+            "simulate", "--n", "60", "--runs", "10", "--seed", "1",
+            "--faults",
+            "crash@5:0.1;partition@8-15:0.4;gilbert:0.01,0.3,0.05,0.25",
+            "--json",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["mean residual reliability"] >= 0.99
+
     def test_half_specified_attack_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--alpha", "0.1", "--runs", "5"])

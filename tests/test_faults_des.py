@@ -53,7 +53,7 @@ class TestChaosExperiment:
         # The crashed receivers drag the raw ratio down; the residual
         # metric only audits processes that could have been reached.
         assert result.residual_reliability() >= result.delivery_ratio()
-        assert result.residual_reliability() > 0.9
+        assert result.residual_reliability() >= 0.95  # the DES chaos floor
 
     def test_fault_keys_only_in_faulted_json(self):
         chaos = run_throughput_experiment(chaos_config(), seed=7)
