@@ -23,8 +23,8 @@ rounds while the unbalanced protocols stay starved by the DoS flood
 after the network itself has recovered.
 
 The same plan string also drives the discrete-event cluster
-(``ClusterConfig(faults=...)``), the live threaded runtime
-(``LiveClusterConfig(faults=...)``), and the CLI (``--faults``).
+(``ClusterConfig(faults=...)``), the asyncio runtime
+(``AioClusterConfig(faults=...)``), and the CLI (``--faults``).
 
 Run:  python examples/chaos_scenario.py
 """
@@ -81,7 +81,7 @@ def main() -> None:
         "heals; Push and Pull need several times longer because the flood\n"
         "keeps starving their single unprotected channel.  The same plan\n"
         "string drives all three stacks (simulate --faults,\n"
-        "ClusterConfig(faults=...), LiveClusterConfig(faults=...))."
+        "ClusterConfig(faults=...), AioClusterConfig(faults=...))."
     )
 
 

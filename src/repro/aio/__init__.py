@@ -2,16 +2,15 @@
 
 One :mod:`asyncio` event loop hosts thousands of
 :class:`~repro.des.node.GossipNode` instances — the same protocol class
-the discrete-event and threaded stacks run — as cooperatively scheduled
-tasks over an in-process datagram loopback
+the discrete-event stack runs — as cooperatively scheduled tasks over an
+in-process datagram loopback
 (:class:`~repro.aio.transport.AioLoopbackTransport`) or real UDP sockets
 (:class:`~repro.aio.transport.AioUdpBridge` over
 :class:`~repro.net.transport.UdpTransport`).
 
-Where the threaded runtime spends one OS thread per node (and tops out
-around a few hundred nodes), the asyncio runtime spends one heap entry
-per node round, so group sizes in the thousands fit in a single process.
-Wall-clock contention shows up as slow motion — every timer and link
+It is the repository's one wall-clock stack.  It spends one heap entry
+per node round rather than an OS thread per node, so group sizes in the
+thousands fit in a single process.  Wall-clock contention shows up as slow motion — every timer and link
 delay on the one :class:`~repro.aio.env.LoopClock` stretches together,
 and purging counts *local* rounds — so reliability survives load.
 

@@ -1,19 +1,22 @@
 """The asyncio cluster: thousands of protocol nodes on one event loop.
 
-:class:`AioCluster` mirrors :class:`~repro.runtime.cluster.LiveCluster`
-— same node class, same fault layer, same delivery log and
-:class:`~repro.des.measurement.MeasurementResult` packaging — but every
-node runs as timers on a single :mod:`asyncio` loop instead of owning
-OS threads.  The per-node cost drops from a thread stack to a timer
-handle, so group sizes in the thousands fit one process.
+:class:`AioCluster` runs the discrete-event stack's
+:class:`~repro.des.node.GossipNode` and
+:class:`~repro.des.attacker.AttackerProcess` in wall-clock time, with
+the same delivery log and
+:class:`~repro.des.measurement.MeasurementResult` packaging as
+:mod:`repro.des.cluster`.  Every node runs as timers on a single
+:mod:`asyncio` loop — a heap entry per node, not a thread — so group
+sizes in the thousands fit one process, over in-process loopback or
+real UDP.
 
 Wall-clock fidelity: all timers, datagrams and stamps share one
 :class:`~repro.aio.env.LoopClock`, which every entry from outside
 first catches up to the wall, so a saturated loop runs the whole
 protocol in slow motion, and purging counts local rounds, so
 reliability survives; latency in milliseconds stretches with the load.
-This is the same weakened determinism contract as the threaded runtime
-— the fault/attack *plan* is seed-exact, packet interleaving is not.
+The determinism contract is the wall-clock one — the fault/attack
+*plan* is seed-exact, packet interleaving is not.
 
 Runtime injection (for :class:`~repro.aio.service.GossipService`):
 :meth:`AioCluster.inject_faults` wraps the cluster's transport in a
@@ -55,8 +58,7 @@ class AioClusterConfig:
 
     Field-compatible with :class:`~repro.des.cluster.ClusterConfig`'s
     shared surface so :meth:`repro.api.Experiment.aio_config` is a
-    straight translation; defaults favour sub-second demo rounds like
-    the threaded runtime.
+    straight translation; defaults favour sub-second demo rounds.
     """
 
     protocol: Union[ProtocolKind, str] = ProtocolKind.DRUM
@@ -81,7 +83,7 @@ class AioClusterConfig:
     transport: str = "loopback"
     #: Injected faults, same plans and global fault clock as every other
     #: stack.  Churn tokens are refused — this runtime keeps a fixed
-    #: membership, like the threaded one.
+    #: membership.
     faults: Optional[Union[FaultPlan, str]] = None
 
     def __post_init__(self) -> None:
@@ -176,9 +178,10 @@ class AioClusterConfig:
 
 
 def _arm_flips(clock, schedule, nodes, round_ms: float, tracer) -> None:
-    """:class:`~repro.faults.live.LiveFaultDriver`'s flips, on the clock:
-    they execute on the loop, in one due order with the packets they cut
-    off, until the clock's ``close()`` drops the ones still pending."""
+    """A plan's crash / recover windows (:func:`~repro.faults.live.crash_flips`)
+    as clock events: they execute on the loop, in one due order with the
+    packets they cut off, until the clock's ``close()`` drops the ones
+    still pending."""
     origin = clock.now
 
     def flip(action: str, ids: frozenset) -> None:

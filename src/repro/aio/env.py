@@ -4,8 +4,7 @@
 discrete-event heap, pumped from an :mod:`asyncio` loop — and
 :class:`AsyncEnvironment` gives one :class:`~repro.des.node.GossipNode`
 (or :class:`~repro.des.attacker.AttackerProcess`) time, timers and a
-datagram service on it.  All callbacks execute on the loop, so — unlike
-the threaded :class:`~repro.runtime.env.RealTimeEnvironment` — no lock
+datagram service on it.  All callbacks execute on the loop, so no lock
 is needed to serialise protocol logic: cooperative scheduling *is* the
 lock.  Time is milliseconds since the clock's creation, matching the
 contract of :class:`~repro.des.environment.Environment`.

@@ -11,9 +11,8 @@ registered execution stack with ``.run(engine=...)``:
 - ``"mega"`` — the packed-bitset engine for mega-scale groups;
 - ``"des"`` — the discrete-event measurement platform (throughput /
   latency streams, Section 8 methodology);
-- ``"live"`` — the threaded wall-clock runtime;
-- ``"aio"`` — the asyncio service runtime (thousands of nodes per
-  process; see :mod:`repro.aio`).
+- ``"aio"`` — the asyncio wall-clock service runtime over loopback or
+  real UDP (thousands of nodes per process; see :mod:`repro.aio`).
 
 Engines dispatch through the declared registry in
 :mod:`repro.api.engines`; each registers an
@@ -30,21 +29,11 @@ stack emits the same typed event taxonomy (see :mod:`repro.obs`).
 unified ``to_dict()`` envelope (``RunResult``, ``MonteCarloResult``,
 ``MeasurementResult``) back into the right class.
 
-.. deprecated::
-   Importing :class:`ClusterConfig` / :class:`LiveClusterConfig` from
-   ``repro.api`` for direct construction is deprecated — those are the
-   per-stack native configs, and running experiments through them
-   bypasses the engine registry's capability checks.  Build experiments
-   with :class:`Experiment` (it constructs the native configs for you
-   via ``.cluster_config()`` / ``.live_config()`` / ``.aio_config()``),
-   or import the classes from their home modules
-   (:mod:`repro.des.cluster`, :mod:`repro.runtime.cluster`) if you
-   really need the stack-level API.  The re-exports here emit
-   :class:`DeprecationWarning` and will be dropped in a future major
-   version.
+The per-stack native configs are built for you
+(``.scenario()`` / ``.cluster_config()`` / ``.aio_config()``); import
+them from their home modules (:mod:`repro.des.cluster`,
+:mod:`repro.aio.cluster`) if you really need the stack-level API.
 """
-
-import warnings
 
 from repro.api import engines
 from repro.api.engines import (
@@ -62,41 +51,11 @@ from repro.des.measurement import MeasurementResult
 from repro.sim.results import MonteCarloResult, RunResult
 from repro.sim.scenario import Scenario
 
-#: Legacy per-stack config re-exports served lazily (PEP 562) so the
-#: deprecation warning fires at *import-from-api* time, not for users
-#: importing them from their home modules.
-_LEGACY = {
-    "ClusterConfig": ("repro.des.cluster", "engine=\"des\""),
-    "LiveClusterConfig": ("repro.runtime.cluster", "engine=\"live\""),
-}
-
-
-def __getattr__(name: str):
-    legacy = _LEGACY.get(name)
-    if legacy is not None:
-        module_name, engine = legacy
-        warnings.warn(
-            f"importing {name} from repro.api for direct construction is "
-            f"deprecated: build experiments with repro.api.Experiment "
-            f"(.run({engine})) so they dispatch through the engine "
-            f"registry, or import {name} from {module_name} for the "
-            f"stack-level API",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "ClusterConfig",
     "EngineCapabilities",
     "EngineCapabilityError",
     "EngineSpec",
     "Experiment",
-    "LiveClusterConfig",
     "MeasurementResult",
     "MonteCarloResult",
     "RunResult",

@@ -10,7 +10,7 @@ anywhere in :mod:`repro.api`.
 
 The registry is also the single source of "engine X can't do Y" error
 messages: :func:`churn_refusal` and :func:`group_size_refusal` build
-uniform refusals that name the engines that *can*, so the live stack's
+uniform refusals that name the engines that *can*, so the aio stack's
 churn error and the fast engine's dense-layout error read the same and
 stay correct as new engines register.
 
@@ -294,16 +294,6 @@ def _ensure_builtin() -> None:
                 churn=True, determinism="bit", continuous=True
             ),
             summary="discrete-event measurement platform (Section 8)",
-        )
-    )
-    register(
-        EngineSpec(
-            name="live",
-            runner="repro.api.experiment:run_live_engine",
-            capabilities=EngineCapabilities(
-                determinism="wallclock", continuous=True, max_n=512
-            ),
-            summary="threaded wall-clock runtime (one thread per node)",
         )
     )
     # The asyncio service runtime registers itself on import.

@@ -7,7 +7,7 @@ stream rate, round duration).  ``.run(engine=...)`` translates the
 description into the stack's native config — a
 :class:`~repro.sim.scenario.Scenario`,
 :class:`~repro.des.cluster.ClusterConfig`, or
-:class:`~repro.runtime.cluster.LiveClusterConfig` — and executes it.
+:class:`~repro.aio.cluster.AioClusterConfig` — and executes it.
 
 The translation is the point: the paper compares the same attack on the
 analytical model, the simulations, and the measured cluster, and the
@@ -24,17 +24,6 @@ from repro.adversary.attacks import AttackSpec
 from repro.faults.plan import FaultPlan
 
 
-def __getattr__(name: str):
-    # Kept for compatibility: the engine list now lives in the registry
-    # (``repro.api.engines.engines()``), where stacks register
-    # themselves; a static tuple here would go stale.
-    if name == "ENGINES":
-        from repro.api.engines import engines
-
-        return engines()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class Experiment:
     """One declarative experiment, runnable on any execution stack.
@@ -42,7 +31,7 @@ class Experiment:
     Fields in the first block describe the experiment itself and feed
     every engine.  The second block holds per-stack execution knobs:
     ``runs`` (fast/exact aggregation), ``round_duration_ms`` /
-    ``send_rate`` / ``messages`` (des/live streams).  Unused knobs are
+    ``send_rate`` / ``messages`` (des/aio streams).  Unused knobs are
     simply ignored by the other engines, so one ``Experiment`` value
     really does run everywhere.
     """
@@ -114,22 +103,6 @@ class Experiment:
             faults=self.faults,
         )
 
-    def live_config(self):
-        """The live :class:`~repro.runtime.cluster.LiveClusterConfig`."""
-        from repro.runtime.cluster import LiveClusterConfig
-
-        return LiveClusterConfig(
-            protocol=self.protocol,
-            n=self.n,
-            malicious_fraction=self.malicious_fraction,
-            attack=self.attack,
-            fan_out=self.fan_out,
-            loss=self.loss,
-            round_duration_ms=self.round_duration_ms,
-            round_jitter=self.round_jitter,
-            faults=self.faults,
-        )
-
     def aio_config(self):
         """The asyncio :class:`~repro.aio.cluster.AioClusterConfig`."""
         from repro.aio.cluster import AioClusterConfig
@@ -171,14 +144,11 @@ class Experiment:
           group sizes the dense engines cannot hold (n up to 10⁶);
         - ``"des"``: a :class:`~repro.des.measurement.MeasurementResult`
           from one streamed throughput experiment;
-        - ``"live"``: a :class:`~repro.des.measurement.MeasurementResult`
-          from a real threaded cluster streaming :attr:`messages`
-          messages at :attr:`send_rate` (wall-clock: takes
-          ``messages / send_rate`` seconds plus drain time);
         - ``"aio"``: a :class:`~repro.des.measurement.MeasurementResult`
-          from the asyncio service runtime (:mod:`repro.aio`) — the
-          same streamed wall-clock experiment as ``"live"``, but
-          thousands of nodes per process on one event loop.
+          from the asyncio service runtime (:mod:`repro.aio`) streaming
+          :attr:`messages` messages at :attr:`send_rate` through a real
+          cluster on one event loop (wall-clock: takes
+          ``messages / send_rate`` seconds plus drain time).
 
         ``workers`` fans Monte-Carlo shards over the process-wide
         persistent pool (:mod:`repro.sim.executor`) — spawned on first
@@ -186,13 +156,13 @@ class Experiment:
         values, only wall-clock.  ``tracer`` (a
         :class:`repro.obs.Tracer`) attaches the unified observability
         layer on every engine; pass ``Tracer(..., thread_safe=True)``
-        for ``"live"`` and ``"aio"``.  Every result class exposes the
+        for ``"aio"``.  Every result class exposes the
         same versioned ``to_dict()`` envelope.
 
         Dispatch goes through the declared engine registry
         (:mod:`repro.api.engines`): the spec's capability declaration is
         checked first, so asking a stack for something it can't do
-        (churn on ``"live"``, a mega-scale group on ``"fast"``) raises
+        (churn on ``"aio"``, a mega-scale group on ``"fast"``) raises
         one uniform :class:`~repro.api.engines.EngineCapabilityError`
         naming the engines that *can*.
         """
@@ -252,32 +222,3 @@ def run_des_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):
 
         return run_churn_experiment(config, seed=seed, tracer=tracer)
     return run_throughput_experiment(config, seed=seed, tracer=tracer)
-
-
-def run_live_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):
-    """Stream ``exp.messages`` through a threaded cluster."""
-    import time
-
-    from repro.runtime.cluster import LiveCluster
-
-    cluster = LiveCluster(exp.live_config(), seed=seed, tracer=tracer)
-    interval_s = 1.0 / exp.send_rate
-    cluster.start()
-    try:
-        last_id = None
-        for i in range(exp.messages):
-            last_id = cluster.multicast(0, f"msg-{i}".encode())
-            if i + 1 < exp.messages:
-                time.sleep(interval_s)
-        # Wait for the stream's tail to spread before tearing down;
-        # a few round durations is the live analogue of the DES
-        # drain window.
-        if last_id is not None:
-            cluster.await_delivery(
-                last_id,
-                fraction=0.5,
-                timeout_s=max(2.0, 10 * exp.round_duration_ms / 1000.0),
-            )
-    finally:
-        cluster.stop()
-    return cluster.result(exp.send_rate, exp.messages)

@@ -7,8 +7,8 @@ a deterministic discrete-event engine with virtual milliseconds: the
 digests, unsynchronised jittered rounds, sealed random ports, per-round
 resource quotas, buffer purging, per-partner send limits — with
 multi-message streams, real attackers, and throughput/latency
-measurement.  The same node logic also runs under real threads over
-in-memory or UDP transports (:mod:`repro.runtime`).
+measurement.  The same node logic also runs in wall-clock time over
+loopback or UDP transports (:mod:`repro.aio`).
 
 Key entry points:
 

@@ -100,8 +100,7 @@ class AttackerProcess:
     def _burst(self) -> None:
         if not self.running:
             return
-        # The spoofed source claims a node id *outside* the group (the
-        # same convention as the live runtime's attacker): the flood
+        # The spoofed source claims a node id *outside* the group: the flood
         # must stay distinguishable from member traffic for fault
         # injection, where a partition cuts member links but never
         # shields victims from an external DoS stream.

@@ -3,8 +3,8 @@
 :class:`~repro.des.node.GossipNode` is written against this small
 interface — a clock, a timer facility, and a datagram service — so the
 identical node logic runs on the deterministic discrete-event engine
-(:class:`SimEnvironment`) and under real threads and sockets
-(:class:`repro.runtime.env.RealTimeEnvironment`).
+(:class:`SimEnvironment`) and in wall-clock time over loopback or UDP
+sockets (:class:`repro.aio.env.AsyncEnvironment`).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ it — not the simplified round-simulation model:
 
 The node is written against :class:`~repro.des.environment.Environment`,
 so the same class runs deterministically on the discrete-event engine
-and under real threads in :mod:`repro.runtime`.
+and in wall-clock time on the asyncio runtime (:mod:`repro.aio`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ delay/jitter, reordering, duplication) plus scheduled events (crash /
 recover, partition / heal, sender stall) and membership churn (join /
 leave / expel, resolved through the Section 10 dynamic-membership
 machinery) — is consumed uniformly by the execution stacks: the
-round-based engines, the discrete-event cluster, and the live threaded
+round-based engines, the discrete-event cluster, and the asyncio
 runtime.  See :mod:`repro.faults.plan` for the model and the
 determinism contract.
 """

@@ -17,7 +17,7 @@ round engines.
   the node's buffer survives, as for a paused OS process);
 - the environment's ``block_fn`` enforces partitions, stalls, and the
   crash windows' packet drops (belt and braces over the unbound ports,
-  and the only mechanism the *live* runtime's transport wrapper shares);
+  and the only mechanism the aio runtime's transport wrapper shares);
 - Gilbert–Elliott link loss and delay/jitter/reorder/duplicate shaping
   are installed on the environment as post-construction hooks, so the
   cluster's historical seed positions never move.

@@ -11,11 +11,12 @@ in contrast to the paper's i.i.d. :class:`~repro.net.link.LossModel`.
 ``reseed()`` surface and a ``loss_probability`` attribute (the
 stationary mean, so code that *reports* the loss rate keeps working).
 The exact round engine swaps it in via ``Network.use_loss_model`` and
-the DES/live environments via their ``loss_model`` hook; the vectorised
+the DES environment via its ``loss_model`` hook, the aio shaper
+(:mod:`repro.faults.live`) directly; the vectorised
 engine keeps its own per-run chain (see ``sim/fast.py``).
 
-Chain stepping mutates state, and the live runtime samples from many
-sender threads, so all sampling runs under a small internal lock.  The
+Chain stepping mutates state, and the aio runtime accepts sends from
+off-loop threads, so all sampling runs under a small internal lock.  The
 lock only exists on fault-injected runs — the golden no-fault hot path
 never touches this class.
 """

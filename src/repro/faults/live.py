@@ -1,26 +1,23 @@
-"""Fault injection for the live runtimes (threaded and asyncio).
+"""Fault injection for the wall-clock runtime (:mod:`repro.aio`).
 
-A plan is applied with two small pieces, neither of which knows which
-runtime it is serving:
+A plan is applied with two small pieces:
 
-- :class:`FaultyTransport` wraps any :class:`~repro.net.transport.Transport`
-  and applies the plan's *link* conditions (Gilbert–Elliott loss, delay
-  and jitter, reordering, duplication) plus the packet-level effects of
-  scheduled events (partition cuts, stall muting, traffic touching a
-  crashed machine).  A delayed packet waits on the wrapped transport's
-  own clock (:meth:`~repro.net.transport.Transport.call_later`): a
-  timer thread under the threaded transports, an event on the cluster's
-  one clock under :mod:`repro.aio` — where the shaper therefore starts
-  no thread and the delayed delivery runs on the loop.  The fault
-  round (and drop stamps) read the same transport's ``time()``:
-  round ``r`` spans ``[(r-1)·round_duration_ms, r·round_duration_ms)``
-  measured from :meth:`FaultyTransport.start_clock` — the same global
-  fault clock the discrete-event stack uses.
-- :class:`LiveFaultDriver` runs crash / recover windows from a small
-  timer thread, calling ``node.stop()`` / ``node.start()`` at the round
-  boundaries.  It takes the *nodes* mapping rather than the cluster
-  object, so this module never imports the runtime package.  (The
-  asyncio cluster has its own driver, on its clock, for the same schedule.)
+- :class:`FaultyTransport` wraps a clock-bearing
+  :class:`~repro.net.transport.Transport` and applies the plan's *link*
+  conditions (Gilbert–Elliott loss, delay and jitter, reordering,
+  duplication) plus the packet-level effects of scheduled events
+  (partition cuts, stall muting, traffic touching a crashed machine).
+  A delayed packet waits on the wrapped transport's own clock
+  (:meth:`~repro.net.transport.Transport.call_later`) — an event on
+  the cluster's one clock, so the shaper starts no thread and the
+  delayed delivery runs on the loop.  The fault round (and drop
+  stamps) read the same transport's ``time()``: round ``r`` spans
+  ``[(r-1)·round_duration_ms, r·round_duration_ms)`` measured from
+  :meth:`FaultyTransport.start_clock` — the same global fault clock
+  the discrete-event stack uses.
+- :func:`crash_flips` lists the crash / recover windows as round
+  boundaries in milliseconds; the asyncio cluster puts them on its
+  clock as ``node.stop()`` / ``node.start()`` events.
 
 Both are deterministic given a seed only up to scheduling — live
 runs are wall-clock programs, so the contract here is weaker than the
@@ -32,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.gilbert import GilbertElliottModel
@@ -69,7 +65,7 @@ class FaultyTransport(Transport):
         self.plan = plan
         # Observability: dropped events (partition cuts, bursty loss)
         # stamped with ``t`` = ms since the fault clock's origin.
-        # Share a thread-safe tracer — sends arrive from node threads.
+        # Share a thread-safe tracer — off-loop producers send too.
         self.tracer = tracer
         self.round_duration_ms = float(round_duration_ms)
         self.schedule = (
@@ -245,85 +241,3 @@ def crash_flips(
         if stop is not None:
             events.append(((stop - 1) * round_ms, "recover", ids))
     return sorted(events, key=lambda e: (e[0], e[1]))
-
-
-class LiveFaultDriver:
-    """Runs a plan's crash / recover windows against live nodes.
-
-    ``nodes`` maps pid → :class:`~repro.des.node.GossipNode` (or anything
-    with ``running`` / ``start()`` / ``stop()``).  ``lock`` should be the
-    cluster's callback lock so lifecycle flips serialise with protocol
-    callbacks; ``on_error`` receives ``(pid, exception)`` for failures
-    inside a flip instead of letting them kill the driver thread.
-    """
-
-    def __init__(
-        self,
-        schedule: FaultSchedule,
-        nodes: Dict[int, object],
-        *,
-        round_duration_ms: float,
-        lock: Optional[threading.RLock] = None,
-        on_error: Optional[Callable[[int, BaseException], None]] = None,
-        tracer=None,
-    ):
-        if round_duration_ms <= 0:
-            raise ValueError(
-                f"round_duration_ms must be > 0, got {round_duration_ms}"
-            )
-        self.schedule = schedule
-        self.nodes = nodes
-        # Observability: crash/heal events as the flips actually land,
-        # stamped with ``t`` = wall ms since the driver's start.
-        self.tracer = tracer
-        self.round_duration_ms = float(round_duration_ms)
-        self._lock = lock if lock is not None else threading.RLock()
-        self._on_error = on_error
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.events = crash_flips(schedule, self.round_duration_ms)
-
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError("fault driver already started")
-        self._stop.clear()
-        origin = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._run, args=(origin,), daemon=True
-        )
-        self._thread.start()
-
-    def _run(self, origin: float) -> None:
-        for at_ms, action, ids in self.events:
-            wait_s = origin + at_ms / 1000.0 - time.monotonic()
-            if self._stop.wait(max(0.0, wait_s)):
-                return
-            flipped = []
-            for pid in sorted(ids):
-                node = self.nodes.get(pid)
-                if node is None:
-                    continue
-                try:
-                    with self._lock:
-                        if action == "crash" and node.running:
-                            node.stop()
-                            flipped.append(pid)
-                        elif action == "recover" and not node.running:
-                            node.start()
-                            flipped.append(pid)
-                except Exception as exc:  # pragma: no cover - defensive
-                    if self._on_error is not None:
-                        self._on_error(pid, exc)
-            if self.tracer is not None and flipped:
-                t = (time.monotonic() - origin) * 1000.0
-                if action == "crash":
-                    self.tracer.crash(flipped, t=t)
-                else:
-                    self.tracer.heal(flipped, t=t)
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=2.0)
-            self._thread = None

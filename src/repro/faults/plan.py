@@ -5,9 +5,9 @@ beyond the paper's baseline model (i.i.d. constant link loss and a DoS
 flood): degraded links and scheduled whole-group events.  One plan is
 consumed uniformly by all three execution stacks — the round-based
 engines (:mod:`repro.sim.engine`, :mod:`repro.sim.fast`), the
-discrete-event cluster (:mod:`repro.des.cluster`), and the live threaded
-runtime (:mod:`repro.runtime.cluster`) — so a chaos scenario written
-once runs everywhere.
+discrete-event cluster (:mod:`repro.des.cluster`), and the asyncio
+runtime (:mod:`repro.aio.cluster`) — so a chaos scenario written once
+runs everywhere.
 
 Two ingredient kinds:
 
@@ -17,7 +17,7 @@ Two ingredient kinds:
   reordering, and duplication.  When the loss parameters are set they
   *replace* the scenario's i.i.d. loss on every link.  Delay, jitter,
   reordering, and duplication only have meaning where packets have
-  individual timing, i.e. the event-driven stacks (DES and live); the
+  individual timing, i.e. the event-driven stacks (DES and aio); the
   synchronous round engines apply the loss chain only.
 - scheduled events — :class:`CrashNodes`, :class:`Partition`, and
   :class:`SenderStall`, all expressed in *round numbers* so the same

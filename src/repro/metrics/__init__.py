@@ -4,7 +4,7 @@ The paper's central methodological contribution is *metrics for
 DoS-resistance*: how much does an attack of a given strength and extent
 degrade latency and throughput?  This package computes those metrics
 from simulation trajectories (:mod:`repro.sim`) and measurement records
-(:mod:`repro.des` / :mod:`repro.runtime`):
+(:mod:`repro.des` / :mod:`repro.aio`):
 
 - :mod:`repro.metrics.latency` — propagation times, per-process delivery
   latency summaries and their CDFs (Figures 3, 7–9, 11);

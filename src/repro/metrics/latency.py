@@ -1,6 +1,6 @@
 """Delivery-latency metrics for measurement experiments.
 
-The DES / runtime clusters record, per delivered message, the interval
+The DES / aio clusters record, per delivered message, the interval
 between its creation at the source and its delivery at each receiver.
 Figure 11 plots, per process, the *average* latency of the messages it
 received; this module summarises those records.

@@ -12,8 +12,9 @@ Provides the building blocks the protocols run on:
   end, exactly as Drum prescribes.
 - :class:`~repro.net.network.Network` — the fabric tying nodes, ports,
   loss, and channels together for the round-based simulator.
-- :class:`~repro.net.transport.Transport` and implementations — the async
-  datagram abstraction used by the discrete-event and threaded runtimes.
+- :class:`~repro.net.transport.Transport` and
+  :class:`~repro.net.transport.UdpTransport` — the datagram abstraction
+  the asyncio runtime (:mod:`repro.aio`) sends through, and real UDP.
 """
 
 from repro.net.address import (
@@ -28,12 +29,11 @@ from repro.net.channel import BoundedChannel
 from repro.net.link import LossModel
 from repro.net.network import Network
 from repro.net.packet import Packet
-from repro.net.transport import InMemoryTransport, Transport, UdpTransport
+from repro.net.transport import Transport, UdpTransport
 
 __all__ = [
     "Address",
     "BoundedChannel",
-    "InMemoryTransport",
     "LossModel",
     "Network",
     "PORT_PULL_REPLY",

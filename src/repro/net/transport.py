@@ -1,25 +1,21 @@
-"""Datagram transports for the threaded runtime.
+"""Datagram transports for the wall-clock runtime.
 
 The round-based simulator talks to :class:`~repro.net.network.Network`
-directly; the *runtime* (Section 8-style measurements) instead sends real
-datagrams between concurrently running nodes.  Two interchangeable
-transports are provided:
+directly; the Section 8-style measurements (:mod:`repro.aio`) instead
+send real datagrams between concurrently running nodes.
+:class:`Transport` is the interface; :class:`UdpTransport` is real UDP
+sockets on localhost, demonstrating that the node logic runs over an
+actual network stack.  It applies an optional
+:class:`~repro.net.link.LossModel` on send and delivers to per-port
+handler callbacks registered by receivers.
 
-- :class:`InMemoryTransport` — thread-safe loopback delivery between
-  in-process nodes.  Deterministic-ish, fast, no OS resources; the
-  default for tests and examples.
-- :class:`UdpTransport` — real UDP sockets on localhost, demonstrating
-  that the node logic runs over an actual network stack.
-
-Both apply an optional :class:`~repro.net.link.LossModel` on send and
-deliver to per-port handler callbacks registered by receivers.
-
-Every transport also owns a clock — :meth:`Transport.call_later` ("run
-this after a delay, in the context my deliveries run in") and
-:meth:`Transport.time`.  The link shaper holds delayed packets and
-counts fault rounds on it, so each stack pays for delay in its own
-currency — a timer thread here, an event on the cluster's clock on
-:mod:`repro.aio.transport`.
+A transport that can hold a packet back also owns a clock —
+:meth:`Transport.call_later` ("run this after a delay, in the context
+my deliveries run in") and :meth:`Transport.time` — which the link
+shaper delays packets and counts fault rounds on.  The clocks live in
+:mod:`repro.aio.transport`, as events on the cluster's one clock;
+:class:`~repro.aio.transport.AioUdpBridge` lends one to a
+:class:`UdpTransport`.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import socket
 import threading
 import time
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.net.address import Address
 from repro.net.link import LossModel
@@ -66,55 +62,16 @@ class Transport(ABC):
 
         Returns a handle with ``cancel()``, or ``None`` when the
         transport is down: ``fn`` will never run and the transport has
-        counted the drop, as its ``send`` would.  The default is one
-        daemon timer thread per call, which suits the threaded runtime
-        (handlers run on whatever thread delivers); a transport with an
-        event loop overrides it.
+        counted the drop, as its ``send`` would.  Only a transport with
+        a clock can (:mod:`repro.aio.transport`).
         """
-        timer = threading.Timer(delay_s, fn)
-        timer.daemon = True
-        timer.start()
-        return timer
+        raise NotImplementedError(
+            f"{type(self).__name__} has no clock to delay on; wrap it in "
+            f"repro.aio.transport.AioUdpBridge"
+        )
 
     def close(self) -> None:
         """Release any resources held by the transport."""
-
-
-class InMemoryTransport(Transport):
-    """Loopback transport delivering synchronously under a lock.
-
-    Handlers run on the sender's thread, which mirrors UDP's behaviour of
-    the receiver thread being woken immediately and keeps the runtime
-    free of extra delivery threads.
-    """
-
-    def __init__(self, loss: Optional[LossModel] = None):
-        super().__init__(loss)
-        self._handlers: Dict[Address, Handler] = {}
-        self._lock = threading.Lock()
-        self.delivered = 0
-        self.dropped = 0
-
-    def bind(self, addr: Address, handler: Handler) -> None:
-        with self._lock:
-            self._handlers[addr] = handler
-
-    def unbind(self, addr: Address) -> None:
-        with self._lock:
-            self._handlers.pop(addr, None)
-
-    def send(self, src: Address, dst: Address, payload: object) -> None:
-        if self.loss is not None and not self.loss.delivered():
-            with self._lock:
-                self.dropped += 1
-            return
-        with self._lock:
-            handler = self._handlers.get(dst)
-            if handler is None:
-                self.dropped += 1
-                return
-            self.delivered += 1
-        handler(src, payload)
 
 
 class UdpTransport(Transport):
@@ -124,7 +81,8 @@ class UdpTransport(Transport):
     ``base_port + node * ports_per_node + port_slot``, where random ports
     occupy slots above the well-known region.  One receiver thread per
     bound address keeps the implementation simple; the runtime binds a
-    handful of ports per node, so thread counts stay modest.
+    handful of ports per node, so thread counts stay modest, and
+    :meth:`close` returns only once every receiver has exited.
     """
 
     def __init__(
@@ -140,7 +98,9 @@ class UdpTransport(Transport):
         self.base_port = base_port
         self.ports_per_node = ports_per_node
         self._sockets: Dict[Address, socket.socket] = {}
-        self._threads: Dict[Address, threading.Thread] = {}
+        #: Receivers not yet joined, unbound ones included: each runs
+        #: until its next receive timeout notices the unbind.
+        self._threads: List[threading.Thread] = []
         self._port_map: Dict[Address, int] = {}
         self._lock = threading.Lock()
         self._send_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -203,13 +163,13 @@ class UdpTransport(Transport):
 
         thread = threading.Thread(target=_receive_loop, daemon=True)
         with self._lock:
-            self._threads[addr] = thread
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
         thread.start()
 
     def unbind(self, addr: Address) -> None:
         with self._lock:
             self._sockets.pop(addr, None)
-            self._threads.pop(addr, None)
             self._port_map.pop(addr, None)
 
     #: Transient kernel errors worth one more try: the datagram never
@@ -251,7 +211,7 @@ class UdpTransport(Transport):
             self._closed = True
             sockets = list(self._sockets.values())
             self._sockets.clear()
-            self._threads.clear()
+            threads, self._threads = self._threads, []
         for sock in sockets:
             try:
                 sock.close()
@@ -259,3 +219,8 @@ class UdpTransport(Transport):
                 pass
         with self._send_lock:
             self._send_sock.close()
+        # Each receiver sees the flag within one receive timeout.
+        current = threading.current_thread()
+        for thread in threads:
+            if thread is not current:
+                thread.join()

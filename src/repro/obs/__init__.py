@@ -1,8 +1,8 @@
 """Structured tracing and metrics (the observability spine).
 
 Every execution stack — the exact object-level engine, the vectorised
-fast engine, the discrete-event measurement platform, and the live
-threaded runtime — accepts an optional :class:`Tracer` and emits the
+fast engine, the discrete-event measurement platform, and the asyncio
+runtime — accepts an optional :class:`Tracer` and emits the
 same typed event stream through it: round/run markers, per-message
 ``gossip_sent`` / ``accepted`` / ``dropped`` / ``delivered`` events, and
 fault transitions (``crash`` / ``heal`` / ``partition``).  Tracing is

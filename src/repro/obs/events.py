@@ -7,7 +7,7 @@ the instant M is created at the source) or ``"t"`` (milliseconds) on the
 continuous-time stacks.  Remaining keys by type:
 
 ``run_start``
-    ``engine`` (``exact`` / ``fast`` / ``des`` / ``live``) plus config
+    ``engine`` (``exact`` / ``fast`` / ``des`` / ``aio``) plus config
     echoes (``protocol``, ``n``, ``runs``...).
 ``round_start``
     Marks the beginning of round ``round``; aggregate engines add

@@ -2,7 +2,7 @@
 
 A :class:`Tracer` is handed to an engine (``RoundSimulator(...,
 tracer=t)``, ``run_fast(..., tracer=t)``, ``_Cluster(..., tracer=t)``,
-``LiveCluster(..., tracer=t)``); the engine calls the typed helpers
+``AioCluster(..., tracer=t)``); the engine calls the typed helpers
 below at its instrumentation points.  Every helper builds one plain
 dict event, folds it into the tracer's always-on
 :class:`~repro.obs.counters.ObsCounters`, and forwards it to each sink.
@@ -18,8 +18,8 @@ continuous-time stacks never start a round, so their events omit
 ``"round"`` and carry an explicit ``"t"`` (milliseconds) instead.
 
 ``thread_safe=True`` serialises emission under a lock — required when
-the live threaded runtime (or any multi-threaded producer) shares one
-tracer across threads.
+a multi-threaded producer (an asyncio service scraped from other
+threads, off-loop senders) shares one tracer across threads.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class Tracer:
     ) -> None:
         """Mark the start of a run; resets the round context to 0.
 
-        Continuous-time producers (DES, live runtime) pass
+        Continuous-time producers (DES, aio) pass
         ``continuous=True`` so no round context is established — their
         events carry an explicit ``t`` timestamp instead.
         """

@@ -131,8 +131,8 @@ def start_method() -> str:
     ``REPRO_WORKERS`` is validated: a loud ``ValueError``, never a
     silent fallback).  Without an override, ``fork`` is chosen where
     available — unless the parent is running non-daemon threads, in
-    which case forking would duplicate held locks mid-flight (the live
-    runtime's node threads, for instance) and the call refuses with a
+    which case forking would duplicate held locks mid-flight (a running
+    service's loop thread, for instance) and the call refuses with a
     pointer at the override.
     """
     methods = multiprocessing.get_all_start_methods()
@@ -157,8 +157,8 @@ def start_method() -> str:
             f"refusing to fork a worker pool while {len(threads)} "
             f"non-daemon thread(s) are running ({names}): a forked child "
             "inherits every lock in whatever state those threads hold it, "
-            "which deadlocks. Stop the threads (e.g. a live runtime "
-            "cluster) before spawning workers, or set "
+            "which deadlocks. Stop the threads (e.g. a running gossip "
+            "service) before spawning workers, or set "
             "REPRO_START_METHOD=spawn (safe) / REPRO_START_METHOD=fork "
             "(assert the threads are fork-safe)."
         )

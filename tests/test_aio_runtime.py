@@ -104,19 +104,19 @@ class TestRunAioExperiment:
     def test_crash_faults_limit_reachable_set(self):
         sink = MemorySink()
         tracer = Tracer(sink, thread_safe=True)
-        result = run_aio_experiment(
-            AioClusterConfig(
-                n=8, faults="crash@1-40:0.25", **QUICK
-            ),
-            seed=5,
-            tracer=tracer,
+        # One window closes a round in; the other outlasts the run.
+        config = AioClusterConfig(
+            n=8, faults="crash@1-2:0.125; crash@1-40:0.25",
+            drain_rounds=2.0, **QUICK,
         )
-        assert result.faults == "crash@1-40:0.25"
+        result = run_aio_experiment(config, seed=5, tracer=tracer)
+        assert result.faults == config.faults.describe()
         assert result.reachable_receivers is not None
         assert len(result.reachable_receivers) < len(
             result.correct_receivers
         )
         assert any(e["ev"] == "crash" for e in sink.events)
+        assert tracer.counters.heals > 0
 
     def test_attacked_stream_still_delivers_on_drum(self):
         result = run_aio_experiment(

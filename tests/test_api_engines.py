@@ -17,10 +17,13 @@ from repro.sim.fast import FAST_MAX_N
 
 
 class TestRegistry:
-    def test_all_six_stacks_registered_in_order(self):
-        assert engines.engines() == (
-            "exact", "fast", "mega", "des", "live", "aio",
-        )
+    def test_all_five_stacks_registered_in_order(self):
+        assert engines.engines() == ("exact", "fast", "mega", "des", "aio")
+
+    def test_retired_live_engine_names_aio(self):
+        with pytest.raises(ValueError, match="unknown engine 'live'") as exc:
+            Experiment(n=8).run("live")
+        assert "aio" in str(exc.value)
 
     def test_unknown_engine_uniform_error(self):
         with pytest.raises(ValueError, match="unknown engine 'quantum'"):
@@ -81,16 +84,10 @@ class TestRegistry:
         rows = {row["engine"]: row for row in capability_table()}
         assert set(rows) == set(engines.engines())
         assert rows["fast"]["max_n"] == FAST_MAX_N
-        assert rows["live"]["determinism"] == "wallclock"
+        assert rows["aio"]["determinism"] == "wallclock"
         assert rows["aio"]["continuous"] is True
         assert rows["des"]["churn"] is True
-        assert not rows["live"]["churn"]
         assert not rows["aio"]["churn"]
-
-    def test_legacy_engines_attribute_tracks_registry(self):
-        import repro.api.experiment as mod
-
-        assert mod.ENGINES == engines.engines()
 
 
 class TestCapabilityChecks:
@@ -112,9 +109,9 @@ class TestCapabilityChecks:
 
     def test_live_churn_refusal_is_the_registry_message(self):
         plan = FaultPlan.parse("join@3:0.2")
-        expected = churn_refusal("live", plan)
+        expected = churn_refusal("aio", plan)
         with pytest.raises(EngineCapabilityError) as exc:
-            Experiment(n=16, faults="join@3:0.2").run("live", seed=1)
+            Experiment(n=16, faults="join@3:0.2").run("aio", seed=1)
         assert str(exc.value) == expected
 
     def test_churn_refusal_names_capable_engines(self):
@@ -122,7 +119,6 @@ class TestCapabilityChecks:
         assert "churn tokens (join/leave/expel)" in message
         for capable in ("exact", "fast", "mega", "des"):
             assert f'engine="{capable}"' in message
-        assert 'engine="live"' not in message
         assert 'engine="aio"' not in message
 
     def test_fast_group_size_refusal_names_roomier_engines(self):

@@ -1,4 +1,4 @@
-"""The `repro.api.Experiment` builder: one config, four engines."""
+"""The `repro.api.Experiment` builder: one config, every engine."""
 
 import pytest
 
@@ -41,13 +41,14 @@ class TestConfigTranslation:
         assert cfg.messages == 5
         assert cfg.round_duration_ms == 50.0
 
-    def test_live_config_mirrors_experiment_fields(self):
+    def test_aio_config_mirrors_experiment_fields(self):
         exp = small_experiment()
-        cfg = exp.live_config()
+        cfg = exp.aio_config()
         assert cfg.protocol.value == "drum"
         assert cfg.n == 16
         assert cfg.attack == exp.attack
         assert cfg.round_duration_ms == 50.0
+        assert cfg.messages == 5
 
     def test_fault_spec_string_normalised_once(self):
         exp = Experiment(faults="crash@2-5:0.2")
@@ -84,9 +85,10 @@ class TestRunDispatch:
         assert result.deliveries
 
     def test_live_measurement(self):
+        """The wall-clock stack measures the same description."""
         result = small_experiment(
             n=5, malicious_fraction=0.0, attack=None, messages=3,
-        ).run("live", seed=1)
+        ).run("aio", seed=1)
         assert isinstance(result, MeasurementResult)
         assert result.messages_sent == 3
         assert result.deliveries
@@ -122,37 +124,16 @@ class TestRunDispatch:
 
 
 class TestLegacyReexports:
-    def test_old_constructors_importable_from_api(self):
-        from repro.api import (
-            ClusterConfig,
-            LiveClusterConfig,
-            Scenario,
-        )
-
-        assert Scenario(n=8).n == 8
-        assert ClusterConfig(n=8).n == 8
-        assert LiveClusterConfig(n=8).n == 8
-
-    def test_legacy_config_imports_warn(self):
-        import repro.api as api
-
-        with pytest.warns(DeprecationWarning, match="Experiment"):
-            api.ClusterConfig
-        with pytest.warns(DeprecationWarning, match='engine="live"'):
-            api.LiveClusterConfig
-
     def test_home_module_imports_do_not_warn(self):
         import warnings as warnings_mod
 
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error", DeprecationWarning)
             from repro.des.cluster import ClusterConfig  # noqa: F401
-            from repro.runtime.cluster import LiveClusterConfig  # noqa: F401
 
     def test_legacy_docstrings_point_to_experiment(self):
         from repro.des.cluster import ClusterConfig
-        from repro.runtime.cluster import LiveClusterConfig
         from repro.sim.scenario import Scenario
 
-        for cls in (Scenario, ClusterConfig, LiveClusterConfig):
+        for cls in (Scenario, ClusterConfig):
             assert "repro.api.Experiment" in cls.__doc__

@@ -10,8 +10,9 @@ timeline, and every stack realises exactly that timeline:
   across engine families (``tests/equivalence.py``);
 - **des**: the same timeline disseminated for real over the protocol
   under test (Section 10), statistically equivalent reliability;
-- **live**: a loud ``ValueError`` — the fixed-membership runtime cannot
-  honour churn, and must say so instead of silently ignoring it.
+- **aio**: a loud ``ValueError`` — the fixed-membership wall-clock
+  runtime cannot honour churn, and must say so instead of silently
+  ignoring it.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import numpy as np
 import pytest
 
 from equivalence import compare_results, wilson_ci
+from repro.aio import AioClusterConfig
 from repro.api import Experiment
 from repro.des.churn import run_churn_experiment
 from repro.des.cluster import ClusterConfig, run_throughput_experiment
 from repro.des.measurement import MeasurementResult
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
-from repro.runtime.cluster import LiveClusterConfig
 from repro.sim.engine import RoundSimulator
 from repro.sim.fast import run_fast
 from repro.sim.mega import run_mega
@@ -300,21 +301,22 @@ class TestExperimentApi:
 
 
 class TestLiveRejectsChurn:
-    """Satellite: a loud error where churn cannot be honoured."""
+    """A loud error where churn cannot be honoured: the wall-clock
+    (``aio``) stack, at its config and through the API."""
 
     def test_live_config_raises(self):
         with pytest.raises(ValueError, match="churn"):
-            LiveClusterConfig(n=8, faults="join@3:0.2")
+            AioClusterConfig(n=8, faults="join@3:0.2")
 
     def test_live_config_error_names_the_offending_spec(self):
-        with pytest.raises(ValueError, match="join@3:0.2"):
-            LiveClusterConfig(n=8, faults="join@3:0.2")
+        with pytest.raises(ValueError, match=r"join@3:0\.2"):
+            AioClusterConfig(n=8, faults="join@3:0.2")
 
     def test_live_engine_via_api_raises(self):
         exp = Experiment(protocol="drum", n=8, loss=0.0, faults="leave@3:0.2")
         with pytest.raises(ValueError, match="churn"):
-            exp.run(engine="live", seed=1)
+            exp.run(engine="aio", seed=1)
 
     def test_live_still_accepts_plain_fault_plans(self):
-        config = LiveClusterConfig(n=8, faults="crash@3:0.2")
+        config = AioClusterConfig(n=8, faults="crash@3:0.2")
         assert config.faults is not None

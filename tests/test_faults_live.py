@@ -1,9 +1,9 @@
-"""Fault injection + hardening on the live runtimes.
+"""Fault injection and hardening on the asyncio runtime.
 
-These tests exercise real threads, a real event loop and wall-clock
-timers, so rounds are kept short (50-100 ms) and assertions are about
-structure (counters, errors, lifecycle, which thread ran what) rather
-than precise timing.
+These tests exercise a real event loop and wall-clock timers, so delays
+and rounds are kept short (tens of milliseconds) and assertions are
+about structure (counters, errors, lifecycle, which thread ran what)
+rather than precise timing.
 """
 
 import asyncio
@@ -12,104 +12,13 @@ import time
 
 import pytest
 
+from repro.aio import AioCluster, AioClusterConfig
+from repro.aio.cluster import _arm_flips
+from repro.aio.env import LoopClock
 from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.faults import FaultPlan, FaultSchedule
-from repro.faults.live import FaultyTransport, LiveFaultDriver
-from repro.net import Address, InMemoryTransport, UdpTransport
-from repro.runtime.cluster import LiveCluster, LiveClusterConfig
-
-
-class TestFaultyTransport:
-    def test_partition_blocks_member_traffic(self):
-        inner = InMemoryTransport()
-        plan = FaultPlan.parse("partition@1-100:0.5")
-        transport = FaultyTransport(
-            inner, plan, n=4, num_alive_correct=4, round_duration_ms=10_000.0
-        )
-        received = []
-        transport.bind(Address(3, 0), lambda s, p: received.append(p))
-        transport.start_clock()
-        transport.send(Address(0, 0), Address(3, 0), "cut")      # across
-        transport.send(Address(2, 0), Address(3, 0), "same-side")
-        transport.send(Address(10**6, 0), Address(3, 0), "flood")  # external
-        transport.close()
-        assert transport.blocked == 1
-        assert sorted(received) == ["flood", "same-side"]
-
-    def test_gilbert_loss_drops_packets(self):
-        inner = InMemoryTransport()
-        plan = FaultPlan.parse("loss:1.0")
-        transport = FaultyTransport(
-            inner, plan, n=2, num_alive_correct=2,
-            round_duration_ms=1000.0, seed=1,
-        )
-        received = []
-        transport.bind(Address(1, 0), lambda s, p: received.append(p))
-        for _ in range(20):
-            transport.send(Address(0, 0), Address(1, 0), "x")
-        transport.close()
-        assert received == []
-        assert transport.dropped == 20
-
-    def test_delay_defers_delivery(self):
-        inner = InMemoryTransport()
-        plan = FaultPlan.parse("delay:30")
-        transport = FaultyTransport(
-            inner, plan, n=2, num_alive_correct=2,
-            round_duration_ms=1000.0, seed=1,
-        )
-        arrived = threading.Event()
-        transport.bind(Address(1, 0), lambda s, p: arrived.set())
-        t0 = time.monotonic()
-        transport.send(Address(0, 0), Address(1, 0), "slow")
-        assert not arrived.is_set()  # not delivered synchronously
-        assert arrived.wait(timeout=2.0)
-        assert time.monotonic() - t0 >= 0.025
-        assert transport.delayed == 1
-        transport.close()
-
-    def test_duplication_delivers_twice(self):
-        inner = InMemoryTransport()
-        plan = FaultPlan.parse("dup:1.0")
-        transport = FaultyTransport(
-            inner, plan, n=2, num_alive_correct=2,
-            round_duration_ms=1000.0, seed=1,
-        )
-        received = []
-        lock = threading.Lock()
-
-        def handler(src, payload):
-            with lock:
-                received.append(payload)
-
-        transport.bind(Address(1, 0), handler)
-        transport.send(Address(0, 0), Address(1, 0), "twice")
-        deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline:
-            with lock:
-                if len(received) == 2:
-                    break
-            time.sleep(0.005)
-        transport.close()
-        assert received == ["twice", "twice"]
-        assert transport.duplicated == 1
-
-    def test_close_cancels_pending_timers(self):
-        inner = InMemoryTransport()
-        plan = FaultPlan.parse("delay:500")
-        transport = FaultyTransport(
-            inner, plan, n=2, num_alive_correct=2,
-            round_duration_ms=1000.0, seed=1,
-        )
-        received = []
-        transport.bind(Address(1, 0), lambda s, p: received.append(p))
-        transport.send(Address(0, 0), Address(1, 0), "never")
-        transport.close()
-        time.sleep(0.05)
-        assert received == []
-        # Send after close is a silent no-op.
-        transport.send(Address(0, 0), Address(1, 0), "late")
-
+from repro.faults.live import FaultyTransport
+from repro.net import Address, UdpTransport
 
 SHAPED = "loss:0.02; delay:20~10; reorder:0.2; dup:0.1"
 SRC, DST = Address(0, 1), Address(1, 1)
@@ -122,14 +31,11 @@ def shaper(inner, spec=SHAPED, seed=3):
     )
 
 
-@pytest.fixture
-def no_timer_threads(monkeypatch):
-    """Any ``threading.Timer`` the code under test starts is a failure."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the shaper started a threading.Timer")
-
-    monkeypatch.setattr(threading, "Timer", refuse)
+def loopback():
+    """A loopback transport on the running loop, with a clock of its own."""
+    inner = AioLoopbackTransport()
+    inner.attach()
+    return inner
 
 
 class Arrivals:
@@ -148,6 +54,94 @@ class Arrivals:
 
     def reordered(self):
         return any(a > b for a, b in zip(self.index, self.index[1:]))
+
+
+class TestFaultyTransport:
+    def test_partition_blocks_member_traffic(self):
+        async def go():
+            plan = FaultPlan.parse("partition@1-100:0.5")
+            transport = FaultyTransport(
+                loopback(), plan, n=4, num_alive_correct=4,
+                round_duration_ms=10_000.0,
+            )
+            received = []
+            transport.bind(Address(3, 0), lambda s, p: received.append(p))
+            transport.start_clock()
+            transport.send(Address(0, 0), Address(3, 0), "cut")      # across
+            transport.send(Address(2, 0), Address(3, 0), "same-side")
+            transport.send(Address(10**6, 0), Address(3, 0), "flood")  # external
+            await asyncio.sleep(0.01)
+            transport.close()
+            return transport.blocked, sorted(received)
+
+        assert asyncio.run(go()) == (1, ["flood", "same-side"])
+
+    def test_gilbert_loss_drops_packets(self):
+        async def go():
+            transport = shaper(loopback(), "loss:1.0", seed=1)
+            received = []
+            transport.bind(DST, lambda s, p: received.append(p))
+            for _ in range(20):
+                transport.send(SRC, DST, "x")
+            await asyncio.sleep(0.01)
+            transport.close()
+            return transport.dropped, received
+
+        assert asyncio.run(go()) == (20, [])
+
+    def test_delay_defers_delivery(self):
+        async def go():
+            transport = shaper(loopback(), "delay:30", seed=1)
+            arrivals = Arrivals()
+            transport.bind(DST, arrivals)
+            transport.send(SRC, DST, (0, time.monotonic()))
+            await asyncio.sleep(0.01)
+            early = list(arrivals.index)  # an undelayed hop has landed by now
+            await asyncio.sleep(0.1)
+            transport.close()
+            return transport, early, arrivals
+
+        transport, early, arrivals = asyncio.run(go())
+        assert early == []
+        assert arrivals.index == [0]
+        assert arrivals.age_ms[0] >= 29.0
+        assert transport.delayed == 1
+
+    def test_duplication_delivers_twice(self):
+        async def go():
+            transport = shaper(loopback(), "dup:1.0", seed=1)
+            received = []
+            transport.bind(DST, lambda s, p: received.append(p))
+            transport.send(SRC, DST, "twice")
+            await asyncio.sleep(0.01)
+            transport.close()
+            return transport.duplicated, received
+
+        assert asyncio.run(go()) == (1, ["twice", "twice"])
+
+    def test_close_cancels_pending_timers(self):
+        async def go():
+            transport = shaper(loopback(), "delay:30", seed=1)
+            received = []
+            transport.bind(DST, lambda s, p: received.append(p))
+            transport.send(SRC, DST, "never")
+            transport.close()
+            await asyncio.sleep(0.08)  # well past the deadline
+            # Send after close is a silent no-op.
+            transport.send(SRC, DST, "late")
+            return transport.pending, received
+
+        assert asyncio.run(go()) == (0, [])
+
+
+@pytest.fixture
+def no_timer_threads(monkeypatch):
+    """Any ``threading.Timer`` the code under test starts is a failure."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shaper started a threading.Timer")
+
+    monkeypatch.setattr(threading, "Timer", refuse)
 
 
 async def send_and_drain(transport, sends, *, burst=100, timeout_s=20.0):
@@ -322,61 +316,75 @@ class TestFaultyTransportOnLoop:
 
 class TestShaperBookkeeping:
     def test_delayed_counts_only_packets_actually_armed(self):
-        transport = shaper(InMemoryTransport(), "delay:500")
-        transport.bind(DST, lambda src, payload: None)
-        transport.send(SRC, DST, "armed")
-        assert (transport.delayed, transport.pending) == (1, 1)
-        transport.close()
-        assert transport.pending == 0
-        # A send that lost the race with close() reaches the delay line
-        # after the flag is up: refused, so not counted as delayed.
-        transport._send_later(500.0, SRC, DST, "refused")
-        assert (transport.delayed, transport.pending) == (1, 0)
+        async def go():
+            transport = shaper(loopback(), "delay:500")
+            transport.bind(DST, lambda src, payload: None)
+            transport.send(SRC, DST, "armed")
+            armed = (transport.delayed, transport.pending)
+            transport.close()
+            closed = transport.pending
+            # A send that lost the race with close() reaches the delay
+            # line after the flag is up: refused, so not counted as delayed.
+            transport._send_later(500.0, SRC, DST, "refused")
+            return armed, closed, (transport.delayed, transport.pending)
+
+        assert asyncio.run(go()) == ((1, 1), 0, (1, 0))
 
     def test_pending_falls_back_to_zero_as_timers_fire(self):
-        # A zero-length wait lets the timer thread race the sender's
-        # bookkeeping; nothing may be left behind in the pending set.
-        transport = shaper(InMemoryTransport(), "delay:0~1")
-        arrived = []
-        transport.bind(DST, lambda src, payload: arrived.append(payload))
-        for i in range(200):
-            transport.send(SRC, DST, i)
-        deadline = time.monotonic() + 5.0
-        while len(arrived) < 200 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert len(arrived) == 200
-        assert transport.pending == 0
-        assert transport.counters() == {
+        # Waits of zero (sent at once) and under a millisecond (armed):
+        # nothing may be left behind in the pending set.
+        async def go():
+            transport = shaper(loopback(), "delay:0~1")
+            arrived = []
+            transport.bind(DST, lambda src, payload: arrived.append(payload))
+            for i in range(200):
+                transport.send(SRC, DST, i)
+            deadline = time.monotonic() + 5.0
+            while len(arrived) < 200 and time.monotonic() < deadline:
+                await asyncio.sleep(0.005)
+            counters = transport.counters()
+            transport.close()
+            return arrived, counters
+
+        arrived, counters = asyncio.run(go())
+        assert sorted(arrived) == list(range(200))
+        assert 0 < counters["delayed"] < 200
+        assert counters == {
             "blocked": 0, "dropped": 0, "duplicated": 0,
-            "delayed": transport.delayed, "pending": 0,
+            "delayed": counters["delayed"], "pending": 0,
         }
-        transport.close()
+
+
+class FakeNode:
+    def __init__(self):
+        self.running = True
+        self.events = []
+
+    def stop(self):
+        self.running = False
+        self.events.append("stop")
+
+    def start(self):
+        self.running = True
+        self.events.append("start")
 
 
 class TestLiveFaultDriver:
+    """A plan's crash windows, armed on the loop clock as node flips."""
+
     def test_crash_and_recover_flip_nodes(self):
-        class FakeNode:
-            def __init__(self):
-                self.running = True
-                self.events = []
-
-            def stop(self):
-                self.running = False
-                self.events.append("stop")
-
-            def start(self):
-                self.running = True
-                self.events.append("start")
-
-        plan = FaultPlan.parse("crash@2-3:0.5")
-        schedule = FaultSchedule(plan, n=4, num_alive_correct=4)
-        nodes = {pid: FakeNode() for pid in range(4)}
-        driver = LiveFaultDriver(
-            schedule, nodes, round_duration_ms=50.0
+        schedule = FaultSchedule(
+            FaultPlan.parse("crash@2-3:0.5"), n=4, num_alive_correct=4
         )
-        driver.start()
-        time.sleep(0.3)
-        driver.stop()
+        nodes = {pid: FakeNode() for pid in range(4)}
+
+        async def go():
+            clock = LoopClock(tick_ms=50.0 / 16)
+            _arm_flips(clock, schedule, nodes, 50.0, None)
+            await asyncio.sleep(0.3)
+            clock.close()
+
+        asyncio.run(go())
         victims = schedule.crashed_at(2)
         assert victims == frozenset({2, 3})
         for pid in victims:
@@ -385,91 +393,123 @@ class TestLiveFaultDriver:
             assert nodes[pid].events == []
 
     def test_stop_before_first_event_is_clean(self):
-        plan = FaultPlan.parse("crash@1000:0.5")
-        schedule = FaultSchedule(plan, n=4, num_alive_correct=4)
-        driver = LiveFaultDriver(schedule, {}, round_duration_ms=1000.0)
-        driver.start()
-        driver.stop()
+        schedule = FaultSchedule(
+            FaultPlan.parse("crash@1000:0.5"), n=4, num_alive_correct=4
+        )
+        nodes = {pid: FakeNode() for pid in range(4)}
+
+        async def go():
+            clock = LoopClock()
+            _arm_flips(clock, schedule, nodes, 1000.0, None)
+            clock.close()
+            await asyncio.sleep(0.01)
+            return clock.events_run
+
+        assert asyncio.run(go()) == 0
+        assert all(node.events == [] for node in nodes.values())
+
+
+def run_cluster(config, seed, body=None):
+    """Start an :class:`AioCluster`, run ``body(cluster)``, always stop."""
+
+    async def go():
+        cluster = AioCluster(config, seed=seed)
+        await cluster.start()
+        try:
+            if body is not None:
+                await body(cluster)
+        finally:
+            await cluster.stop()
+        return cluster
+
+    return asyncio.run(go())
+
+
+async def deliver_to_all(cluster, source, payload, timeout_s=10.0):
+    mid = cluster.multicast(source, payload)
+    assert await cluster.await_delivery(
+        mid, fraction=1.0, timeout_s=timeout_s
+    )
 
 
 class TestLiveClusterHardening:
+    """Lifecycle and fault hardening of the wall-clock cluster."""
+
     def test_result_derives_sources_from_created_at(self):
-        config = LiveClusterConfig(protocol="drum", n=6, round_duration_ms=80.0)
-        cluster = LiveCluster(config, seed=1)
-        cluster.start()
-        try:
-            mid = cluster.multicast(2, b"from-two")
-            assert cluster.await_delivery(mid, fraction=1.0, timeout_s=10.0)
-        finally:
-            cluster.stop()
+        config = AioClusterConfig(protocol="drum", n=6, round_duration_ms=80.0)
+        cluster = run_cluster(
+            config, 1, lambda c: deliver_to_all(c, 2, b"from-two")
+        )
         result = cluster.result(1.0, 1)
         assert 2 not in result.correct_receivers
         assert 0 in result.correct_receivers
 
     def test_stop_is_idempotent(self):
-        config = LiveClusterConfig(protocol="drum", n=4, round_duration_ms=50.0)
-        cluster = LiveCluster(config, seed=2)
-        cluster.start()
-        cluster.stop()
-        cluster.stop()  # no-op, no error
+        config = AioClusterConfig(protocol="drum", n=4, round_duration_ms=50.0)
+
+        async def stop_twice(cluster):
+            await cluster.stop()
+            await cluster.stop()  # no-op, no error
+
+        cluster = run_cluster(config, 2, stop_twice)
         for env in cluster.envs.values():
             assert env._closed
 
     def test_stop_is_exception_safe(self):
-        config = LiveClusterConfig(protocol="drum", n=4, round_duration_ms=50.0)
-        cluster = LiveCluster(config, seed=3)
-        cluster.start()
+        config = AioClusterConfig(protocol="drum", n=4, round_duration_ms=50.0)
 
-        def bad_stop():
-            raise OSError("stop exploded")
+        async def go():
+            cluster = AioCluster(config, seed=3)
+            await cluster.start()
 
-        cluster.nodes[2].stop = bad_stop
-        with pytest.raises(OSError, match="stop exploded"):
-            cluster.stop()
-        # Cleanup still happened for everything else.
-        for env in cluster.envs.values():
-            assert env._closed
-        cluster.stop()  # second call after the failure: no-op
+            def bad_stop():
+                raise OSError("stop exploded")
+
+            cluster.nodes[2].stop = bad_stop
+            with pytest.raises(OSError, match="stop exploded"):
+                await cluster.stop()
+            # Cleanup still happened for everything else.
+            for env in cluster.envs.values():
+                assert env._closed
+            assert cluster.transport._closed
+            await cluster.stop()  # second call after the failure: no-op
+
+        asyncio.run(go())
 
     def test_node_death_surfaces_through_await_delivery(self):
-        config = LiveClusterConfig(protocol="drum", n=4, round_duration_ms=50.0)
-        cluster = LiveCluster(config, seed=4)
+        config = AioClusterConfig(protocol="drum", n=4, round_duration_ms=50.0)
 
         def boom():
             raise ValueError("simulated node death")
 
-        cluster.nodes[1]._round = boom
-        cluster.start()
-        try:
+        async def kill_node_one(cluster):
+            # The first round is already on the clock; the next one raises.
+            cluster.nodes[1]._round = boom
+            await asyncio.sleep(0.15)
             mid = cluster.multicast(0, b"x")
             with pytest.raises(RuntimeError, match="node 1"):
-                cluster.await_delivery(mid, fraction=1.0, timeout_s=5.0)
-            assert cluster.node_errors
-            assert cluster.node_errors[0][0] == 1
-        finally:
-            cluster.stop()
+                await cluster.await_delivery(mid, fraction=1.0, timeout_s=5.0)
+
+        cluster = run_cluster(config, 4, kill_node_one)
+        assert cluster.node_errors
+        assert cluster.node_errors[0][0] == 1
+        assert isinstance(cluster.node_errors[0][1], ValueError)
 
     def test_chaos_plan_on_live_stack(self):
-        config = LiveClusterConfig(
+        config = AioClusterConfig(
             protocol="drum", n=8, round_duration_ms=100.0,
             faults="crash@2-5:0.2;partition@1-4:0.5;gilbert:0.02,0.3,0.05,0.3",
         )
-        cluster = LiveCluster(config, seed=5)
-        cluster.start()
-        try:
-            mid = cluster.multicast(0, b"chaos")
-            delivered = cluster.await_delivery(
-                mid, fraction=1.0, timeout_s=20.0
-            )
-        finally:
-            cluster.stop()
-        assert delivered
-        assert cluster._fault_transport.blocked > 0
+        cluster = run_cluster(
+            config, 5,
+            lambda c: deliver_to_all(c, 0, b"chaos", timeout_s=20.0),
+        )
+        assert cluster.shaper.blocked > 0
         result = cluster.result(1.0, 1)
         assert result.faults == config.faults.describe()
         assert result.residual_reliability() == 1.0
 
     def test_faults_spec_normalised_on_config(self):
-        config = LiveClusterConfig(protocol="drum", n=8, faults="crash@2:0.2")
+        config = AioClusterConfig(protocol="drum", n=8, faults="crash@2:0.2")
         assert isinstance(config.faults, FaultPlan)
-        assert LiveClusterConfig(protocol="drum", n=8, faults="").faults is None
+        assert AioClusterConfig(protocol="drum", n=8, faults="").faults is None

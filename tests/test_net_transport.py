@@ -1,97 +1,30 @@
-"""Tests for repro.net.transport: in-memory and UDP datagram services."""
+"""Tests for repro.net.transport: the UDP datagram service."""
 
+import asyncio
 import errno
 import threading
 import time
 
 import pytest
 
-from repro.net import Address, InMemoryTransport, LossModel, UdpTransport
-
-
-class TestInMemoryTransport:
-    def test_roundtrip(self):
-        transport = InMemoryTransport()
-        received = []
-        transport.bind(Address(1, 2), lambda src, payload: received.append((src, payload)))
-        transport.send(Address(0, 1), Address(1, 2), "hello")
-        assert received == [(Address(0, 1), "hello")]
-
-    def test_unbound_address_drops(self):
-        transport = InMemoryTransport()
-        transport.send(Address(0, 1), Address(9, 9), "x")
-        assert transport.dropped == 1
-
-    def test_unbind_stops_delivery(self):
-        transport = InMemoryTransport()
-        received = []
-        addr = Address(1, 2)
-        transport.bind(addr, lambda s, p: received.append(p))
-        transport.unbind(addr)
-        transport.send(Address(0, 1), addr, "x")
-        assert received == []
-
-    def test_loss_model_applies(self):
-        transport = InMemoryTransport(LossModel(1.0, seed=0))
-        received = []
-        transport.bind(Address(1, 2), lambda s, p: received.append(p))
-        for _ in range(20):
-            transport.send(Address(0, 1), Address(1, 2), "x")
-        assert received == []
-
-    def test_concurrent_sends(self):
-        transport = InMemoryTransport()
-        received = []
-        lock = threading.Lock()
-
-        def handler(src, payload):
-            with lock:
-                received.append(payload)
-
-        transport.bind(Address(1, 2), handler)
-
-        def sender(k):
-            for i in range(100):
-                transport.send(Address(0, 1), Address(1, 2), (k, i))
-
-        threads = [threading.Thread(target=sender, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(received) == 400
+from repro.aio.transport import AioLoopbackTransport
+from repro.net import Address, LossModel, UdpTransport
 
 
 class TestCallLater:
-    """The default clock: one daemon timer thread per call."""
-
-    def test_runs_fn_later_on_a_timer_thread(self):
-        transport = InMemoryTransport()
-        ran = []
-        done = threading.Event()
-
-        def fn():
-            ran.append((time.monotonic(), threading.current_thread()))
-            done.set()
-
-        t0 = time.monotonic()
-        handle = transport.call_later(0.03, fn)
-        assert handle is not None and not ran
-        assert done.wait(timeout=2.0)
-        at, thread = ran[0]
-        assert at - t0 >= 0.025
-        assert thread is not threading.current_thread()
-        assert thread.daemon
+    """``call_later`` on a transport that carries a clock."""
 
     def test_cancel_stops_the_call(self):
-        transport = InMemoryTransport()
-        ran = []
-        transport.call_later(0.03, lambda: ran.append(1)).cancel()
-        time.sleep(0.08)
-        assert ran == []
+        async def go():
+            transport = AioLoopbackTransport()
+            transport.attach()
+            ran = []
+            transport.call_later(0.03, lambda: ran.append(1)).cancel()
+            await asyncio.sleep(0.08)
+            transport.close()
+            return ran
 
-    def test_udp_transport_inherits_the_default(self):
-        assert UdpTransport.call_later is InMemoryTransport.call_later
+        assert asyncio.run(go()) == []
 
 
 class TestUdpTransport:
@@ -110,6 +43,22 @@ class TestUdpTransport:
         assert event.wait(timeout=2.0), "datagram never arrived"
         transport.close()
         assert received[0] == (Address(0, 1), {"k": "v"})
+
+    def test_close_joins_every_receiver(self):
+        before = threading.active_count()
+        transport = UdpTransport(base_port=23200, ports_per_node=16)
+        for port in range(3):
+            transport.bind(Address(1, port), lambda s, p: None)
+        transport.unbind(Address(1, 0))  # still running until it notices
+        assert threading.active_count() == before + 3
+        transport.close()
+        assert threading.active_count() == before
+
+    def test_call_later_needs_a_clock(self):
+        transport = UdpTransport(base_port=23300, ports_per_node=16)
+        with pytest.raises(NotImplementedError, match="AioUdpBridge"):
+            transport.call_later(0.01, lambda: None)
+        transport.close()
 
     def test_send_to_unbound_is_silent(self):
         transport = UdpTransport(base_port=23400, ports_per_node=16)

@@ -1,18 +1,18 @@
-"""Observability on the continuous-time stacks: DES and live runtime.
+"""Observability on the continuous-time stacks: DES and asyncio.
 
-The DES cluster and the threaded live runtime share the tracer surface
-with the round engines but run in milliseconds, not rounds: their
-events carry ``t`` timestamps and no ``round`` context.  These tests
-check delivery reconciliation against ``MeasurementResult``, fault
-transitions (crash / heal), drop classification in the faulty
-transport, and non-perturbation of the seeded DES stream.
+The DES cluster and the wall-clock asyncio cluster share the tracer
+surface with the round engines but run in milliseconds, not rounds:
+their events carry ``t`` timestamps and no ``round`` context.  These
+tests check delivery reconciliation against ``MeasurementResult``,
+fault transitions (crash / heal), drop classification, and
+non-perturbation of the seeded DES stream.
 """
 
-import pytest
+import asyncio
 
+from repro.aio import AioCluster, AioClusterConfig
 from repro.des.cluster import ClusterConfig, run_throughput_experiment
 from repro.obs import MemorySink, Tracer
-from repro.runtime import LiveCluster, LiveClusterConfig
 
 CHAOS = "crash@2-5:0.2;loss:0.05"
 
@@ -83,18 +83,33 @@ class TestDesTracing:
         assert traced.faults == plain.faults
 
 
+def traced_multicast(config, seed, tracer, *, fraction=1.0, linger_s=0.0):
+    """One multicast from node 0 on a traced :class:`AioCluster`; waits
+    for ``fraction`` of the group, then ``linger_s`` more, then stops."""
+
+    async def go():
+        cluster = AioCluster(config, seed=seed, tracer=tracer)
+        await cluster.start()
+        try:
+            mid = cluster.multicast(0, b"traced")
+            await cluster.await_delivery(
+                mid, fraction=fraction, timeout_s=10.0
+            )
+            await asyncio.sleep(linger_s)
+        finally:
+            await cluster.stop()
+        return cluster
+
+    return asyncio.run(go())
+
+
 class TestLiveTracing:
     def test_live_deliveries_reconcile(self):
-        cfg = LiveClusterConfig(protocol="drum", n=6, round_duration_ms=80.0)
+        cfg = AioClusterConfig(protocol="drum", n=6, round_duration_ms=80.0)
         tracer = Tracer(thread_safe=True)
-        cluster = LiveCluster(cfg, seed=1, tracer=tracer)
-        cluster.start()
-        try:
-            mid = cluster.multicast(0, b"hello")
-            assert cluster.await_delivery(mid, fraction=1.0, timeout_s=10)
-        finally:
-            cluster.stop()
+        cluster = traced_multicast(cfg, 1, tracer)
         result = cluster.result(send_rate=1.0, messages_sent=1)
+        assert len({d.receiver for d in result.deliveries}) == 6
         assert tracer.counters.reconcile_measurement(result) == []
         counters = tracer.counters
         assert counters.delivered_by_via.get("source", 0) == 1
@@ -103,18 +118,8 @@ class TestLiveTracing:
 
     def test_live_events_are_continuous_time(self):
         sink = MemorySink()
-        tracer = Tracer(sink, thread_safe=True)
-        cluster = LiveCluster(
-            LiveClusterConfig(protocol="push", n=4, round_duration_ms=60.0),
-            seed=3,
-            tracer=tracer,
-        )
-        cluster.start()
-        try:
-            mid = cluster.multicast(0, b"x")
-            cluster.await_delivery(mid, fraction=1.0, timeout_s=10)
-        finally:
-            cluster.stop()
+        cfg = AioClusterConfig(protocol="push", n=4, round_duration_ms=60.0)
+        traced_multicast(cfg, 3, Tracer(sink, thread_safe=True))
         delivered = [e for e in sink.events if e["ev"] == "delivered"]
         assert delivered
         for event in delivered:
@@ -123,20 +128,11 @@ class TestLiveTracing:
 
     def test_live_fault_driver_emits_crash_and_heal(self):
         tracer = Tracer(thread_safe=True)
-        cfg = LiveClusterConfig(
+        cfg = AioClusterConfig(
             protocol="drum", n=6, round_duration_ms=50.0,
             faults="crash@1-2:0.2",
         )
-        cluster = LiveCluster(cfg, seed=5, tracer=tracer)
-        cluster.start()
-        try:
-            mid = cluster.multicast(0, b"y")
-            cluster.await_delivery(mid, fraction=0.5, timeout_s=10)
-            # Let the fault schedule play out: crash@1-2 spans two rounds.
-            import time
-
-            time.sleep(0.25)
-        finally:
-            cluster.stop()
+        # Let the fault schedule play out: crash@1-2 spans one round.
+        traced_multicast(cfg, 5, tracer, fraction=0.5, linger_s=0.25)
         assert tracer.counters.crashes > 0
         assert tracer.counters.heals > 0

@@ -145,7 +145,7 @@ def test_prometheus_sink_renders_counter_families(tmp_path):
 def test_thread_safe_tracer_serialises_concurrent_emission():
     sink = MemorySink()
     tracer = Tracer(sink, thread_safe=True)
-    tracer.run_start("live", continuous=True)
+    tracer.run_start("aio", continuous=True)
 
     def worker(node):
         for _ in range(200):

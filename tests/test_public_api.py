@@ -1,5 +1,9 @@
 """The public API surface: imports, version, and the quickstart snippet."""
 
+import importlib
+
+import pytest
+
 import repro
 
 
@@ -20,9 +24,12 @@ class TestPublicSurface:
         import repro.membership
         import repro.metrics
         import repro.net
-        import repro.runtime
         import repro.sim
         import repro.util
+
+    def test_threaded_runtime_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"{repro.__name__}.runtime")
 
     def test_subpackage_all_exports_resolve(self):
         import repro.adversary
@@ -57,7 +64,6 @@ class TestPublicSurface:
 
     def test_public_items_documented(self):
         """Every public module and exported class carries a docstring."""
-        import importlib
         import pkgutil
 
         for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):

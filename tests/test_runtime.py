@@ -1,96 +1,52 @@
-"""Tests for the threaded real-time runtime."""
+"""The wall-clock cluster (`repro.aio.AioCluster`) end to end: small
+groups on loopback, with and without a flood."""
 
-import time
+import asyncio
 
 import pytest
 
 from repro.adversary import AttackSpec
-from repro.net import Address, InMemoryTransport
-from repro.runtime import LiveCluster, LiveClusterConfig, RealTimeEnvironment
+from repro.aio import AioCluster, AioClusterConfig
 
 
-class TestRealTimeEnvironment:
-    def test_now_advances(self):
-        env = RealTimeEnvironment(InMemoryTransport())
-        t0 = env.now()
-        time.sleep(0.02)
-        assert env.now() > t0
-
-    def test_schedule_fires(self):
-        env = RealTimeEnvironment(InMemoryTransport())
-        fired = []
-        env.schedule(10, lambda: fired.append(1))
-        time.sleep(0.1)
-        assert fired == [1]
-        env.close()
-
-    def test_cancel_prevents_firing(self):
-        env = RealTimeEnvironment(InMemoryTransport())
-        fired = []
-        handle = env.schedule(30, lambda: fired.append(1))
-        env.cancel(handle)
-        time.sleep(0.08)
-        assert fired == []
-        env.close()
-
-    def test_close_stops_pending_timers(self):
-        env = RealTimeEnvironment(InMemoryTransport())
-        fired = []
-        env.schedule(30, lambda: fired.append(1))
-        env.close()
-        time.sleep(0.08)
-        assert fired == []
-
-    def test_send_receive_through_transport(self):
-        transport = InMemoryTransport()
-        env = RealTimeEnvironment(transport)
-        received = []
-        env.bind(Address(1, 2), lambda s, p: received.append(p))
-        env.send(Address(0, 1), Address(1, 2), "ping")
-        assert received == ["ping"]
-        env.close()
+async def multicast_once(cluster, payload, *, timeout_s):
+    """Start, multicast from node 0, wait for the whole group, stop."""
+    await cluster.start()
+    try:
+        mid = cluster.multicast(0, payload)
+        return await cluster.await_delivery(
+            mid, fraction=1.0, timeout_s=timeout_s
+        )
+    finally:
+        await cluster.stop()
 
 
 class TestLiveCluster:
     def test_multicast_delivers_to_all(self):
-        cfg = LiveClusterConfig(protocol="drum", n=6, round_duration_ms=80.0)
-        cluster = LiveCluster(cfg, seed=1)
-        cluster.start()
-        try:
-            mid = cluster.multicast(0, b"hello")
-            assert cluster.await_delivery(mid, fraction=1.0, timeout_s=10)
-        finally:
-            cluster.stop()
+        cfg = AioClusterConfig(protocol="drum", n=6, round_duration_ms=80.0)
+        cluster = AioCluster(cfg, seed=1)
+        assert asyncio.run(multicast_once(cluster, b"hello", timeout_s=10))
 
     def test_under_attack_drum_still_delivers(self):
-        cfg = LiveClusterConfig(
+        cfg = AioClusterConfig(
             protocol="drum",
             n=6,
             round_duration_ms=80.0,
             attack=AttackSpec(alpha=0.34, x=60),
         )
-        cluster = LiveCluster(cfg, seed=2)
-        cluster.start()
-        try:
-            mid = cluster.multicast(0, b"attacked")
-            assert cluster.await_delivery(mid, fraction=1.0, timeout_s=15)
-        finally:
-            cluster.stop()
+        cluster = AioCluster(cfg, seed=2)
+        assert asyncio.run(multicast_once(cluster, b"attacked", timeout_s=15))
+        assert cluster.attackers and not cluster.attackers[0].running
 
     def test_result_packaging(self):
-        cfg = LiveClusterConfig(protocol="drum", n=4, round_duration_ms=60.0)
-        cluster = LiveCluster(cfg, seed=3)
-        cluster.start()
-        try:
-            mid = cluster.multicast(0, b"x")
-            cluster.await_delivery(mid, fraction=1.0, timeout_s=10)
-        finally:
-            cluster.stop()
+        cfg = AioClusterConfig(protocol="drum", n=4, round_duration_ms=60.0)
+        cluster = AioCluster(cfg, seed=3)
+        asyncio.run(multicast_once(cluster, b"x", timeout_s=10))
         result = cluster.result(send_rate=1.0, messages_sent=1)
         assert result.n == 4
         assert result.deliveries
 
     def test_unstarted_result_rejected(self):
-        cluster = LiveCluster(LiveClusterConfig(n=4), seed=4)
-        with pytest.raises(RuntimeError):
+        cluster = AioCluster(AioClusterConfig(n=4), seed=4)
+        with pytest.raises(RuntimeError, match="never started"):
             cluster.result(send_rate=1.0, messages_sent=0)

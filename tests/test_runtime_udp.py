@@ -1,37 +1,40 @@
-"""End-to-end: a live threaded cluster over real UDP sockets."""
+"""End-to-end: a wall-clock cluster handed its own UDP transport."""
 
-import pytest
+import asyncio
 
+from repro.aio import AioCluster, AioClusterConfig
+from repro.aio.transport import AioUdpBridge
 from repro.net import UdpTransport
-from repro.runtime import LiveCluster, LiveClusterConfig
+
+
+def multicast_over(protocol, base_port, payload, *, seed):
+    """Four nodes on ``UdpTransport(base_port=...)``; did one multicast
+    reach all of them?"""
+    transport = AioUdpBridge(
+        UdpTransport(base_port=base_port, ports_per_node=48)
+    )
+    config = AioClusterConfig(protocol=protocol, n=4, round_duration_ms=120.0)
+    cluster = AioCluster(config, transport=transport, seed=seed)
+
+    async def go():
+        await cluster.start()
+        try:
+            mid = cluster.multicast(0, payload)
+            return await cluster.await_delivery(
+                mid, fraction=1.0, timeout_s=20
+            )
+        finally:
+            await cluster.stop()
+
+    return asyncio.run(go())
 
 
 class TestUdpLiveCluster:
     def test_multicast_over_udp(self):
         """Four Drum nodes over UDP/localhost deliver a multicast."""
-        transport = UdpTransport(base_port=26000, ports_per_node=48)
-        config = LiveClusterConfig(
-            protocol="drum", n=4, round_duration_ms=120.0
+        assert multicast_over("drum", 26000, b"over-the-wire", seed=5), (
+            "multicast failed to reach every node over UDP"
         )
-        cluster = LiveCluster(config, transport=transport, seed=5)
-        cluster.start()
-        try:
-            mid = cluster.multicast(0, b"over-the-wire")
-            delivered = cluster.await_delivery(mid, fraction=1.0, timeout_s=20)
-        finally:
-            cluster.stop()
-        assert delivered, "multicast failed to reach every node over UDP"
 
     def test_pull_only_over_udp(self):
-        transport = UdpTransport(base_port=27000, ports_per_node=48)
-        config = LiveClusterConfig(
-            protocol="pull", n=4, round_duration_ms=120.0
-        )
-        cluster = LiveCluster(config, transport=transport, seed=6)
-        cluster.start()
-        try:
-            mid = cluster.multicast(0, b"pulled")
-            delivered = cluster.await_delivery(mid, fraction=1.0, timeout_s=20)
-        finally:
-            cluster.stop()
-        assert delivered
+        assert multicast_over("pull", 27000, b"pulled", seed=6)
