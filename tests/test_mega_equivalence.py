@@ -16,8 +16,8 @@ is statistical (:mod:`equivalence`), not byte-level:
 - the goldens are one 4096-node block with no faults and no churn, so
   seeded envelopes at n = 12 000 (three blocks; four under churn) are
   pinned by hash for the multi-block accumulation, the shared-bounds
-  handshake, the well-known reply port, a combined fault plan and the
-  churn loop.
+  handshake, the well-known reply port, perturbation, a fixed horizon,
+  a combined fault plan and churn, alone and together.
 """
 
 import hashlib
@@ -51,38 +51,67 @@ MULTI_BLOCK_CHAOS = (
 )
 MULTI_BLOCK_CHURN = "join@2:0.1;leave@4:0.05;expel@5:0.05"
 
-#: case -> (protocol, fault plan, sha256 of the seeded n = 12 000
-#: envelope).  Regenerate only when seeded output is *meant* to change:
-#: the failing assertion prints the new hash.
+PERTURBED = dict(perturbed_fraction=0.2, perturbation_prob=0.5)
+
+#: case -> (Scenario fields over the attacked n = 12 000 drum default,
+#: horizon, sha256 of the seeded envelope).  Regenerate only when
+#: seeded output is *meant* to change: the failing assertion prints the
+#: new hash.
 MULTI_BLOCK_CASES = {
     "drum": (
-        "drum", None,
+        {}, None,
         "937b2a0d3113db3f55707841e37d6b442c7e4e12f892e854eb4a3fedbce969b3",
     ),
     "shared-bounds": (
-        "drum-shared-bounds", None,
+        dict(protocol="drum-shared-bounds"), None,
         "53e307dca783558d2c92257123d17bfd3fc9a687b87826e3541c7fa2b810a642",
     ),
     "no-random-ports": (
-        "drum-no-random-ports", None,
+        dict(protocol="drum-no-random-ports"), None,
         "c6a8bedcd85b013cf939e94b80f805e9a652763c80b108bd3031d6f95f8756c8",
     ),
     "chaos": (
-        "drum", MULTI_BLOCK_CHAOS,
+        dict(faults=MULTI_BLOCK_CHAOS), None,
         "4804e3762b733a7001180d44c918bdd0edeae45376ada4d116f413fba29d1afc",
     ),
+    "chaos-shared-bounds": (
+        dict(protocol="drum-shared-bounds", faults=MULTI_BLOCK_CHAOS), None,
+        "c3689e42a81a843cc08edc681006fe6ba1fae705c6f182a2d1c3c12db31401b2",
+    ),
     "churn": (
-        "drum", MULTI_BLOCK_CHURN,
+        dict(faults=MULTI_BLOCK_CHURN), None,
         "3b62a33bfa4cd8775ad96459fc90b9a4a7ef92396cf8885faa9ce784dad77028",
     ),
     "shared-bounds-churn": (
-        "drum-shared-bounds", MULTI_BLOCK_CHURN,
+        dict(protocol="drum-shared-bounds", faults=MULTI_BLOCK_CHURN), None,
         "2d635bba42be328bc4f179ebd7f70a7e86428a50fbc4684324fb97291d40b401",
+    ),
+    # The well-known reply port's attacked rows inside the churn loop,
+    # with crash, stall and partition masks all live.
+    "no-random-ports-churn-chaos": (
+        dict(
+            protocol="drum-no-random-ports",
+            faults=MULTI_BLOCK_CHURN + ";" + MULTI_BLOCK_CHAOS,
+        ),
+        None,
+        "698258b3e1b90cc2f0d12dd1317ad5533f2a3e027c05a644678764ac4cc51917",
+    ),
+    "perturbed": (
+        PERTURBED, None,
+        "ffbedad587278aff85facca7cb30d75b400ca5ec9d7bb4ec0223b7d91b0169bf",
+    ),
+    "perturbed-churn": (
+        dict(PERTURBED, faults=MULTI_BLOCK_CHURN), None,
+        "f25b1a2b10c4d01dc85b755b720cef4f16a901dc951fd82452a304ace751364d",
+    ),
+    "horizon": (
+        {}, 12,
+        "1f59d3d2a60ee32712af7bbbef8f71811268b155dbf432f481c8ce6a8b9cb081",
     ),
 }
 
 
-def attacked_scenario(n, protocol="drum", faults=None):
+def attacked_scenario(n, protocol="drum", faults=None, **kwargs):
     return Scenario(
         protocol=protocol,
         n=n,
@@ -90,6 +119,7 @@ def attacked_scenario(n, protocol="drum", faults=None):
         attack=AttackSpec(alpha=0.1, x=64.0),
         max_rounds=200,
         faults=faults,
+        **kwargs,
     )
 
 
@@ -220,9 +250,9 @@ def test_golden_files_are_mega_envelopes():
 
 @pytest.mark.parametrize("case", sorted(MULTI_BLOCK_CASES))
 def test_multi_block_mega_envelopes_are_pinned(case):
-    protocol, faults, pinned = MULTI_BLOCK_CASES[case]
+    fields, horizon, pinned = MULTI_BLOCK_CASES[case]
     result = run_mega(
-        attacked_scenario(12_000, protocol, faults), 2, seed=4242
+        attacked_scenario(12_000, **fields), 2, seed=4242, horizon=horizon
     )
     assert result.blocks >= 3
     digest = hashlib.sha256(golden_render(result).encode()).hexdigest()
