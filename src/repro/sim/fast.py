@@ -9,7 +9,8 @@ Appendix C numerical analysis):
 
 - View draws are exact F-subsets without replacement (duplicate rows are
   resampled), targets uniform over the other ``n - 1`` members; the
-  draw is :mod:`repro.sim.views`, shared with :mod:`repro.sim.mega`.
+  draw and each round's membership are :mod:`repro.sim.views`, shared
+  with :mod:`repro.sim.mega`.
 - Channel acceptance is exact at the margin: the number of M-carrying
   messages accepted on a flooded channel is hypergeometric over the mix
   of valid and fabricated arrivals, which is precisely the distribution
@@ -33,10 +34,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.adversary.attacks import PortLoad
-from repro.core.config import ProtocolKind
 from repro.sim.results import MonteCarloResult
 from repro.sim.scenario import Scenario
-from repro.sim.views import draw_views, draw_views_from_pool
+from repro.sim.views import Membership, col_ids, rows_below
 from repro.util import derive_rng
 from repro.util.rng import SeedLike
 
@@ -120,12 +120,18 @@ def run_fast(
     the coverage threshold — used by the CDF experiments, which plot
     coverage growth past 99 %.
 
+    Each round's senders, view pool, receivers and fault masks come
+    from :class:`repro.sim.views.Membership`; under a churn plan the
+    state spans the extended id universe (joiners at ids ``n ..``) and
+    the result carries per-run ``churn_stats``.
+
     ``tracer`` attaches a :class:`repro.obs.Tracer`.  The vectorised
     engine has no per-message view, so it emits *aggregate* events:
     one ``gossip_sent`` / ``flood_sent`` / ``delivered`` per round
     carrying run-summed ``count`` totals (flood counts are post-loss —
-    the thinned arrivals are all this engine materialises).  The tracer
-    draws no randomness, so traced results are bit-identical.
+    the thinned arrivals are all this engine materialises), with joiner
+    deliveries apart as ``delivered(via="joiner")``.  The tracer draws
+    no randomness, so traced results are bit-identical.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -143,33 +149,33 @@ def run_fast(
                 "allocations at this size",
             )
         )
-    # Resolve the fault plan up front (seedless): churn plans run on a
-    # dedicated loop whose state spans the extended id universe.
     schedule = scenario.fault_schedule()
-    if schedule is not None and schedule.has_churn:
-        return _run_fast_churn(
-            scenario, runs, schedule, seed=seed, horizon=horizon, tracer=tracer
+    members = Membership(scenario, schedule)
+    width = members.width
+    if width > FAST_MAX_N:
+        from repro.api.engines import group_size_refusal
+
+        raise ValueError(
+            group_size_refusal(
+                "fast",
+                width,
+                detail="the churn plan grows the group to this many ids",
+            )
         )
     rng = derive_rng(seed)
     n = scenario.n
     cfg = scenario.protocol_config()
-    kind = scenario.protocol
     loss = scenario.loss
 
     num_alive = scenario.num_alive_correct
     num_attacked = scenario.num_attacked
-    # The deterministic scenario layout puts alive correct processes at
-    # the lowest ids; the engine relies on that contiguity.
-    senders = np.arange(num_alive)
-    alive_mask = np.zeros(n, dtype=bool)
-    alive_mask[:num_alive] = True
 
     v_push = cfg.view_push_size
     v_pull = cfg.view_pull_size
     shared_bound = cfg.shared_in_bound
 
     if scenario.attack is not None:
-        load = scenario.attack.port_load(kind)
+        load = scenario.attack.port_load(scenario.protocol)
     else:
         load = PortLoad()
 
@@ -177,29 +183,22 @@ def run_fast(
     perturb_lo = num_alive - num_perturbed
     perturb_prob = scenario.perturbation_prob
 
-    # -- fault plan ----------------------------------------------------------
-    # The schedule resolves crash / stall / partition windows to id sets
-    # (seedless, identical to the exact engine's resolution).  Bursty
-    # loss runs one Gilbert–Elliott chain per *run*, stepped once per
-    # round — a coarser burst granularity than the exact engine's
+    # Bursty loss runs one Gilbert–Elliott chain per *run*, stepped once
+    # per round — a coarser burst granularity than the exact engine's
     # per-packet chain, but the same stationary loss; cross-engine
-    # equivalence under faults is statistical only.  None of this block
+    # equivalence under faults is statistical only.  Nothing here
     # touches the RNG unless the scenario carries faults.
     ge = None
     ge_bad = None
-    nondoomed_cols = None
-    if schedule is not None:
-        link = scenario.faults.link
-        if link is not None and link.affects_loss:
-            ge = link
-            ge_bad = np.zeros(runs, dtype=bool)
-        doomed = schedule.doomed_ids(scenario.max_rounds)
-        if doomed:
-            nondoomed_cols = np.array(
-                [i for i in range(num_alive) if i not in doomed]
-            )
+    link = scenario.faults.link if scenario.faults is not None else None
+    if link is not None and link.affects_loss:
+        ge = link
+        ge_bad = np.zeros(runs, dtype=bool)
 
-    has = np.zeros((runs, n), dtype=bool)
+    joiner_ids = members.joiner_ids
+    deliv = np.full((runs, len(joiner_ids)), -1, dtype=np.int32)
+
+    has = np.zeros((runs, width), dtype=bool)
     has[:, scenario.source] = True
 
     target = scenario.threshold_count()
@@ -213,8 +212,9 @@ def run_fast(
     hist_attacked: List[np.ndarray] = [cur_attacked.copy()]
 
     active = np.ones(runs, dtype=bool)
-    if horizon is None:
+    if horizon is None and members.min_rounds == 0:
         active &= cur_total < target
+    end_round = np.zeros(runs, dtype=np.int32)
 
     if tracer is not None:
         tracer.run_start(
@@ -247,65 +247,58 @@ def run_fast(
         else:
             loss2 = loss3 = loss
 
-        views = draw_views(
-            rng, np.tile(senders, r_count), n, v_push + v_pull
-        ).reshape(r_count, num_alive, v_push + v_pull)
-        t_push = views[:, :, :v_push]
-        t_pull = views[:, :, v_push:]
-        # One (run, target) cell index per view entry, shared by every
-        # gather and arrival count below.
-        cells = r_count * n
-        first_cell = (np.arange(r_count) * n)[:, None, None]
-        f_push = t_push + first_cell
-        f_pull = t_pull + first_cell
-
-        # Perturbed processes sleep through a round with probability
-        # perturbation_prob: no sending, no accepting, no replying.
-        awake = np.ones((r_count, n), dtype=bool)
-        if num_perturbed and perturb_prob > 0:
-            awake[:, perturb_lo:num_alive] = (
-                rng.random((r_count, num_perturbed)) >= perturb_prob
-            )
-
         # Scheduled fault events, resolved exactly like the exact
         # engine: crashed processes take part in nothing (their ``has``
         # state persists), stalled processes send nothing — no gossip,
         # no replies — but keep accepting, and a partition cuts member
         # links crossing the split (attacker floods originate outside
         # the group and are never cut).
-        in_a = None
-        stall_ok = None
-        if schedule is not None:
-            crashed = schedule.crashed_at(round_no)
-            if crashed:
-                awake[:, list(crashed)] = False
-            stalled = schedule.stalled_at(round_no)
-            if stalled:
-                stall_ok = np.ones(n, dtype=bool)
-                stall_ok[list(stalled)] = False
-            side_a = schedule.partition_at(round_no)
-            if side_a is not None:
-                in_a = np.zeros(n, dtype=bool)
-                in_a[list(side_a)] = True
+        rnd = members.at(round_no)
+        cols, in_a, stall_ok = rnd.cols, rnd.in_a, rnd.stall_ok
+        senders = col_ids(cols)
+        views = rnd.draw(
+            rng, np.tile(senders, r_count), v_push + v_pull
+        ).reshape(r_count, len(senders), v_push + v_pull)
+        t_push = views[:, :, :v_push]
+        t_pull = views[:, :, v_push:]
+        # One (run, target) cell index per view entry, shared by every
+        # gather and arrival count below.
+        cells = r_count * width
+        first_cell = (np.arange(r_count) * width)[:, None, None]
+        f_push = t_push + first_cell
+        f_pull = t_pull + first_cell
 
-        sender_awake = awake[:, :num_alive, None]
+        # Perturbed processes sleep through a round with probability
+        # perturbation_prob: no sending, no accepting, no replying.
+        awake = np.ones((r_count, width), dtype=bool)
+        if num_perturbed and perturb_prob > 0:
+            awake[:, perturb_lo:num_alive] = (
+                rng.random((r_count, num_perturbed)) >= perturb_prob
+            )
+        if rnd.crashed is not None:
+            awake[:, rnd.crashed] = False
+        can_recv = rnd.receivers[None, :] & awake
+
+        sender_awake = awake[:, cols, None]
         if stall_ok is not None:
-            sender_awake = sender_awake & stall_ok[:num_alive][None, :, None]
+            sender_awake = sender_awake & stall_ok[cols][None, :, None]
+        has_senders = has_start[:, cols, None]
+        side = None if in_a is None else in_a[cols][None, :, None]
 
         # ---- gather per-target channel loads -------------------------------
         push_valid = push_m = fab_push = None
         if v_push:
             sent = (rng.random(t_push.shape) >= loss3) & sender_awake
-            if in_a is not None:
-                sent &= in_a[:num_alive][None, :, None] == in_a[t_push]
+            if side is not None:
+                sent &= side == in_a[t_push]
             push_valid = np.bincount(f_push[sent], minlength=cells).reshape(
-                r_count, n
+                r_count, width
             )
-            holder = sent & has_start[:, :num_alive, None]
+            holder = sent & has_senders
             push_m = np.bincount(f_push[holder], minlength=cells).reshape(
-                r_count, n
+                r_count, width
             )
-            fab_push = np.zeros((r_count, n), dtype=np.int64)
+            fab_push = np.zeros((r_count, width), dtype=np.int64)
             if load.push > 0 and num_attacked:
                 fab_push[:, :num_attacked] = _fabricated_counts(
                     rng, load.push, (r_count, num_attacked), loss2
@@ -315,12 +308,12 @@ def run_fast(
         fab_reply = None
         if v_pull:
             req_sent = (rng.random(t_pull.shape) >= loss3) & sender_awake
-            if in_a is not None:
-                req_sent &= in_a[:num_alive][None, :, None] == in_a[t_pull]
+            if side is not None:
+                req_sent &= side == in_a[t_pull]
             req_valid = np.bincount(
                 f_pull[req_sent], minlength=cells
-            ).reshape(r_count, n)
-            fab_req = np.zeros((r_count, n), dtype=np.int64)
+            ).reshape(r_count, width)
+            fab_req = np.zeros((r_count, width), dtype=np.int64)
             if load.pull_request > 0 and num_attacked:
                 fab_req[:, :num_attacked] = _fabricated_counts(
                     rng, load.pull_request, (r_count, num_attacked), loss2
@@ -335,26 +328,26 @@ def run_fast(
         p_pool = None
         if shared_bound is not None:
             pool = (push_valid + fab_push + req_valid + fab_req).astype(float)
-            pool[:, :num_alive] += v_push
+            pool[:, cols] += v_push
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_pool = np.where(
                     pool > 0, np.minimum(1.0, shared_bound / pool), 1.0
                 )
-            p_pool = p_pool * alive_mask[None, :] * awake
+            p_pool = p_pool * can_recv
 
         # ---- push reception --------------------------------------------------
         if v_push and shared_bound is None:
             total = push_valid + fab_push
             got_push = _accept_any(rng, push_m, total, cfg.push_in_bound)
-            got_push &= alive_mask[None, :] & awake
+            got_push &= can_recv
             new_has |= got_push
         elif v_push:
             # Offer handshake: the offer must win the target's pool, the
             # push-reply must win the sender's pool, and each of offer /
             # reply / data crosses one lossy link.
             offer_ok = (rng.random(t_push.shape) >= loss3) & sender_awake
-            if in_a is not None:
-                offer_ok &= in_a[:num_alive][None, :, None] == in_a[t_push]
+            if side is not None:
+                offer_ok &= side == in_a[t_push]
             offer_acc = offer_ok & (
                 rng.random(t_push.shape) < p_pool.ravel()[f_push]
             )
@@ -365,15 +358,14 @@ def run_fast(
             reply_acc = (
                 offer_acc
                 & (rng.random(t_push.shape) >= loss3)
-                & (rng.random(t_push.shape) < p_pool[:, :num_alive, None])
+                & (rng.random(t_push.shape) < p_pool[:, cols, None])
             )
             data_ok = reply_acc & (rng.random(t_push.shape) >= loss3)
-            m_data = data_ok & has_start[:, :num_alive, None]
+            m_data = data_ok & has_senders
             arrivals = np.bincount(f_push[m_data], minlength=cells).reshape(
-                r_count, n
+                r_count, width
             )
-            got_push = (arrivals >= 1) & alive_mask[None, :] & awake
-            new_has |= got_push
+            new_has |= (arrivals >= 1) & can_recv
 
         # ---- pull: request acceptance and replies -----------------------------
         if v_pull:
@@ -387,7 +379,7 @@ def run_fast(
                         np.minimum(1.0, cfg.pull_in_bound / denom),
                         1.0,
                     )
-                accept_prob = accept_prob * alive_mask[None, :] * awake
+                accept_prob = accept_prob * can_recv
 
             accepted = req_sent & (
                 rng.random(t_pull.shape) < accept_prob.ravel()[f_pull]
@@ -405,15 +397,16 @@ def run_fast(
                 # Well-known reply port: bounded and attacked (Fig 12a).
                 replies = reply_ok.sum(axis=2)
                 m_replies = m_reply.sum(axis=2)
-                fab_reply = np.zeros((r_count, num_alive), dtype=np.int64)
-                if load.pull_reply > 0 and num_attacked:
-                    fab_reply[:, :num_attacked] = _fabricated_counts(
-                        rng, load.pull_reply, (r_count, num_attacked), loss2
+                fab_reply = np.zeros((r_count, len(senders)), dtype=np.int64)
+                k = rows_below(cols, num_attacked)
+                if load.pull_reply > 0 and k:
+                    fab_reply[:, :k] = _fabricated_counts(
+                        rng, load.pull_reply, (r_count, k), loss2
                     )
                 got_pull = _accept_any(
                     rng, m_replies, replies + fab_reply, cfg.pull_in_bound
                 )
-            new_has[:, :num_alive] |= got_pull
+            new_has[:, cols] |= got_pull
 
         has[act] = new_has
         cur_total[act] = new_has[:, :num_alive].sum(axis=1, dtype=np.int32)
@@ -422,6 +415,15 @@ def run_fast(
         )
         hist_total.append(cur_total.copy())
         hist_attacked.append(cur_attacked.copy())
+        end_round[act] = round_no
+
+        joined = 0
+        if len(joiner_ids):
+            block = deliv[act]
+            fresh = new_has[:, joiner_ids] & (block == -1)
+            block[fresh] = round_no
+            deliv[act] = block
+            joined = int(fresh.sum())
 
         if tracer is not None:
             attempts = int(sender_awake.sum()) * (v_push + v_pull)
@@ -434,389 +436,20 @@ def run_fast(
             if fab_total:
                 tracer.flood_sent(-1, -1, count=fab_total)
             delivered_now = int(
-                new_has[:, :num_alive].sum() - has_start[:, :num_alive].sum()
+                cur_total[act].sum() - hist_total[-2][act].sum()
             )
             if delivered_now:
                 tracer.delivered(count=delivered_now)
+            if joined:
+                tracer.delivered(via="joiner", count=joined)
 
-        if horizon is None:
-            active[act] = cur_total[act] < target
-            if nondoomed_cols is not None:
-                # Processes crashed for good can strand runs below the
+        if horizon is None and round_no >= members.min_rounds:
+            still = cur_total[act] < target
+            if members.nondoomed is not None:
+                # Processes gone for good can strand runs below the
                 # threshold forever; a run is over once every process
                 # that can still change state holds M.
-                active[act] &= ~new_has[:, nondoomed_cols].all(axis=1)
-
-    if tracer is not None:
-        tracer.run_end(
-            rounds=len(hist_total) - 1,
-            delivered=int(cur_total.sum()),
-            runs=runs,
-        )
-    counts = np.stack(hist_total, axis=1)
-    counts_attacked = np.stack(hist_attacked, axis=1)
-    reachable_holders = None
-    if schedule is not None:
-        reachable = sorted(schedule.reachable_ids(scenario.max_rounds))
-        reachable_holders = has[:, reachable].sum(axis=1).astype(np.int32)
-    return MonteCarloResult(
-        scenario=scenario,
-        counts=counts,
-        counts_attacked=counts_attacked,
-        counts_non_attacked=counts - counts_attacked,
-        reachable_holders=reachable_holders,
-    )
-
-
-def _run_fast_churn(
-    scenario: Scenario,
-    runs: int,
-    schedule,
-    *,
-    seed: SeedLike,
-    horizon: Optional[int],
-    tracer,
-) -> MonteCarloResult:
-    """Churn-mode vectorised loop over the extended id universe.
-
-    Joiners occupy ids ``n .. total_n - 1`` and the state arrays span
-    ``total_n`` columns.  Membership is the deterministic awareness-lag
-    model shared with the mega engine: every node's gossip candidate
-    list at round ``r`` is ``schedule.aware_targets_at(r, lag)`` with
-    ``lag = schedule.awareness_lag(fan_out)`` — a membership event
-    becomes globally visible after the logarithmic dissemination delay
-    an epidemic of the event record needs, and failure-detector
-    suspicions drop unresponsive members from the pool after
-    ``FD_TIMEOUT_ROUNDS`` silent rounds.  The exact engine realises the
-    same sequence of join / leave / expel / suspect transitions through
-    object-level certificates and per-process detectors; the fast model
-    keeps the *sequence* identical (it is resolved seedlessly by the
-    schedule) and approximates only the propagation jitter.
-
-    This loop is only entered for plans with churn tokens, so the
-    faultless and crash/partition-only RNG streams of :func:`run_fast`
-    are untouched.
-    """
-    rng = derive_rng(seed)
-    n = scenario.n
-    total_n = schedule.total_n
-    if total_n > FAST_MAX_N:
-        from repro.api.engines import group_size_refusal
-
-        raise ValueError(
-            group_size_refusal(
-                "fast",
-                total_n,
-                detail="the churn plan grows the group to this many ids",
-            )
-        )
-    cfg = scenario.protocol_config()
-    loss = scenario.loss
-    num_alive = scenario.num_alive_correct
-    num_attacked = scenario.num_attacked
-    lag = schedule.awareness_lag(scenario.fan_out)
-
-    # Correct processes: the initial alive-correct block plus every
-    # joiner id.  Malicious and crashed-block ids never accept M.
-    correct = np.zeros(total_n, dtype=bool)
-    correct[:num_alive] = True
-    correct[n:] = True
-
-    v_push = cfg.view_push_size
-    v_pull = cfg.view_pull_size
-    shared_bound = cfg.shared_in_bound
-
-    if scenario.attack is not None:
-        load = scenario.attack.port_load(scenario.protocol)
-    else:
-        load = PortLoad()
-
-    num_perturbed = scenario.num_perturbed
-    perturb_lo = num_alive - num_perturbed
-    perturb_prob = scenario.perturbation_prob
-
-    ge = None
-    ge_bad = None
-    link = scenario.faults.link if scenario.faults is not None else None
-    if link is not None and link.affects_loss:
-        ge = link
-        ge_bad = np.zeros(runs, dtype=bool)
-
-    # Joiner bookkeeping: spawn rounds and first-delivery rounds feed
-    # the join-latency metric.
-    join_round_of = {}
-    for at, _stop, first_id, count in schedule.join_blocks():
-        for j in range(first_id, first_id + count):
-            join_round_of[j] = at
-    joiner_ids = np.array(sorted(join_round_of), dtype=np.int64)
-    join_rounds = np.array(
-        [join_round_of[j] for j in joiner_ids], dtype=np.int64
-    )
-    deliv = np.full((runs, len(joiner_ids)), -1, dtype=np.int32)
-
-    doomed = schedule.doomed_ids(scenario.max_rounds)
-    nondoomed_cols = None
-    if doomed:
-        nondoomed_cols = np.array(
-            sorted(
-                (set(range(num_alive)) | set(joiner_ids.tolist())) - doomed
-            ),
-            dtype=np.int64,
-        )
-
-    # Runs stay active until every membership event has both fired and
-    # propagated, mirroring the exact engine's minimum-round floor.
-    min_rounds = max(e["round"] for e in schedule.churn_timeline()) + lag
-
-    has = np.zeros((runs, total_n), dtype=bool)
-    has[:, scenario.source] = True
-
-    target = scenario.threshold_count()
-    max_rounds = horizon if horizon is not None else scenario.max_rounds
-
-    cur_total = np.ones(runs, dtype=np.int32)
-    cur_attacked = np.ones(runs, dtype=np.int32)
-    if num_attacked == 0:
-        cur_attacked = np.zeros(runs, dtype=np.int32)
-    hist_total: List[np.ndarray] = [cur_total.copy()]
-    hist_attacked: List[np.ndarray] = [cur_attacked.copy()]
-
-    active = np.ones(runs, dtype=bool)
-    end_round = np.zeros(runs, dtype=np.int32)
-
-    if tracer is not None:
-        tracer.run_start(
-            "fast", protocol=scenario.protocol.value, n=n, runs=runs
-        )
-        tracer.delivered(
-            node=scenario.source, via="source", count=int(cur_total.sum())
-        )
-
-    for round_no in range(1, max_rounds + 1):
-        if not active.any():
-            break
-        act = np.flatnonzero(active)
-        r_count = len(act)
-        if tracer is not None:
-            tracer.round_start(round_no, active_runs=r_count)
-        has_start = has[act]
-        new_has = has_start.copy()
-
-        if ge is not None:
-            flip = np.where(ge_bad, ge.p_bad_to_good, ge.p_good_to_bad)
-            ge_bad ^= rng.random(runs) < flip
-            loss_run = np.where(ge_bad, ge.loss_bad, ge.loss_good)[act]
-            loss2 = loss_run[:, None]
-            loss3 = loss_run[:, None, None]
-        else:
-            loss2 = loss3 = loss
-
-        # ---- deterministic membership state for this round ------------------
-        present = schedule.present_at(round_no)
-        crashed = schedule.crashed_at(round_no)
-        stalled = schedule.stalled_at(round_no)
-        pool = np.fromiter(
-            sorted(schedule.aware_targets_at(round_no, lag)),
-            dtype=np.int64,
-        )
-        present_mask = np.zeros(total_n, dtype=bool)
-        present_mask[list(present)] = True
-        can_recv = correct & present_mask
-        sender_ids = np.array(
-            sorted(
-                i
-                for i in present
-                if (i < num_alive or i >= n)
-                and i not in crashed
-                and i not in stalled
-            ),
-            dtype=np.int64,
-        )
-
-        views = draw_views_from_pool(
-            rng, np.tile(sender_ids, r_count), pool, v_push + v_pull
-        ).reshape(r_count, len(sender_ids), v_push + v_pull)
-        t_push = views[:, :, :v_push]
-        t_pull = views[:, :, v_push:]
-        cells = r_count * total_n
-        first_cell = (np.arange(r_count) * total_n)[:, None, None]
-        f_push = t_push + first_cell
-        f_pull = t_pull + first_cell
-
-        awake = np.ones((r_count, total_n), dtype=bool)
-        if num_perturbed and perturb_prob > 0:
-            awake[:, perturb_lo:num_alive] = (
-                rng.random((r_count, num_perturbed)) >= perturb_prob
-            )
-        if crashed:
-            awake[:, list(crashed)] = False
-        stall_ok = None
-        if stalled:
-            stall_ok = np.ones(total_n, dtype=bool)
-            stall_ok[list(stalled)] = False
-        in_a = None
-        side_a = schedule.partition_at(round_no)
-        if side_a is not None:
-            # Joiners sit with the source's side of the split, matching
-            # the schedule's reachability accounting.
-            in_a = np.zeros(total_n, dtype=bool)
-            in_a[list(side_a)] = True
-            in_a[n:] = in_a[scenario.source]
-
-        sender_awake = awake[:, sender_ids, None]
-        if stall_ok is not None:
-            sender_awake = sender_awake & stall_ok[sender_ids][None, :, None]
-
-        push_valid = push_m = fab_push = None
-        if v_push:
-            sent = (rng.random(t_push.shape) >= loss3) & sender_awake
-            if in_a is not None:
-                sent &= in_a[sender_ids][None, :, None] == in_a[t_push]
-            push_valid = np.bincount(f_push[sent], minlength=cells).reshape(
-                r_count, total_n
-            )
-            holder = sent & has_start[:, sender_ids][:, :, None]
-            push_m = np.bincount(f_push[holder], minlength=cells).reshape(
-                r_count, total_n
-            )
-            fab_push = np.zeros((r_count, total_n), dtype=np.int64)
-            if load.push > 0 and num_attacked:
-                fab_push[:, :num_attacked] = _fabricated_counts(
-                    rng, load.push, (r_count, num_attacked), loss2
-                )
-
-        req_valid = fab_req = req_sent = None
-        fab_reply = None
-        if v_pull:
-            req_sent = (rng.random(t_pull.shape) >= loss3) & sender_awake
-            if in_a is not None:
-                req_sent &= in_a[sender_ids][None, :, None] == in_a[t_pull]
-            req_valid = np.bincount(
-                f_pull[req_sent], minlength=cells
-            ).reshape(r_count, total_n)
-            fab_req = np.zeros((r_count, total_n), dtype=np.int64)
-            if load.pull_request > 0 and num_attacked:
-                fab_req[:, :num_attacked] = _fabricated_counts(
-                    rng, load.pull_request, (r_count, num_attacked), loss2
-                )
-
-        p_pool = None
-        if shared_bound is not None:
-            pool_load = (push_valid + fab_push + req_valid + fab_req).astype(
-                float
-            )
-            pool_load[:, sender_ids] += v_push
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_pool = np.where(
-                    pool_load > 0,
-                    np.minimum(1.0, shared_bound / pool_load),
-                    1.0,
-                )
-            p_pool = p_pool * can_recv[None, :] * awake
-
-        if v_push and shared_bound is None:
-            total = push_valid + fab_push
-            got_push = _accept_any(rng, push_m, total, cfg.push_in_bound)
-            got_push &= can_recv[None, :] & awake
-            new_has |= got_push
-        elif v_push:
-            offer_ok = (rng.random(t_push.shape) >= loss3) & sender_awake
-            if in_a is not None:
-                offer_ok &= in_a[sender_ids][None, :, None] == in_a[t_push]
-            offer_acc = offer_ok & (
-                rng.random(t_push.shape) < p_pool.ravel()[f_push]
-            )
-            if stall_ok is not None:
-                offer_acc &= stall_ok[t_push]
-            reply_acc = (
-                offer_acc
-                & (rng.random(t_push.shape) >= loss3)
-                & (rng.random(t_push.shape) < p_pool[:, sender_ids, None])
-            )
-            data_ok = reply_acc & (rng.random(t_push.shape) >= loss3)
-            m_data = data_ok & has_start[:, sender_ids][:, :, None]
-            arrivals = np.bincount(f_push[m_data], minlength=cells).reshape(
-                r_count, total_n
-            )
-            got_push = (arrivals >= 1) & can_recv[None, :] & awake
-            new_has |= got_push
-
-        if v_pull:
-            if shared_bound is not None:
-                accept_prob = p_pool * awake
-            else:
-                denom = req_valid + fab_req
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    accept_prob = np.where(
-                        denom > 0,
-                        np.minimum(1.0, cfg.pull_in_bound / denom),
-                        1.0,
-                    )
-                accept_prob = accept_prob * can_recv[None, :] * awake
-
-            accepted = req_sent & (
-                rng.random(t_pull.shape) < accept_prob.ravel()[f_pull]
-            )
-            if stall_ok is not None:
-                accepted &= stall_ok[t_pull]
-            reply_ok = accepted & (rng.random(t_pull.shape) >= loss3)
-            m_reply = reply_ok & has_start.ravel()[f_pull]
-
-            if cfg.uses_random_ports:
-                got_pull = _any_target(m_reply)
-            else:
-                replies = reply_ok.sum(axis=2)
-                m_replies = m_reply.sum(axis=2)
-                fab_reply = np.zeros(
-                    (r_count, len(sender_ids)), dtype=np.int64
-                )
-                rows_attacked = np.flatnonzero(sender_ids < num_attacked)
-                if load.pull_reply > 0 and len(rows_attacked):
-                    fab_reply[:, rows_attacked] = _fabricated_counts(
-                        rng,
-                        load.pull_reply,
-                        (r_count, len(rows_attacked)),
-                        loss2,
-                    )
-                got_pull = _accept_any(
-                    rng, m_replies, replies + fab_reply, cfg.pull_in_bound
-                )
-            new_has[:, sender_ids] = new_has[:, sender_ids] | got_pull
-
-        has[act] = new_has
-        cur_total[act] = new_has[:, :num_alive].sum(axis=1, dtype=np.int32)
-        cur_attacked[act] = new_has[:, :num_attacked].sum(
-            axis=1, dtype=np.int32
-        )
-        hist_total.append(cur_total.copy())
-        hist_attacked.append(cur_attacked.copy())
-        end_round[act] = round_no
-
-        if len(joiner_ids):
-            fresh = new_has[:, joiner_ids] & (deliv[act] == -1)
-            if fresh.any():
-                block = deliv[act]
-                block[fresh] = round_no
-                deliv[act] = block
-
-        if tracer is not None:
-            attempts = int(sender_awake.sum()) * (v_push + v_pull)
-            if attempts:
-                tracer.gossip_sent(-1, -1, count=attempts)
-            fab_total = 0
-            for fab in (fab_push, fab_req, fab_reply):
-                if fab is not None:
-                    fab_total += int(fab.sum())
-            if fab_total:
-                tracer.flood_sent(-1, -1, count=fab_total)
-            delivered_now = int(new_has.sum() - has_start.sum())
-            if delivered_now:
-                tracer.delivered(count=delivered_now)
-
-        if horizon is None and round_no >= min_rounds:
-            still = cur_total[act] < target
-            if nondoomed_cols is not None:
-                still &= ~new_has[:, nondoomed_cols].all(axis=1)
+                still &= ~new_has[:, members.nondoomed].all(axis=1)
             active[act] = still
 
     if tracer is not None:
@@ -827,33 +460,16 @@ def _run_fast_churn(
         )
     counts = np.stack(hist_total, axis=1)
     counts_attacked = np.stack(hist_attacked, axis=1)
-    reachable = schedule.reachable_ids(scenario.max_rounds)
-    reachable_holders = (
-        has[:, sorted(reachable)].sum(axis=1).astype(np.int32)
-    )
-
-    # churn_stats[:, 0]: mean join latency (rounds from spawn to first
-    # copy of M) over joiners still reachable at the horizon, censored
-    # at each run's final simulated round.  churn_stats[:, 1]: view
-    # convergence — deterministic ``lag`` under the awareness model.
-    churn_stats = np.full((runs, 2), np.nan, dtype=np.float64)
-    reach_mask = np.array(
-        [int(j) in reachable for j in joiner_ids], dtype=bool
-    )
-    if reach_mask.any():
-        # Latency counts joiner-local rounds starting at 1 (delivery in
-        # the spawn round itself is latency 1), matching the exact
-        # engine's per-process round clock.
-        d = deliv[:, reach_mask].astype(np.float64)
-        jr = join_rounds[reach_mask].astype(np.float64)
-        latency = np.where(d >= 0, d - jr, end_round[:, None] - jr) + 1.0
-        churn_stats[:, 0] = np.maximum(latency, 1.0).mean(axis=1)
-    churn_stats[:, 1] = float(lag)
+    reachable_holders = None
+    if members.reachable is not None:
+        reachable_holders = (
+            has[:, members.reachable].sum(axis=1).astype(np.int32)
+        )
     return MonteCarloResult(
         scenario=scenario,
         counts=counts,
         counts_attacked=counts_attacked,
         counts_non_attacked=counts - counts_attacked,
         reachable_holders=reachable_holders,
-        churn_stats=churn_stats,
+        churn_stats=members.churn_stats(deliv, end_round),
     )

@@ -15,9 +15,10 @@ axis as the vectorised dimension, and the hot state packed tight:
   ``uint8`` little-endian bit order — 125 KB at n = 10⁶);
 - per-node bounded-channel occupancy (valid/fabricated arrival counts
   per well-known port) lives in small-int counter arrays;
-- fault state (crash / stall / partition-side / reachable sets) is
-  resolved to bitmaps once per schedule state and applied with
-  bitwise masks.
+- fault and membership state (senders, receivers, crash / stall /
+  partition-side masks) is a per-round input from
+  :class:`repro.sim.views.Membership`, resolved once per schedule
+  state on static plans.
 
 Rounds walk the node axis one fixed-size *block* of
 :data:`MEGA_BLOCK_NODES` node ids at a time.  Randomness is drawn per
@@ -62,7 +63,7 @@ from repro.adversary.attacks import PortLoad
 from repro.sim.fast import _accept_any, _fabricated_counts
 from repro.sim.results import MonteCarloResult, check_envelope
 from repro.sim.scenario import Scenario
-from repro.sim.views import draw_views, draw_views_from_pool
+from repro.sim.views import Membership, col_ids, rows_below
 from repro.util.rng import SeedLike
 
 #: Atomic randomness granularity: one positionally seeded generator per
@@ -266,32 +267,21 @@ class _BlockRngs:
         return gen
 
 
-def _fault_masks_for(state, n: int, cache: dict):
-    """Bool masks (crashed, stall_ok, side_a) for one schedule state.
+def _col_bytes(cols) -> int:
+    """Bytes a stashed block's sender columns hold: none for a slice."""
+    return 0 if isinstance(cols, slice) else cols.nbytes
 
-    States change at a handful of round boundaries, so the materialised
-    bitmaps are cached per distinct ``(crashed, stalled, side_a)``
-    triple (the frozensets are hashable).
-    """
-    cached = cache.get(state)
-    if cached is not None:
-        return cached
-    crashed_set, stalled_set, side_a_set = state
-    crashed = None
-    if crashed_set:
-        crashed = np.zeros(n, dtype=bool)
-        crashed[np.fromiter(crashed_set, np.int64, len(crashed_set))] = True
-    stall_ok = None
-    if stalled_set:
-        stall_ok = np.ones(n, dtype=bool)
-        stall_ok[np.fromiter(stalled_set, np.int64, len(stalled_set))] = False
-    in_a = None
-    if side_a_set is not None:
-        in_a = np.zeros(n, dtype=bool)
-        in_a[np.fromiter(side_a_set, np.int64, len(side_a_set))] = True
-    masks = (crashed, stall_ok, in_a)
-    cache[state] = masks
-    return masks
+
+def _bit_or_cols(packed: np.ndarray, cols, bits: np.ndarray) -> None:
+    """OR ``bits`` into ``packed`` at a block's sender columns."""
+    if isinstance(cols, slice):
+        bit_or_block(packed, cols.start, bits)
+        return
+    ids = cols[bits]
+    if len(ids):
+        np.bitwise_or.at(
+            packed, ids >> 3, (np.uint8(1) << (ids & 7).astype(np.uint8))
+        )
 
 
 def _run_one(
@@ -300,25 +290,22 @@ def _run_one(
     seed: SeedLike,
     horizon: Optional[int],
     tracer=None,
-) -> Tuple[np.ndarray, np.ndarray, Optional[int], int, Optional[tuple]]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[int], int, Optional[np.ndarray]]:
     """One packed run.
 
+    Each round's senders, view pool, receivers and fault masks come
+    from :class:`repro.sim.views.Membership`.  Under a churn plan the
+    state spans the extended id universe (joiners at ids ``n ..``);
+    the sender set of each block is schedule-determined and skipping a
+    block burns no draws, so any worker count stays byte-identical.
+
     Returns ``(counts, counts_attacked, reachable, peak_bytes, churn)``
-    where ``churn`` is ``None`` for static plans and ``(join_latency,
-    view_convergence)`` for churn plans (handled by the dedicated loop
-    in :func:`_run_one_churn`).
+    where ``churn`` is ``None`` for static plans and the run's
+    ``[join_latency, view_convergence]`` under churn.
     """
-    schedule = scenario.fault_schedule()
-    if schedule is not None and schedule.has_churn:
-        return _run_one_churn(
-            scenario,
-            schedule,
-            seed=seed,
-            horizon=horizon,
-            tracer=tracer,
-        )
     root = _run_root(seed)
-    n = scenario.n
+    members = Membership(scenario, scenario.fault_schedule())
+    width = members.width
     cfg = scenario.protocol_config()
     loss = scenario.loss
     num_alive = scenario.num_alive_correct
@@ -338,31 +325,26 @@ def _run_one(
         else PortLoad()
     )
 
-    n_blocks = (n + MEGA_BLOCK_NODES - 1) // MEGA_BLOCK_NODES
-    sender_blocks = (num_alive + MEGA_BLOCK_NODES - 1) // MEGA_BLOCK_NODES
+    n_blocks = (width + MEGA_BLOCK_NODES - 1) // MEGA_BLOCK_NODES
 
     ge = None
     ge_bad = False
-    mask_cache: dict = {}
+    link = scenario.faults.link if scenario.faults is not None else None
+    if link is not None and link.affects_loss:
+        ge = link
     nondoomed_packed = None
-    nondoomed_count = 0
-    if schedule is not None:
-        link = scenario.faults.link
-        if link is not None and link.affects_loss:
-            ge = link
-        doomed = schedule.doomed_ids(scenario.max_rounds)
-        if doomed:
-            nondoomed = [i for i in range(num_alive) if i not in doomed]
-            nondoomed_packed = mask_to_packed(n, nondoomed)
-            nondoomed_count = len(nondoomed)
+    if members.nondoomed is not None:
+        nondoomed_packed = mask_to_packed(width, members.nondoomed)
+    joiner_ids = members.joiner_ids
+    deliv = np.full(len(joiner_ids), -1, dtype=np.int32)
 
     # -- persistent packed / counter state ----------------------------------
-    has = np.zeros(packed_size(n), dtype=np.uint8)
+    has = np.zeros(packed_size(width), dtype=np.uint8)
     has[0] |= 1  # the source (id 0) holds M
-    alive_awake = np.zeros(n, dtype=bool)  # refreshed per round
-    push_valid = np.zeros(n, dtype=np.int64) if v_push else None
-    push_m = np.zeros(n, dtype=np.int64) if v_push else None
-    req_valid = np.zeros(n, dtype=np.int64) if v_pull else None
+    alive_awake = np.zeros(width, dtype=bool)  # refreshed per round
+    push_valid = np.zeros(width, dtype=np.int64) if v_push else None
+    push_m = np.zeros(width, dtype=np.int64) if v_push else None
+    req_valid = np.zeros(width, dtype=np.int64) if v_pull else None
     fab_push = (
         np.zeros(num_attacked, dtype=np.int64)
         if v_push and num_attacked
@@ -381,12 +363,18 @@ def _run_one(
     cur_attacked = 1 if num_attacked else 0
     hist_total = [cur_total]
     hist_attacked = [cur_attacked]
-    active = True if horizon is not None else cur_total < target
+    # A run ends at the threshold, never before every membership event
+    # has fired and propagated (``min_rounds``), and never early under
+    # a fixed ``horizon``.
+    active = (
+        horizon is not None or members.min_rounds > 0 or cur_total < target
+    )
+    end_round = 0
     peak_bytes = 0
 
     if tracer is not None:
         tracer.run_start(
-            "mega", protocol=scenario.protocol.value, n=n, runs=1
+            "mega", protocol=scenario.protocol.value, n=scenario.n, runs=1
         )
         tracer.delivered(node=scenario.source, via="source", count=1)
 
@@ -406,17 +394,15 @@ def _run_one(
         else:
             loss_round = loss
 
-        crashed = stall_ok = in_a = None
-        if schedule is not None:
-            state = schedule._state(round_no)
-            crashed, stall_ok, in_a = _fault_masks_for(state, n, mask_cache)
-
-        alive_awake[:] = False
-        alive_awake[:num_alive] = True
-        if crashed is not None:
-            alive_awake &= ~crashed
+        rnd = members.at(round_no)
+        stall_ok, in_a = rnd.stall_ok, rnd.in_a
+        alive_awake[:] = rnd.receivers
+        if rnd.crashed is not None:
+            alive_awake[rnd.crashed] = False
         new_has = has.copy()
-        round_bytes = has.nbytes + new_has.nbytes + alive_awake.nbytes
+        round_bytes = (
+            has.nbytes + new_has.nbytes + alive_awake.nbytes + rnd.state_bytes
+        )
 
         # -- phase A: sender draws, arrival counters -------------------------
         if push_valid is not None:
@@ -424,31 +410,33 @@ def _run_one(
             push_m[:] = 0
         if req_valid is not None:
             req_valid[:] = 0
-        # Per sender block, stash what later phases replay: targets,
-        # the request-sent mask, and (shared-bounds only) push targets.
-        pull_stash: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        push_stash: List[Tuple[int, np.ndarray]] = []
+        # Per sender block, stash what later phases replay: sender
+        # columns, targets, the request-sent mask, and (shared-bounds
+        # only) push targets.
+        pull_stash: List[Tuple[int, object, np.ndarray, np.ndarray]] = []
+        push_stash: List[Tuple[int, object, np.ndarray]] = []
         sender_attempts = 0
-        for b_start in range(0, num_alive, MEGA_BLOCK_NODES):
-            b_stop = min(b_start + MEGA_BLOCK_NODES, num_alive)
+        for b_start in range(0, width, MEGA_BLOCK_NODES):
+            b_stop = min(b_start + MEGA_BLOCK_NODES, width)
             block = b_start // MEGA_BLOCK_NODES
+            cols = rnd.block(b_start, b_stop)
+            senders = col_ids(cols)
+            lo = max(b_start, perturb_lo)
+            hi = min(b_stop, num_alive)
+            perturb = num_perturbed and perturb_prob > 0 and lo < hi
+            if not len(senders) and not perturb:
+                continue  # positional seeding: skipping burns no draws
             g = rngs(block)
-            senders = np.arange(b_start, b_stop)
-            awake_b = alive_awake[b_start:b_stop]
             # (a) perturbation sleep draws for ids in this block
-            if num_perturbed and perturb_prob > 0:
-                lo = max(b_start, perturb_lo)
-                hi = min(b_stop, num_alive)
-                if lo < hi:
-                    asleep = g.random(hi - lo) < perturb_prob
-                    awake_b = awake_b.copy()
-                    awake_b[lo - b_start:hi - b_start] &= ~asleep
-                    alive_awake[lo:hi] = awake_b[lo - b_start:hi - b_start]
-            send_ok = awake_b
+            if perturb:
+                alive_awake[lo:hi] &= ~(g.random(hi - lo) < perturb_prob)
+            if not len(senders):
+                continue
+            send_ok = alive_awake[cols]
             if stall_ok is not None:
-                send_ok = send_ok & stall_ok[b_start:b_stop]
+                send_ok = send_ok & stall_ok[cols]
             # (b) view draws, (c) push loss, (d) pull loss
-            views = draw_views(g, senders, n, v)
+            views = rnd.draw(g, senders, v)
             t_push = views[:, :v_push]
             t_pull = views[:, v_push:]
             has_b = bit_get(has, senders)
@@ -458,25 +446,25 @@ def _run_one(
                     & send_ok[:, None]
                 )
                 if in_a is not None:
-                    sent &= in_a[senders][:, None] == in_a[t_push]
+                    sent &= in_a[cols][:, None] == in_a[t_push]
                 np.add.at(push_valid, t_push[sent], 1)
                 holder = sent & has_b[:, None]
                 np.add.at(push_m, t_push[holder], 1)
                 if shared_bound is not None:
-                    push_stash.append((b_start, t_push))
+                    push_stash.append((block, cols, t_push))
             if v_pull:
                 req_sent = (
                     (g.random(t_pull.shape) >= loss_round)
                     & send_ok[:, None]
                 )
                 if in_a is not None:
-                    req_sent &= in_a[senders][:, None] == in_a[t_pull]
+                    req_sent &= in_a[cols][:, None] == in_a[t_pull]
                 np.add.at(req_valid, t_pull[req_sent], 1)
-                pull_stash.append((b_start, t_pull, req_sent))
+                pull_stash.append((block, cols, t_pull, req_sent))
             sender_attempts += int(send_ok.sum()) * v
         round_bytes += sum(
-            t.nbytes + m.nbytes for _, t, m in pull_stash
-        ) + sum(t.nbytes for _, t in push_stash)
+            _col_bytes(c) + t.nbytes + m.nbytes for _, c, t, m in pull_stash
+        ) + sum(_col_bytes(c) + t.nbytes for _, c, t in push_stash)
         if push_valid is not None:
             round_bytes += push_valid.nbytes + push_m.nbytes
         if req_valid is not None:
@@ -504,7 +492,7 @@ def _run_one(
                 pool[:num_attacked] += fab_push
             if fab_req is not None:
                 pool[:num_attacked] += fab_req
-            pool[:num_alive] += v_push
+            pool[rnd.cols] += v_push
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_pool = np.where(
                     pool > 0, np.minimum(1.0, shared_bound / pool), 1.0
@@ -522,8 +510,8 @@ def _run_one(
             total = push_valid.copy()
             if fab_push is not None:
                 total[:num_attacked] += fab_push
-            for b_start in range(0, n, MEGA_BLOCK_NODES):
-                b_stop = min(b_start + MEGA_BLOCK_NODES, n)
+            for b_start in range(0, width, MEGA_BLOCK_NODES):
+                b_stop = min(b_start + MEGA_BLOCK_NODES, width)
                 g = rngs(b_start // MEGA_BLOCK_NODES)
                 got = _accept_any(
                     g,
@@ -537,20 +525,18 @@ def _run_one(
             # Offer handshake (shared-bounds variant): offer wins the
             # target's pool, push-reply wins the sender's pool, each leg
             # crosses one lossy link.
-            arrivals = np.zeros(n, dtype=np.int64)
-            for b_start, t_push in push_stash:
-                b_stop = b_start + t_push.shape[0]
-                g = rngs(b_start // MEGA_BLOCK_NODES)
-                senders = np.arange(b_start, b_stop)
-                send_ok = alive_awake[b_start:b_stop]
+            arrivals = np.zeros(width, dtype=np.int64)
+            for block, cols, t_push in push_stash:
+                g = rngs(block)
+                send_ok = alive_awake[cols]
                 if stall_ok is not None:
-                    send_ok = send_ok & stall_ok[b_start:b_stop]
+                    send_ok = send_ok & stall_ok[cols]
                 offer_ok = (
                     (g.random(t_push.shape) >= loss_round)
                     & send_ok[:, None]
                 )
                 if in_a is not None:
-                    offer_ok &= in_a[senders][:, None] == in_a[t_push]
+                    offer_ok &= in_a[cols][:, None] == in_a[t_push]
                 offer_acc = offer_ok & (
                     g.random(t_push.shape) < p_pool[t_push]
                 )
@@ -559,10 +545,10 @@ def _run_one(
                 reply_acc = (
                     offer_acc
                     & (g.random(t_push.shape) >= loss_round)
-                    & (g.random(t_push.shape) < p_pool[senders][:, None])
+                    & (g.random(t_push.shape) < p_pool[cols][:, None])
                 )
                 data_ok = reply_acc & (g.random(t_push.shape) >= loss_round)
-                m_data = data_ok & bit_get(has, senders)[:, None]
+                m_data = data_ok & bit_get(has, col_ids(cols))[:, None]
                 np.add.at(arrivals, t_push[m_data], 1)
             got_all = (arrivals >= 1) & alive_awake
             bit_or_block(new_has, 0, got_all)
@@ -585,9 +571,8 @@ def _run_one(
                 accept_prob *= alive_awake
                 round_bytes += accept_prob.nbytes
             wkr = not cfg.uses_random_ports
-            for b_start, t_pull, req_sent in pull_stash:
-                b_stop = b_start + t_pull.shape[0]
-                g = rngs(b_start // MEGA_BLOCK_NODES)
+            for block, cols, t_pull, req_sent in pull_stash:
+                g = rngs(block)
                 accepted = req_sent & (
                     g.random(t_pull.shape) < accept_prob[t_pull]
                 )
@@ -601,8 +586,8 @@ def _run_one(
                     # Well-known reply port: bounded and attacked.
                     replies = reply_ok.sum(axis=1)
                     m_replies = m_reply.sum(axis=1)
-                    if load.pull_reply > 0 and b_start < num_attacked:
-                        k = min(b_stop, num_attacked) - b_start
+                    k = rows_below(cols, num_attacked)
+                    if load.pull_reply > 0 and k:
                         fab_reply = _fabricated_counts(
                             g, load.pull_reply, (k,), loss_round
                         )
@@ -612,419 +597,7 @@ def _run_one(
                     got_pull = _accept_any(
                         g, m_replies, replies, cfg.pull_in_bound
                     )
-                bit_or_block(new_has, b_start, got_pull)
-
-        # -- end of round -----------------------------------------------------
-        has = new_has
-        cur_total = popcount_prefix(has, num_alive)
-        cur_attacked = popcount_prefix(has, num_attacked)
-        hist_total.append(cur_total)
-        hist_attacked.append(cur_attacked)
-        peak_bytes = max(peak_bytes, round_bytes)
-
-        if tracer is not None:
-            if sender_attempts:
-                tracer.gossip_sent(-1, -1, count=sender_attempts)
-            if fab_total:
-                tracer.flood_sent(-1, -1, count=fab_total)
-            delivered_now = hist_total[-1] - hist_total[-2]
-            if delivered_now:
-                tracer.delivered(count=delivered_now)
-
-        if horizon is None:
-            active = cur_total < target
-            if active and nondoomed_packed is not None:
-                settled = (
-                    popcount(has & nondoomed_packed) == nondoomed_count
-                )
-                active = not settled
-
-    if tracer is not None:
-        tracer.run_end(
-            rounds=len(hist_total) - 1, delivered=cur_total, runs=1
-        )
-
-    reachable_holders = None
-    if schedule is not None:
-        reachable = schedule.reachable_ids(scenario.max_rounds)
-        reachable_holders = popcount(
-            has & mask_to_packed(n, sorted(reachable))
-        )
-    return (
-        np.array(hist_total, dtype=np.int32),
-        np.array(hist_attacked, dtype=np.int32),
-        reachable_holders,
-        peak_bytes,
-        None,
-    )
-
-
-def _bit_or_ids(packed: np.ndarray, ids: np.ndarray) -> None:
-    """Set the (arbitrary, possibly unaligned) bits ``ids`` in ``packed``."""
-    if len(ids) == 0:
-        return
-    np.bitwise_or.at(
-        packed, ids >> 3, (np.uint8(1) << (ids & 7).astype(np.uint8))
-    )
-
-
-def _run_one_churn(
-    scenario: Scenario,
-    schedule,
-    *,
-    seed: SeedLike,
-    horizon: Optional[int],
-    tracer=None,
-) -> Tuple[np.ndarray, np.ndarray, Optional[int], int, Optional[tuple]]:
-    """One packed run under a churn plan.
-
-    State spans the extended id universe ``total_n`` (joiners at ids
-    ``n ..``) and membership follows the same deterministic
-    awareness-lag model as the fast engine's churn loop: view draws are
-    restricted to ``schedule.aware_targets_at(round, lag)`` and sender
-    participation to the present, unsuspected, responsive membership.
-    Randomness stays positional per ``(round, node-block)`` and the
-    sender set of each block is schedule-determined, so any worker
-    count yields byte-identical results.
-    """
-    root = _run_root(seed)
-    n = scenario.n
-    nm = schedule.total_n
-    cfg = scenario.protocol_config()
-    loss = scenario.loss
-    num_alive = scenario.num_alive_correct
-    num_attacked = scenario.num_attacked
-    num_perturbed = scenario.num_perturbed
-    perturb_lo = num_alive - num_perturbed
-    perturb_prob = scenario.perturbation_prob
-    lag = schedule.awareness_lag(scenario.fan_out)
-
-    v_push = cfg.view_push_size
-    v_pull = cfg.view_pull_size
-    v = v_push + v_pull
-    shared_bound = cfg.shared_in_bound
-
-    load = (
-        scenario.attack.port_load(scenario.protocol)
-        if scenario.attack is not None
-        else PortLoad()
-    )
-
-    n_blocks = (nm + MEGA_BLOCK_NODES - 1) // MEGA_BLOCK_NODES
-
-    ge = None
-    ge_bad = False
-    link = scenario.faults.link if scenario.faults is not None else None
-    if link is not None and link.affects_loss:
-        ge = link
-
-    correct = np.zeros(nm, dtype=bool)
-    correct[:num_alive] = True
-    correct[n:] = True
-
-    join_round_of = {}
-    for at, _stop, first_id, count in schedule.join_blocks():
-        for j in range(first_id, first_id + count):
-            join_round_of[j] = at
-    joiner_ids = np.array(sorted(join_round_of), dtype=np.int64)
-    join_rounds = np.array(
-        [join_round_of[j] for j in joiner_ids], dtype=np.int64
-    )
-    deliv = np.full(len(joiner_ids), -1, dtype=np.int32)
-
-    doomed = schedule.doomed_ids(scenario.max_rounds)
-    nondoomed_packed = None
-    nondoomed_count = 0
-    if doomed:
-        nondoomed = sorted(
-            (set(range(num_alive)) | set(joiner_ids.tolist())) - doomed
-        )
-        nondoomed_packed = mask_to_packed(nm, nondoomed)
-        nondoomed_count = len(nondoomed)
-
-    min_rounds = max(e["round"] for e in schedule.churn_timeline()) + lag
-
-    has = np.zeros(packed_size(nm), dtype=np.uint8)
-    has[0] |= 1  # the source (id 0) holds M
-    alive_awake = np.zeros(nm, dtype=bool)
-    push_valid = np.zeros(nm, dtype=np.int64) if v_push else None
-    push_m = np.zeros(nm, dtype=np.int64) if v_push else None
-    req_valid = np.zeros(nm, dtype=np.int64) if v_pull else None
-    fab_push = (
-        np.zeros(num_attacked, dtype=np.int64)
-        if v_push and num_attacked
-        else None
-    )
-    fab_req = (
-        np.zeros(num_attacked, dtype=np.int64)
-        if v_pull and num_attacked
-        else None
-    )
-
-    target = scenario.threshold_count()
-    max_rounds = horizon if horizon is not None else scenario.max_rounds
-
-    cur_total = 1
-    cur_attacked = 1 if num_attacked else 0
-    hist_total = [cur_total]
-    hist_attacked = [cur_attacked]
-    active = True
-    end_round = 0
-    peak_bytes = 0
-
-    if tracer is not None:
-        tracer.run_start(
-            "mega", protocol=scenario.protocol.value, n=n, runs=1
-        )
-        tracer.delivered(node=scenario.source, via="source", count=1)
-
-    for round_no in range(1, max_rounds + 1):
-        if not active:
-            break
-        if tracer is not None:
-            tracer.round_start(round_no, active_runs=1)
-        rngs = _BlockRngs(root, round_no)
-
-        if ge is not None:
-            g_run = rngs(n_blocks)
-            flip = ge.p_bad_to_good if ge_bad else ge.p_good_to_bad
-            ge_bad ^= bool(g_run.random() < flip)
-            loss_round = ge.loss_bad if ge_bad else ge.loss_good
-        else:
-            loss_round = loss
-
-        # ---- deterministic membership state for this round ------------------
-        present = schedule.present_at(round_no)
-        crashed_set = schedule.crashed_at(round_no)
-        stalled_set = schedule.stalled_at(round_no)
-        pool = np.fromiter(
-            sorted(schedule.aware_targets_at(round_no, lag)),
-            dtype=np.int64,
-        )
-        present_mask = np.zeros(nm, dtype=bool)
-        present_mask[list(present)] = True
-        sender_mask = np.zeros(nm, dtype=bool)
-        sender_mask[
-            [
-                i
-                for i in present
-                if (i < num_alive or i >= n)
-                and i not in crashed_set
-                and i not in stalled_set
-            ]
-        ] = True
-        stall_ok = None
-        if stalled_set:
-            stall_ok = np.ones(nm, dtype=bool)
-            stall_ok[list(stalled_set)] = False
-        in_a = None
-        side_a = schedule.partition_at(round_no)
-        if side_a is not None:
-            in_a = np.zeros(nm, dtype=bool)
-            in_a[list(side_a)] = True
-            in_a[n:] = in_a[scenario.source]
-
-        alive_awake[:] = correct & present_mask
-        if crashed_set:
-            alive_awake[list(crashed_set)] = False
-        new_has = has.copy()
-        round_bytes = (
-            has.nbytes + new_has.nbytes + alive_awake.nbytes
-            + present_mask.nbytes + sender_mask.nbytes + pool.nbytes
-        )
-
-        # -- phase A: sender draws, arrival counters -------------------------
-        if push_valid is not None:
-            push_valid[:] = 0
-            push_m[:] = 0
-        if req_valid is not None:
-            req_valid[:] = 0
-        pull_stash: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        push_stash: List[Tuple[np.ndarray, np.ndarray]] = []
-        sender_attempts = 0
-        for b_start in range(0, nm, MEGA_BLOCK_NODES):
-            b_stop = min(b_start + MEGA_BLOCK_NODES, nm)
-            block = b_start // MEGA_BLOCK_NODES
-            b_senders = np.flatnonzero(
-                sender_mask[b_start:b_stop]
-            ) + b_start
-            lo = max(b_start, perturb_lo)
-            hi = min(b_stop, num_alive)
-            needs_perturb = (
-                num_perturbed and perturb_prob > 0 and lo < hi
-            )
-            if not len(b_senders) and not needs_perturb:
-                continue  # positional seeding: skipping burns no draws
-            g = rngs(block)
-            if needs_perturb:
-                asleep = g.random(hi - lo) < perturb_prob
-                alive_awake[lo:hi] &= ~asleep
-            if not len(b_senders):
-                continue
-            send_ok = alive_awake[b_senders]
-            views = draw_views_from_pool(g, b_senders, pool, v)
-            t_push = views[:, :v_push]
-            t_pull = views[:, v_push:]
-            has_b = bit_get(has, b_senders)
-            if v_push:
-                sent = (
-                    (g.random(t_push.shape) >= loss_round)
-                    & send_ok[:, None]
-                )
-                if in_a is not None:
-                    sent &= in_a[b_senders][:, None] == in_a[t_push]
-                np.add.at(push_valid, t_push[sent], 1)
-                holder = sent & has_b[:, None]
-                np.add.at(push_m, t_push[holder], 1)
-                if shared_bound is not None:
-                    push_stash.append((b_senders, t_push))
-            if v_pull:
-                req_sent = (
-                    (g.random(t_pull.shape) >= loss_round)
-                    & send_ok[:, None]
-                )
-                if in_a is not None:
-                    req_sent &= in_a[b_senders][:, None] == in_a[t_pull]
-                np.add.at(req_valid, t_pull[req_sent], 1)
-                pull_stash.append((b_senders, t_pull, req_sent))
-            sender_attempts += int(send_ok.sum()) * v
-        round_bytes += sum(
-            s.nbytes + t.nbytes + m.nbytes for s, t, m in pull_stash
-        ) + sum(s.nbytes + t.nbytes for s, t in push_stash)
-        if push_valid is not None:
-            round_bytes += push_valid.nbytes + push_m.nbytes
-        if req_valid is not None:
-            round_bytes += req_valid.nbytes
-
-        # -- phase B: fabricated floods at attacked nodes --------------------
-        for fab, rate in ((fab_push, load.push), (fab_req, load.pull_request)):
-            if fab is None:
-                continue
-            fab[:] = 0
-            if rate <= 0:
-                continue
-            for b_start in range(0, num_attacked, MEGA_BLOCK_NODES):
-                b_stop = min(b_start + MEGA_BLOCK_NODES, num_attacked)
-                g = rngs(b_start // MEGA_BLOCK_NODES)
-                fab[b_start:b_stop] = _fabricated_counts(
-                    g, rate, (b_stop - b_start,), loss_round
-                )
-
-        # -- shared-bounds pool ---------------------------------------------
-        p_pool = None
-        if shared_bound is not None:
-            pool_load = (push_valid + req_valid).astype(float)
-            if fab_push is not None:
-                pool_load[:num_attacked] += fab_push
-            if fab_req is not None:
-                pool_load[:num_attacked] += fab_req
-            pool_load[sender_mask] += v_push
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_pool = np.where(
-                    pool_load > 0,
-                    np.minimum(1.0, shared_bound / pool_load),
-                    1.0,
-                )
-            p_pool *= alive_awake
-            round_bytes += p_pool.nbytes
-
-        # -- phase C: push acceptance ---------------------------------------
-        fab_total = 0
-        if fab_push is not None:
-            fab_total += int(fab_push.sum())
-        if fab_req is not None:
-            fab_total += int(fab_req.sum())
-        if v_push and shared_bound is None:
-            total = push_valid.copy()
-            if fab_push is not None:
-                total[:num_attacked] += fab_push
-            for b_start in range(0, nm, MEGA_BLOCK_NODES):
-                b_stop = min(b_start + MEGA_BLOCK_NODES, nm)
-                g = rngs(b_start // MEGA_BLOCK_NODES)
-                got = _accept_any(
-                    g,
-                    push_m[b_start:b_stop],
-                    total[b_start:b_stop],
-                    cfg.push_in_bound,
-                )
-                got &= alive_awake[b_start:b_stop]
-                bit_or_block(new_has, b_start, got)
-        elif v_push:
-            arrivals = np.zeros(nm, dtype=np.int64)
-            for b_senders, t_push in push_stash:
-                g = rngs(int(b_senders[0]) // MEGA_BLOCK_NODES)
-                send_ok = alive_awake[b_senders]
-                offer_ok = (
-                    (g.random(t_push.shape) >= loss_round)
-                    & send_ok[:, None]
-                )
-                if in_a is not None:
-                    offer_ok &= in_a[b_senders][:, None] == in_a[t_push]
-                offer_acc = offer_ok & (
-                    g.random(t_push.shape) < p_pool[t_push]
-                )
-                if stall_ok is not None:
-                    offer_acc &= stall_ok[t_push]
-                reply_acc = (
-                    offer_acc
-                    & (g.random(t_push.shape) >= loss_round)
-                    & (g.random(t_push.shape) < p_pool[b_senders][:, None])
-                )
-                data_ok = reply_acc & (g.random(t_push.shape) >= loss_round)
-                m_data = data_ok & bit_get(has, b_senders)[:, None]
-                np.add.at(arrivals, t_push[m_data], 1)
-            got_all = (arrivals >= 1) & alive_awake
-            bit_or_block(new_has, 0, got_all)
-            round_bytes += arrivals.nbytes
-
-        # -- phase D: pull requests and replies -------------------------------
-        if v_pull:
-            if shared_bound is not None:
-                accept_prob = p_pool
-            else:
-                denom = req_valid.astype(float)
-                if fab_req is not None:
-                    denom[:num_attacked] += fab_req
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    accept_prob = np.where(
-                        denom > 0,
-                        np.minimum(1.0, cfg.pull_in_bound / denom),
-                        1.0,
-                    )
-                accept_prob *= alive_awake
-                round_bytes += accept_prob.nbytes
-            wkr = not cfg.uses_random_ports
-            for b_senders, t_pull, req_sent in pull_stash:
-                g = rngs(int(b_senders[0]) // MEGA_BLOCK_NODES)
-                accepted = req_sent & (
-                    g.random(t_pull.shape) < accept_prob[t_pull]
-                )
-                if stall_ok is not None:
-                    accepted &= stall_ok[t_pull]
-                reply_ok = accepted & (g.random(t_pull.shape) >= loss_round)
-                m_reply = reply_ok & bit_get(has, t_pull)
-                if not wkr:
-                    got_pull = m_reply.any(axis=1)
-                else:
-                    replies = reply_ok.sum(axis=1)
-                    m_replies = m_reply.sum(axis=1)
-                    rows_attacked = np.flatnonzero(
-                        b_senders < num_attacked
-                    )
-                    if load.pull_reply > 0 and len(rows_attacked):
-                        fab_reply = _fabricated_counts(
-                            g,
-                            load.pull_reply,
-                            (len(rows_attacked),),
-                            loss_round,
-                        )
-                        fab_total += int(fab_reply.sum())
-                        replies = replies.copy()
-                        replies[rows_attacked] += fab_reply
-                    got_pull = _accept_any(
-                        g, m_replies, replies, cfg.pull_in_bound
-                    )
-                _bit_or_ids(new_has, b_senders[got_pull])
+                _bit_or_cols(new_has, cols, got_pull)
 
         # -- end of round -----------------------------------------------------
         has = new_has
@@ -1035,11 +608,11 @@ def _run_one_churn(
         peak_bytes = max(peak_bytes, round_bytes)
         end_round = round_no
 
+        joined = 0
         if len(joiner_ids):
-            jb = bit_get(has, joiner_ids)
-            fresh = jb & (deliv == -1)
-            if fresh.any():
-                deliv[fresh] = round_no
+            fresh = bit_get(has, joiner_ids) & (deliv == -1)
+            deliv[fresh] = round_no
+            joined = int(fresh.sum())
 
         if tracer is not None:
             if sender_attempts:
@@ -1049,12 +622,15 @@ def _run_one_churn(
             delivered_now = hist_total[-1] - hist_total[-2]
             if delivered_now:
                 tracer.delivered(count=delivered_now)
+            if joined:
+                tracer.delivered(via="joiner", count=joined)
 
-        if horizon is None and round_no >= min_rounds:
+        if horizon is None and round_no >= members.min_rounds:
             active = cur_total < target
             if active and nondoomed_packed is not None:
                 settled = (
-                    popcount(has & nondoomed_packed) == nondoomed_count
+                    popcount(has & nondoomed_packed)
+                    == len(members.nondoomed)
                 )
                 active = not settled
 
@@ -1063,26 +639,17 @@ def _run_one_churn(
             rounds=len(hist_total) - 1, delivered=cur_total, runs=1
         )
 
-    reachable = schedule.reachable_ids(scenario.max_rounds)
-    reachable_holders = popcount(has & mask_to_packed(nm, sorted(reachable)))
-
-    # Same conventions as the fast engine: latency counts joiner-local
-    # rounds starting at 1, view convergence is the deterministic lag.
-    join_latency = float("nan")
-    reach_mask = np.array(
-        [int(j) in reachable for j in joiner_ids], dtype=bool
-    )
-    if reach_mask.any():
-        d = deliv[reach_mask].astype(np.float64)
-        jr = join_rounds[reach_mask].astype(np.float64)
-        latency = np.where(d >= 0, d - jr, float(end_round) - jr) + 1.0
-        join_latency = float(np.maximum(latency, 1.0).mean())
+    reachable_holders = None
+    if members.reachable is not None:
+        reachable_holders = popcount(
+            has & mask_to_packed(width, members.reachable)
+        )
     return (
         np.array(hist_total, dtype=np.int32),
         np.array(hist_attacked, dtype=np.int32),
         reachable_holders,
         peak_bytes,
-        (join_latency, float(lag)),
+        members.churn_stats(deliv, end_round),
     )
 
 
@@ -1129,8 +696,7 @@ def _mega_task_shm(task):
         if reachable is not None:
             views["holders"][row] = reachable
         if churn is not None:
-            views["churn"][row, 0] = churn[0]
-            views["churn"][row, 1] = churn[1]
+            views["churn"][row] = churn
         return (int(k), int(peak))
     finally:
         views = None

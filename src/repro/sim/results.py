@@ -37,6 +37,15 @@ def _none_if_nan(value) -> Optional[float]:
     return None if math.isnan(value) else value
 
 
+def _nanmean_or_none(values) -> Optional[float]:
+    """``np.nanmean`` as a JSON-safe float: None, without numpy's
+    empty-slice warning, when every entry is NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).all():
+        return None
+    return float(np.nanmean(values))
+
+
 def check_envelope(data: dict, kind: str) -> None:
     """Validate a ``to_dict`` envelope before deserialising ``kind``."""
     if data.get("schema") != SCHEMA:
@@ -385,12 +394,10 @@ class MonteCarloResult:
         heal = self.rounds_to_heal()
         metrics = {
             "reliability": float(np.mean(self.residual_reliability())),
-            "rounds_to_threshold": _none_if_nan(
-                np.nanmean(self._censored(self.rounds_to_threshold()))
+            "rounds_to_threshold": _nanmean_or_none(
+                self._censored(self.rounds_to_threshold())
             ),
-            "rounds_to_heal": None
-            if heal is None
-            else _none_if_nan(np.nanmean(heal)),
+            "rounds_to_heal": None if heal is None else _nanmean_or_none(heal),
             "latency_ms": None,
         }
         data = {
@@ -409,11 +416,9 @@ class MonteCarloResult:
             data["churn_stats"] = [
                 [float(v) for v in row] for row in self.churn_stats
             ]
-            metrics["join_latency"] = _none_if_nan(
-                np.nanmean(self.churn_stats[:, 0])
-            )
-            metrics["view_convergence"] = _none_if_nan(
-                np.nanmean(self.churn_stats[:, 1])
+            metrics["join_latency"] = _nanmean_or_none(self.churn_stats[:, 0])
+            metrics["view_convergence"] = _nanmean_or_none(
+                self.churn_stats[:, 1]
             )
         return {
             "schema": SCHEMA,

@@ -43,6 +43,17 @@ class TestSimulate:
         assert code == 0
         assert payload["mean residual reliability"] >= 0.99
 
+    def test_churn_json(self, capsys):
+        code = main([
+            "simulate", "--n", "60", "--runs", "10", "--seed", "1",
+            "--fan-out", "4", "--churn", "0.15", "--json",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["mean residual reliability"] >= 0.97
+        assert payload["mean join latency [rounds]"] >= 1.0
+        assert payload["mean view convergence [rounds]"] >= 1.0
+
     def test_half_specified_attack_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--alpha", "0.1", "--runs", "5"])
@@ -192,6 +203,20 @@ class TestSweep:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"] == "budget_sweep"
+
+    def test_churn_kind(self, capsys, tmp_path):
+        out_file = tmp_path / "churn.json"
+        code = main([
+            "sweep", "--kind", "churn", "--protocols", "drum,push",
+            "--values", "0,0.2", "--n", "60", "--runs", "5", "--seed", "1",
+            "--out", str(out_file),
+        ])
+        assert code == 0
+        payload = json.loads(out_file.read_text())
+        assert payload["name"] == "churn_sweep"
+        assert payload["x_values"] == [0.0, 0.2]
+        for protocol in ("drum", "push"):
+            assert min(payload["series"][protocol]) >= 0.97
 
     def test_empty_protocols_rejected(self):
         with pytest.raises(SystemExit):
