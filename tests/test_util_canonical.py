@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.adversary import AttackSpec
+from repro.des import ClusterConfig
 from repro.sim import Scenario
 from repro.util.canonical import canonical_json, canonical_key, canonical_token
 
@@ -91,6 +92,19 @@ class TestDataclassesAndEnums:
             )
 
         assert canonical_key(build()) == canonical_key(build())
+
+    def test_cluster_config_key_is_pinned(self):
+        # Sweep-store keys of DES measurement cells: the key covers the
+        # class's qualified name and its field names, not where in the
+        # class hierarchy a field is declared.
+        config = ClusterConfig(
+            protocol="pull", n=30, malicious_fraction=0.2,
+            attack=AttackSpec(alpha=0.1, x=32.0), loss=0.02, messages=50,
+            faults="crash@4-8:0.1; join@5:0.1",
+        )
+        assert canonical_key(config) == (
+            "a16bc7150e452f74d7b3e773bdf84a38e71d6cb3402d6092e07ce96fa64ccea1"
+        )
 
 
 class TestSeedSequences:
