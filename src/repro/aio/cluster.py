@@ -2,11 +2,14 @@
 
 :class:`AioCluster` runs the discrete-event stack's
 :class:`~repro.des.node.GossipNode` and
-:class:`~repro.des.attacker.AttackerProcess` in wall-clock time, with
-the same delivery log and
-:class:`~repro.des.measurement.MeasurementResult` packaging as
-:mod:`repro.des.cluster`.  Every node runs as timers on a single
-:mod:`asyncio` loop — a heap entry per node, not a thread — so group
+:class:`~repro.des.attacker.AttackerProcess` in wall-clock time.  It
+shares with the DES host everything that is neither clock nor network:
+the group config (:class:`~repro.des.cluster.GroupConfig`), the
+:class:`~repro.des.measurement.DeliveryLog` and its
+:class:`~repro.des.measurement.MeasurementResult` packaging, and the
+crash-window arming (:func:`~repro.faults.live.arm_flips`).  Every
+node runs as timers on a single :mod:`asyncio` loop — a heap entry per
+node, not a thread — so group
 sizes in the thousands fit one process, over in-process loopback or
 real UDP.
 
@@ -30,22 +33,22 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.adversary.attacks import AttackSpec
 from repro.aio.env import AsyncEnvironment, LoopClock
 from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
-from repro.core.config import ProtocolConfig, ProtocolKind
 from repro.core.message import MessageIdFactory
 from repro.crypto.signatures import SignatureRegistry
 from repro.des.attacker import AttackerProcess
-from repro.des.measurement import DeliveryRecord, MeasurementResult
+from repro.des.cluster import GroupConfig
+from repro.des.measurement import DeliveryLog, MeasurementResult
 from repro.des.node import GossipNode
-from repro.faults.live import FaultyTransport, crash_flips
+from repro.faults.live import FaultyTransport, arm_flips
 from repro.faults.plan import FaultPlan
 from repro.net.link import LossModel
 from repro.net.transport import Transport, UdpTransport
-from repro.util import SeedSequenceFactory, check_fraction, check_probability
+from repro.util import SeedSequenceFactory
 from repro.util.rng import SeedLike
 
 #: Transports the config can name.
@@ -53,26 +56,17 @@ TRANSPORTS = ("loopback", "udp")
 
 
 @dataclass(frozen=True)
-class AioClusterConfig:
-    """One asyncio-cluster configuration.
-
-    Field-compatible with :class:`~repro.des.cluster.ClusterConfig`'s
-    shared surface so :meth:`repro.api.Experiment.aio_config` is a
-    straight translation; defaults favour sub-second demo rounds.
+class AioClusterConfig(GroupConfig):
+    """One asyncio-cluster configuration: the shared
+    :class:`~repro.des.cluster.GroupConfig` with defaults favouring
+    sub-second demo rounds, plus the wall clock's own fields.  Churn
+    tokens are refused — this runtime keeps a fixed membership.
     """
 
-    protocol: Union[ProtocolKind, str] = ProtocolKind.DRUM
-    n: int = 50
     malicious_fraction: float = 0.0
-    attack: Optional[AttackSpec] = None
-    fan_out: int = 4
     loss: float = 0.0
     round_duration_ms: float = 200.0
-    round_jitter: float = 0.1
     purge_rounds: int = 20
-    max_sends_per_partner: int = 80
-    #: Source send rate in messages per second.
-    send_rate: float = 40.0
     #: Stream length for :func:`run_aio_experiment`.
     messages: int = 40
     #: Extra drain after the stream tail is awaited, in round durations —
@@ -81,24 +75,9 @@ class AioClusterConfig:
     #: ``"loopback"`` (in-process datagrams) or ``"udp"`` (real sockets
     #: via :class:`~repro.net.transport.UdpTransport`).
     transport: str = "loopback"
-    #: Injected faults, same plans and global fault clock as every other
-    #: stack.  Churn tokens are refused — this runtime keeps a fixed
-    #: membership.
-    faults: Optional[Union[FaultPlan, str]] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.protocol, str):
-            object.__setattr__(self, "protocol", ProtocolKind(self.protocol))
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        check_fraction(
-            "malicious_fraction", self.malicious_fraction, allow_zero=True
-        )
-        check_probability("loss", self.loss)
-        if self.send_rate <= 0:
-            raise ValueError(f"send_rate must be > 0, got {self.send_rate}")
-        if self.messages < 1:
-            raise ValueError(f"messages must be >= 1, got {self.messages}")
+        super().__post_init__()
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"transport must be one of {TRANSPORTS}, got "
@@ -110,101 +89,10 @@ class AioClusterConfig:
             from repro.api.engines import group_size_refusal
 
             raise ValueError(group_size_refusal("aio", self.n))
-        if self.attack is not None:
-            victims = self.attack.victim_count(self.n)
-            if not 1 <= victims <= self.num_correct:
-                raise ValueError(
-                    f"attack targets {victims} processes; only "
-                    f"{self.num_correct} are correct"
-                )
-        if isinstance(self.faults, str):
-            object.__setattr__(self, "faults", FaultPlan.parse(self.faults))
-        if self.faults is not None:
-            if not isinstance(self.faults, FaultPlan):
-                raise TypeError(
-                    f"faults must be a FaultPlan or spec string, got "
-                    f"{self.faults!r}"
-                )
-            if self.faults.is_empty:
-                object.__setattr__(self, "faults", None)
-            else:
-                if self.faults.has_churn:
-                    from repro.api.engines import churn_refusal
+        if self.faults is not None and self.faults.has_churn:
+            from repro.api.engines import churn_refusal
 
-                    raise ValueError(churn_refusal("aio", self.faults))
-                self.faults.validate_for(
-                    n=self.n,
-                    num_alive_correct=self.num_correct,
-                    max_rounds=10**9,
-                )
-
-    # -- group layout (mirrors ClusterConfig) --------------------------------
-
-    @property
-    def num_malicious(self) -> int:
-        return int(round(self.malicious_fraction * self.n))
-
-    @property
-    def num_correct(self) -> int:
-        return self.n - self.num_malicious
-
-    @property
-    def source(self) -> int:
-        return 0
-
-    def correct_ids(self) -> List[int]:
-        return list(range(self.num_correct))
-
-    def attacked_ids(self) -> List[int]:
-        if self.attack is None:
-            return []
-        return list(range(self.attack.victim_count(self.n)))
-
-    def receiver_ids(self) -> List[int]:
-        return [pid for pid in self.correct_ids() if pid != self.source]
-
-    def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(
-            kind=self.protocol,
-            fan_out=self.fan_out,
-            purge_rounds=self.purge_rounds,
-            max_sends_per_partner=self.max_sends_per_partner,
-            round_duration_ms=self.round_duration_ms,
-            round_jitter=self.round_jitter,
-        )
-
-    def with_(self, **changes) -> "AioClusterConfig":
-        return replace(self, **changes)
-
-
-def _arm_flips(clock, schedule, nodes, round_ms: float, tracer) -> None:
-    """A plan's crash / recover windows (:func:`~repro.faults.live.crash_flips`)
-    as clock events: they execute on the loop, in one due order with the
-    packets they cut off, until the clock's ``close()`` drops the ones
-    still pending."""
-    origin = clock.now
-
-    def flip(action: str, ids: frozenset) -> None:
-        flipped = []
-        for pid in sorted(ids):
-            node = nodes.get(pid)
-            if node is None:
-                continue
-            if action == "crash" and node.running:
-                node.stop()
-                flipped.append(pid)
-            elif action == "recover" and not node.running:
-                node.start()
-                flipped.append(pid)
-        if tracer is not None and flipped:
-            t = clock.now - origin
-            if action == "crash":
-                tracer.crash(flipped, t=t)
-            else:
-                tracer.heal(flipped, t=t)
-
-    for at_ms, action, ids in crash_flips(schedule, round_ms):
-        clock.schedule(at_ms, flip, action, ids)
+            raise ValueError(churn_refusal("aio", self.faults))
 
 
 class AioCluster:
@@ -242,12 +130,9 @@ class AioCluster:
         self.msg_ids = MessageIdFactory()
         self.attackers: List[AttackerProcess] = []
         self._attacker_env: Optional[AsyncEnvironment] = None
-        self.deliveries: List[DeliveryRecord] = []
-        self.created_at: Dict[Tuple[int, int], float] = {}
-        #: msg_id -> receivers that delivered it (incremental, so
-        #: :meth:`await_delivery` polls in O(1) instead of scanning the
-        #: log — the log can hold messages × thousands of records).
-        self._got: Dict[Tuple[int, int], Set[int]] = {}
+        #: Stamped with the clock's ``time()`` in ms; :meth:`await_delivery`
+        #: polls its per-message receiver sets.
+        self.log = DeliveryLog(tracer)
         self.node_errors: List[Tuple[int, BaseException]] = []
         #: Every timer and in-flight datagram of the cluster, once started.
         self.clock: Optional[LoopClock] = None
@@ -381,7 +266,7 @@ class AioCluster:
             if self.clock is not None:
                 self.clock.close()
         if self.tracer is not None:
-            self.tracer.run_end(delivered=len(self.deliveries))
+            self.tracer.run_end(delivered=len(self.log.deliveries))
         # Let cancelled callbacks drain before the loop is torn down.
         await asyncio.sleep(0)
         if first_error is not None:
@@ -402,24 +287,7 @@ class AioCluster:
         ) from exc
 
     def _record(self, pid: int, message, now_ms: float) -> None:
-        created = self.created_at.get(message.msg_id)
-        if created is None:
-            return
-        stamp = self.clock.time() * 1000.0
-        self.deliveries.append(
-            DeliveryRecord(
-                receiver=pid,
-                msg_id=message.msg_id,
-                delivered_at_ms=stamp,
-                latency_ms=stamp - created,
-                round_counter=message.round_counter,
-            )
-        )
-        self._got[message.msg_id].add(pid)
-        if self.tracer is not None:
-            self.tracer.delivered(
-                node=pid, t=stamp, round_counter=message.round_counter
-            )
+        self.log.delivered(pid, message, self.clock.time() * 1000.0)
 
     # -- runtime injection (the service's control plane) ----------------------
 
@@ -480,7 +348,7 @@ class AioCluster:
         """Anchor fault round 1 now and put the crash windows on the clock."""
         faulty.start_clock()
         if faulty.schedule is not None:
-            _arm_flips(
+            arm_flips(
                 self.clock, faulty.schedule, self.nodes,
                 self.config.round_duration_ms, self.tracer,
             )
@@ -517,19 +385,7 @@ class AioCluster:
         self.clock.catch_up()
         stamp = self.clock.time() * 1000.0
         msg = self.nodes[source].multicast(payload)
-        self.created_at[msg.msg_id] = stamp
-        self._got[msg.msg_id] = {source}
-        self.deliveries.append(
-            DeliveryRecord(
-                receiver=source,
-                msg_id=msg.msg_id,
-                delivered_at_ms=stamp,
-                latency_ms=0.0,
-                round_counter=0,
-            )
-        )
-        if self.tracer is not None:
-            self.tracer.delivered(node=source, via="source", t=stamp)
+        self.log.sent(source, msg.msg_id, stamp)
         return msg.msg_id
 
     async def await_delivery(
@@ -552,7 +408,7 @@ class AioCluster:
         while True:
             self.clock.catch_up()
             self._check_node_errors()
-            got = self._got.get(msg_id, ())
+            got = self.log.receivers.get(msg_id, ())
             if len(got) >= needed:
                 return True
             if loop.time() >= deadline:
@@ -562,13 +418,13 @@ class AioCluster:
     def delivered_counts(self) -> Dict[Tuple[int, int], int]:
         """Receivers reached per tracked message (status queries)."""
         self.clock.catch_up()
-        return {mid: len(got) for mid, got in self._got.items()}
+        return {mid: len(got) for mid, got in self.log.receivers.items()}
 
     def result(self, send_rate: float, messages_sent: int) -> MeasurementResult:
         """Package the delivery log as a :class:`MeasurementResult`."""
         if self._started_at is None:
             raise RuntimeError("cluster was never started")
-        sources = {mid[0] for mid in self.created_at} or {0}
+        sources = {mid[0] for mid in self.log.created_at} or {0}
         receivers = [
             pid for pid in self.config.correct_ids() if pid not in sources
         ]
@@ -593,7 +449,7 @@ class AioCluster:
             messages_sent=messages_sent,
             experiment_start_ms=self._started_at,
             experiment_end_ms=self.clock.time() * 1000.0,
-            deliveries=list(self.deliveries),
+            deliveries=list(self.log.deliveries),
             reachable_receivers=reachable,
             faults=faults_desc,
         )

@@ -389,8 +389,8 @@ class GossipService:
             "running": True,
             "n": cluster.config.n,
             "protocol": cluster.config.protocol.value,
-            "deliveries": len(cluster.deliveries),
-            "tracked_messages": len(cluster.created_at),
+            "deliveries": len(cluster.log.deliveries),
+            "tracked_messages": len(cluster.log.created_at),
             "node_errors": len(cluster.node_errors),
             "attackers": len(cluster.attackers),
             "faults": None
@@ -461,4 +461,4 @@ class GossipService:
         cluster = self._require_cluster()
         self.cluster = None
         await cluster.stop()
-        return {"ok": True, "deliveries": len(cluster.deliveries)}
+        return {"ok": True, "deliveries": len(cluster.log.deliveries)}

@@ -84,11 +84,9 @@ class Experiment:
             faults=self.faults,
         )
 
-    def cluster_config(self):
-        """The DES :class:`~repro.des.cluster.ClusterConfig`."""
-        from repro.des.cluster import ClusterConfig
-
-        return ClusterConfig(
+    def _group(self) -> dict:
+        """The shared :class:`~repro.des.cluster.GroupConfig` fields."""
+        return dict(
             protocol=self.protocol,
             n=self.n,
             malicious_fraction=self.malicious_fraction,
@@ -102,25 +100,18 @@ class Experiment:
             messages=self.messages,
             faults=self.faults,
         )
+
+    def cluster_config(self):
+        """The DES :class:`~repro.des.cluster.ClusterConfig`."""
+        from repro.des.cluster import ClusterConfig
+
+        return ClusterConfig(**self._group())
 
     def aio_config(self):
         """The asyncio :class:`~repro.aio.cluster.AioClusterConfig`."""
         from repro.aio.cluster import AioClusterConfig
 
-        return AioClusterConfig(
-            protocol=self.protocol,
-            n=self.n,
-            malicious_fraction=self.malicious_fraction,
-            attack=self.attack,
-            fan_out=self.fan_out,
-            loss=self.loss,
-            round_duration_ms=self.round_duration_ms,
-            round_jitter=self.round_jitter,
-            purge_rounds=self.purge_rounds,
-            send_rate=self.send_rate,
-            messages=self.messages,
-            faults=self.faults,
-        )
+        return AioClusterConfig(**self._group())
 
     # -- execution -----------------------------------------------------------
 
@@ -216,9 +207,6 @@ def run_mega_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):
 def run_des_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):
     from repro.des.cluster import run_throughput_experiment
 
-    config = exp.cluster_config()
-    if config.faults is not None and config.faults.has_churn:
-        from repro.des.churn import run_churn_experiment
-
-        return run_churn_experiment(config, seed=seed, tracer=tracer)
-    return run_throughput_experiment(config, seed=seed, tracer=tracer)
+    return run_throughput_experiment(
+        exp.cluster_config(), seed=seed, tracer=tracer
+    )

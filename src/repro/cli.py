@@ -302,14 +302,9 @@ def cmd_measure(args) -> int:
     try:
         if profiler is not None:
             profiler.phase_start("experiment")
-        if config.faults is not None and config.faults.has_churn:
-            from repro.des.churn import run_churn_experiment
-
-            result = run_churn_experiment(config, seed=args.seed, tracer=tracer)
-        else:
-            result = run_throughput_experiment(
-                config, seed=args.seed, tracer=tracer
-            )
+        result = run_throughput_experiment(
+            config, seed=args.seed, tracer=tracer
+        )
         if profiler is not None:
             profiler.phase_stop("experiment")
     finally:

@@ -10,11 +10,16 @@ multi-message streams, real attackers, and throughput/latency
 measurement.  The same node logic also runs in wall-clock time over
 loopback or UDP transports (:mod:`repro.aio`).
 
+One host, :class:`~repro.des.cluster._Cluster`, runs every DES
+experiment; membership is its input — a plan with churn tokens makes
+it a CA-certified dynamic group (Section 10,
+:mod:`repro.des.churn`) instead of a static one.
+
 Key entry points:
 
 - :class:`~repro.des.cluster.ClusterConfig` /
   :func:`~repro.des.cluster.run_throughput_experiment` — Figure 10/11
-  style stream experiments;
+  style stream experiments, static or under churn;
 - :func:`~repro.des.cluster.run_single_message_experiment` — Figure 9
   style hop-count propagation measurements;
 - :class:`~repro.des.node.GossipNode` — the protocol node itself.

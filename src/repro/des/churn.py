@@ -12,42 +12,28 @@ membership service: delivered membership events update the local
 database (after certificate validation), and each round's gossip views
 are drawn from the *currently certified, responsive* members.
 
-:class:`ChurnExperiment` drives a cluster through joins and leaves while
-multicasting data, measuring how reliably messages reach the membership
-that should have them.
-
-:func:`run_churn_experiment` is the scheduled counterpart: it resolves a
-:class:`~repro.faults.plan.FaultPlan`'s churn tokens against the group
-(the same seedless :class:`~repro.faults.schedule.FaultSchedule` every
-other stack uses), fires each join/leave/expel at its fault-clock round
-boundary while the source streams data, and returns a
-:class:`~repro.des.measurement.MeasurementResult` carrying the
-churn-aware metrics — so ``join@5:0.2; leave@12:0.1`` means the *same
-membership timeline* here as on the exact, fast, and mega engines.
+Membership is an input to the one DES host: a plan with churn tokens
+makes :class:`~repro.des.cluster._Cluster` build ``MemberNode``\\ s, a CA
+and the per-round probe, and fire each join/leave/expel at its
+fault-clock round boundary — the seedless
+:class:`~repro.faults.schedule.FaultSchedule` every other stack
+resolves, so ``join@5:0.2; leave@12:0.1`` means the *same membership
+timeline* here as on the exact, fast, and mega engines.
+:func:`churn_metrics` turns such a run into the measurement's ``churn``
+payload.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.config import ProtocolConfig, ProtocolKind
-from repro.core.message import MessageIdFactory
+from repro.core.config import ProtocolConfig
 from repro.crypto.ca import CertificationAuthority
-from repro.crypto.keys import KeyPair
-from repro.crypto.signatures import SignatureRegistry
 from repro.des.environment import SimEnvironment
 from repro.des.node import GossipNode
 from repro.membership.dynamic import DynamicMembership
-from repro.membership.events import (
-    ExpelEvent,
-    JoinEvent,
-    LeaveEvent,
-    MembershipEvent,
-)
-from repro.util import SeedSequenceFactory
-from repro.util.rng import SeedLike
+from repro.membership.events import JoinEvent, LeaveEvent, MembershipEvent
 
 
 class MemberNode:
@@ -60,13 +46,13 @@ class MemberNode:
         config: ProtocolConfig,
         ca: CertificationAuthority,
         *,
-        seed: SeedLike = None,
         on_deliver=None,
         on_membership=None,
-        registry: Optional[SignatureRegistry] = None,
         failure_timeout_rounds: float = 10.0,
-        id_factory=None,
+        **node_kwargs,
     ):
+        """``node_kwargs`` (``seed``, ``registry``, ``id_factory``,
+        ``ttl_policy``) go to the wrapped :class:`GossipNode`."""
         self.env = env
         self.pid = pid
         self.ca = ca
@@ -75,10 +61,8 @@ class MemberNode:
         #: validated and applied locally (view-convergence measurement).
         self._on_membership = on_membership
         self.node = GossipNode(
-            env, pid, config, members=[],
-            seed=seed, on_deliver=self._deliver,
-            registry=registry,
-            id_factory=id_factory,
+            env, pid, config, members=[], on_deliver=self._deliver,
+            **node_kwargs,
         )
         self.membership = DynamicMembership(
             pid,
@@ -92,9 +76,16 @@ class MemberNode:
 
     @property
     def running(self) -> bool:
-        """Whether the underlying gossip node is running (fault wiring
-        — :class:`~repro.faults.des.DesFaultController` — reads this)."""
+        """Whether the underlying gossip node is running (crash flips
+        read this)."""
         return self.node.running
+
+    @property
+    def keys(self):
+        return self.node.keys
+
+    def learn_keys(self, keys) -> None:
+        self.node.learn_keys(keys)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -141,9 +132,6 @@ class MemberNode:
         members = self.membership.gossip_candidates(self.env.now() / 1000.0)
         self.node.members = sorted(set(members) | {self.pid})
 
-    def learn_peer_key(self, pid: int, key) -> None:
-        self.node.peer_keys[pid] = key
-
     def multicast(self, payload: object):
         """Multicast arbitrary payload (data or a membership event)."""
         self._refresh_views()
@@ -153,579 +141,23 @@ class MemberNode:
         return self.membership.current_members(self.env.now() / 1000.0)
 
 
-@dataclass
-class ChurnResult:
-    """Outcome of a churn experiment."""
+def churn_metrics(cluster, horizon_ms: float, reachable_ids) -> Dict[str, object]:
+    """The ``churn`` payload of a finished churn run of ``cluster``.
 
-    joined: List[int]
-    left: List[int]
-    #: pid -> message ids delivered to the application.
-    delivered: Dict[int, Set[Tuple[int, int]]]
-    #: Membership events applied per node.
-    events_applied: Dict[int, int]
-    final_membership: Dict[int, List[int]]
-
-    def coverage(self, msg_id: Tuple[int, int], members: List[int]) -> float:
-        """Fraction of ``members`` that delivered ``msg_id``."""
-        if not members:
-            return 1.0
-        got = sum(1 for pid in members if msg_id in self.delivered.get(pid, set()))
-        return got / len(members)
-
-
-class ChurnExperiment:
-    """A gossip group under churn: joins and leaves during a data stream."""
-
-    def __init__(
-        self,
-        *,
-        protocol: ProtocolKind = ProtocolKind.DRUM,
-        initial_size: int = 10,
-        round_duration_ms: float = 100.0,
-        loss: float = 0.0,
-        seed: SeedLike = None,
-    ):
-        if initial_size < 2:
-            raise ValueError(f"initial_size must be >= 2, got {initial_size}")
-        self._seeds = SeedSequenceFactory(seed)
-        self.env = SimEnvironment(
-            loss=loss, latency_range_ms=(0.5, 1.5), seed=self._seeds.next_seed()
-        )
-        self.config = ProtocolConfig(
-            kind=protocol, round_duration_ms=round_duration_ms
-        )
-        self.ca = CertificationAuthority(validity_period=3600.0)
-        self.msg_ids = MessageIdFactory()
-        self.nodes: Dict[int, MemberNode] = {}
-        self.delivered: Dict[int, Set[Tuple[int, int]]] = {}
-        self.joined: List[int] = []
-        self.left: List[int] = []
-        self._next_pid = 0
-        for _ in range(initial_size):
-            self.add_member(announce=False)
-        # Bootstrap: everyone knows the initial membership and keys.
-        for node in self.nodes.values():
-            cert_map = {
-                pid: self.ca.current_certificate(pid)
-                for pid in self.nodes
-                if pid != node.pid
-            }
-            for pid, cert in cert_map.items():
-                if cert is not None:
-                    node.membership.install_certificate(cert, now=0.0)
-            node._refresh_views()
-        self._share_keys()
-
-    # -- membership operations ----------------------------------------------------
-
-    def add_member(self, announce: bool = True) -> int:
-        """A new process joins through the CA."""
-        pid = self._next_pid
-        self._next_pid += 1
-        member = MemberNode(
-            self.env,
-            pid,
-            self.config,
-            self.ca,
-            seed=self._seeds.next_seed(),
-            on_deliver=self._on_data,
-            id_factory=self.msg_ids,
-        )
-        event = member.join_group()
-        self.nodes[pid] = member
-        self.delivered[pid] = set()
-        self.joined.append(pid)
-        member.start()
-        self._share_keys()
-        if announce and len(self.nodes) > 1:
-            # An existing member multicasts the CA's log-in message.
-            sponsor = next(p for p in self.nodes if p != pid)
-            self.nodes[sponsor].multicast(event)
-        return pid
-
-    def remove_member(self, pid: int) -> None:
-        """``pid`` logs out; a remaining member spreads the leave event."""
-        member = self.nodes.pop(pid)
-        event = member.leave_group()
-        self.left.append(pid)
-        if event is not None and self.nodes:
-            sponsor = next(iter(self.nodes))
-            self.nodes[sponsor].multicast(event)
-
-    # -- experiment drive --------------------------------------------------------------
-
-    def multicast(self, source: int, payload: object) -> Tuple[int, int]:
-        message = self.nodes[source].multicast(payload)
-        self.delivered[source].add(message.msg_id)
-        return message.msg_id
-
-    def run_for(self, rounds: float) -> None:
-        """Advance virtual time by ``rounds`` gossip rounds."""
-        self.env.loop.run_until(
-            self.env.now() + rounds * self.config.round_duration_ms
-        )
-
-    def result(self) -> ChurnResult:
-        return ChurnResult(
-            joined=list(self.joined),
-            left=list(self.left),
-            delivered={pid: set(ids) for pid, ids in self.delivered.items()},
-            events_applied={
-                pid: node.events_applied for pid, node in self.nodes.items()
-            },
-            final_membership={
-                pid: node.known_members() for pid, node in self.nodes.items()
-            },
-        )
-
-    def stop(self) -> None:
-        for node in self.nodes.values():
-            node.stop()
-
-    # -- internals ----------------------------------------------------------------------
-
-    def _on_data(self, pid: int, message, now: float) -> None:
-        self.delivered.setdefault(pid, set()).add(message.msg_id)
-
-    def _share_keys(self) -> None:
-        """Distribute public keys (stand-in for key material in certs)."""
-        keys = {pid: node.node.keys.public for pid, node in self.nodes.items()}
-        for node in self.nodes.values():
-            node.node.learn_keys(keys)
-
-
-# ---------------------------------------------------------------------------
-# Schedule-driven churn: the FaultPlan-facing DES entry point
-# ---------------------------------------------------------------------------
-
-
-class _ScheduledChurnCluster:
-    """A membership-aware DES cluster driven by a resolved fault plan.
-
-    The churn timeline — *which* ids join/leave/expel at *which*
-    fault-clock round — comes entirely from the seedless
-    :class:`~repro.faults.schedule.FaultSchedule`, so it is identical to
-    what the exact, fast, and mega engines realise for the same plan.
-    What stays genuinely discrete-event is the dissemination: every
-    membership event rides the protocol under test as a multicast
-    payload (Section 10), and each node's gossip views are drawn from
-    its own certified, failure-detector-filtered membership database.
+    Join latency: joiner-local rounds from the join boundary to the
+    first stream delivery, starting at 1 (the cross-stack convention);
+    joiners absent or unreachable at the horizon are censored out.
+    View convergence: rounds until 90 % of the members present at an
+    announcement applied its event (censored at the horizon).
     """
-
-    def __init__(self, config, schedule, *, seed: SeedLike = None, tracer=None):
-        from repro.des.attacker import AttackerProcess
-        from repro.des.measurement import DeliveryRecord
-        from repro.faults.des import DesFaultController
-        from repro.faults.schedule import FD_TIMEOUT_ROUNDS
-
-        self.config = config
-        self.schedule = schedule
-        self.tracer = tracer
-        self.round_ms = float(config.round_duration_ms)
-        self._DeliveryRecord = DeliveryRecord
-        seeds = SeedSequenceFactory(seed)
-        self.env = SimEnvironment(
-            loss=config.loss,
-            latency_range_ms=config.latency_range_ms,
-            seed=seeds.next_seed(),
-            tracer=tracer,
-        )
-        #: Certificates must outlive the run: scheduled churn is the only
-        #: membership change under test (expiry is exercised separately).
-        self.ca = CertificationAuthority(validity_period=1e9)
-        self.registry = SignatureRegistry()
-        #: Serials scoped to the run (see MessageIdFactory): repeated
-        #: seeded churn runs mint byte-identical message ids.
-        self.msg_ids = MessageIdFactory()
-        self.proto_cfg = config.protocol_config()
-        self._fd_rounds = float(FD_TIMEOUT_ROUNDS)
-
-        self.created_at: Dict[Tuple[int, int], float] = {}
-        self.deliveries: List = []
-        self.nodes: Dict[int, MemberNode] = {}
-        self._departed: Dict[int, MemberNode] = {}
-        self.joined: List[int] = []
-        self.left: List[int] = []
-        self.expelled: List[int] = []
-        #: (kind, subject) -> {"t_fire", "expected", "applied"} for the
-        #: most recent announcement of that event (view convergence).
-        self._announce_latest: Dict[Tuple[str, int], Dict[str, object]] = {}
-        self.announcements: List[Dict[str, object]] = []
-
-        # Seeds are pre-drawn in id order for the full id universe, so a
-        # node's RNG stream depends only on its id — not on when the
-        # event loop happens to construct it.
-        self._node_seeds = {
-            pid: seeds.next_seed() for pid in config.correct_ids()
-        }
-        for _, _, first, count in schedule.join_blocks():
-            for pid in range(first, first + count):
-                self._node_seeds[pid] = seeds.next_seed()
-
-        for pid in config.correct_ids():
-            member = self._build_member(pid)
-            member.join_group()
-            self.nodes[pid] = member
-
-        # Malicious ids hold certificates too (the CA cannot tell — that
-        # is the paper's threat model); they never answer, so the local
-        # failure detectors age them out of gossip views.
-        for pid in range(config.num_correct, config.n):
-            self.ca.authorize_join(pid, KeyPair(owner=pid).public)
-
-        for member in self.nodes.values():
-            for pid in range(config.n):
-                if pid == member.pid:
-                    continue
-                cert = self.ca.current_certificate(pid)
-                if cert is not None:
-                    member.membership.install_certificate(cert, now=0.0)
-            member._refresh_views()
-        self._share_keys()
-
-        self.attacker = None
-        if config.attack is not None:
-            self.attacker = AttackerProcess(
-                self.env,
-                config.attack,
-                config.protocol,
-                config.attacked_ids(),
-                round_duration_ms=config.round_duration_ms,
-                seed=seeds.next_seed(),
-            )
-
-        # Crash/stall/partition/link faults ride the standard controller;
-        # its internally resolved schedule is identical (seedless).
-        self.fault_controller = None
-        if config.faults.events or config.faults.link is not None:
-            self.fault_controller = DesFaultController(
-                config.faults,
-                env=self.env,
-                nodes=self.nodes,
-                n=config.n,
-                num_alive_correct=config.num_correct,
-                round_duration_ms=config.round_duration_ms,
-                seed=seeds.next_seed(),
-                tracer=tracer,
-            )
-            self.fault_controller.install()
-
-        self._schedule_churn_ops()
-        self.env.schedule(self.round_ms, self._probe)
-
-        if tracer is not None:
-            tracer.run_start(
-                "des", continuous=True, churn=True,
-                protocol=config.protocol.value, n=config.n,
-                total_n=schedule.total_n,
-            )
-
-    # -- construction helpers ------------------------------------------------
-
-    def _build_member(self, pid: int) -> MemberNode:
-        return MemberNode(
-            self.env,
-            pid,
-            self.proto_cfg,
-            self.ca,
-            seed=self._node_seeds[pid],
-            on_deliver=self._on_data,
-            on_membership=self._on_membership,
-            registry=self.registry,
-            failure_timeout_rounds=self._fd_rounds,
-            id_factory=self.msg_ids,
-        )
-
-    def _share_keys(self) -> None:
-        keys = {pid: m.node.keys.public for pid, m in self.nodes.items()}
-        for member in self.nodes.values():
-            member.node.learn_keys(keys)
-
-    def _round_start_ms(self, round_no: int) -> float:
-        return (round_no - 1) * self.round_ms
-
-    def _current_round(self) -> int:
-        return int(self.env.now() // self.round_ms) + 1
-
-    def _schedule_churn_ops(self) -> None:
-        """Fire every resolved membership event at its round boundary."""
-        for at, stop, first, count in self.schedule.join_blocks():
-            ids = list(range(first, first + count))
-            self.env.schedule(self._round_start_ms(at), self._join_fn(ids))
-            if stop is not None:
-                self.env.schedule(
-                    self._round_start_ms(stop), self._leave_fn(ids)
-                )
-        for at, stop, ids in self.schedule._leave_windows:
-            victims = sorted(ids)
-            self.env.schedule(self._round_start_ms(at), self._leave_fn(victims))
-            if stop is not None:
-                self.env.schedule(
-                    self._round_start_ms(stop), self._rejoin_fn(victims)
-                )
-        for at, ids in self.schedule._expel_events:
-            self.env.schedule(
-                self._round_start_ms(at), self._expel_fn(sorted(ids))
-            )
-
-    # -- membership operations -----------------------------------------------
-
-    def _sponsor(self, exclude: Optional[int] = None) -> Optional[int]:
-        for pid in sorted(self.nodes):
-            if pid != exclude and self.nodes[pid].running:
-                return pid
-        return None
-
-    def _announce(self, kind: str, event, subject: int) -> None:
-        """Multicast a membership event and open its convergence record."""
-        sponsor = self._sponsor(exclude=subject)
-        if sponsor is None:
-            return
-        now = self.env.now()
-        expected = frozenset(
-            pid
-            for pid, member in self.nodes.items()
-            if member.running and pid != subject
-        )
-        record = {
-            "kind": kind,
-            "subject": subject,
-            "t_fire": now,
-            "expected": expected,
-            "applied": {},
-        }
-        self._announce_latest[(kind, subject)] = record
-        self.announcements.append(record)
-        self.nodes[sponsor].multicast(event)
-
-    def _join_fn(self, ids: List[int]):
-        def _join() -> None:
-            for pid in ids:
-                member = self._departed.pop(pid, None) or self._build_member(pid)
-                event = member.join_group()
-                self.nodes[pid] = member
-                self.joined.append(pid)
-                member.start()
-                self._share_keys()
-                self._announce("join", event, pid)
-            if self.tracer is not None:
-                self.tracer.member_join(ids, t=self.env.now())
-
-        return _join
-
-    def _leave_fn(self, ids: List[int]):
-        def _leave() -> None:
-            departed = []
-            for pid in ids:
-                member = self.nodes.pop(pid, None)
-                if member is None:
-                    continue
-                event = member.leave_group()
-                self._departed[pid] = member
-                self.left.append(pid)
-                departed.append(pid)
-                if event is not None:
-                    self._announce("leave", event, pid)
-            if self.tracer is not None and departed:
-                self.tracer.member_leave(departed, t=self.env.now())
-
-        return _leave
-
-    def _rejoin_fn(self, ids: List[int]):
-        # A rejoin is a fresh log-in: new certificate, new join event.
-        return self._join_fn(ids)
-
-    def _expel_fn(self, ids: List[int]):
-        def _expel() -> None:
-            expelled = []
-            for pid in ids:
-                cert = self.ca.revoke(pid)
-                member = self.nodes.pop(pid, None)
-                if member is not None:
-                    member.stop()
-                    self._departed[pid] = member
-                self.expelled.append(pid)
-                expelled.append(pid)
-                if cert is not None:
-                    self._announce("expel", ExpelEvent(pid, cert), pid)
-            if self.tracer is not None and expelled:
-                self.tracer.member_expel(expelled, t=self.env.now())
-
-        return _expel
-
-    # -- failure detection (the Section 10 responsiveness probe) -------------
-
-    def _probe(self) -> None:
-        """Once per round, every member probes its certified peers.
-
-        A present, running peer answers unless the fault schedule blocks
-        the pair (crash, stall, partition); silence beyond the detector
-        timeout turns into suspicion, removing the peer from gossip
-        views without touching its membership status — and one answered
-        probe rehabilitates it.
-        """
-        now_s = self.env.now() / 1000.0
-        round_no = self._current_round()
-        for pid, member in self.nodes.items():
-            if not member.running:
-                continue
-            detector = member.membership.failure_detector
-            before = detector.suspected
-            for peer in member.membership.current_members(now_s):
-                target = self.nodes.get(peer)
-                if target is None or not target.running:
-                    continue
-                if self.schedule.blocks(round_no, pid, peer) or (
-                    self.schedule.blocks(round_no, peer, pid)
-                ):
-                    continue
-                detector.heard_from(peer, now_s)
-            newly = detector.check(now_s)
-            if self.tracer is not None:
-                if newly:
-                    self.tracer.suspect(newly, t=self.env.now(), by=pid)
-                healed = sorted(before - detector.suspected)
-                if healed:
-                    self.tracer.rehabilitate(healed, t=self.env.now(), by=pid)
-            member._refresh_views()
-        self.env.schedule(self.env.now() + self.round_ms, self._probe)
-
-    # -- data stream ----------------------------------------------------------
-
-    def multicast_tracked(self, pid: int, payload: object) -> None:
-        member = self.nodes.get(pid)
-        if member is None or not member.running:
-            return  # the source is down this instant; the send is lost
-        created = self.env.now()
-        msg = member.multicast(payload)
-        self.created_at[msg.msg_id] = created
-        self.deliveries.append(
-            self._DeliveryRecord(
-                receiver=pid,
-                msg_id=msg.msg_id,
-                delivered_at_ms=created,
-                latency_ms=0.0,
-                round_counter=0,
-            )
-        )
-
-    def _on_data(self, pid: int, message, now: float) -> None:
-        created = self.created_at.get(message.msg_id)
-        if created is None:
-            return
-        self.deliveries.append(
-            self._DeliveryRecord(
-                receiver=pid,
-                msg_id=message.msg_id,
-                delivered_at_ms=now,
-                latency_ms=now - created,
-                round_counter=message.round_counter,
-            )
-        )
-        if self.tracer is not None:
-            self.tracer.delivered(
-                node=pid, t=now, round_counter=message.round_counter
-            )
-
-    def _on_membership(self, pid: int, event, now: float) -> None:
-        kind = {
-            "JoinEvent": "join",
-            "LeaveEvent": "leave",
-            "ExpelEvent": "expel",
-        }.get(type(event).__name__)
-        if kind is None:
-            return
-        record = self._announce_latest.get((kind, event.subject))
-        if record is not None and pid not in record["applied"]:
-            record["applied"][pid] = now
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def stop(self) -> None:
-        for member in list(self.nodes.values()) + list(self._departed.values()):
-            if member.running:
-                member.stop()
-        if self.attacker is not None:
-            self.attacker.stop()
-
-    def start(self) -> None:
-        for member in self.nodes.values():
-            member.start()
-        if self.attacker is not None:
-            self.attacker.start()
-
-    def events_applied_total(self) -> int:
-        return sum(
-            m.events_applied
-            for m in list(self.nodes.values()) + list(self._departed.values())
-        )
-
-
-def run_churn_experiment(config, *, seed: SeedLike = None, tracer=None):
-    """Stream data from the source while the plan's churn tokens fire.
-
-    The schedule-driven sibling of
-    :func:`~repro.des.cluster.run_throughput_experiment`: requires a
-    :class:`~repro.des.cluster.ClusterConfig` whose ``faults`` plan has
-    churn tokens (``join``/``leave``/``expel``), realises exactly the
-    membership timeline the round engines realise for that plan, and
-    returns a :class:`~repro.des.measurement.MeasurementResult` whose
-    ``churn`` payload carries the timeline plus the realised
-    join-latency and view-convergence metrics.
-    """
-    from repro.des.measurement import MeasurementResult
-    from repro.faults.plan import FaultPlan
-    from repro.faults.schedule import FaultSchedule
-
-    plan = config.faults
-    if not isinstance(plan, FaultPlan) or not plan.has_churn:
-        raise ValueError(
-            "run_churn_experiment needs a fault plan with churn tokens "
-            "(join/leave/expel); use run_throughput_experiment for "
-            f"churn-free plans (got faults={plan.describe() if isinstance(plan, FaultPlan) else plan!r})"
-        )
-    schedule = FaultSchedule(
-        plan, n=config.n, num_alive_correct=config.num_correct
-    )
-    round_ms = float(config.round_duration_ms)
-    cluster = _ScheduledChurnCluster(
-        config, schedule, seed=seed, tracer=tracer
-    )
-    cluster.start()
-
-    t0 = config.warmup_rounds * round_ms
-    interval = 1000.0 / config.send_rate
-    for i in range(config.messages):
-        when = t0 + i * interval
-
-        def _send(index: int = i) -> None:
-            cluster.multicast_tracked(config.source, f"msg-{index}".encode())
-
-        cluster.env.loop.schedule(when, _send)
-
-    t_send_end = t0 + config.messages * interval
-    drain = (config.purge_rounds + 3) * round_ms
-    lag = schedule.awareness_lag(config.fan_out)
-    settle = (schedule.last_event_round() + lag + 2) * round_ms
-    horizon_ms = max(t_send_end + drain, settle)
-    cluster.env.loop.run_until(horizon_ms)
-    cluster.stop()
-
-    horizon_round = max(1, int(horizon_ms // round_ms))
-    reachable_ids = schedule.reachable_ids(horizon_round)
-    reachable = [
-        pid for pid in config.receiver_ids() if pid in reachable_ids
-    ]
-
-    # Join latency: joiner-local rounds from the join boundary to the
-    # first stream delivery, starting at 1 (the cross-stack convention);
-    # joiners absent or unreachable at the horizon are censored out.
+    schedule = cluster.schedule
+    round_ms = float(cluster.config.round_duration_ms)
     join_round = {}
     for at, _stop, first, count in schedule.join_blocks():
         for pid in range(first, first + count):
             join_round[pid] = at
     first_delivery: Dict[int, float] = {}
-    for record in cluster.deliveries:
+    for record in cluster.log.deliveries:
         if record.receiver in join_round:
             t = first_delivery.get(record.receiver)
             if t is None or record.delivered_at_ms < t:
@@ -735,17 +167,11 @@ def run_churn_experiment(config, *, seed: SeedLike = None, tracer=None):
         if pid not in reachable_ids:
             continue
         t_join = (join_round[pid] - 1) * round_ms
-        t_first = first_delivery.get(pid)
-        horizon_t = horizon_ms if t_first is None else t_first
+        t_first = first_delivery.get(pid, horizon_ms)
         latencies.append(
-            max(1.0, math.floor((horizon_t - t_join) / round_ms) + 1.0)
+            max(1.0, math.floor((t_first - t_join) / round_ms) + 1.0)
         )
-    join_latency = (
-        float(sum(latencies) / len(latencies)) if latencies else None
-    )
 
-    # View convergence: rounds until 90 % of the members present at the
-    # announcement applied the event (censored at the horizon).
     convergence = []
     for record in cluster.announcements:
         expected = record["expected"]
@@ -759,40 +185,19 @@ def run_churn_experiment(config, *, seed: SeedLike = None, tracer=None):
         convergence.append(
             max(1.0, math.ceil((t_done - record["t_fire"]) / round_ms))
         )
-    view_convergence = (
-        float(sum(convergence) / len(convergence)) if convergence else None
-    )
 
-    churn = {
+    members = list(cluster.nodes.values()) + list(cluster.departed.values())
+    return {
         "timeline": [dict(rec) for rec in schedule.churn_timeline()],
-        "join_latency": join_latency,
-        "view_convergence": view_convergence,
+        "join_latency": (
+            float(sum(latencies) / len(latencies)) if latencies else None
+        ),
+        "view_convergence": (
+            float(sum(convergence) / len(convergence))
+            if convergence else None
+        ),
         "joined": len(cluster.joined),
         "left": len(cluster.left),
         "expelled": len(cluster.expelled),
-        "events_applied": cluster.events_applied_total(),
+        "events_applied": sum(m.events_applied for m in members),
     }
-
-    result = MeasurementResult(
-        protocol=config.protocol.value,
-        n=config.n,
-        correct_receivers=config.receiver_ids(),
-        send_rate=config.send_rate,
-        messages_sent=config.messages,
-        experiment_start_ms=t0,
-        experiment_end_ms=t_send_end,
-        deliveries=cluster.deliveries,
-        reachable_receivers=reachable,
-        faults=plan.describe(),
-        churn=churn,
-    )
-    if tracer is not None:
-        tracer.run_end(
-            t=horizon_ms,
-            delivered=len(cluster.deliveries),
-            messages=config.messages,
-            joined=len(cluster.joined),
-            left=len(cluster.left),
-            expelled=len(cluster.expelled),
-        )
-    return result

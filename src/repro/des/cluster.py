@@ -1,4 +1,11 @@
-"""Cluster experiment drivers (the Section 8 experiment classes).
+"""The DES cluster host and its experiment drivers (Section 8).
+
+:class:`_Cluster` is the one discrete-event host: environment, nodes,
+attacker, fault wiring and delivery log.  Membership is an input — a
+static group is ``GossipNode``\\ s over ``range(n)``; a plan with churn
+tokens builds CA-certified :class:`~repro.des.churn.MemberNode`\\ s and
+fires each join/leave/expel at its fault-clock round boundary, every
+membership event riding the protocol under test (Section 10).
 
 Two experiment shapes:
 
@@ -15,7 +22,7 @@ Two experiment shapes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -23,25 +30,32 @@ import numpy as np
 from repro.adversary.attacks import AttackSpec
 from repro.core.config import ProtocolConfig, ProtocolKind
 from repro.core.message import MessageIdFactory
-from repro.des.attacker import AttackerProcess
-from repro.des.environment import SimEnvironment
-from repro.des.measurement import DeliveryRecord, MeasurementResult
-from repro.des.node import GossipNode
+from repro.crypto.ca import CertificationAuthority
+from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import SignatureRegistry
-from repro.faults.des import DesFaultController
+from repro.des.attacker import AttackerProcess
+from repro.des.churn import MemberNode, churn_metrics
+from repro.des.environment import SimEnvironment
+from repro.des.measurement import DeliveryLog, MeasurementResult
+from repro.des.node import GossipNode
+from repro.faults.gilbert import GilbertElliottModel
+from repro.faults.live import arm_flips
 from repro.faults.plan import FaultPlan
+from repro.faults.schedule import FD_TIMEOUT_ROUNDS, FaultSchedule
+from repro.membership.events import ExpelEvent
 from repro.util import SeedSequenceFactory, check_fraction, check_probability
 from repro.util.rng import SeedLike
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
-    """One measured-cluster configuration (defaults mirror Section 8).
+class GroupConfig:
+    """The group every cluster host lays out: shared fields, their
+    validation, and the id layout.
 
-    .. note:: Direct construction is the legacy entry point for
-       *running* experiments; prefer :class:`repro.api.Experiment` with
-       ``.run(engine="des")``.  ``ClusterConfig`` remains fully
-       supported as the DES stack's native config object.
+    :class:`ClusterConfig` (virtual clock) and
+    :class:`~repro.aio.cluster.AioClusterConfig` (wall clock) extend it
+    with their own fields and defaults; the defaults here mirror
+    Section 8.
     """
 
     protocol: Union[ProtocolKind, str] = ProtocolKind.DRUM
@@ -59,13 +73,6 @@ class ClusterConfig:
     #: Stream length; the paper sends 10,000 — the default here keeps a
     #: full benchmark sweep to minutes, and scales linearly.
     messages: int = 400
-    latency_range_ms: Tuple[float, float] = (0.5, 2.0)
-    warmup_rounds: int = 3
-    #: Background multicasts per node per round in single-message mode
-    #: ("all the processes have messages to send").  A modest default
-    #: keeps every buffer and digest non-trivially populated without
-    #: drowning the discrete-event run in background data exchange.
-    background_rate: float = 0.25
     #: Injected faults (see :mod:`repro.faults`): the same plans the
     #: round engines run, with round windows anchored to the global
     #: fault clock (round r = [(r-1)·round_duration_ms, r·round_ms)).
@@ -146,12 +153,38 @@ class ClusterConfig:
             round_jitter=self.round_jitter,
         )
 
-    def with_(self, **changes) -> "ClusterConfig":
+    def with_(self, **changes):
         return replace(self, **changes)
 
 
+@dataclass(frozen=True)
+class ClusterConfig(GroupConfig):
+    """One measured-cluster configuration (defaults mirror Section 8).
+
+    .. note:: Direct construction is the legacy entry point for
+       *running* experiments; prefer :class:`repro.api.Experiment` with
+       ``.run(engine="des")``.  ``ClusterConfig`` remains fully
+       supported as the DES stack's native config object.
+    """
+
+    latency_range_ms: Tuple[float, float] = (0.5, 2.0)
+    warmup_rounds: int = 3
+    #: Background multicasts per node per round in single-message mode
+    #: ("all the processes have messages to send").  A modest default
+    #: keeps every buffer and digest non-trivially populated without
+    #: drowning the discrete-event run in background data exchange.
+    background_rate: float = 0.25
+
+
 class _Cluster:
-    """A built cluster: environment, nodes, attacker, delivery log."""
+    """A built cluster: environment, nodes, attacker, faults, delivery log.
+
+    Seed draw order (seeded runs replay it): environment → correct ids →
+    joiner ids (churn only) → attacker (only with an attack) → faults
+    (only with a plan).  A static group builds no CA and schedules no
+    probe, so its heap sequence is that of a cluster without churn
+    support.
+    """
 
     def __init__(
         self, config: ClusterConfig, seed: SeedLike = None, *, tracer=None
@@ -161,6 +194,7 @@ class _Cluster:
         # continuous-time, stamped with ``t`` (sim ms); the tracer draws
         # no randomness, so traced and untraced runs are identical.
         self.tracer = tracer
+        self.round_ms = float(config.round_duration_ms)
         seeds = SeedSequenceFactory(seed)
         self.env = SimEnvironment(
             loss=config.loss,
@@ -168,36 +202,51 @@ class _Cluster:
             seed=seeds.next_seed(),
             tracer=tracer,
         )
-        self.created_at: Dict[Tuple[int, int], float] = {}
-        self.deliveries: List[DeliveryRecord] = []
+        self.log = DeliveryLog(tracer)
         #: Per-message buffer-lifetime overrides, honoured by every node
-        #: (a tracked message can outlive normal purging everywhere).
+        #: (a tracked message can outlive normal purging everywhere);
+        #: ``_pending_ttl`` covers the source's own copy, buffered
+        #: inside ``multicast`` before its id is known.
         self.ttl_overrides: Dict[Tuple[int, int], int] = {}
-
-        proto_cfg = config.protocol_config()
-        members = list(range(config.n))
+        self._pending_ttl: Optional[int] = None
         #: One signature trust domain per cluster: the bindings die with
         #: the run instead of accumulating in the module-level registry.
         self.registry = SignatureRegistry()
         #: Serial counter scoped to this cluster: repeated seeded runs
         #: mint identical message ids, so envelopes compare byte-equal.
         self.msg_ids = MessageIdFactory()
-        self.nodes: Dict[int, GossipNode] = {}
-        for pid in config.correct_ids():
-            self.nodes[pid] = GossipNode(
-                self.env,
-                pid,
-                proto_cfg,
-                members,
-                seed=seeds.next_seed(),
-                on_deliver=self._record_delivery,
-                ttl_policy=lambda m: self.ttl_overrides.get(m.msg_id),
-                registry=self.registry,
-                id_factory=self.msg_ids,
+        #: The plan resolved against the group (seedless).
+        self.schedule: Optional[FaultSchedule] = None
+        if config.faults is not None:
+            self.schedule = FaultSchedule(
+                config.faults, n=config.n, num_alive_correct=config.num_correct
             )
-        keys = {pid: node.keys.public for pid, node in self.nodes.items()}
-        for node in self.nodes.values():
-            node.learn_keys(keys)
+        self.churn = self.schedule is not None and self.schedule.has_churn
+
+        # Seeds are pre-drawn in id order for the full id universe, so a
+        # node's RNG stream depends only on its id — not on when the
+        # event loop happens to construct it.
+        self._node_seeds = {
+            pid: seeds.next_seed() for pid in config.correct_ids()
+        }
+        if self.churn:
+            for _, _, first, count in self.schedule.join_blocks():
+                for pid in range(first, first + count):
+                    self._node_seeds[pid] = seeds.next_seed()
+        self.proto_cfg = config.protocol_config()
+        self.nodes: Dict[int, Union[GossipNode, MemberNode]] = {}
+        #: Members that left or were expelled (churn): a rejoin reuses them.
+        self.departed: Dict[int, MemberNode] = {}
+        if self.churn:
+            self._build_membership()
+        else:
+            members = list(range(config.n))
+            for pid in config.correct_ids():
+                self.nodes[pid] = GossipNode(
+                    self.env, pid, self.proto_cfg, members,
+                    on_deliver=self.log.delivered, **self._node_kwargs(pid),
+                )
+        self._share_keys()
 
         self.attacker: Optional[AttackerProcess] = None
         if config.attack is not None:
@@ -212,45 +261,247 @@ class _Cluster:
 
         # Fault wiring comes last, and its seed draw only happens when a
         # plan is present — faultless seeded clusters replay their
-        # historical streams exactly.
-        self.fault_controller: Optional[DesFaultController] = None
-        if config.faults is not None:
-            self.fault_controller = DesFaultController(
-                config.faults,
-                env=self.env,
-                nodes=self.nodes,
-                n=config.n,
-                num_alive_correct=config.num_correct,
-                round_duration_ms=config.round_duration_ms,
-                seed=seeds.next_seed(),
-                tracer=tracer,
+        # historical streams exactly.  The environment's hooks are
+        # post-construction, so its seed position never moves either.
+        if self.schedule is not None:
+            fault_seed = seeds.next_seed()
+            link = config.faults.link
+            if link is not None:
+                if link.affects_loss:
+                    self.env.loss_model = GilbertElliottModel.from_link_faults(
+                        link, seed=fault_seed
+                    )
+                if link.shapes_timing:
+                    self.env.link_faults = link
+            if config.faults.events:
+                self.env.block_fn = self._blocks
+            arm_flips(
+                self.env.loop, self.schedule, self.nodes, self.round_ms, tracer
             )
-            self.fault_controller.install()
+        if self.churn:
+            self._schedule_churn_ops()
+            self.env.schedule(self.round_ms, self._probe)
 
         # run_start last: every seed position above is already consumed.
         if tracer is not None:
+            extra = (
+                {"churn": True, "total_n": self.schedule.total_n}
+                if self.churn else {}
+            )
             tracer.run_start(
                 "des", continuous=True,
-                protocol=config.protocol.value, n=config.n,
+                protocol=config.protocol.value, n=config.n, **extra,
             )
 
-    def _record_delivery(self, pid: int, message, now: float) -> None:
-        created = self.created_at.get(message.msg_id)
-        if created is None:
-            return  # background traffic outside the measured stream
-        self.deliveries.append(
-            DeliveryRecord(
-                receiver=pid,
-                msg_id=message.msg_id,
-                delivered_at_ms=now,
-                latency_ms=now - created,
-                round_counter=message.round_counter,
-            )
+    # -- construction --------------------------------------------------------
+
+    def _node_kwargs(self, pid: int) -> dict:
+        return dict(
+            seed=self._node_seeds[pid],
+            ttl_policy=self._ttl_for,
+            registry=self.registry,
+            id_factory=self.msg_ids,
         )
+
+    def _ttl_for(self, message) -> Optional[int]:
+        return self.ttl_overrides.get(message.msg_id, self._pending_ttl)
+
+    def _share_keys(self) -> None:
+        keys = {pid: node.keys.public for pid, node in self.nodes.items()}
+        for node in self.nodes.values():
+            node.learn_keys(keys)
+
+    def _build_membership(self) -> None:
+        """Certified members for the initial correct ids, bootstrapped
+        with every certificate of the group."""
+        config = self.config
+        #: Certificates must outlive the run: scheduled churn is the only
+        #: membership change under test (expiry is exercised separately).
+        self.ca = CertificationAuthority(validity_period=1e9)
+        self.joined: List[int] = []
+        self.left: List[int] = []
+        self.expelled: List[int] = []
+        #: (kind, subject) -> the most recent announcement of that event
+        #: ({"t_fire", "expected", "applied"}: view convergence).
+        self._announce_latest: Dict[Tuple[str, int], Dict[str, object]] = {}
+        self.announcements: List[Dict[str, object]] = []
+        for pid in config.correct_ids():
+            member = self.nodes[pid] = self._build_member(pid)
+            member.join_group()
+        # Malicious ids hold certificates too (the CA cannot tell — that
+        # is the paper's threat model); they never answer, so the local
+        # failure detectors age them out of gossip views.
+        for pid in range(config.num_correct, config.n):
+            self.ca.authorize_join(pid, KeyPair(owner=pid).public)
+        for member in self.nodes.values():
+            for pid in range(config.n):
+                if pid == member.pid:
+                    continue
+                cert = self.ca.current_certificate(pid)
+                if cert is not None:
+                    member.membership.install_certificate(cert, now=0.0)
+            member._refresh_views()
+
+    def _build_member(self, pid: int) -> MemberNode:
+        return MemberNode(
+            self.env, pid, self.proto_cfg, self.ca,
+            on_deliver=self.log.delivered,
+            on_membership=self._on_membership,
+            failure_timeout_rounds=float(FD_TIMEOUT_ROUNDS),
+            **self._node_kwargs(pid),
+        )
+
+    # -- the global fault clock ----------------------------------------------
+
+    def _fault_round(self) -> int:
+        """The 1-based fault round: r spans [(r-1)·R, r·R) from time 0."""
+        return int(self.env.now() // self.round_ms) + 1
+
+    def _blocks(self, src_node: int, dst_node: int) -> bool:
+        return self.schedule.blocks(self._fault_round(), src_node, dst_node)
+
+    def reachable_ids(self, horizon_ms: float):
+        """Correct ids that can hold the stream at ``horizon_ms``."""
+        return self.schedule.reachable_ids(int(horizon_ms // self.round_ms) + 1)
+
+    # -- scheduled membership ops --------------------------------------------
+
+    def _schedule_churn_ops(self) -> None:
+        """Fire every resolved membership event at its round boundary."""
+
+        def at(round_no: int, op, ids: List[int]) -> None:
+            self.env.loop.schedule((round_no - 1) * self.round_ms, op, ids)
+
+        for start, stop, first, count in self.schedule.join_blocks():
+            ids = list(range(first, first + count))
+            at(start, self._join, ids)
+            if stop is not None:
+                at(stop, self._leave, ids)
+        for start, stop, ids in self.schedule._leave_windows:
+            at(start, self._leave, sorted(ids))
+            if stop is not None:
+                # A rejoin is a fresh log-in: new certificate, new event.
+                at(stop, self._join, sorted(ids))
+        for start, ids in self.schedule._expel_events:
+            at(start, self._expel, sorted(ids))
+
+    def _announce(self, kind: str, event, subject: int) -> None:
+        """Multicast a membership event from the lowest running member
+        and open its convergence record."""
+        sponsor = next(
+            (
+                pid for pid in sorted(self.nodes)
+                if pid != subject and self.nodes[pid].running
+            ),
+            None,
+        )
+        if sponsor is None:
+            return
+        record = {
+            "kind": kind,
+            "subject": subject,
+            "t_fire": self.env.now(),
+            "expected": frozenset(
+                pid for pid, member in self.nodes.items()
+                if member.running and pid != subject
+            ),
+            "applied": {},
+        }
+        self._announce_latest[(kind, subject)] = record
+        self.announcements.append(record)
+        self.nodes[sponsor].multicast(event)
+
+    def _join(self, ids: List[int]) -> None:
+        for pid in ids:
+            member = self.departed.pop(pid, None) or self._build_member(pid)
+            event = member.join_group()
+            self.nodes[pid] = member
+            self.joined.append(pid)
+            member.start()
+            self._share_keys()
+            self._announce("join", event, pid)
         if self.tracer is not None:
-            self.tracer.delivered(
-                node=pid, t=now, round_counter=message.round_counter
-            )
+            self.tracer.member_join(ids, t=self.env.now())
+
+    def _leave(self, ids: List[int]) -> None:
+        departed = []
+        for pid in ids:
+            member = self.nodes.pop(pid, None)
+            if member is None:
+                continue
+            event = member.leave_group()
+            self.departed[pid] = member
+            self.left.append(pid)
+            departed.append(pid)
+            if event is not None:
+                self._announce("leave", event, pid)
+        if self.tracer is not None and departed:
+            self.tracer.member_leave(departed, t=self.env.now())
+
+    def _expel(self, ids: List[int]) -> None:
+        for pid in ids:
+            cert = self.ca.revoke(pid)
+            member = self.nodes.pop(pid, None)
+            if member is not None:
+                member.stop()
+                self.departed[pid] = member
+            self.expelled.append(pid)
+            if cert is not None:
+                self._announce("expel", ExpelEvent(pid, cert), pid)
+        if self.tracer is not None and ids:
+            self.tracer.member_expel(ids, t=self.env.now())
+
+    def _on_membership(self, pid: int, event, now: float) -> None:
+        kind = {
+            "JoinEvent": "join",
+            "LeaveEvent": "leave",
+            "ExpelEvent": "expel",
+        }.get(type(event).__name__)
+        if kind is None:
+            return
+        record = self._announce_latest.get((kind, event.subject))
+        if record is not None and pid not in record["applied"]:
+            record["applied"][pid] = now
+
+    def _probe(self) -> None:
+        """Every member probes its certified peers (Section 10's
+        responsiveness probe).
+
+        A present, running peer answers unless the fault schedule blocks
+        the pair (crash, stall, partition); silence beyond the detector
+        timeout turns into suspicion, removing the peer from gossip
+        views without touching its membership status — and one answered
+        probe rehabilitates it.
+        """
+        now_s = self.env.now() / 1000.0
+        round_no = self._fault_round()
+        for pid, member in self.nodes.items():
+            if not member.running:
+                continue
+            detector = member.membership.failure_detector
+            before = detector.suspected
+            for peer in member.membership.current_members(now_s):
+                target = self.nodes.get(peer)
+                if target is None or not target.running:
+                    continue
+                if self.schedule.blocks(round_no, pid, peer) or (
+                    self.schedule.blocks(round_no, peer, pid)
+                ):
+                    continue
+                detector.heard_from(peer, now_s)
+            newly = detector.check(now_s)
+            if self.tracer is not None:
+                if newly:
+                    self.tracer.suspect(newly, t=self.env.now(), by=pid)
+                healed = sorted(before - detector.suspected)
+                if healed:
+                    self.tracer.rehabilitate(healed, t=self.env.now(), by=pid)
+            member._refresh_views()
+        # The delay is the absolute next-round time, so probes fire at
+        # R, 3R, 7R, ... — the seeded churn envelopes record this cadence.
+        self.env.schedule(self.env.now() + self.round_ms, self._probe)
+
+    # -- lifecycle and the tracked stream ------------------------------------
 
     def start(self) -> None:
         for node in self.nodes.values():
@@ -259,84 +510,80 @@ class _Cluster:
             self.attacker.start()
 
     def stop(self) -> None:
-        for node in self.nodes.values():
-            node.stop()
+        for node in [*self.nodes.values(), *self.departed.values()]:
+            if node.running:
+                node.stop()
         if self.attacker is not None:
             self.attacker.stop()
 
     def multicast_tracked(
         self, pid: int, payload: object, *, ttl: Optional[int] = None
-    ) -> Tuple[int, int]:
-        """Multicast from ``pid`` and track its deliveries.
-
-        The source's own delivery (latency 0, hop counter 0) is recorded
-        here because the message id only becomes trackable once minted.
-        ``ttl`` lets this one message outlive normal purging at every
-        node — but the source's own copy is added by ``multicast``
-        before the id is known, so the TTL is registered first through a
-        placeholder and the source's buffer entry patched after.
-        """
+    ) -> Optional[Tuple[int, int]]:
+        """Multicast from ``pid`` and track its deliveries; ``ttl`` lets
+        this one message outlive normal purging at every node.  Returns
+        None when ``pid`` is absent or down this instant: the send is
+        lost."""
+        node = self.nodes.get(pid)
+        if node is None or not node.running:
+            return None
         created = self.env.now()
-        node = self.nodes[pid]
-        if ttl is not None:
-            # Pre-register under a sentinel the policy closure reads at
-            # delivery time; multicast() mints the real id synchronously.
-            original_policy = node.ttl_policy
-            node.ttl_policy = lambda m: ttl
-            try:
-                msg = node.multicast(payload)
-            finally:
-                node.ttl_policy = original_policy
-            self.ttl_overrides[msg.msg_id] = ttl
-        else:
+        self._pending_ttl = ttl
+        try:
             msg = node.multicast(payload)
-        self.created_at[msg.msg_id] = created
-        self.deliveries.append(
-            DeliveryRecord(
-                receiver=pid,
-                msg_id=msg.msg_id,
-                delivered_at_ms=created,
-                latency_ms=0.0,
-                round_counter=0,
-            )
-        )
-        if self.tracer is not None:
-            self.tracer.delivered(node=pid, via="source", t=created)
+        finally:
+            self._pending_ttl = None
+        if ttl is not None:
+            self.ttl_overrides[msg.msg_id] = ttl
+        self.log.sent(pid, msg.msg_id, created)
         return msg.msg_id
 
 
 def run_throughput_experiment(
     config: ClusterConfig, *, seed: SeedLike = None, tracer=None
 ) -> MeasurementResult:
-    """Stream ``config.messages`` from the source and measure reception."""
+    """Stream ``config.messages`` from the source and measure reception.
+
+    With churn tokens in the plan the run lasts at least until the
+    last membership event has had time to spread, and the result
+    carries the ``churn`` payload (:func:`~repro.des.churn.churn_metrics`).
+    """
     cluster = _Cluster(config, seed, tracer=tracer)
     cluster.start()
+    round_ms = cluster.round_ms
 
     t0 = config.warmup_rounds * config.round_duration_ms
+    if cluster.churn:
+        t0 = float(t0)  # churn envelopes have always stamped a float start
     interval = 1000.0 / config.send_rate
     for i in range(config.messages):
-        when = t0 + i * interval
-
-        def _send(index: int = i) -> None:
-            cluster.multicast_tracked(config.source, f"msg-{index}".encode())
-
-        cluster.env.loop.schedule(when, _send)
+        cluster.env.loop.schedule(
+            t0 + i * interval,
+            cluster.multicast_tracked, config.source, f"msg-{i}".encode(),
+        )
 
     t_send_end = t0 + config.messages * interval
-    drain = (config.purge_rounds + 3) * config.round_duration_ms
-    horizon_ms = t_send_end + drain
+    horizon_ms = t_send_end + (config.purge_rounds + 3) * round_ms
+    schedule = cluster.schedule
+    if cluster.churn:
+        lag = schedule.awareness_lag(config.fan_out)
+        settle = (schedule.last_event_round() + lag + 2) * round_ms
+        horizon_ms = max(horizon_ms, settle)
     cluster.env.loop.run_until(horizon_ms)
     cluster.stop()
 
     reachable: Optional[List[int]] = None
     faults_desc: Optional[str] = None
-    if cluster.fault_controller is not None:
+    churn: Optional[Dict[str, object]] = None
+    if schedule is not None:
         faults_desc = config.faults.describe()
-        reachable_ids = cluster.fault_controller.reachable_ids(horizon_ms)
+        reachable_ids = cluster.reachable_ids(horizon_ms)
         reachable = [
             pid for pid in config.receiver_ids() if pid in reachable_ids
         ]
+        if cluster.churn:
+            churn = churn_metrics(cluster, horizon_ms, reachable_ids)
 
+    deliveries = cluster.log.deliveries
     result = MeasurementResult(
         protocol=config.protocol.value,
         n=config.n,
@@ -345,15 +592,21 @@ def run_throughput_experiment(
         messages_sent=config.messages,
         experiment_start_ms=t0,
         experiment_end_ms=t_send_end,
-        deliveries=cluster.deliveries,
+        deliveries=deliveries,
         reachable_receivers=reachable,
         faults=faults_desc,
+        churn=churn,
     )
     if tracer is not None:
+        counts = (
+            {k: churn[k] for k in ("joined", "left", "expelled")}
+            if churn is not None else {}
+        )
         tracer.run_end(
             t=horizon_ms,
-            delivered=len(cluster.deliveries),
+            delivered=len(deliveries),
             messages=config.messages,
+            **counts,
         )
     return result
 
@@ -427,7 +680,7 @@ def run_single_message_experiment(
             messages_sent=1,
             experiment_start_ms=t_inject,
             experiment_end_ms=cluster.env.now(),
-            deliveries=cluster.deliveries,
+            deliveries=cluster.log.deliveries,
         )
         results.append(result.propagation_rounds(tracked["id"], fraction))
     return np.asarray(results)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -28,6 +28,60 @@ class DeliveryRecord:
     round_counter: int
 
 
+class DeliveryLog:
+    """The tracked-message log every cluster host appends to.
+
+    :meth:`sent` starts tracking a message (the source logs it at
+    latency 0, hop counter 0, because the id only becomes trackable once
+    minted); :meth:`delivered` is the nodes' ``on_deliver`` callback.
+    Each appends a :class:`DeliveryRecord` and, with a tracer, emits the
+    matching ``delivered`` event, so traced runs reconcile against the
+    log by construction.
+    """
+
+    def __init__(self, tracer=None):
+        self.tracer = tracer
+        self.created_at: Dict[MessageId, float] = {}
+        self.deliveries: List[DeliveryRecord] = []
+        #: msg_id -> receivers that delivered it (incremental, so a
+        #: delivery wait polls in O(1) instead of scanning the log).
+        self.receivers: Dict[MessageId, Set[int]] = {}
+
+    def sent(self, source: int, msg_id: MessageId, now: float) -> None:
+        self.created_at[msg_id] = now
+        self.receivers[msg_id] = {source}
+        self.deliveries.append(
+            DeliveryRecord(
+                receiver=source,
+                msg_id=msg_id,
+                delivered_at_ms=now,
+                latency_ms=0.0,
+                round_counter=0,
+            )
+        )
+        if self.tracer is not None:
+            self.tracer.delivered(node=source, via="source", t=now)
+
+    def delivered(self, pid: int, message, now: float) -> None:
+        created = self.created_at.get(message.msg_id)
+        if created is None:
+            return  # background traffic outside the measured stream
+        self.deliveries.append(
+            DeliveryRecord(
+                receiver=pid,
+                msg_id=message.msg_id,
+                delivered_at_ms=now,
+                latency_ms=now - created,
+                round_counter=message.round_counter,
+            )
+        )
+        self.receivers[message.msg_id].add(pid)
+        if self.tracer is not None:
+            self.tracer.delivered(
+                node=pid, t=now, round_counter=message.round_counter
+            )
+
+
 @dataclass
 class MeasurementResult:
     """Everything a cluster experiment produced."""
@@ -48,9 +102,10 @@ class MeasurementResult:
     #: The fault plan's spec string (``FaultPlan.describe()``), for
     #: reports; None on faultless experiments.
     faults: Optional[str] = None
-    #: Churn-aware metrics from :func:`repro.des.churn.run_churn_experiment`:
-    #: the resolved membership ``timeline`` (the cross-stack determinism
-    #: witness), realised ``join_latency`` and ``view_convergence`` in
+    #: Churn-aware metrics (:func:`repro.des.churn.churn_metrics`) when
+    #: the plan has churn tokens: the resolved membership ``timeline``
+    #: (the cross-stack determinism witness), realised ``join_latency``
+    #: and ``view_convergence`` in
     #: rounds, and joined/left/expelled counts.  None on churn-free
     #: experiments, keeping their envelopes byte-unchanged.
     churn: Optional[Dict[str, object]] = None

@@ -1,4 +1,5 @@
-"""Fault injection for the wall-clock runtime (:mod:`repro.aio`).
+"""Fault injection on an event clock: the wall-clock runtime
+(:mod:`repro.aio`), and crash windows on the discrete-event cluster.
 
 A plan is applied with two small pieces:
 
@@ -16,13 +17,14 @@ A plan is applied with two small pieces:
   :meth:`FaultyTransport.start_clock` — the same global fault clock
   the discrete-event stack uses.
 - :func:`crash_flips` lists the crash / recover windows as round
-  boundaries in milliseconds; the asyncio cluster puts them on its
-  clock as ``node.stop()`` / ``node.start()`` events.
+  boundaries in milliseconds; :func:`arm_flips` puts them on a
+  cluster's clock as ``node.stop()`` / ``node.start()`` events — the
+  asyncio cluster's and the discrete-event cluster's alike.
 
-Both are deterministic given a seed only up to scheduling — live
-runs are wall-clock programs, so the contract here is weaker than the
-simulators': the *plan* (who crashes when, which links are cut) is
-exactly reproducible, while packet-level interleaving is not.
+On the wall clock both are deterministic given a seed only up to
+scheduling: the *plan* (who crashes when, which links are cut) is
+exactly reproducible, while packet-level interleaving is not.  On the
+virtual clock the flips are as seed-exact as everything else.
 """
 
 from __future__ import annotations
@@ -233,11 +235,52 @@ class FaultyTransport(Transport):
 def crash_flips(
     schedule: FaultSchedule, round_ms: float
 ) -> List[Tuple[float, str, frozenset]]:
-    """A plan's crash / recover windows as sorted ``(at_ms, action, ids)``:
-    a crash at round r flips the nodes down at the boundary into r."""
+    """A plan's crash / recover windows as ``(at_ms, action, ids)``: a
+    crash at round r flips the nodes down at the boundary into r.
+
+    Sorted by time only, and stably, so flips on one boundary keep
+    window order — the order an event heap fires them in when they are
+    scheduled window by window."""
     events = []
     for start, stop, ids in schedule._crash_windows:
         events.append(((start - 1) * round_ms, "crash", ids))
         if stop is not None:
             events.append(((stop - 1) * round_ms, "recover", ids))
-    return sorted(events, key=lambda e: (e[0], e[1]))
+    return sorted(events, key=lambda e: e[0])
+
+
+def arm_flips(clock, schedule, nodes, round_ms: float, tracer) -> None:
+    """Put :func:`crash_flips` on ``clock`` as ``node.stop()`` /
+    ``node.start()`` events, fault round 1 starting now.
+
+    ``clock`` is any :class:`~repro.des.engine.EventLoop` — the DES
+    cluster's virtual one or the asyncio cluster's
+    :class:`~repro.aio.env.LoopClock` — so flips fire in one due order
+    with the packets they cut off.  ``nodes`` is read when a flip
+    fires: ids absent then (departed members) are skipped.  Stopping
+    unbinds every port, so in-flight packets to a crashed node
+    dead-letter; its buffer survives, as for a paused process.
+    """
+    origin = clock.now
+
+    def flip(action: str, ids: frozenset) -> None:
+        flipped = []
+        for pid in sorted(ids):
+            node = nodes.get(pid)
+            if node is None:
+                continue
+            if action == "crash" and node.running:
+                node.stop()
+                flipped.append(pid)
+            elif action == "recover" and not node.running:
+                node.start()
+                flipped.append(pid)
+        if tracer is not None and flipped:
+            t = clock.now - origin
+            if action == "crash":
+                tracer.crash(flipped, t=t)
+            else:
+                tracer.heal(flipped, t=t)
+
+    for at_ms, action, ids in crash_flips(schedule, round_ms):
+        clock.schedule(at_ms, flip, action, ids)

@@ -12,7 +12,7 @@ Two cell kinds share the class:
   :func:`~repro.sim.runner.monte_carlo` experiment on the fast or
   exact round engine; results persist in the store's npz tier.
 - **measurement** (``config`` set): a DES
-  :func:`~repro.des.measurement.run_throughput_experiment` streaming
+  :func:`~repro.des.cluster.run_throughput_experiment` streaming
   experiment; results persist in the store's envelope-JSON tier.
 
 The grid builders produce the paper's three sweep shapes as

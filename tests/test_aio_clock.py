@@ -386,7 +386,7 @@ def _traced_run(ticks, monkeypatch):
     log = [
         (d.receiver, d.msg_id, d.delivered_at_ms, d.latency_ms,
          d.round_counter)
-        for d in cluster.deliveries
+        for d in cluster.log.deliveries
     ]
     return log, [encode_event(e) for e in sink.events], cluster.clock.stats()
 

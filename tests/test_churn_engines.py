@@ -24,9 +24,8 @@ import pytest
 
 from equivalence import compare_results, wilson_ci
 from repro.aio import AioClusterConfig
-from repro.api import Experiment
-from repro.des.churn import run_churn_experiment
-from repro.des.cluster import ClusterConfig, run_throughput_experiment
+from repro.api import Experiment, encode_envelope
+from repro.des.cluster import ClusterConfig, _Cluster, run_throughput_experiment
 from repro.des.measurement import MeasurementResult
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
@@ -78,7 +77,7 @@ class TestTimelineIdentity:
         schedule = FaultSchedule(
             config.faults, n=20, num_alive_correct=config.num_correct
         )
-        result = run_churn_experiment(config, seed=5)
+        result = run_throughput_experiment(config, seed=5)
         expected = [dict(r) for r in schedule.churn_timeline()]
         assert result.churn["timeline"] == expected
 
@@ -220,30 +219,17 @@ class TestDesEquivalence:
         faults=CHURN,
     )
 
-    @staticmethod
-    def canonical(result) -> str:
-        """Envelope with message serials renumbered densely.
-
-        Message ids come from a process-global counter
-        (``repro.core.message``), so repeated runs in one process shift
-        serials; everything else must match byte for byte.
-        """
-        env = result.to_dict()
-        remap = {}
-        for rec in env["data"]["deliveries"]:
-            key = tuple(rec[1])
-            rec[1] = remap.setdefault(key, len(remap))
-        return json.dumps(env, sort_keys=True, default=float)
-
     def test_seeded_determinism(self):
+        # Message serials are scoped to the cluster, so two seeded runs
+        # in one process encode byte for byte alike.
         config = ClusterConfig(**self.CONFIG)
-        a = run_churn_experiment(config, seed=9)
-        b = run_churn_experiment(config, seed=9)
-        assert self.canonical(a) == self.canonical(b)
+        a = run_throughput_experiment(config, seed=9)
+        b = run_throughput_experiment(config, seed=9)
+        assert encode_envelope(a) == encode_envelope(b)
 
     def test_reliability_statistically_matches_fast(self):
         config = ClusterConfig(**self.CONFIG)
-        des = run_churn_experiment(config, seed=13)
+        des = run_throughput_experiment(config, seed=13)
         delivered = set()
         eligible = set(des.reachable_receivers)
         for record in des.deliveries:
@@ -266,7 +252,7 @@ class TestDesEquivalence:
 
     def test_churn_metrics_present_and_sane(self):
         config = ClusterConfig(**self.CONFIG)
-        result = run_churn_experiment(config, seed=17)
+        result = run_throughput_experiment(config, seed=17)
         churn = result.churn
         assert churn["joined"] == 4
         assert churn["left"] == 2
@@ -277,15 +263,25 @@ class TestDesEquivalence:
 
     def test_envelope_round_trips(self):
         config = ClusterConfig(**self.CONFIG)
-        result = run_churn_experiment(config, seed=19)
+        result = run_throughput_experiment(config, seed=19)
         rebuilt = MeasurementResult.from_dict(result.to_dict())
         assert rebuilt.churn == result.churn
         assert envelope(rebuilt) == envelope(result)
 
     def test_rejects_churn_free_plan(self):
+        # A churn-free plan keeps the static group: no CA, no probe, no
+        # membership events.
         config = ClusterConfig(**{**self.CONFIG, "faults": "crash@5:0.1"})
-        with pytest.raises(ValueError, match="churn"):
-            run_churn_experiment(config, seed=1)
+        cluster = _Cluster(config, seed=1)
+        assert not cluster.churn and not hasattr(cluster, "ca")
+        tracer = Tracer()
+        run_throughput_experiment(config, seed=1, tracer=tracer)
+        churny = {
+            "member_join", "member_leave", "member_expel", "suspect",
+            "rehabilitate",
+        }
+        assert not churny & set(tracer.counters.by_type)
+        assert tracer.counters.crashes > 0
 
     def test_churn_free_envelope_unchanged(self):
         # The measurement envelope only grows a "churn" key when churn

@@ -1,134 +1,149 @@
-"""Tests for dynamic membership running over the multicast layer."""
+"""Tests for dynamic membership running over the multicast layer.
+
+Membership is an input to the one DES host: a plan with churn tokens
+makes :class:`repro.des.cluster._Cluster` a CA-certified, dynamic group.
+These tests drive it by hand — run the virtual clock, multicast, read
+each member's view.
+"""
 
 import pytest
 
-from repro.des.churn import ChurnExperiment
+from repro.des.cluster import ClusterConfig, _Cluster
+
+ROUND_MS = 50.0
 
 
-def _experiment(**kwargs):
-    defaults = dict(initial_size=6, round_duration_ms=50.0, seed=1)
-    defaults.update(kwargs)
-    return ChurnExperiment(**defaults)
+def _cluster(faults, n=6):
+    config = ClusterConfig(
+        protocol="drum", n=n, malicious_fraction=0.0, loss=0.0,
+        round_duration_ms=ROUND_MS, latency_range_ms=(0.5, 1.5),
+        faults=faults,
+    )
+    cluster = _Cluster(config, seed=1)
+    cluster.start()
+    return cluster
+
+
+def run_to(cluster, rounds):
+    """Run the virtual clock to the end of fault round ``rounds``."""
+    cluster.env.loop.run_until(rounds * ROUND_MS)
+
+
+def reached(cluster, mid, members):
+    return set(members) <= cluster.log.receivers[mid]
 
 
 class TestBootstrap:
     def test_initial_membership_complete(self):
-        exp = _experiment()
+        cluster = _cluster("join@4:0.2")
         try:
-            for pid, node in exp.nodes.items():
+            for pid, node in cluster.nodes.items():
                 known = set(node.known_members()) | {pid}
-                assert known == set(exp.nodes)
+                assert known == set(cluster.nodes)
         finally:
-            exp.stop()
+            cluster.stop()
 
     def test_initial_multicast_reaches_everyone(self):
-        exp = _experiment()
+        cluster = _cluster("join@30:0.2")
         try:
-            mid = exp.multicast(0, b"hello")
-            exp.run_for(20)
-            result = exp.result()
-            assert result.coverage(mid, list(exp.nodes)) == 1.0
+            mid = cluster.multicast_tracked(0, b"hello")
+            run_to(cluster, 20)
+            assert reached(cluster, mid, cluster.nodes)
         finally:
-            exp.stop()
+            cluster.stop()
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            ChurnExperiment(initial_size=1)
+            ClusterConfig(n=1, faults="join@4:0.5")
 
 
 class TestJoins:
+    NEWCOMER = 6  # the first id above the initial group of six
+
     def test_join_event_spreads_via_multicast(self):
-        exp = _experiment()
+        cluster = _cluster("join@4:0.2")
         try:
-            exp.run_for(3)
-            newcomer = exp.add_member()
-            exp.run_for(25)
+            run_to(cluster, 28)
             # Every old member learned about the newcomer through gossip.
             learned = [
                 pid
-                for pid, node in exp.nodes.items()
-                if pid != newcomer and newcomer in node.known_members()
+                for pid, node in cluster.nodes.items()
+                if pid != self.NEWCOMER
+                and self.NEWCOMER in node.known_members()
             ]
-            assert len(learned) == len(exp.nodes) - 1
+            assert self.NEWCOMER in cluster.nodes
+            assert len(learned) == len(cluster.nodes) - 1
         finally:
-            exp.stop()
+            cluster.stop()
 
     def test_newcomer_receives_multicasts(self):
-        exp = _experiment()
+        cluster = _cluster("join@4:0.2")
         try:
-            exp.run_for(3)
-            newcomer = exp.add_member()
-            exp.run_for(10)
-            mid = exp.multicast(0, b"post-join")
-            exp.run_for(25)
-            assert mid in exp.result().delivered[newcomer]
+            run_to(cluster, 13)
+            mid = cluster.multicast_tracked(0, b"post-join")
+            run_to(cluster, 38)
+            assert self.NEWCOMER in cluster.log.receivers[mid]
         finally:
-            exp.stop()
+            cluster.stop()
 
     def test_newcomer_can_multicast(self):
-        exp = _experiment()
+        cluster = _cluster("join@4:0.2")
         try:
-            exp.run_for(3)
-            newcomer = exp.add_member()
-            exp.run_for(10)
-            mid = exp.multicast(newcomer, b"from-newcomer")
-            exp.run_for(25)
-            others = [p for p in exp.nodes if p != newcomer]
-            assert exp.result().coverage(mid, others) == 1.0
+            run_to(cluster, 13)
+            mid = cluster.multicast_tracked(self.NEWCOMER, b"from-newcomer")
+            run_to(cluster, 38)
+            assert reached(cluster, mid, cluster.nodes)
         finally:
-            exp.stop()
+            cluster.stop()
 
 
 class TestLeaves:
+    LEAVER = 5  # leave victims come from the top of the correct ids
+
     def test_leave_event_removes_from_views(self):
-        exp = _experiment()
+        cluster = _cluster("leave@4:0.2")
         try:
-            exp.run_for(3)
-            leaver = 2
-            exp.remove_member(leaver)
-            exp.run_for(25)
-            for pid, node in exp.nodes.items():
-                assert leaver not in node.known_members(), pid
+            run_to(cluster, 28)
+            assert self.LEAVER not in cluster.nodes
+            for pid, node in cluster.nodes.items():
+                assert self.LEAVER not in node.known_members(), pid
         finally:
-            exp.stop()
+            cluster.stop()
 
     def test_multicast_survives_churn(self):
         """Joins and leaves mid-stream do not break dissemination."""
-        exp = _experiment(initial_size=8)
+        cluster = _cluster("leave@4:0.125; join@4:0.125", n=8)
         try:
-            exp.run_for(3)
-            exp.remove_member(3)
-            newcomer = exp.add_member()
-            exp.run_for(10)
-            mid = exp.multicast(0, b"amid-churn")
-            exp.run_for(30)
-            members = list(exp.nodes)
-            assert exp.result().coverage(mid, members) == 1.0
+            run_to(cluster, 13)
+            assert 7 not in cluster.nodes and 8 in cluster.nodes
+            mid = cluster.multicast_tracked(0, b"amid-churn")
+            run_to(cluster, 43)
+            assert reached(cluster, mid, cluster.nodes)
         finally:
-            exp.stop()
+            cluster.stop()
 
     def test_left_node_stops_gossiping(self):
-        exp = _experiment()
+        cluster = _cluster("leave@4:0.2")
         try:
-            exp.run_for(3)
-            leaver_node = exp.nodes[1]
-            exp.remove_member(1)
-            rounds_at_leave = leaver_node.node.round_no
-            exp.run_for(10)
-            assert leaver_node.node.round_no == rounds_at_leave
+            run_to(cluster, 3)  # the leave fires at round 4's boundary
+            leaver = cluster.departed[self.LEAVER]
+            rounds_at_leave = leaver.node.round_no
+            run_to(cluster, 13)
+            assert not leaver.running
+            assert leaver.node.round_no == rounds_at_leave
         finally:
-            exp.stop()
+            cluster.stop()
 
 
 class TestEventsApplied:
     def test_event_counters_track_changes(self):
-        exp = _experiment()
+        cluster = _cluster("join@4:0.2")
         try:
-            exp.run_for(3)
-            exp.add_member()
-            exp.run_for(25)
-            result = exp.result()
-            appliers = [c for pid, c in result.events_applied.items() if c > 0]
-            assert len(appliers) >= len(exp.nodes) - 2
+            run_to(cluster, 28)
+            appliers = [
+                pid for pid, node in cluster.nodes.items()
+                if node.events_applied > 0
+            ]
+            assert len(appliers) >= len(cluster.nodes) - 2
         finally:
-            exp.stop()
+            cluster.stop()

@@ -13,11 +13,10 @@ import time
 import pytest
 
 from repro.aio import AioCluster, AioClusterConfig
-from repro.aio.cluster import _arm_flips
 from repro.aio.env import LoopClock
 from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.faults import FaultPlan, FaultSchedule
-from repro.faults.live import FaultyTransport
+from repro.faults.live import FaultyTransport, arm_flips, crash_flips
 from repro.net import Address, UdpTransport
 
 SHAPED = "loss:0.02; delay:20~10; reorder:0.2; dup:0.1"
@@ -380,7 +379,7 @@ class TestLiveFaultDriver:
 
         async def go():
             clock = LoopClock(tick_ms=50.0 / 16)
-            _arm_flips(clock, schedule, nodes, 50.0, None)
+            arm_flips(clock, schedule, nodes, 50.0, None)
             await asyncio.sleep(0.3)
             clock.close()
 
@@ -400,13 +399,27 @@ class TestLiveFaultDriver:
 
         async def go():
             clock = LoopClock()
-            _arm_flips(clock, schedule, nodes, 1000.0, None)
+            arm_flips(clock, schedule, nodes, 1000.0, None)
             clock.close()
             await asyncio.sleep(0.01)
             return clock.events_run
 
         assert asyncio.run(go()) == 0
         assert all(node.events == [] for node in nodes.values())
+
+    def test_flips_on_one_boundary_keep_window_order(self):
+        # The first window's recover and the second's crash share the
+        # round-6 boundary: they fire in window order, as the DES heap
+        # would fire them scheduled window by window.
+        schedule = FaultSchedule(
+            FaultPlan.parse("crash@3-6:0.25; crash@6:0.25"),
+            n=9, num_alive_correct=9,
+        )
+        flips = crash_flips(schedule, 10.0)
+        assert [(at, action) for at, action, _ in flips] == [
+            (20.0, "crash"), (50.0, "recover"), (50.0, "crash"),
+        ]
+        assert flips[1][2] != flips[2][2]
 
 
 def run_cluster(config, seed, body=None):

@@ -10,11 +10,15 @@ non-perturbation of the seeded DES stream.
 
 import asyncio
 
+import pytest
+
 from repro.aio import AioCluster, AioClusterConfig
+from repro.api import Experiment
 from repro.des.cluster import ClusterConfig, run_throughput_experiment
 from repro.obs import MemorySink, Tracer
 
 CHAOS = "crash@2-5:0.2;loss:0.05"
+CHURN = "join@4:0.2; leave@9:0.1; expel@13:0.1"
 
 
 def des_config(**kw):
@@ -27,10 +31,18 @@ def des_config(**kw):
 
 
 class TestDesTracing:
-    def test_counters_reconcile_against_measurement(self):
+    @pytest.mark.parametrize("faults", [None, CHURN], ids=["static", "churn"])
+    def test_counters_reconcile_against_measurement(self, faults):
+        # Through the des engine: the one entry point every caller uses.
+        exp = Experiment(
+            protocol="drum", n=20, malicious_fraction=0.1, send_rate=20.0,
+            messages=30, round_duration_ms=100.0, faults=faults,
+        )
         tracer = Tracer()
-        result = run_throughput_experiment(des_config(), seed=7, tracer=tracer)
+        result = exp.run(engine="des", seed=7, tracer=tracer)
         assert result.deliveries
+        assert (result.churn is not None) == (faults is not None)
+        assert tracer.counters.delivered_by_via.get("source", 0) == 30
         assert tracer.counters.reconcile_measurement(result) == []
 
     def test_events_are_continuous_time(self):

@@ -93,14 +93,13 @@ class TestMeasurementReproducibility:
     def test_seeded_churn_envelopes_are_byte_identical(self):
         import json
 
-        from repro.des.churn import run_churn_experiment
-
         config = ClusterConfig(
             n=12, messages=8, send_rate=50.0, round_duration_ms=100.0,
             faults="join@3:0.25; leave@6:0.2",
         )
-        a = run_churn_experiment(config, seed=19)
-        b = run_churn_experiment(config, seed=19)
+        a = run_throughput_experiment(config, seed=19)
+        b = run_throughput_experiment(config, seed=19)
+        assert a.churn is not None
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
             b.to_dict(), sort_keys=True
         )

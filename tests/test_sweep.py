@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import Experiment
 from repro.des import ClusterConfig, run_throughput_experiment
 from repro.obs import Tracer
 from repro.sim import Scenario, monte_carlo
@@ -266,6 +267,25 @@ class TestSweepRunner:
         assert second.outcomes[0].source == "store"
         key = ResultStore(tmp_path).key_for(cell)
         assert ResultStore(tmp_path).envelope_path(key).exists()
+
+    def test_churn_measurement_cell_runs_the_churn(self):
+        # A churn plan is a membership input to the one DES host: the
+        # sweep cell, the des engine and run_throughput_experiment see one
+        # group.
+        exp = Experiment(
+            protocol="drum", n=20, fan_out=4, loss=0.01,
+            faults="join@4:0.2; leave@9:0.1; expel@13:0.1",
+            messages=40, round_duration_ms=100.0,
+        )
+        config = exp.cluster_config()
+        cell = Cell(
+            series="drum", x=0.0, config=config, seed=9,
+            metric="delivery_ratio",
+        )
+        swept = SweepRunner().run("des-churn", [cell]).values[0]
+        assert swept == exp.run(engine="des", seed=9).delivery_ratio()
+        assert swept < 1.0  # departed members never get the tail
+        assert run_throughput_experiment(config, seed=9).churn is not None
 
 
 class InterruptedStore(ResultStore):
