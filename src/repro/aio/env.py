@@ -185,8 +185,8 @@ class AsyncEnvironment(Environment):
                 raise
             self.on_error(exc)
 
-    def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object:
-        return self.clock.schedule(delay_ms, self._fire, fn)
+    def schedule(self, delay_ms: float, fn: Callable, *args) -> object:
+        return self.clock.schedule(delay_ms, self._fire, fn, *args)
 
     def cancel(self, handle: object) -> None:
         handle.cancel()

@@ -68,8 +68,13 @@ class _LoopTransport(Transport):
         """The clock's event time (before :meth:`attach`, the wall)."""
         return super().time() if self.clock is None else self.clock.time()
 
-    def call_later(self, delay_s: float, fn: Callable[[], None]):
-        """An event on the clock; ``fn`` always runs on the loop thread.
+    def in_context(self) -> bool:
+        """True on the loop thread, where the clock's events run."""
+        return threading.get_ident() == self._loop_thread
+
+    def call_later(self, delay_s: float, fn: Callable, *args):
+        """An event on the clock; ``fn(*args)`` always runs on the loop
+        thread.
 
         Before :meth:`attach`, after ``close()`` or on a dead loop the
         call is a counted drop and returns ``None``, like ``send``.
@@ -79,23 +84,27 @@ class _LoopTransport(Transport):
             self.dropped += 1
             return None
         clock = self.clock
-        if threading.get_ident() == self._loop_thread:
-            return clock.schedule(delay_s * 1000.0, fn)
+        if self.in_context():
+            return clock.schedule(delay_s * 1000.0, fn, *args)
         # Off-loop caller: the event heap is not thread-safe, so the
         # loop arms it for the absolute time asked for (the hop does not
         # stretch the delay); the event checks the handle given back here.
         timer = EventHandle(clock._wall() + delay_s * 1000.0)
         try:
-            loop.call_soon_threadsafe(
-                lambda: clock.schedule(
-                    max(0.0, timer.when - clock._wall()),
-                    lambda: timer.cancelled or fn(),
-                )
-            )
+            loop.call_soon_threadsafe(self._arm_at, timer, fn, args)
         except RuntimeError:
             self.dropped += 1  # loop shut down mid-call
             return None
         return timer
+
+    def _arm_at(self, timer: EventHandle, fn: Callable, args: tuple) -> None:
+        delay_ms = max(0.0, timer.when - self.clock._wall())
+        self.clock.schedule(delay_ms, self._unless_cancelled, timer, fn, args)
+
+    @staticmethod
+    def _unless_cancelled(timer: EventHandle, fn: Callable, args: tuple) -> None:
+        if not timer.cancelled:
+            fn(*args)
 
 
 class AioLoopbackTransport(_LoopTransport):

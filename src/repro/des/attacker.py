@@ -111,6 +111,7 @@ class AttackerProcess:
         )
         interval = self.round_duration_ms / self.bursts_per_round
         rates = self._port_rates()
+        schedule, send = self.env.schedule, self.env.send
         for victim in self.victims:
             for port, rate in rates:
                 per_burst = rate / self.bursts_per_round
@@ -129,12 +130,11 @@ class AttackerProcess:
                 # One vectorised draw yields the same stream values as
                 # ``count`` scalar ``uniform`` calls.
                 offsets = self.rng.uniform(0.0, interval, size=count)
-                for i in range(count):
+                for offset in offsets.tolist():
                     self._nonce += 1
-                    payload = FabricatedPayload(nonce=self._nonce)
-                    self.env.schedule(
-                        float(offsets[i]),
-                        lambda d=dst, p=payload: self.env.send(src, d, p),
+                    schedule(
+                        offset, send, src, dst,
+                        FabricatedPayload(nonce=self._nonce),
                     )
                 self.injected_total += count
         self._handle = self.env.schedule(interval, self._burst)

@@ -42,10 +42,9 @@ class EventLoop:
         """Run ``fn(*args)`` after ``delay_ms`` of virtual time."""
         if not delay_ms >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
-        handle = EventHandle(when=self._now + delay_ms)
-        heapq.heappush(
-            self._queue, (handle.when, next(self._seq), handle, fn, args)
-        )
+        when = self._now + delay_ms
+        handle = EventHandle(when)
+        heapq.heappush(self._queue, (when, next(self._seq), handle, fn, args))
         return handle
 
     def run_until(self, t_end: float) -> int:
@@ -54,15 +53,18 @@ class EventLoop:
         Returns the number of events executed.  The clock lands exactly
         on ``t_end`` afterwards even if the queue drained early.
         """
+        queue, pop = self._queue, heapq.heappop
         executed = 0
-        while self._queue and self._queue[0][0] <= t_end:
-            when, _, handle, fn, args = heapq.heappop(self._queue)
-            if handle.cancelled:
-                continue
-            self._now = when
-            fn(*args)
-            executed += 1
-            self.events_run += 1
+        try:
+            while queue and queue[0][0] <= t_end:
+                when, _, handle, fn, args = pop(queue)
+                if handle.cancelled:
+                    continue
+                self._now = when
+                fn(*args)
+                executed += 1
+        finally:  # a raising callback is not counted, the ones before it are
+            self.events_run += executed
         self._now = max(self._now, t_end)
         return executed
 

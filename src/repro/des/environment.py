@@ -30,8 +30,8 @@ class Environment(ABC):
         """Current time in milliseconds."""
 
     @abstractmethod
-    def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object:
-        """Run ``fn`` after ``delay_ms``; returns a cancellable handle."""
+    def schedule(self, delay_ms: float, fn: Callable, *args) -> object:
+        """Run ``fn(*args)`` after ``delay_ms``; returns a cancellable handle."""
 
     @abstractmethod
     def cancel(self, handle: object) -> None:
@@ -109,8 +109,8 @@ class SimEnvironment(Environment):
     def now(self) -> float:
         return self.loop.now
 
-    def schedule(self, delay_ms: float, fn: Callable[[], None]) -> object:
-        return self.loop.schedule(delay_ms, fn)
+    def schedule(self, delay_ms: float, fn: Callable, *args) -> object:
+        return self.loop.schedule(delay_ms, fn, *args)
 
     def cancel(self, handle: object) -> None:
         handle.cancel()
@@ -139,15 +139,11 @@ class SimEnvironment(Environment):
                     "partition", node=dst.node, port=dst.port, t=self.loop.now
                 )
             return
-        if self.loss_model is not None:
-            if not self.loss_model.delivered():
-                self.lost += 1
-                if tr is not None:
-                    tr.dropped(
-                        "loss", node=dst.node, port=dst.port, t=self.loop.now
-                    )
-                return
-        elif self.loss and self._rng.random() < self.loss:
+        model = self.loss_model  # replaces the scalar loss when set
+        if (
+            not model.delivered() if model is not None
+            else self.loss and self._rng.random() < self.loss
+        ):
             self.lost += 1
             if tr is not None:
                 tr.dropped(
@@ -157,21 +153,8 @@ class SimEnvironment(Environment):
         lo, hi = self.latency_range_ms
         # ``lo + (hi - lo) * random()`` is ``uniform(lo, hi)`` bit for bit.
         latency = lo if hi == lo else lo + (hi - lo) * self._rng.random()
-
-        def _deliver() -> None:
-            handler = self._handlers.get(dst)
-            if handler is None:
-                self.dead_lettered += 1
-                if tr is not None:
-                    tr.dropped(
-                        "closed", node=dst.node, port=dst.port,
-                        t=self.loop.now,
-                    )
-                return
-            handler(src, payload)
-
         lf = self.link_faults
-        if lf is not None and lf.shapes_timing:
+        if lf is not None:  # an unshaped link adds 0.0 and draws nothing
             latency += lf.delay_ms
             if lf.jitter_ms > 0:
                 j = lf.jitter_ms
@@ -183,16 +166,29 @@ class SimEnvironment(Environment):
                 # latency-plus-delay span, so it overtakes nothing and
                 # later packets overtake it.
                 span = hi + lf.delay_ms + lf.jitter_ms
-                latency += span * float(self._rng.uniform(1.0, 2.0))
+                latency += span * (1.0 + self._rng.random())
             if (
                 lf.duplicate_prob > 0
                 and self._rng.random() < lf.duplicate_prob
             ):
                 self.duplicated += 1
-                dup = lo if hi == lo else float(self._rng.uniform(lo, hi))
-                self.loop.schedule(dup + lf.delay_ms, _deliver)
+                dup = lo if hi == lo else lo + (hi - lo) * self._rng.random()
+                self.loop.schedule(
+                    dup + lf.delay_ms, self._deliver, src, dst, payload
+                )
 
-        self.loop.schedule(latency, _deliver)
+        self.loop.schedule(latency, self._deliver, src, dst, payload)
+
+    def _deliver(self, src: Address, dst: Address, payload: object) -> None:
+        handler = self._handlers.get(dst)
+        if handler is None:
+            self.dead_lettered += 1
+            if self._tracer is not None:
+                self._tracer.dropped(
+                    "closed", node=dst.node, port=dst.port, t=self.loop.now
+                )
+            return
+        handler(src, payload)
 
     @property
     def rng(self) -> np.random.Generator:

@@ -15,15 +15,13 @@ the DES environment via its ``loss_model`` hook, the aio shaper
 (:mod:`repro.faults.live`) directly; the vectorised
 engine keeps its own per-run chain (see ``sim/fast.py``).
 
-Chain stepping mutates state, and the aio runtime accepts sends from
-off-loop threads, so all sampling runs under a small internal lock.  The
-lock only exists on fault-injected runs — the golden no-fault hot path
-never touches this class.
+Chain stepping mutates state, so one model belongs to one thread: the
+discrete-event loop, or the asyncio loop on which the aio shaper draws
+even for sends made off it.  The golden no-fault hot path never touches
+this class.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -47,7 +45,6 @@ class GilbertElliottModel:
         "loss_probability",
         "_bad",
         "_rng",
-        "_lock",
     )
 
     def __init__(
@@ -82,7 +79,6 @@ class GilbertElliottModel:
         )
         self._bad = False
         self._rng = derive_rng(seed)
-        self._lock = threading.Lock()
 
     @classmethod
     def from_link_faults(cls, link, *, seed: SeedLike = None):
@@ -97,13 +93,8 @@ class GilbertElliottModel:
 
     def reseed(self, seed: SeedLike) -> None:
         """Replace the generator and reset the chain to the good state."""
-        with self._lock:
-            self._rng = derive_rng(seed)
-            self._bad = False
-
-    @property
-    def in_bad_state(self) -> bool:
-        return self._bad
+        self._rng = derive_rng(seed)
+        self._bad = False
 
     def _step(self) -> float:
         """Advance the chain one transmission; return the current loss."""
@@ -114,11 +105,8 @@ class GilbertElliottModel:
 
     def delivered(self) -> bool:
         """Sample one transmission: True when the packet survives."""
-        with self._lock:
-            loss = self._step()
-            if loss == 0.0:
-                return True
-            return self._rng.random() >= loss
+        loss = self._step()
+        return loss == 0.0 or self._rng.random() >= loss
 
     def surviving_count(self, sent: int) -> int:
         """Sample how many of ``sent`` consecutive packets survive.
@@ -128,19 +116,17 @@ class GilbertElliottModel:
         """
         if sent < 0:
             raise ValueError(f"sent must be >= 0, got {sent}")
-        with self._lock:
-            survived = 0
-            for _ in range(sent):
-                loss = self._step()
-                if loss == 0.0 or self._rng.random() >= loss:
-                    survived += 1
-            return survived
+        survived = 0
+        for _ in range(sent):
+            loss = self._step()
+            if loss == 0.0 or self._rng.random() >= loss:
+                survived += 1
+        return survived
 
     def survival_mask(self, count: int) -> np.ndarray:
         """Boolean mask over ``count`` consecutive transmissions."""
         mask = np.empty(count, dtype=bool)
-        with self._lock:
-            for i in range(count):
-                loss = self._step()
-                mask[i] = loss == 0.0 or self._rng.random() >= loss
+        for i in range(count):
+            loss = self._step()
+            mask[i] = loss == 0.0 or self._rng.random() >= loss
         return mask

@@ -8,10 +8,12 @@ A plan is applied with two small pieces:
   conditions (Gilbert–Elliott loss, delay and jitter, reordering,
   duplication) plus the packet-level effects of scheduled events
   (partition cuts, stall muting, traffic touching a crashed machine).
-  A delayed packet waits on the wrapped transport's own clock
-  (:meth:`~repro.net.transport.Transport.call_later`) — an event on
-  the cluster's one clock, so the shaper starts no thread and the
-  delayed delivery runs on the loop.  The fault round (and drop
+  A delayed packet is one argument-carrying event on the wrapped
+  transport's clock (:meth:`~repro.net.transport.Transport.call_later`),
+  the cluster's one clock, and the shaper itself runs only there: a
+  send from another thread hops onto the loop before any draw, so the
+  shaper needs no lock and counts what is pending with a plain
+  integer.  The fault round (and drop
   stamps) read the same transport's ``time()``: round ``r`` spans
   ``[(r-1)·round_duration_ms, r·round_duration_ms)`` measured from
   :meth:`FaultyTransport.start_clock` — the same global fault clock
@@ -29,8 +31,6 @@ virtual clock the flips are as seed-exact as everything else.
 
 from __future__ import annotations
 
-import itertools
-import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.gilbert import GilbertElliottModel
@@ -43,7 +43,13 @@ from repro.util.rng import SeedLike
 
 
 class FaultyTransport(Transport):
-    """A transport decorator applying a :class:`FaultPlan` to every send."""
+    """A transport decorator applying a :class:`FaultPlan` to every send.
+
+    Every draw happens in the wrapped transport's delivery context (the
+    loop thread): a send from anywhere else first hops there as a
+    zero-delay ``call_later``.  A plan with a loss model replaces the
+    wrapped stack's scalar loss, as on every other engine.
+    """
 
     def __init__(
         self,
@@ -66,8 +72,8 @@ class FaultyTransport(Transport):
         self._forward = getattr(inner, "deliver", inner.send)
         self.plan = plan
         # Observability: dropped events (partition cuts, bursty loss)
-        # stamped with ``t`` = ms since the fault clock's origin.
-        # Share a thread-safe tracer — off-loop producers send too.
+        # stamped with ``t`` = ms since the fault clock's origin, all
+        # emitted on the loop thread.
         self.tracer = tracer
         self.round_duration_ms = float(round_duration_ms)
         self.schedule = (
@@ -83,14 +89,13 @@ class FaultyTransport(Transport):
                 self._ge = GilbertElliottModel.from_link_faults(
                     link, seed=seed
                 )
+                layer = inner  # the plan's loss replaces the scalar one
+                while layer is not None:
+                    layer.loss = None
+                    layer = getattr(layer, "inner", None)
             if link.shapes_timing:
                 self._link = link
         self._rng = derive_rng(seed)
-        self._rng_lock = threading.Lock()
-        self._timer_lock = threading.Lock()
-        #: Armed, undelivered packets: key -> ``call_later`` handle.
-        self._timers: Dict[int, object] = {}
-        self._timer_keys = itertools.count()
         self._origin = inner.time()
         self._closed = False
         #: Counters for tests and reports.
@@ -98,6 +103,8 @@ class FaultyTransport(Transport):
         self.dropped = 0
         self.delayed = 0
         self.duplicated = 0
+        #: Packets armed on the delay line and not yet delivered.
+        self.pending = 0
 
     # -- the global fault clock ---------------------------------------------
 
@@ -122,6 +129,9 @@ class FaultyTransport(Transport):
     def send(self, src: Address, dst: Address, payload: object) -> None:
         if self._closed:
             return
+        if not self.inner.in_context():
+            self.inner.call_later(0.0, self.send, src, dst, payload)
+            return
         if self.schedule is not None and self.schedule.blocks(
             self.current_round(), src.node, dst.node
         ):
@@ -144,34 +154,26 @@ class FaultyTransport(Transport):
         if link is None:
             self.inner.send(src, dst, payload)
             return
-        with self._rng_lock:
-            # ``lo + (hi - lo) * random()`` is ``uniform(lo, hi)`` bit
-            # for bit, at a third of the cost per scalar draw.
-            delay = link.delay_ms
-            jitter = link.jitter_ms
-            if jitter > 0:
-                delay += -jitter + 2.0 * jitter * self._rng.random()
-            if (
-                link.reorder_prob > 0
-                and self._rng.random() < link.reorder_prob
-            ):
-                # Push the packet past the link's normal spread so a
-                # later send can overtake it.
-                span = link.delay_ms + jitter + 1.0
-                delay += span * (1.0 + self._rng.random())
-            duplicate = (
-                link.duplicate_prob > 0
-                and self._rng.random() < link.duplicate_prob
-            )
-            dup_delay = (
-                link.delay_ms + jitter * self._rng.random()
-                if duplicate
-                else 0.0
-            )
-        self._send_later(max(0.0, delay), src, dst, payload)
+        # ``lo + (hi - lo) * random()`` is ``uniform(lo, hi)`` bit for
+        # bit, at a third of the cost per scalar draw.
+        rng = self._rng
+        delay = link.delay_ms
+        jitter = link.jitter_ms
+        if jitter > 0:
+            delay += -jitter + 2.0 * jitter * rng.random()
+        if link.reorder_prob > 0 and rng.random() < link.reorder_prob:
+            # Push the packet past the link's normal spread so a later
+            # send can overtake it.
+            span = link.delay_ms + jitter + 1.0
+            delay += span * (1.0 + rng.random())
+        duplicate = (
+            link.duplicate_prob > 0 and rng.random() < link.duplicate_prob
+        )
+        dup_delay = link.delay_ms + jitter * rng.random() if duplicate else 0.0
+        self._send_later(delay, src, dst, payload)
         if duplicate:
             self.duplicated += 1
-            self._send_later(max(0.0, dup_delay), src, dst, payload)
+            self._send_later(dup_delay, src, dst, payload)
 
     def _send_later(
         self, delay_ms: float, src: Address, dst: Address, payload: object
@@ -179,38 +181,31 @@ class FaultyTransport(Transport):
         if delay_ms <= 0:
             self.inner.send(src, dst, payload)
             return
-        key = next(self._timer_keys)
+        if self._closed or self.inner.call_later(
+            delay_ms / 1000.0, self._arrive, src, dst, payload
+        ) is None:
+            return  # closed, or inner is down and has counted the drop
+        self.delayed += 1
+        self.pending += 1
 
-        def _deliver() -> None:
-            with self._timer_lock:
-                self._timers.pop(key, None)
-                if self._closed:
-                    return
-            self._forward(src, dst, payload)
-
-        # Armed under the lock, so ``_deliver`` (which takes it first)
-        # never runs ahead of its own bookkeeping.
-        with self._timer_lock:
-            if self._closed:
-                return
-            handle = self.inner.call_later(delay_ms / 1000.0, _deliver)
-            if handle is None:
-                return  # inner is down and has counted the drop
-            self._timers[key] = handle
-            self.delayed += 1
+    def _arrive(self, src: Address, dst: Address, payload: object) -> None:
+        """A held packet's clock event: forwarded unless closed since."""
+        if self._closed:
+            return
+        self.pending -= 1
+        self._forward(src, dst, payload)
 
     def time(self) -> float:
         """The inner transport's clock, so stacked shapers share it."""
         return self.inner.time()
 
-    def call_later(self, delay_s: float, fn: Callable[[], None]):
+    def call_later(self, delay_s: float, fn: Callable, *args):
         """The inner transport's clock, so stacked shapers share it."""
-        return self.inner.call_later(delay_s, fn)
+        return self.inner.call_later(delay_s, fn, *args)
 
-    @property
-    def pending(self) -> int:
-        """Packets armed on the delay line and not yet delivered."""
-        return len(self._timers)
+    def in_context(self) -> bool:
+        """The inner transport's context, where the shaper draws."""
+        return self.inner.in_context()
 
     def counters(self) -> Dict[str, int]:
         """The shaper's self-health counters, for status reports."""
@@ -223,12 +218,9 @@ class FaultyTransport(Transport):
         }
 
     def close(self) -> None:
-        with self._timer_lock:
-            self._closed = True
-            timers = list(self._timers.values())
-            self._timers.clear()
-        for timer in timers:
-            timer.cancel()
+        """Stop shaping; packets still on the delay line fire as no-ops."""
+        self._closed = True
+        self.pending = 0
         self.inner.close()
 
 

@@ -10,7 +10,7 @@ random port, which is the property Drum's port-randomisation leverages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: Well-known port on which push-offers are received.
 PORT_PUSH_OFFER = 1
@@ -26,18 +26,21 @@ PORT_PULL_REPLY = 4
 RANDOM_PORT_BASE = 1024
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Address:
-    """A (node id, port) endpoint."""
+class Address(namedtuple("Address", ("node", "port"))):
+    """A (node id, port) endpoint.
 
-    node: int
-    port: int
+    A validated tuple, so every handler lookup hashes and compares in C:
+    ``hash(Address(n, p)) == hash((n, p))``, and it orders as the pair.
+    """
 
-    def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node id must be >= 0, got {self.node}")
-        if self.port < 0:
-            raise ValueError(f"port must be >= 0, got {self.port}")
+    __slots__ = ()
+
+    def __new__(cls, node: int, port: int) -> "Address":
+        if node < 0:
+            raise ValueError(f"node id must be >= 0, got {node}")
+        if port < 0:
+            raise ValueError(f"port must be >= 0, got {port}")
+        return tuple.__new__(cls, (node, port))
 
     def is_well_known(self) -> bool:
         """True when the port is one of the protocol's fixed ports."""

@@ -57,8 +57,9 @@ class Transport(ABC):
         """Seconds on the clock ``call_later`` delays count on."""
         return time.monotonic()
 
-    def call_later(self, delay_s: float, fn: Callable[[], None]):
-        """Run ``fn`` after ``delay_s`` in this transport's delivery context.
+    def call_later(self, delay_s: float, fn: Callable, *args):
+        """Run ``fn(*args)`` after ``delay_s`` in this transport's
+        delivery context.
 
         Returns a handle with ``cancel()``, or ``None`` when the
         transport is down: ``fn`` will never run and the transport has
@@ -69,6 +70,11 @@ class Transport(ABC):
             f"{type(self).__name__} has no clock to delay on; wrap it in "
             f"repro.aio.transport.AioUdpBridge"
         )
+
+    def in_context(self) -> bool:
+        """True when the caller already runs in the delivery context
+        ``call_later`` callbacks run in; never, without a clock."""
+        return False
 
     def close(self) -> None:
         """Release any resources held by the transport."""

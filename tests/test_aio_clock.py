@@ -11,6 +11,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_des_golden import SHAPED, closures
 
 from repro.adversary import AttackSpec
 from repro.aio import AioCluster, AioClusterConfig, AsyncEnvironment, LoopClock
@@ -428,6 +429,36 @@ def test_a_shaped_datagram_costs_one_heap_event():
     assert sorted(got) == list(range(sends))
     assert (shaper.delayed, shaper.pending, inner.delivered) == (sends, 0, sends)
     assert events == sends
+
+
+def test_a_shaped_attacked_cluster_queues_no_closure():
+    """Mid-run, every heap entry is a bound callable and its arguments."""
+    config = AioClusterConfig(
+        n=12, round_duration_ms=100.0, loss=0.01, faults=SHAPED,
+        attack=AttackSpec(alpha=0.2, x=64.0),
+    )
+
+    async def main(loop):
+        cluster = AioCluster(config, seed=37)
+        await cluster.start()
+        cluster.multicast(0, b"hop")
+        await asyncio.sleep(0.45)
+        queue = list(cluster.clock._queue)
+        await cluster.stop()
+        return queue
+
+    queue = run_fake(main)
+    queued = {
+        fn.__qualname__
+        for _, _, _, callback, args in queue
+        for fn in (callback, *args[:1])
+        if callable(fn)
+    }
+    # Held datagrams, the flood's scheduled sends, node timers.
+    assert {
+        "FaultyTransport._arrive", "AsyncEnvironment.send", "GossipNode._round",
+    } <= queued
+    assert closures(queue) == set()
 
 
 # -- (f) the wake-up tripwire -----------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from repro.adversary.attacks import AttackSpec
 from repro.api import Experiment, encode_envelope
 from repro.des import ClusterConfig, run_single_message_experiment
+from repro.des.engine import EventLoop
 
 #: Toy ``E`` of ``perf/workloads.stream_experiment``.
 TOY_E = dict(
@@ -97,6 +98,48 @@ def test_seeded_des_envelopes_are_pinned(case):
         f"seeded des {case} envelope diverged from its pinned hash; the "
         "discrete-event stack no longer reproduces its recorded behaviour"
     )
+
+
+#: Every timing shaper at once: the reorder hold-back and the duplicate's
+#: latency draws ride here and nowhere else among the pins.
+SHAPED = "loss:0.02; delay:20~10; reorder:0.1; dup:0.1"
+#: (events the run executed, sha256 of its envelope).
+SHAPED_PIN = (
+    12798, "7283b45e6ec4e028749031cb7cb818461048adbd98f8cee04bd654ed0155e032"
+)
+
+
+def closures(queue):
+    """Qualnames of queued callbacks, or callable arguments, that were
+    defined inside a function: an allocation per event."""
+    return {
+        fn.__qualname__
+        for _, _, _, callback, args in queue
+        for fn in (callback, *args)
+        if callable(fn) and "<locals>" in getattr(fn, "__qualname__", "")
+    }
+
+
+def test_a_datagram_hop_is_one_event_with_no_closure(monkeypatch):
+    loops = []
+    run_until = EventLoop.run_until
+
+    def spy(loop, t_end):
+        loops.append(loop)
+        return run_until(loop, t_end)
+
+    monkeypatch.setattr(EventLoop, "run_until", spy)
+    result = Experiment(**{**TOY_E, "faults": SHAPED}).run(
+        engine="des", seed=2121
+    )
+    (loop,) = set(loops)
+    queued = {entry[3].__qualname__ for entry in loop._queue}
+    # Datagrams in flight, the flood's scheduled sends, node timers.
+    assert {"SimEnvironment._deliver", "SimEnvironment.send"} <= queued
+    assert closures(loop._queue) == set()
+    assert (
+        loop.events_run, sha256(encode_envelope(result) + "\n")
+    ) == SHAPED_PIN
 
 
 def test_seeded_horizon_ttl_override_run_is_pinned():

@@ -1,9 +1,17 @@
 """Tests for repro.faults.gilbert: the bursty two-state loss model."""
 
+import asyncio
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.faults import GilbertElliottModel, LinkFaults
+from repro.aio.transport import AioLoopbackTransport
+from repro.faults import FaultPlan, GilbertElliottModel, LinkFaults
+from repro.faults.live import FaultyTransport
+from repro.net import Address
 
 
 def test_degenerate_chain_is_uniform_loss():
@@ -80,25 +88,58 @@ def test_survival_mask_shape_and_dtype():
     assert mask.dtype == np.bool_
 
 
+class _ThreadSpy:
+    """Delegates ``delivered()`` and records which thread asked."""
+
+    def __init__(self, model):
+        self.model = model
+        self.threads = set()
+
+    def delivered(self):
+        self.threads.add(threading.get_ident())
+        return self.model.delivered()
+
+
 def test_thread_safety_under_concurrent_draws():
-    import threading
+    """The model has no lock: a shaper fed from four threads steps its
+    chain only on the loop thread, at the model's drop rate."""
+    src, dst, per_thread = Address(0, 1), Address(1, 1), 2000
+    total = 4 * per_thread
 
-    model = GilbertElliottModel(
-        loss_good=0.2, loss_bad=0.8,
-        p_good_to_bad=0.1, p_bad_to_good=0.2, seed=9,
-    )
-    counts = []
-    lock = threading.Lock()
+    async def go():
+        inner = AioLoopbackTransport()
+        inner.attach()
+        shaper = FaultyTransport(
+            inner, FaultPlan.parse("gilbert:0.2,0.8,0.1,0.2"), n=2,
+            num_alive_correct=2, round_duration_ms=1000.0, seed=9,
+        )
+        spy = shaper._ge = _ThreadSpy(shaper._ge)
+        shaper.bind(dst, lambda s, p: None)
 
-    def worker():
-        local = sum(model.delivered() for _ in range(2000))
-        with lock:
-            counts.append(local)
+        def produce():
+            for _ in range(per_thread):
+                shaper.send(src, dst, "x")
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    rate = sum(counts) / 8000
-    assert rate == pytest.approx(1 - model.loss_probability, abs=0.05)
+        producers = [threading.Thread(target=produce) for _ in range(4)]
+        for thread in producers:
+            thread.start()
+        deadline = time.monotonic() + 20.0
+        while (
+            any(t.is_alive() for t in producers)
+            or inner.delivered + shaper.dropped < total
+        ) and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        shaper.close()
+        assert not any(t.is_alive() for t in producers)
+        return spy, inner.delivered, shaper.dropped
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # producers preempt each other mid-send
+    try:
+        spy, delivered, dropped = asyncio.run(go())
+    finally:
+        sys.setswitchinterval(interval)
+    assert spy.threads == {threading.get_ident()}
+    assert delivered + dropped == total
+    rate = delivered / total
+    assert rate == pytest.approx(1 - spy.model.loss_probability, abs=0.05)

@@ -11,6 +11,7 @@ import threading
 import time
 
 import pytest
+from equivalence import wilson_ci
 
 from repro.aio import AioCluster, AioClusterConfig
 from repro.aio.env import LoopClock
@@ -257,7 +258,14 @@ class TestFaultyTransportOnLoop:
             transport = shaper(inner, "delay:20")
             arrivals = Arrivals()
             transport.bind(DST, arrivals)
-            senders = set()
+            senders, shaped_on = set(), set()
+            send_later = transport._send_later
+
+            def spy(*args):
+                shaped_on.add(threading.get_ident())
+                send_later(*args)
+
+            transport._send_later = spy
 
             def produce():
                 senders.add(threading.get_ident())
@@ -265,15 +273,17 @@ class TestFaultyTransportOnLoop:
                     transport.send(SRC, DST, (i, time.monotonic()))
 
             await asyncio.get_running_loop().run_in_executor(None, produce)
-            assert transport.delayed == 50
             deadline = time.monotonic() + 5.0
             while len(arrivals.index) < 50 and time.monotonic() < deadline:
                 await asyncio.sleep(0.01)
             transport.close()
-            return transport, arrivals, senders
+            return transport, arrivals, senders, shaped_on
 
-        transport, arrivals, senders = asyncio.run(go())
+        transport, arrivals, senders, shaped_on = asyncio.run(go())
         assert senders.isdisjoint({threading.get_ident()})
+        # Each send hopped onto the loop before the shaper drew anything.
+        assert shaped_on == {threading.get_ident()}
+        assert transport.delayed == 50
         assert arrivals.threads == {threading.get_ident()}
         assert sorted(arrivals.index) == list(range(50))
         assert min(arrivals.age_ms) >= 19.0
@@ -521,6 +531,36 @@ class TestLiveClusterHardening:
         result = cluster.result(1.0, 1)
         assert result.faults == config.faults.describe()
         assert result.residual_reliability() == 1.0
+
+    @pytest.mark.parametrize("installed", ["configured", "injected"])
+    def test_plan_loss_replaces_the_scalar_loss(self, installed):
+        # As on the DES, exact and fast engines: with loss=0.01 and a
+        # plan's loss:0.02 a datagram is lost w.p. 0.02, not ≈ 0.0298.
+        sends, sink = 20_000, Address(10**6, 7)
+        config = AioClusterConfig(
+            protocol="drum", n=2, loss=0.01, round_duration_ms=10_000.0,
+            faults="loss:0.02" if installed == "configured" else None,
+        )
+        received = []
+
+        async def body(cluster):
+            for node in cluster.nodes.values():
+                node.stop()  # only the counted datagrams cross the shaper
+            if installed == "injected":
+                assert cluster.transport.loss.loss_probability == 0.01
+                cluster.inject_faults("loss:0.02")
+            assert cluster.shaper.inner.loss is None
+            cluster.transport.bind(sink, lambda src, p: received.append(p))
+            for i in range(sends):
+                cluster.transport.send(SRC, sink, i)
+            cluster.clock.catch_up()
+
+        cluster = run_cluster(config, 17, body)
+        lost = sends - len(received)
+        lo, hi = wilson_ci(lost, sends)
+        assert lo <= 0.02 <= hi
+        assert hi < 0.01 + 0.02 - 0.01 * 0.02  # compounding is excluded
+        assert cluster.shaper.dropped == lost  # every loss is the plan's
 
     def test_faults_spec_normalised_on_config(self):
         config = AioClusterConfig(protocol="drum", n=8, faults="crash@2:0.2")

@@ -1,5 +1,7 @@
 """Tests for repro.net.address."""
 
+import pickle
+
 import pytest
 
 from repro.net import (
@@ -49,3 +51,50 @@ class TestAddress:
     def test_ordering(self):
         assert Address(0, 5) < Address(1, 0)
         assert Address(1, 0) < Address(1, 3)
+
+
+PAIRS = [(3, 1), (0, 1025), (3, 0), (1, 2), (0, 1), (10**6, 0), (7, 2048)]
+
+
+class TestAddressContract:
+    """A validated tuple: C-level hash and equality, with the hash values,
+    order and errors of the ``(node, port)`` pair it replaced."""
+
+    def test_hash_is_the_pair_hash(self):
+        for node, port in PAIRS:
+            assert hash(Address(node, port)) == hash((node, port))
+
+    def test_set_and_sorted_orders_are_the_pairs(self):
+        addrs = [Address(*p) for p in PAIRS]
+        assert [tuple(a) for a in sorted(addrs)] == sorted(PAIRS)
+        assert [tuple(a) for a in set(addrs)] == list(set(PAIRS))
+
+    @pytest.mark.parametrize("node, port", [(-1, 0), (0, -1), (-3, -3)])
+    def test_negative_ids_raise(self, node, port):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            Address(node, port)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            Address(node=node, port=port)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trips(self, protocol):
+        # UdpTransport ships ``(src, payload)`` pickled.
+        src, payload = pickle.loads(
+            pickle.dumps((Address(4, 1030), "x"), protocol)
+        )
+        assert type(src) is Address
+        assert (src, src.node, src.port, payload) == (
+            Address(4, 1030), 4, 1030, "x",
+        )
+
+    def test_dict_key_beside_other_addresses(self):
+        table = {Address(*p): p for p in PAIRS}
+        table[Address(3, 1)] = "again"
+        assert len(table) == len(PAIRS)
+        assert table[Address(3, 1)] == "again"
+        assert table[Address(3, 0)] == (3, 0)
+        assert Address(1, 3) not in table
+
+    def test_repr_and_str(self):
+        assert repr(Address(1, 2)) == "Address(node=1, port=2)"
+        assert str(Address(1, 2)) == "1:2"
