@@ -1,10 +1,12 @@
 """Tests for the resumable sweep orchestrator and its result store."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from repro.adversary import AttackSpec
 from repro.api import Experiment
 from repro.des import ClusterConfig, run_throughput_experiment
 from repro.obs import Tracer
@@ -182,10 +184,41 @@ class TestSweepRunner:
             SweepRunner(store=tmp_path).run("bad", ["drum"])
 
     def test_worker_count_invariance(self, tmp_path):
-        cells = small_grid()
+        # Every Monte-Carlo engine x fault plan x horizon, with more
+        # than one pool call per cell (two fast shards, one exact call
+        # per run at workers=2, one mega task per run): the stored npz
+        # files must be byte-identical, not just the metric values.
+        runs = {"fast": 65, "exact": 3, "mega": 3}
+        cells = [
+            Cell(
+                series=engine, x=float(i),
+                scenario=Scenario(
+                    protocol="drum", n=40, malicious_fraction=0.1,
+                    attack=AttackSpec(alpha=0.1, x=32), max_rounds=40,
+                    faults=plan,
+                ),
+                runs=runs[engine], seed=5, engine=engine, horizon=horizon,
+            )
+            for i, (engine, plan, horizon) in enumerate(
+                itertools.product(
+                    ("fast", "exact", "mega"),
+                    (None, "crash@2-4:0.1", "join@3:0.1; leave@5:0.05"),
+                    (None, 60),
+                )
+            )
+        ]
         serial = SweepRunner(store=tmp_path / "a", workers=1).run("w", cells)
         pooled = SweepRunner(store=tmp_path / "b", workers=2).run("w", cells)
         assert serial.values == pooled.values
+        stored = {
+            side: {
+                path.name: path.read_bytes()
+                for path in (tmp_path / side).glob("*.npz")
+            }
+            for side in ("a", "b")
+        }
+        assert len(stored["a"]) == len(cells)
+        assert stored["a"] == stored["b"]
 
     def test_repeat_is_all_manifest_hits(self, tmp_path):
         runner = SweepRunner(store=tmp_path)
