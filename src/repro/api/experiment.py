@@ -143,8 +143,9 @@ class Experiment:
 
         ``workers`` fans Monte-Carlo shards over the process-wide
         persistent pool (:mod:`repro.sim.executor`) — spawned on first
-        use, reused by every subsequent ``run`` — and never changes
-        values, only wall-clock.  ``tracer`` (a
+        use, reused by every subsequent ``run``; shard results return
+        through its pickles and are assembled positionally — and never
+        changes values, only wall-clock.  ``tracer`` (a
         :class:`repro.obs.Tracer`) attaches the unified observability
         layer on every engine; pass ``Tracer(..., thread_safe=True)``
         for ``"aio"``.  Every result class exposes the

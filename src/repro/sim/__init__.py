@@ -15,9 +15,10 @@ aggregates :class:`~repro.sim.results.MonteCarloResult` statistics.
 
 Parallel execution runs on the process-wide persistent worker pool
 (:mod:`repro.sim.executor`): workers are forked once and reused across
-every ``monte_carlo`` call and sweep cell, with shard results returned
-through shared memory instead of pickles.  :func:`close_pool` tears the
-pool down explicitly (it is also registered atexit).
+every ``monte_carlo`` call and sweep cell; shard results come back
+through the pool's pickles and are assembled positionally.
+:func:`close_pool` tears the pool down explicitly (it is also
+registered atexit).
 """
 
 from repro.sim.scenario import Scenario

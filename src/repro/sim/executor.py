@@ -1,24 +1,13 @@
-"""Process-wide persistent worker pool with a zero-copy result path.
+"""Process-wide persistent worker pool.
 
-Historically every ``parallel_map`` call forked a fresh
-``ProcessPoolExecutor`` and every shard pickled its numpy result arrays
-back through a pipe — a fork + pickle tax paid once per ``monte_carlo``
-call and once per sweep batch.  This module removes both:
-
-- :class:`WorkerPool` wraps **one** ``ProcessPoolExecutor`` that is
-  forked on first use and reused for every subsequent Monte-Carlo call,
-  sweep cell, and equivalence-harness run in the process
-  (:func:`get_pool`).  It survives worker death — a task that dies with
-  the pool (``BrokenProcessPool``) is resubmitted to a respawned
-  executor, bounded by :data:`MAX_TASK_ATTEMPTS` — and is torn down
-  explicitly via :func:`close_pool` or automatically at interpreter
-  exit.
-- :class:`SharedArrays` preallocates named ``multiprocessing.shared_memory``
-  segments sized by the deterministic positional shard layout; workers
-  attach by name and write their shard's result arrays **directly into
-  their slice**, so the parent assembles results without a single
-  pickle of array data (workers return only small per-shard metadata —
-  trajectory widths, peak byte counts).
+:class:`WorkerPool` wraps **one** ``ProcessPoolExecutor`` that is forked
+on first use and reused for every subsequent Monte-Carlo call, sweep
+cell, and equivalence-harness run in the process (:func:`get_pool`).
+It survives worker death — a task that dies with the pool
+(``BrokenProcessPool``) is resubmitted to a respawned executor, bounded
+by :data:`MAX_TASK_ATTEMPTS` — and is torn down explicitly via
+:func:`close_pool` or automatically at interpreter exit.  Task results
+come back through the executor's pickles.
 
 Scheduling never affects values: shard layout and seed derivation
 remain pure functions of ``(runs, seed)`` (see
@@ -36,8 +25,7 @@ like ``REPRO_WORKERS``; an explicit ``REPRO_START_METHOD=fork`` asserts
 the caller knows the threads are fork-safe).
 
 :class:`ExecutorStats` (module-wide, :func:`stats`) counts pool spawns,
-respawns, tasks, and — the number the zero-copy claim is gated on in
-CI — the ndarray bytes that came back through pickles.
+respawns, tasks, and the ndarray bytes that came back through pickles.
 """
 
 from __future__ import annotations
@@ -68,10 +56,9 @@ MAX_TASK_ATTEMPTS = 3
 def _array_bytes(obj) -> int:
     """Total ndarray bytes reachable inside a task result.
 
-    This is the metric the zero-copy contract is gated on: results that
-    come back through the future (i.e. were pickled across the pipe)
-    are walked recursively, and every ``ndarray.nbytes`` found counts
-    against the shard-result path.
+    Results that come back through the future (i.e. were pickled across
+    the pipe) are walked recursively and every ``ndarray.nbytes`` found
+    is counted.
     """
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
@@ -95,9 +82,8 @@ class ExecutorStats:
     #: Tasks whose results were delivered.
     tasks_completed: int = 0
     #: ndarray bytes that travelled back through pickled task results.
-    #: Zero on the shared-memory result path.
     result_array_bytes: int = 0
-    #: Bytes allocated in shared-memory result segments.
+    #: Bytes allocated in :class:`SharedArrays` segments.
     shm_bytes: int = 0
 
     def reset(self) -> None:
@@ -171,8 +157,10 @@ def mp_context():
 
 
 # ---------------------------------------------------------------------------
-# shared-memory result segments
+# shared-memory segments
 # ---------------------------------------------------------------------------
+
+# No job uses these: kept for perf/workloads.py's shm_roundtrip_us probe.
 
 _ATTACH_FILTER_INSTALLED = False
 _ATTACHING = False
@@ -300,8 +288,7 @@ class SharedArrays:
 
 def try_shared(spec) -> Optional[SharedArrays]:
     """A :class:`SharedArrays` for ``spec``, or None when the platform
-    cannot provide one (no /dev/shm, exhausted shm quota...) — callers
-    fall back to the pickled result path."""
+    cannot provide one (no /dev/shm, exhausted shm quota...)."""
     try:
         return SharedArrays(spec)
     except Exception:
@@ -311,11 +298,6 @@ def try_shared(spec) -> Optional[SharedArrays]:
 # ---------------------------------------------------------------------------
 # the persistent pool
 # ---------------------------------------------------------------------------
-
-def _noop(payload):
-    """Round-trip marker task for scheduling-overhead measurement."""
-    return payload
-
 
 class WorkerPool:
     """A persistent ``ProcessPoolExecutor`` with death recovery.
@@ -385,7 +367,10 @@ class WorkerPool:
         ``fn(payload)`` on the pool.  A task that dies with its worker
         is resubmitted to a respawned executor up to
         :data:`MAX_TASK_ATTEMPTS` times; a task that *raises* propagates
-        immediately (the pool itself stays healthy).
+        immediately (the pool itself stays healthy).  Whenever the
+        iteration ends early — a task raised, or the consumer stopped
+        (an exception or Ctrl-C while handling a result) — every task
+        not yet started is cancelled, so none runs behind the next call.
         """
         calls = list(calls)
         _STATS.tasks_scheduled += len(calls)
@@ -401,31 +386,36 @@ class WorkerPool:
                 fut = self._ensure().submit(fn, payload)
             pending[fut] = (index, self._gen)
 
-        for i in range(len(calls)):
-            submit(i)
-        while pending:
-            done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-            dead: List[Tuple[int, int]] = []
-            for fut in done:
-                index, gen = pending.pop(fut)
-                try:
-                    result = fut.result()
-                except BrokenExecutor:
-                    attempts[index] += 1
-                    if attempts[index] > MAX_TASK_ATTEMPTS:
-                        raise
-                    dead.append((index, gen))
-                else:
-                    _STATS.tasks_completed += 1
-                    _STATS.result_array_bytes += _array_bytes(result)
-                    yield index, result
-            for index, gen in dead:
-                if gen == self._gen:
-                    # The executor these tasks were riding is the one
-                    # that broke; replace it once (later casualties of
-                    # the same generation find _gen already advanced).
-                    self._respawn()
-                submit(index)
+        try:
+            for i in range(len(calls)):
+                submit(i)
+            while pending:
+                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
+                dead: List[Tuple[int, int]] = []
+                for fut in done:
+                    index, gen = pending.pop(fut)
+                    try:
+                        result = fut.result()
+                    except BrokenExecutor:
+                        attempts[index] += 1
+                        if attempts[index] > MAX_TASK_ATTEMPTS:
+                            raise
+                        dead.append((index, gen))
+                    else:
+                        _STATS.tasks_completed += 1
+                        _STATS.result_array_bytes += _array_bytes(result)
+                        yield index, result
+                for index, gen in dead:
+                    if gen == self._gen:
+                        # The executor these tasks were riding is the
+                        # one that broke; replace it once (later
+                        # casualties of the same generation find _gen
+                        # already advanced).
+                        self._respawn()
+                    submit(index)
+        finally:
+            for fut in pending:
+                fut.cancel()
 
     def run_calls(self, calls: Sequence[Tuple]) -> List:
         """``[fn(payload) for fn, payload in calls]`` via the pool,

@@ -677,40 +677,14 @@ def _mega_task(task):
     )
 
 
-def _mega_task_shm(task):
-    """One packed run on the zero-copy path: the trajectory lands in the
-    parent's shared-memory row, only ``(width, peak_bytes)`` pickles."""
-    scenario, seed, horizon, descriptor, row = task
-    counts, attacked, reachable, peak, churn = _run_one(
-        scenario, seed=seed, horizon=horizon
-    )
-    from repro.sim.executor import SharedArrays
-
-    shm, views = SharedArrays.attach(descriptor)
-    try:
-        k = counts.shape[0]
-        views["counts"][row, :k] = counts
-        views["counts"][row, k:] = counts[-1]
-        views["attacked"][row, :k] = attacked
-        views["attacked"][row, k:] = attacked[-1]
-        if reachable is not None:
-            views["holders"][row] = reachable
-        if churn is not None:
-            views["churn"][row] = churn
-        return (int(k), int(peak))
-    finally:
-        views = None
-        shm.close()
-
-
 class MegaJob:
     """``runs`` packed runs as an executor job (one task per run).
 
-    Node blocks stream *inside* each task; the run fan-out rides
-    the same persistent pool and zero-copy result path as the dense
-    engines (see :class:`repro.sim.parallel._DenseJob` for the two-path
-    contract).  ``runs == 1`` passes the caller's seed straight through,
-    mirroring the fast engine's single-shard behaviour.
+    Node blocks stream *inside* each task; the run fan-out rides the
+    same persistent pool and positional assembly as the dense engines
+    (:class:`repro.sim.parallel._DenseJob`).  ``runs == 1`` passes the
+    caller's seed straight through, mirroring the fast engine's
+    single-shard behaviour.
     """
 
     def __init__(
@@ -745,9 +719,7 @@ class MegaJob:
         self.runs = int(runs)
         self.horizon = horizon
         schedule = scenario.fault_schedule()
-        self.has_holders = schedule is not None
         self.has_churn = schedule is not None and schedule.has_churn
-        self.width_cap = max(scenario.max_rounds, horizon or 0) + 1
         id_universe = schedule.total_n if self.has_churn else scenario.n
         self.blocks = (id_universe + MEGA_BLOCK_NODES - 1) // MEGA_BLOCK_NODES
         self._seeds: List[SeedLike]
@@ -756,15 +728,15 @@ class MegaJob:
         else:
             self._seeds = list(child_seeds(seed, self.runs))
 
-    # -- pickled-result path -------------------------------------------------
-
-    def pickle_calls(self, trace: bool):
+    def calls(self, trace: bool):
         return [
             (_mega_task, (self.scenario, run_seed, self.horizon, trace))
             for run_seed in self._seeds
         ]
 
-    def assemble_pickled(self, rows, tracer) -> "MegaResult":
+    def assemble(self, rows, tracer) -> "MegaResult":
+        from repro.sim.parallel import _stack_padded
+
         if tracer is not None:
             for run_ix, row in enumerate(rows):
                 for event in row[5]:
@@ -773,14 +745,8 @@ class MegaJob:
         width = max(row[0].shape[0] for row in rows)
         if self.horizon is not None:
             width = max(width, self.horizon + 1)
-        counts = np.zeros((self.runs, width), dtype=np.int32)
-        attacked = np.zeros((self.runs, width), dtype=np.int32)
-        for i, row in enumerate(rows):
-            k = row[0].shape[0]
-            counts[i, :k] = row[0]
-            counts[i, k:] = row[0][-1]
-            attacked[i, :k] = row[1]
-            attacked[i, k:] = row[1][-1]
+        counts = _stack_padded([row[0][None, :] for row in rows], width)
+        attacked = _stack_padded([row[1][None, :] for row in rows], width)
         reachable_holders = None
         if all(row[2] is not None for row in rows):
             reachable_holders = np.array(
@@ -791,57 +757,6 @@ class MegaJob:
             churn_stats = np.array(
                 [row[4] for row in rows], dtype=np.float64
             )
-        return self._result(
-            counts, attacked, reachable_holders,
-            churn_stats=churn_stats,
-            peak=max(row[3] for row in rows),
-        )
-
-    # -- zero-copy path ------------------------------------------------------
-
-    def layout(self):
-        spec = [
-            ("counts", (self.runs, self.width_cap), np.int32),
-            ("attacked", (self.runs, self.width_cap), np.int32),
-        ]
-        if self.has_holders:
-            spec.append(("holders", (self.runs,), np.int32))
-        if self.has_churn:
-            spec.append(("churn", (self.runs, 2), np.float64))
-        return spec
-
-    def shm_calls(self, descriptor):
-        return [
-            (
-                _mega_task_shm,
-                (self.scenario, run_seed, self.horizon, descriptor, row),
-            )
-            for row, run_seed in enumerate(self._seeds)
-        ]
-
-    def assemble_shm(self, shared, metas) -> "MegaResult":
-        width = max(meta[0] for meta in metas)
-        if self.horizon is not None:
-            width = max(width, self.horizon + 1)
-        views = shared.arrays()
-        counts = np.array(views["counts"][:, :width])
-        attacked = np.array(views["attacked"][:, :width])
-        reachable_holders = (
-            np.array(views["holders"]) if self.has_holders else None
-        )
-        churn_stats = (
-            np.array(views["churn"]) if self.has_churn else None
-        )
-        views = None
-        return self._result(
-            counts, attacked, reachable_holders,
-            churn_stats=churn_stats,
-            peak=max(meta[1] for meta in metas),
-        )
-
-    def _result(
-        self, counts, attacked, reachable_holders, *, churn_stats=None, peak
-    ):
         return MegaResult(
             scenario=self.scenario,
             counts=counts,
@@ -851,7 +766,7 @@ class MegaJob:
             churn_stats=churn_stats,
             shard_nodes=self.shard_nodes,
             blocks=self.blocks,
-            peak_state_bytes=peak,
+            peak_state_bytes=max(row[3] for row in rows),
         )
 
 
@@ -870,7 +785,7 @@ def run_mega(
     One child seed per run is derived positionally (``runs == 1`` passes
     the caller's seed straight through, mirroring the fast engine's
     single-shard behaviour) and runs fan out over ``workers`` persistent
-    pool processes with shared-memory result rows — the result is
+    pool processes, assembled positionally — the result is
     byte-identical for every ``workers``.  ``shard_nodes`` is a layout
     label recorded in the result (rounded up to a block multiple); it
     affects neither the work done nor any other byte.

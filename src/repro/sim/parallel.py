@@ -14,15 +14,10 @@ function of the root seed, *independent of the worker count*:
 
 Execution is organised as **jobs** (:func:`make_job` /
 :func:`execute_job`): a job knows its deterministic shard layout up
-front, which is what enables the zero-copy result path — the parent
-preallocates one shared-memory segment shaped by that layout
-(:class:`~repro.sim.executor.SharedArrays`), each worker writes its
-shard's trajectory rows directly into its slice (padded with each row's
-final value, exactly the :func:`_stack_padded` rule), and the parent
-assembles the result without any array travelling through a pickle.
-Traced runs, serial runs, and platforms without shared memory fall back
-to the historical pickled-shard path; both paths assemble positionally
-and are byte-identical.
+front, its shard calls return their arrays through the pool's pickled
+results, and the parent stacks them positionally (padding each row with
+its final value, :func:`_stack_padded`) — so the assembled result is the
+same in-process, on any number of workers, in any completion order.
 
 The worker count defaults to the ``REPRO_WORKERS`` environment variable
 (validated exactly like ``REPRO_RUNS``; fallback 1 = serial in-process).
@@ -50,17 +45,12 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.sim.engine import run_exact
-from repro.sim.executor import (
-    SharedArrays,
-    get_pool,
-    mp_context,
-    try_shared,
-)
+from repro.sim.executor import get_pool
 from repro.sim.fast import run_fast
 from repro.sim.results import MonteCarloResult
 from repro.sim.scenario import Scenario
@@ -102,16 +92,6 @@ def default_workers(fallback: int = 1) -> int:
     if value < 1:
         raise ValueError(f"REPRO_WORKERS must be >= 1, got {value}")
     return value
-
-
-def _mp_context():
-    """The pool's multiprocessing context (kept as the historical name).
-
-    Delegates to :func:`repro.sim.executor.mp_context`: ``fork`` where
-    available and safe (no live non-daemon threads), overridable via
-    ``REPRO_START_METHOD``.
-    """
-    return mp_context()
 
 
 def parallel_map(fn: Callable, tasks: Sequence, workers: int = 1) -> List:
@@ -258,76 +238,6 @@ def _exact_shard(task) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, Optiona
     return out
 
 
-def _write_rows(dest: np.ndarray, row0: int, block: np.ndarray) -> None:
-    """Write a 2-D trajectory block into ``dest`` starting at ``row0``,
-    padding each row's tail columns with that row's final value (the
-    :func:`_stack_padded` rule, applied at write time)."""
-    rows, cols = block.shape
-    dest[row0:row0 + rows, :cols] = block
-    if cols < dest.shape[1]:
-        dest[row0:row0 + rows, cols:] = block[:, -1:]
-
-
-def _fast_shard_shm(task) -> int:
-    """Fast shard on the zero-copy path: arrays land in shared memory,
-    only the shard's trajectory width returns through the pickle."""
-    scenario, shard_runs, seed, horizon, descriptor, row0 = task
-    result = run_fast(scenario, shard_runs, seed=seed, horizon=horizon)
-    shm, views = SharedArrays.attach(descriptor)
-    try:
-        _write_rows(views["counts"], row0, result.counts)
-        _write_rows(views["attacked"], row0, result.counts_attacked)
-        _write_rows(views["non_attacked"], row0, result.counts_non_attacked)
-        if result.reachable_holders is not None:
-            views["holders"][row0:row0 + shard_runs] = (
-                result.reachable_holders
-            )
-        if result.churn_stats is not None:
-            views["churn"][row0:row0 + shard_runs] = result.churn_stats
-        return int(result.counts.shape[1])
-    finally:
-        views = None
-        shm.close()
-
-
-def _exact_shard_shm(task) -> List[int]:
-    """Exact chunk on the zero-copy path: per-run trajectory widths are
-    the only thing pickled back."""
-    scenario, seeds, descriptor, row0 = task
-    schedule = scenario.fault_schedule()
-    reachable = (
-        None
-        if schedule is None
-        else len(schedule.reachable_ids(scenario.max_rounds))
-    )
-    has_churn = schedule is not None and schedule.has_churn
-    widths: List[int] = []
-    shm, views = SharedArrays.attach(descriptor)
-    try:
-        for offset, seed in enumerate(seeds):
-            result = run_exact(scenario, seed=seed)
-            row = row0 + offset
-            _write_rows(views["counts"], row, result.counts[None, :])
-            _write_rows(
-                views["attacked"], row, result.counts_attacked[None, :]
-            )
-            _write_rows(
-                views["non_attacked"], row,
-                result.counts_non_attacked[None, :],
-            )
-            if reachable is not None:
-                views["holders"][row] = int(
-                    round(result.residual_reliability * reachable)
-                )
-            if has_churn:
-                views["churn"][row] = _run_churn_row(result)[0]
-            widths.append(int(result.counts.shape[0]))
-        return widths
-    finally:
-        views = None
-        shm.close()
-
-
 def _stack_padded(blocks: List[np.ndarray], width: int) -> np.ndarray:
     """Stack 2-D trajectory blocks, padding columns with the final value."""
     total = sum(block.shape[0] for block in blocks)
@@ -345,17 +255,10 @@ def _stack_padded(blocks: List[np.ndarray], width: int) -> np.ndarray:
 class _DenseJob:
     """One fast/exact Monte-Carlo invocation as an executor job.
 
-    A job exposes the same work in two interchangeable forms, both
-    derived from the same deterministic layout so their assembled
-    results are byte-identical:
-
-    - :meth:`pickle_calls` + :meth:`assemble_pickled` — the historical
-      path: shards return their arrays through the future (used serial,
-      traced, and as the no-shared-memory fallback);
-    - :meth:`layout` + :meth:`shm_calls` + :meth:`assemble_shm` — the
-      zero-copy path: workers write rows straight into the
-      :class:`~repro.sim.executor.SharedArrays` slice assigned by the
-      positional layout and return only their trajectory widths.
+    :meth:`calls` lists the shard tasks of the deterministic layout;
+    each returns its arrays through the future, and :meth:`assemble`
+    stacks them positionally, so the result is the same whatever ran
+    the calls, on how many workers, in what completion order.
     """
 
     def __init__(
@@ -375,13 +278,7 @@ class _DenseJob:
         self.engine = engine
         self.horizon = horizon
         schedule = scenario.fault_schedule()
-        self.has_holders = schedule is not None
         self.has_churn = schedule is not None and schedule.has_churn
-        #: Upper bound on any shard's trajectory width: the engines
-        #: never run past max(max_rounds, horizon) rounds.  Shared rows
-        #: are pre-padded to this and trimmed to the realised global
-        #: maximum at assembly.
-        self.width_cap = max(scenario.max_rounds, horizon or 0) + 1
         if engine == "fast":
             sizes = fast_shard_sizes(self.runs)
             if len(sizes) == 1:
@@ -393,11 +290,6 @@ class _DenseJob:
                 seeds = list(child_seeds(seed, len(sizes)))
             self._sizes = sizes
             self._seeds = seeds
-            self._rows = [0] * len(sizes)
-            row = 0
-            for i, size in enumerate(sizes):
-                self._rows[i] = row
-                row += size
         elif engine == "exact":
             run_seeds = child_seeds(seed, self.runs)
             # Result order is fixed by the per-run seeds, so the
@@ -407,15 +299,12 @@ class _DenseJob:
             self._chunks = [
                 run_seeds[i:i + chunk] for i in range(0, self.runs, chunk)
             ]
-            self._rows = list(range(0, self.runs, chunk))
         else:
             raise ValueError(
                 f"unknown engine {engine!r}; use 'fast', 'exact', or 'mega'"
             )
 
-    # -- pickled-result path -------------------------------------------------
-
-    def pickle_calls(self, trace: bool) -> List[Tuple[Callable, tuple]]:
+    def calls(self, trace: bool) -> List[Tuple[Callable, tuple]]:
         if self.engine == "fast":
             return [
                 (_fast_shard, (self.scenario, size, seed, self.horizon, trace))
@@ -426,7 +315,7 @@ class _DenseJob:
             for chunk in self._chunks
         ]
 
-    def assemble_pickled(self, shards: List, tracer) -> MonteCarloResult:
+    def assemble(self, shards: List, tracer) -> MonteCarloResult:
         trace = tracer is not None
         if self.engine == "fast":
             triples = [shard[:5] for shard in shards]
@@ -467,64 +356,6 @@ class _DenseJob:
             churn_stats=churn_stats,
         )
 
-    # -- zero-copy path ------------------------------------------------------
-
-    def layout(self) -> List[Tuple[str, tuple, object]]:
-        spec = [
-            (name, (self.runs, self.width_cap), np.int32)
-            for name in ("counts", "attacked", "non_attacked")
-        ]
-        if self.has_holders:
-            spec.append(("holders", (self.runs,), np.int32))
-        if self.has_churn:
-            spec.append(("churn", (self.runs, 2), np.float64))
-        return spec
-
-    def shm_calls(self, descriptor) -> List[Tuple[Callable, tuple]]:
-        if self.engine == "fast":
-            return [
-                (
-                    _fast_shard_shm,
-                    (self.scenario, size, seed, self.horizon, descriptor, row),
-                )
-                for size, seed, row in zip(
-                    self._sizes, self._seeds, self._rows
-                )
-            ]
-        return [
-            (_exact_shard_shm, (self.scenario, chunk, descriptor, row))
-            for chunk, row in zip(self._chunks, self._rows)
-        ]
-
-    def assemble_shm(self, shared: SharedArrays, metas: List) -> MonteCarloResult:
-        widths = (
-            metas
-            if self.engine == "fast"
-            else [w for chunk in metas for w in chunk]
-        )
-        width = max(widths)
-        if self.horizon is not None:
-            width = max(width, self.horizon + 1)
-        views = shared.arrays()
-        counts = np.array(views["counts"][:, :width])
-        attacked = np.array(views["attacked"][:, :width])
-        non_attacked = np.array(views["non_attacked"][:, :width])
-        reachable_holders = (
-            np.array(views["holders"]) if self.has_holders else None
-        )
-        churn_stats = (
-            np.array(views["churn"]) if self.has_churn else None
-        )
-        views = None
-        return MonteCarloResult(
-            scenario=self.scenario,
-            counts=counts,
-            counts_attacked=attacked,
-            counts_non_attacked=non_attacked,
-            reachable_holders=reachable_holders,
-            churn_stats=churn_stats,
-        )
-
 
 def make_job(
     scenario: Scenario,
@@ -555,36 +386,22 @@ def make_job(
     )
 
 
-def execute_job(job, *, workers: int = 1, tracer=None, pool=None) -> MonteCarloResult:
+def execute_job(job, *, workers: int = 1, tracer=None) -> MonteCarloResult:
     """Run ``job``'s calls and assemble its result.
 
-    Serial (``workers=1``) and single-call jobs run in-process on the
-    pickled path — byte-identical to the historical serial behaviour.
-    Traced jobs also take the pickled path (events ride back with the
-    arrays).  Everything else goes zero-copy through the persistent
-    pool, falling back to pickled shards when shared memory is
-    unavailable.  All paths assemble positionally, so the result is
-    byte-identical regardless of path, worker count, or completion
-    order.
+    Serial (``workers=1``) and single-call jobs run in-process; the rest
+    go through the persistent pool.  Assembly is positional, so the
+    result is byte-identical for any worker count or completion order.
+    ``tracer`` makes each call record its events and ship them back
+    with its arrays.
     """
     workers = check_workers(workers)
-    trace = tracer is not None
-    calls = job.pickle_calls(trace)
+    calls = job.calls(tracer is not None)
     if workers <= 1 or len(calls) <= 1:
         shards = [fn(payload) for fn, payload in calls]
-        return job.assemble_pickled(shards, tracer)
-    if pool is None:
-        pool = get_pool(min(workers, len(calls)))
-    if trace:
-        return job.assemble_pickled(pool.run_calls(calls), tracer)
-    shared = try_shared(job.layout())
-    if shared is None:
-        return job.assemble_pickled(pool.run_calls(calls), None)
-    try:
-        metas = pool.run_calls(job.shm_calls(shared.descriptor))
-        return job.assemble_shm(shared, metas)
-    finally:
-        shared.destroy()
+    else:
+        shards = get_pool(min(workers, len(calls))).run_calls(calls)
+    return job.assemble(shards, tracer)
 
 
 def run_sharded(

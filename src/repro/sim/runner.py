@@ -9,8 +9,7 @@ and compare.
 Execution is sharded by :mod:`repro.sim.parallel`: ``workers`` (default:
 the ``REPRO_WORKERS`` env var, else 1) spreads the shards over the
 process-wide persistent pool (:mod:`repro.sim.executor` — forked once,
-reused across calls, shard results returned through shared memory
-rather than pickles; ``REPRO_START_METHOD`` overrides the fork/spawn
+reused across calls; ``REPRO_START_METHOD`` overrides the fork/spawn
 choice), and because shard layout and seed derivation depend only on
 the run count and root seed, the result is bit-identical for every
 worker count.  An optional on-disk

@@ -18,7 +18,8 @@ Grids are built by :mod:`repro.sweep.grid` and executed by the
 :class:`~repro.sweep.orchestrator.SweepRunner` on the process-wide
 persistent worker pool (:mod:`repro.sim.executor`): all cells' shard
 tasks are flattened into one global work queue, so no cell waits on a
-barrier behind another.  Every cell's seed is derived in the parent
+barrier behind another, and each cell is assembled positionally from
+its shards' pickled results.  Every cell's seed is derived in the parent
 before anything runs, so the report is byte-identical JSON for any
 worker count and any task completion order (``workers`` defaults to
 the ``REPRO_WORKERS`` env var).  ``store`` (a directory path or

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.metrics.report import SeriesReport
-from repro.sim.executor import get_pool, try_shared
+from repro.sim.executor import get_pool
 from repro.sim.parallel import check_workers, default_workers, make_job
 from repro.sweep.grid import Cell
 from repro.sweep.store import (
@@ -122,9 +122,7 @@ def _cell_runs(cell: Cell) -> Optional[int]:
 class _CellJob:
     """One pending cell's calls, spliceable into the global work queue.
 
-    Monte-Carlo cells expand to their deterministic shard calls
-    (zero-copy through a :class:`~repro.sim.executor.SharedArrays`
-    segment when the platform provides one, pickled shards otherwise);
+    Monte-Carlo cells expand to their deterministic shard calls;
     measurement cells are a single DES call.  ``deliver`` collects
     completions positionally, so assembly is independent of the order
     the pool finishes them in.
@@ -133,7 +131,6 @@ class _CellJob:
     def __init__(self, cell: Cell, *, workers: int):
         self.cell = cell
         self.job = None
-        self.shared = None
         if cell.scenario is not None:
             self.job = make_job(
                 cell.scenario,
@@ -143,11 +140,7 @@ class _CellJob:
                 horizon=cell.horizon,
                 workers=workers,
             )
-            self.shared = try_shared(self.job.layout())
-            if self.shared is not None:
-                self.calls = self.job.shm_calls(self.shared.descriptor)
-            else:
-                self.calls = self.job.pickle_calls(False)
+            self.calls = self.job.calls(False)
         else:
             self.calls = [(_des_cell_task, (cell.config, cell.seed))]
         self._results: List = [None] * len(self.calls)
@@ -160,21 +153,10 @@ class _CellJob:
         return self._missing == 0
 
     def result(self):
-        """Assemble the completed cell's result (frees shared memory)."""
+        """Assemble the completed cell's result."""
         if self.job is None:
             return self._results[0]
-        if self.shared is not None:
-            try:
-                return self.job.assemble_shm(self.shared, self._results)
-            finally:
-                self.destroy()
-        return self.job.assemble_pickled(self._results, None)
-
-    def destroy(self) -> None:
-        """Release the cell's shared-memory segment, if any (idempotent)."""
-        shared, self.shared = self.shared, None
-        if shared is not None:
-            shared.destroy()
+        return self.job.assemble(self._results, None)
 
 
 def sweep_identity(name: str, cells: Sequence[Cell]) -> Optional[str]:
@@ -408,26 +390,19 @@ class SweepRunner:
                 owners.append((i, local_index))
                 calls.append(call)
         done_since = 0
-        try:
-            for call_index, result in pool.imap_calls(calls):
-                i, local_index = owners[call_index]
-                if not jobs[i].deliver(local_index, result):
-                    continue
-                job = jobs.pop(i)
-                cell_result = job.result()
-                self._store_result(cells[i], keys[i], cell_result)
-                computed[i] = (_metric_value(cells[i], cell_result), False)
-                done_since += 1
-                if done_since >= checkpoint_every:
-                    self._checkpoint(
-                        name, cells, identity, keys, manifest_values, computed
-                    )
-                    done_since = 0
-        finally:
-            # On an interrupt mid-queue, free every unfinished cell's
-            # shared-memory segment before propagating.
-            for job in jobs.values():
-                job.destroy()
+        for call_index, result in pool.imap_calls(calls):
+            i, local_index = owners[call_index]
+            if not jobs[i].deliver(local_index, result):
+                continue
+            cell_result = jobs.pop(i).result()
+            self._store_result(cells[i], keys[i], cell_result)
+            computed[i] = (_metric_value(cells[i], cell_result), False)
+            done_since += 1
+            if done_since >= checkpoint_every:
+                self._checkpoint(
+                    name, cells, identity, keys, manifest_values, computed
+                )
+                done_since = 0
 
     def _manifest_values(
         self,

@@ -1,12 +1,14 @@
 """Tests for the persistent executor: start-method policy, pool death
-recovery, shared-memory result segments, zero-copy accounting, and —
-via seeded fault-injecting stand-in pools — byte-identity of results
-and sweeps under arbitrary task delay, reordering, and mid-sweep kills.
+recovery and cancellation, shared-memory segments, result accounting,
+and — via seeded fault-injecting stand-in pools — byte-identity of
+results and sweeps under arbitrary task delay, reordering, and
+mid-sweep kills.
 """
 
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -217,26 +219,63 @@ class TestWorkerPool:
         finally:
             pool.close()
 
+    @pytest.mark.parametrize("stop", ["task_raises", "consumer_stops"])
+    def test_early_exit_cancels_queued_tasks(self, tmp_path, stop):
+        # One quick task ahead of 20 slow ones; the iteration ends at
+        # the quick one.  Only tasks the executor already handed to a
+        # worker (workers) or to its call queue (workers + 1) may still
+        # run; the rest must be cancelled, not run ahead of the next
+        # call.
+        workers = 2
+        first = _raise_zero_div if stop == "task_raises" else _square
+        calls = [(first, 0)] + [
+            (_sleep_then_mark, str(tmp_path / f"{i}")) for i in range(20)
+        ]
+        pool = WorkerPool(workers)
+        try:
+            results = pool.imap_calls(calls)
+            if stop == "task_raises":
+                with pytest.raises(ZeroDivisionError):
+                    next(results)
+            else:
+                assert next(results) == (0, 0)
+                results.close()
+            assert pool.run_calls([(_square, 3)]) == [9]
+        finally:
+            pool.close()  # waits for every task that did start
+        assert len(list(tmp_path.iterdir())) <= workers + (workers + 1)
+
 
 def _raise_zero_div(x):
     return 1 // x
 
 
+def _sleep_then_mark(path):
+    time.sleep(0.2)
+    with open(path, "w"):
+        pass
+
+
 # ---------------------------------------------------------------------------
-# zero-copy accounting on the real pool
+# the one result path on the real pool
 # ---------------------------------------------------------------------------
 
 
 class TestZeroCopyPath:
     def test_shm_result_path_pickles_no_arrays(self, dos_scenario):
+        # The id predates the single result path: shard arrays now come
+        # back through pickles, and no job allocates a shared segment.
         stats().reset()
         parallel = monte_carlo(dos_scenario, runs=200, seed=11, workers=2)
         serial = monte_carlo(dos_scenario, runs=200, seed=11, workers=1)
-        np.testing.assert_array_equal(parallel.counts, serial.counts)
+        for name in ("counts", "counts_attacked", "counts_non_attacked"):
+            np.testing.assert_array_equal(
+                getattr(parallel, name), getattr(serial, name)
+            )
         snap = stats().snapshot()
         assert snap["pool_spawns"] == 1
-        assert snap["result_array_bytes"] == 0
-        assert snap["shm_bytes"] > 0
+        assert snap["shm_bytes"] == 0
+        assert snap["result_array_bytes"] > 0
         assert snap["tasks_completed"] >= 2
 
     def test_pool_reused_across_monte_carlo_calls(self, dos_scenario):
@@ -244,6 +283,20 @@ class TestZeroCopyPath:
         monte_carlo(dos_scenario, runs=130, seed=1, workers=2)
         monte_carlo(dos_scenario, runs=130, seed=2, workers=2)
         monte_carlo(dos_scenario, runs=130, seed=3, workers=2)
+        assert stats().pool_spawns == 1
+
+        # Two whole sweeps on a fresh pool: still one spawn.
+        from repro.sweep.grid import rate_grid
+
+        close_pool()
+        stats().reset()
+        for seed in (1, 2):
+            _, rows = rate_grid(
+                ["drum", "push"], [0, 32], n=40, alpha=0.1, runs=12,
+                seed=seed, max_rounds=120,
+            )
+            cells = [cell for row in rows for cell in row]
+            SweepRunner(workers=2).run("sweep", cells)
         assert stats().pool_spawns == 1
 
 
