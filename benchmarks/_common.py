@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.sim.parallel import ResultCache, default_workers
+from repro.sim.parallel import default_workers
 from repro.sim.runner import default_runs
 from repro.sweep import ResultStore, SweepRunner
 
@@ -48,14 +48,9 @@ def store() -> ResultStore:
     return ResultStore(Path(root) if root else RESULTS_DIR / ".cache")
 
 
-def cache() -> ResultCache:
-    """The store's npz tier (what ``monte_carlo(cache=...)`` takes)."""
-    return store().cache
-
-
 def mc_kwargs() -> dict:
-    """Keyword args threading the parallel/cache knobs into monte_carlo."""
-    return {"workers": workers(), "cache": cache()}
+    """Keyword args threading the parallel/store knobs into monte_carlo."""
+    return {"workers": workers(), "store": store()}
 
 
 def sweep_runner(tracer=None) -> SweepRunner:

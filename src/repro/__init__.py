@@ -58,7 +58,7 @@ from repro.core import (
 from repro.obs import JsonlSink, MemorySink, PrometheusSink, Tracer
 from repro.sim import (
     MonteCarloResult,
-    ResultCache,
+    ResultStore,
     RoundSimulator,
     RunResult,
     Scenario,
@@ -86,11 +86,11 @@ __all__ = [
     "MonteCarloResult",
     "PortLoad",
     "PrometheusSink",
-    "ResultCache",
     "ProtocolConfig",
     "ProtocolKind",
     "PullProcess",
     "PushProcess",
+    "ResultStore",
     "RoundAttacker",
     "RoundSimulator",
     "RunResult",

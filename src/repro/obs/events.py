@@ -48,12 +48,11 @@ continuous-time stacks.  Remaining keys by type:
     ``source`` (``"store"`` — content-addressed hit — or
     ``"manifest"`` — trusted done entry from a prior sweep).
 ``cache_hit`` / ``cache_miss`` / ``cache_corrupt``
-    One result-cache consultation (:class:`repro.sim.parallel
-    .ResultCache` npz tier or the :class:`repro.sweep.store.ResultStore`
-    envelope tier): ``key`` (the content-address) and ``tier`` (``"npz"``
-    / ``"envelope"``).  ``cache_corrupt`` is the case that used to be
-    silent — an entry exists but failed to decode or validate, and the
-    caller fell back to recomputation.
+    One :class:`repro.sweep.store.ResultStore` consultation by the
+    sweep orchestrator: ``key`` (the content-address) and ``tier``
+    (``"npz"`` / ``"envelope"``).  ``cache_corrupt`` is the case that
+    used to be silent — an entry exists but failed to decode or
+    validate, and the caller fell back to recomputation.
 
 Sharded Monte-Carlo execution annotates re-emitted events with
 ``shard`` (fast engine) or ``run`` (exact engine) indices; the

@@ -18,7 +18,8 @@ Parallel execution runs on the process-wide persistent worker pool
 every ``monte_carlo`` call and sweep cell; shard results come back
 through the pool's pickles and are assembled positionally.
 :func:`close_pool` tears the pool down explicitly (it is also
-registered atexit).
+registered atexit).  :class:`~repro.sweep.store.ResultStore` persists
+results for ``monte_carlo(store=...)`` and the sweeps alike.
 """
 
 from repro.sim.scenario import Scenario
@@ -32,12 +33,7 @@ from repro.sim.executor import (
     pool_override,
     stats as executor_stats,
 )
-from repro.sim.parallel import (
-    ResultCache,
-    default_workers,
-    parallel_map,
-    run_sharded,
-)
+from repro.sim.parallel import default_workers, parallel_map, run_sharded
 from repro.sim.runner import default_runs, monte_carlo
 from repro.sim.sweeps import (
     budget_sweep,
@@ -45,11 +41,12 @@ from repro.sim.sweeps import (
     extent_sweep,
     rate_sweep,
 )
+from repro.sweep.store import ResultStore
 
 __all__ = [
     "MegaResult",
     "MonteCarloResult",
-    "ResultCache",
+    "ResultStore",
     "RoundSimulator",
     "RunResult",
     "Scenario",

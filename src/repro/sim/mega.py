@@ -37,11 +37,10 @@ per round, never inside a block loop, so no block materialises an
 n-wide temporary and the per-node-round cost does not grow with n
 beyond what random gathers and scatters cost once they leave cache.
 
-``shard_nodes`` is a recorded layout label with no effect on work or
-bytes: blocks are processed one at a time whatever its value.  It is
-still accepted, validated, rounded to a block multiple and stored,
-because every stored mega envelope and ``mega_meta`` side-car carries
-it.
+Blocks are processed one at a time.  Every result still records the
+constant :data:`DEFAULT_SHARD_NODES` as its ``shard_nodes`` layout
+label, because every stored mega envelope and ``mega_meta`` side-car
+carries it.
 
 Equivalence story: the packed engine draws from the same per-round
 distributions as the fast engine (exact F-subset views, hypergeometric
@@ -70,12 +69,12 @@ from repro.util.rng import SeedLike
 #: ``MEGA_BLOCK_NODES``-wide block of node ids per round.  A multiple of
 #: 8 so block boundaries align with packed-bitmap bytes.  This constant
 #: is part of the engine's determinism contract — changing it reshuffles
-#: every seeded mega result (bump :data:`repro.sim.parallel.CACHE_VERSION`
+#: every seeded mega result (bump :data:`repro.sweep.store.CACHE_VERSION`
 #: if you ever do).
 MEGA_BLOCK_NODES = 4096
 
-#: Default ``shard_nodes`` label recorded in a result's layout facts.
-#: It changes neither the work done nor the bytes produced.
+#: The ``shard_nodes`` label recorded in every result's layout facts.
+#: It names no work and changes no byte.
 DEFAULT_SHARD_NODES = 1 << 18
 
 #: Popcount lookup table for packed-bitmap byte counts.
@@ -694,27 +693,11 @@ class MegaJob:
         *,
         seed: SeedLike = None,
         horizon: Optional[int] = None,
-        shard_nodes: Optional[int] = None,
     ):
         from repro.sim.parallel import child_seeds
 
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
-        if shard_nodes is None:
-            shard_nodes = DEFAULT_SHARD_NODES
-        if isinstance(shard_nodes, bool) or not isinstance(
-            shard_nodes, (int, np.integer)
-        ) or shard_nodes < 1:
-            raise ValueError(
-                f"shard_nodes must be a positive integer, got {shard_nodes!r}"
-            )
-        # Recorded, not used: rounded up to the block grid exactly as
-        # every stored envelope has it.
-        self.shard_nodes = max(
-            MEGA_BLOCK_NODES,
-            ((int(shard_nodes) + MEGA_BLOCK_NODES - 1) // MEGA_BLOCK_NODES)
-            * MEGA_BLOCK_NODES,
-        )
         self.scenario = scenario
         self.runs = int(runs)
         self.horizon = horizon
@@ -764,7 +747,7 @@ class MegaJob:
             counts_non_attacked=counts - attacked,
             reachable_holders=reachable_holders,
             churn_stats=churn_stats,
-            shard_nodes=self.shard_nodes,
+            shard_nodes=DEFAULT_SHARD_NODES,
             blocks=self.blocks,
             peak_state_bytes=max(row[3] for row in rows),
         )
@@ -777,7 +760,6 @@ def run_mega(
     seed: SeedLike = None,
     horizon: Optional[int] = None,
     workers: int = 1,
-    shard_nodes: Optional[int] = None,
     tracer=None,
 ) -> MegaResult:
     """Simulate ``runs`` independent packed runs of ``scenario``.
@@ -786,16 +768,12 @@ def run_mega(
     the caller's seed straight through, mirroring the fast engine's
     single-shard behaviour) and runs fan out over ``workers`` persistent
     pool processes, assembled positionally — the result is
-    byte-identical for every ``workers``.  ``shard_nodes`` is a layout
-    label recorded in the result (rounded up to a block multiple); it
-    affects neither the work done nor any other byte.
+    byte-identical for every ``workers``.
     ``tracer`` attaches aggregate per-round events (run-ordered and
     worker-count invariant, like the fast engine's sharded stream).
     """
     from repro.sim.parallel import check_workers, execute_job
 
     workers = check_workers(workers)
-    job = MegaJob(
-        scenario, runs, seed=seed, horizon=horizon, shard_nodes=shard_nodes
-    )
+    job = MegaJob(scenario, runs, seed=seed, horizon=horizon)
     return execute_job(job, workers=workers, tracer=tracer)

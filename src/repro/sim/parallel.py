@@ -24,28 +24,15 @@ The worker count defaults to the ``REPRO_WORKERS`` environment variable
 The pool's start method honours ``REPRO_START_METHOD`` — see
 :func:`repro.sim.executor.start_method`.
 
-:class:`ResultCache` adds an on-disk memo keyed by ``(scenario, runs,
-seed, engine, horizon)`` so benchmark figures that share sweep points
-(e.g. the rate-0 baseline reused across Figures 2, 3, and 7) compute
-each point once.  Decoded entries are additionally held in a
-process-wide LRU (validated against the file's stat signature), so the
-figures sharing a point decode its npz once per process rather than
-once per figure.  Cache reads are best-effort — a missing, corrupted,
-or partially-written entry falls back to recomputation — but no longer
-*silently*: :meth:`ResultCache.load_ex` distinguishes ``hit`` /
-``miss`` / ``corrupt``, and a ``tracer`` turns those into
-``cache_hit`` / ``cache_miss`` / ``cache_corrupt`` events.
+Results are persisted by :class:`repro.sweep.store.ResultStore`, which
+:func:`~repro.sim.runner.monte_carlo` and the sweep orchestrator share.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import tempfile
-from collections import OrderedDict
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +42,6 @@ from repro.sim.fast import run_fast
 from repro.sim.results import MonteCarloResult
 from repro.sim.scenario import Scenario
 from repro.util import spawn_seeds
-from repro.util.canonical import canonical_key
 from repro.util.rng import SeedLike
 
 #: Runs per fast-engine shard.  The shard layout is a function of the
@@ -452,283 +438,3 @@ def run_sharded(
         workers=workers,
     )
     return execute_job(job, workers=workers, tracer=tracer)
-
-
-# ---------------------------------------------------------------------------
-# on-disk result cache
-# ---------------------------------------------------------------------------
-
-#: Bump when result semantics change so stale entries never resurface.
-#: v2: scenarios carry a ``faults`` plan and results a per-run
-#: ``reachable_holders`` array.
-#: v3: keys are canonical tokens (:mod:`repro.util.canonical`) — the
-#: old encoding fell back to ``default=repr`` for any non-JSON leaf
-#: (attack/fault dataclasses flattened by ``dataclasses.asdict``, numpy
-#: scalars), and ``repr`` output is not stable across processes or
-#: numpy versions, so keys could silently change and permanently miss.
-#: v4: the packed ``mega`` engine joins the cache (entries may carry a
-#: ``mega_meta`` side-car and deserialise to ``MegaResult``), and
-#: scenarios normalise integer-like numpy values for ``n``/``fan_out``/
-#: ``max_rounds`` to built-in ints, which changes the canonical token
-#: of any grid that previously smuggled numpy scalars through.
-CACHE_VERSION = 4
-
-#: Decoded npz entries kept in the process-wide LRU.  Sweeps revisit
-#: shared points (the rate-0 baseline appears in Figures 2, 3, and 7);
-#: the LRU makes each entry decode once per process instead of once per
-#: figure.  Entries are validated against the backing file's stat
-#: signature, so an overwritten/corrupted file is never served stale.
-NPZ_LRU_ENTRIES = 128
-
-#: ``(root, key) -> (stat_signature, decoded result)``, LRU-ordered.
-_NPZ_LRU: "OrderedDict[Tuple[Path, str], Tuple[tuple, object]]" = (
-    OrderedDict()
-)
-
-
-def _npz_lru_clear() -> None:
-    """Drop every memoised entry (test hook)."""
-    _NPZ_LRU.clear()
-
-
-def _npz_lru_put(root: Path, key: str, sig: tuple, result) -> None:
-    _NPZ_LRU[(root, key)] = (sig, result)
-    _NPZ_LRU.move_to_end((root, key))
-    while len(_NPZ_LRU) > NPZ_LRU_ENTRIES:
-        _NPZ_LRU.popitem(last=False)
-
-
-def _stat_signature(path: Path) -> Optional[tuple]:
-    """The file identity an LRU entry is valid for, or None if missing."""
-    try:
-        st = path.stat()
-    except OSError:
-        return None
-    return (st.st_mtime_ns, st.st_size, st.st_ino)
-
-
-@dataclass(frozen=True)
-class ResultCache:
-    """Best-effort on-disk memo of :func:`monte_carlo` results.
-
-    Entries live under ``root`` as ``<sha256>.npz``, keyed by the full
-    experiment identity ``(scenario, runs, seed, engine, horizon)`` plus
-    :data:`CACHE_VERSION`.  Invalidation rule: keys never collide across
-    differing inputs, so the only reason to clear the cache is an engine
-    semantics change — delete ``root`` (or bump ``CACHE_VERSION``).
-    """
-
-    root: Path
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "root", Path(self.root))
-
-    def key(
-        self,
-        scenario: Scenario,
-        runs: int,
-        *,
-        seed: SeedLike = None,
-        engine: str = "fast",
-        horizon: Optional[int] = None,
-    ) -> Optional[str]:
-        """The entry key, or None when the experiment is uncacheable.
-
-        Keys are canonical-token digests (:func:`repro.util.canonical
-        .canonical_key`): byte-identical across processes for the same
-        experiment, with *no* lossy fallback — a scenario carrying a
-        value the canonical encoder does not recognise is treated as
-        uncacheable (None) rather than keyed unstably.  ``None`` seeds
-        (fresh entropy), ``bool`` seeds, and generator seeds have no
-        stable identity and are never cached.
-        """
-        if seed is None or isinstance(seed, (bool, np.random.Generator)):
-            return None
-        payload = {
-            "version": CACHE_VERSION,
-            "scenario": scenario,
-            "runs": int(runs),
-            "seed": seed,
-            "engine": engine,
-            "horizon": None if horizon is None else int(horizon),
-        }
-        try:
-            return canonical_key(payload)
-        except TypeError:
-            return None
-
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
-
-    def load(
-        self, key: str, scenario: Scenario, tracer=None
-    ) -> Optional[MonteCarloResult]:
-        """The cached result, or None on miss *or any read failure*.
-
-        ``tracer`` (a :class:`repro.obs.Tracer`) observes the outcome as
-        a ``cache_hit`` / ``cache_miss`` / ``cache_corrupt`` event — the
-        corrupt case is a real read failure falling back to
-        recomputation, which used to be indistinguishable from a miss.
-        """
-        result, status = self.load_ex(key, scenario)
-        if tracer is not None:
-            if status == "hit":
-                tracer.cache_hit(key=key, tier="npz")
-            elif status == "corrupt":
-                tracer.cache_corrupt(key=key, tier="npz")
-            else:
-                tracer.cache_miss(key=key, tier="npz")
-        return result
-
-    def load_ex(
-        self, key: str, scenario: Scenario
-    ) -> Tuple[Optional[MonteCarloResult], str]:
-        """``(result, status)`` with status ``"hit"`` / ``"miss"`` /
-        ``"corrupt"``; result is None unless status is ``"hit"``.
-
-        Hits are served from the process-wide decoded-entry LRU when the
-        backing file's stat signature still matches (so an entry shared
-        by several figures decodes once); any signature change forces a
-        re-decode, and a failed decode or validation evicts the entry
-        and reports ``"corrupt"``.
-        """
-        path = self.path_for(key)
-        sig = _stat_signature(path)
-        if sig is None:
-            _NPZ_LRU.pop((self.root, key), None)
-            return None, "miss"
-        entry = _NPZ_LRU.get((self.root, key))
-        if entry is not None and entry[0] == sig:
-            _NPZ_LRU.move_to_end((self.root, key))
-            return entry[1], "hit"
-        result = self._decode(path, scenario)
-        if result is None:
-            _NPZ_LRU.pop((self.root, key), None)
-            return None, "corrupt"
-        _npz_lru_put(self.root, key, sig, result)
-        return result, "hit"
-
-    def _decode(
-        self, path: Path, scenario: Scenario
-    ) -> Optional[MonteCarloResult]:
-        """Decode and validate one npz entry; None on any failure."""
-        try:
-            with np.load(path) as data:
-                counts = np.asarray(data["counts"])
-                attacked = np.asarray(data["counts_attacked"])
-                non_attacked = np.asarray(data["counts_non_attacked"])
-                reachable_holders = (
-                    np.asarray(data["reachable_holders"])
-                    if "reachable_holders" in data.files
-                    else None
-                )
-                churn_stats = (
-                    np.asarray(data["churn_stats"])
-                    if "churn_stats" in data.files
-                    else None
-                )
-                mega_meta = (
-                    np.asarray(data["mega_meta"])
-                    if "mega_meta" in data.files
-                    else None
-                )
-        except Exception:
-            # Truncated, corrupted, or wrong-format entry: behave like
-            # a miss and let the caller recompute (load_ex reports it
-            # as "corrupt" so the fallback is at least observable).
-            return None
-        if (
-            counts.ndim != 2
-            or counts.shape != attacked.shape
-            or counts.shape != non_attacked.shape
-        ):
-            return None
-        # A poisoned entry (float or object dtype smuggled in under a
-        # valid shape) must not masquerade as a real count matrix:
-        # downstream thresholding would silently produce garbage.
-        if any(
-            arr.dtype.kind not in "iu"
-            for arr in (counts, attacked, non_attacked)
-        ):
-            return None
-        if reachable_holders is not None and (
-            reachable_holders.shape != (counts.shape[0],)
-            or reachable_holders.dtype.kind not in "iu"
-        ):
-            return None
-        if churn_stats is not None and (
-            churn_stats.shape != (counts.shape[0], 2)
-            or churn_stats.dtype.kind != "f"
-        ):
-            return None
-        if mega_meta is not None:
-            # Self-describing packed-engine entry: the side-car records
-            # (shard_nodes, blocks, peak_state_bytes) and selects the
-            # MegaResult envelope kind on the way back out.
-            if mega_meta.shape != (3,) or mega_meta.dtype.kind not in "iu":
-                return None
-            from repro.sim.mega import MegaResult
-
-            return MegaResult(
-                scenario=scenario,
-                counts=counts,
-                counts_attacked=attacked,
-                counts_non_attacked=non_attacked,
-                reachable_holders=reachable_holders,
-                churn_stats=churn_stats,
-                shard_nodes=int(mega_meta[0]),
-                blocks=int(mega_meta[1]),
-                peak_state_bytes=int(mega_meta[2]),
-            )
-        return MonteCarloResult(
-            scenario=scenario,
-            counts=counts,
-            counts_attacked=attacked,
-            counts_non_attacked=non_attacked,
-            reachable_holders=reachable_holders,
-            churn_stats=churn_stats,
-        )
-
-    def store(self, key: str, result: MonteCarloResult) -> None:
-        """Persist ``result`` atomically; failures are swallowed."""
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    arrays = dict(
-                        counts=result.counts,
-                        counts_attacked=result.counts_attacked,
-                        counts_non_attacked=result.counts_non_attacked,
-                    )
-                    if result.reachable_holders is not None:
-                        arrays["reachable_holders"] = result.reachable_holders
-                    if result.churn_stats is not None:
-                        arrays["churn_stats"] = result.churn_stats
-                    if hasattr(result, "mega_meta"):
-                        arrays["mega_meta"] = result.mega_meta()
-                    np.savez_compressed(handle, **arrays)
-                os.replace(tmp, self.path_for(key))
-            except BaseException:
-                os.unlink(tmp)
-                raise
-            # The entry just written is about to be this process's
-            # hottest: seed the LRU so the first load never re-decodes.
-            sig = _stat_signature(self.path_for(key))
-            if sig is not None:
-                _npz_lru_put(self.root, key, sig, result)
-        except OSError:
-            pass
-
-
-def as_cache(
-    cache: Union[None, str, Path, ResultCache]
-) -> Optional[ResultCache]:
-    """Coerce a cache argument: None, a directory path, or a cache."""
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    if isinstance(cache, (str, Path)):
-        return ResultCache(Path(cache))
-    raise TypeError(
-        f"cache must be None, a path, or a ResultCache, got {cache!r}"
-    )

@@ -12,9 +12,8 @@ process-wide persistent pool (:mod:`repro.sim.executor` — forked once,
 reused across calls; ``REPRO_START_METHOD`` overrides the fork/spawn
 choice), and because shard layout and seed derivation depend only on
 the run count and root seed, the result is bit-identical for every
-worker count.  An optional on-disk
-:class:`~repro.sim.parallel.ResultCache` memoises results by
-``(scenario, runs, seed, engine, horizon)``.
+worker count.  An optional :class:`~repro.sweep.store.ResultStore`
+memoises results on disk by ``(scenario, runs, seed, engine, horizon)``.
 
 The run count honours the ``REPRO_RUNS`` environment variable so the
 benchmark harness can be dialled between quick smoke sweeps and
@@ -24,16 +23,9 @@ paper-strength 1000-run averages without code changes.
 from __future__ import annotations
 
 import os
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
-from repro.sim.parallel import (
-    ResultCache,
-    as_cache,
-    check_workers,
-    default_workers,
-    run_sharded,
-)
+from repro.sim.parallel import check_workers, default_workers, run_sharded
 from repro.sim.results import MonteCarloResult
 from repro.sim.scenario import Scenario
 from repro.util.rng import SeedLike
@@ -67,19 +59,19 @@ def monte_carlo(
     engine: str = "fast",
     horizon: Optional[int] = None,
     workers: Optional[int] = None,
-    cache: Union[None, str, Path, ResultCache] = None,
+    store=None,
     tracer=None,
 ) -> MonteCarloResult:
     """Run ``scenario`` ``runs`` times and aggregate the trajectories.
 
     ``workers`` shards the runs over the persistent process pool
     (``None`` reads ``REPRO_WORKERS``, defaulting to serial); any
-    worker count yields bit-identical results.  ``cache`` (a directory
-    path or :class:`ResultCache`) memoises the result on disk when the
-    seed has a stable identity — ``None``/generator seeds always
-    recompute.
+    worker count yields bit-identical results.  ``store`` (a directory
+    path or :class:`~repro.sweep.store.ResultStore`) memoises the result
+    on disk when the seed has a stable identity — ``None``/generator
+    seeds always recompute.
     ``tracer`` attaches a :class:`repro.obs.Tracer` to every run; traced
-    experiments bypass the cache entirely (a cache hit would produce no
+    experiments bypass the store entirely (a hit would produce no
     events), and the merged event stream is worker-count invariant.
     """
     if runs is None:
@@ -90,14 +82,17 @@ def monte_carlo(
         )
     workers = default_workers() if workers is None else check_workers(workers)
 
-    cache = as_cache(cache) if tracer is None else None
+    # Imported lazily: repro.sweep imports this package.
+    from repro.sweep.store import as_store
+
+    store = as_store(store) if tracer is None else None
     key = None
-    if cache is not None:
-        key = cache.key(
+    if store is not None:
+        key = store.key(
             scenario, runs, seed=seed, engine=engine, horizon=horizon
         )
         if key is not None:
-            hit = cache.load(key, scenario)
+            hit = store.load(key, scenario)
             if hit is not None:
                 return hit
 
@@ -106,5 +101,5 @@ def monte_carlo(
         workers=workers, tracer=tracer,
     )
     if key is not None:
-        cache.store(key, result)
+        store.store(key, result)
     return result

@@ -26,38 +26,18 @@ the ``REPRO_WORKERS`` env var).  ``store`` (a directory path or
 :class:`~repro.sweep.store.ResultStore`) makes the sweep *resumable* —
 completed cells persist content-addressed, a per-sweep manifest records
 cell status, and re-running an interrupted sweep recomputes only
-unfinished cells.  ``cache`` (the legacy spelling: an on-disk
-:class:`~repro.sim.parallel.ResultCache` or its path) provides the same
-persistence without a distinct argument — a store is layered over the
-same directory.
+unfinished cells.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from repro.core.config import ProtocolKind
 from repro.metrics.report import SeriesReport
-from repro.sim.parallel import ResultCache, as_cache
 from repro.util.rng import SeedLike
 
 ProtocolName = Union[str, ProtocolKind]
-
-
-def _resolve_store(cache, store):
-    """Layer the sweep store over whichever persistence arg was given."""
-    from repro.sweep.store import as_store
-
-    store = as_store(store)
-    if store is not None:
-        return store
-    cache = as_cache(cache)
-    if cache is not None:
-        from repro.sweep.store import ResultStore
-
-        return ResultStore(cache.root)
-    return None
 
 
 def _sweep_grid(
@@ -66,7 +46,6 @@ def _sweep_grid(
     cells: List[list],
     *,
     workers: Optional[int],
-    cache=None,
     store=None,
     tracer=None,
     resume: bool = True,
@@ -95,9 +74,7 @@ def _sweep_grid(
             f"ragged cell grid: row lengths {sorted(widths)} must all "
             f"equal the {len(report.x_values)}-point x-axis"
         )
-    runner = SweepRunner(
-        store=_resolve_store(cache, store), workers=workers, tracer=tracer
-    )
+    runner = SweepRunner(store=store, workers=workers, tracer=tracer)
     result = runner.run(
         name or report.name,
         [cell for row in cells for cell in row],
@@ -117,7 +94,6 @@ def rate_sweep(
     seed: SeedLike = None,
     max_rounds: int = 400,
     workers: Optional[int] = None,
-    cache: Union[None, str, Path, ResultCache] = None,
     store=None,
     tracer=None,
     resume: bool = True,
@@ -137,8 +113,8 @@ def rate_sweep(
         max_rounds=max_rounds,
     )
     return _sweep_grid(
-        report, protocols, cells, workers=workers, cache=cache,
-        store=store, tracer=tracer, resume=resume, name=name,
+        report, protocols, cells, workers=workers, store=store,
+        tracer=tracer, resume=resume, name=name,
     )
 
 
@@ -153,7 +129,6 @@ def extent_sweep(
     seed: SeedLike = None,
     max_rounds: int = 400,
     workers: Optional[int] = None,
-    cache: Union[None, str, Path, ResultCache] = None,
     store=None,
     tracer=None,
     resume: bool = True,
@@ -173,8 +148,8 @@ def extent_sweep(
         max_rounds=max_rounds,
     )
     return _sweep_grid(
-        report, protocols, cells, workers=workers, cache=cache,
-        store=store, tracer=tracer, resume=resume, name=name,
+        report, protocols, cells, workers=workers, store=store,
+        tracer=tracer, resume=resume, name=name,
     )
 
 
@@ -194,7 +169,6 @@ def churn_sweep(
     seed: SeedLike = None,
     max_rounds: int = 400,
     workers: Optional[int] = None,
-    cache: Union[None, str, Path, ResultCache] = None,
     store=None,
     tracer=None,
     resume: bool = True,
@@ -226,8 +200,8 @@ def churn_sweep(
         max_rounds=max_rounds,
     )
     return _sweep_grid(
-        report, protocols, cells, workers=workers, cache=cache,
-        store=store, tracer=tracer, resume=resume, name=name,
+        report, protocols, cells, workers=workers, store=store,
+        tracer=tracer, resume=resume, name=name,
     )
 
 
@@ -242,7 +216,6 @@ def budget_sweep(
     seed: SeedLike = None,
     max_rounds: int = 400,
     workers: Optional[int] = None,
-    cache: Union[None, str, Path, ResultCache] = None,
     store=None,
     tracer=None,
     resume: bool = True,
@@ -263,6 +236,6 @@ def budget_sweep(
         max_rounds=max_rounds,
     )
     return _sweep_grid(
-        report, protocols, cells, workers=workers, cache=cache,
-        store=store, tracer=tracer, resume=resume, name=name,
+        report, protocols, cells, workers=workers, store=store,
+        tracer=tracer, resume=resume, name=name,
     )

@@ -12,11 +12,11 @@ an orchestrated, interruptible workload:
   :func:`~repro.sweep.grid.extent_grid`,
   :func:`~repro.sweep.grid.budget_grid`) produce the paper's three
   sweep shapes; arbitrary cell lists work the same way.
-- :class:`~repro.sweep.store.ResultStore` — a persistent
-  content-addressed result store: the npz tier is the existing
-  :class:`~repro.sim.parallel.ResultCache` (full
-  ``MonteCarloResult`` arrays), the envelope tier stores the versioned
-  JSON result envelope (``repro.result``) for DES/live-style results.
+- :class:`~repro.sweep.store.ResultStore` — the persistent
+  content-addressed result store: the npz tier holds full
+  ``MonteCarloResult`` arrays (shared with ``monte_carlo(store=...)``),
+  the envelope tier the versioned JSON result envelope
+  (``repro.result``) for DES measurement results.
   Keys are canonical-token digests (:mod:`repro.util.canonical`) —
   stable across processes, never ``repr``-derived.
 - :class:`~repro.sweep.orchestrator.SweepRunner` — evaluates a cell

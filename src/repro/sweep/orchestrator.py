@@ -323,22 +323,15 @@ class SweepRunner:
         status None when the cell was never consultable."""
         if self.store is None or key is None:
             return None, None
-        if cell.scenario is not None:
-            result, status = self.store.cache.load_ex(key, cell.scenario)
-        else:
-            result, status = self.store.load_envelope_ex(key)
+        result, status = self.store.load_cell(cell, key)
         if result is None:
             return None, status
         return _metric_value(cell, result), status
 
     def _store_result(self, cell: Cell, key: Optional[str], result) -> None:
         """Cache-aside write of one computed cell (parent-side)."""
-        if self.store is None or key is None:
-            return
-        if cell.scenario is not None:
-            self.store.cache.store(key, result)
-        else:
-            self.store.store_envelope(key, result)
+        if self.store is not None and key is not None:
+            self.store.store_cell(cell, key, result)
 
     def _compute_cell(self, cell: Cell, key: Optional[str]) -> float:
         """Serial in-process evaluation of one cell."""
@@ -502,12 +495,8 @@ class SweepRunner:
                 tier = (
                     "npz" if outcome.cell.scenario is not None else "envelope"
                 )
-                if status == "hit":
-                    tracer.cache_hit(key=outcome.key, tier=tier)
-                elif status == "corrupt":
-                    tracer.cache_corrupt(key=outcome.key, tier=tier)
-                else:
-                    tracer.cache_miss(key=outcome.key, tier=tier)
+                # cache_hit / cache_miss / cache_corrupt
+                getattr(tracer, f"cache_{status}")(key=outcome.key, tier=tier)
             if outcome.cached:
                 tracer.cell_cache_hit(
                     index=outcome.index, source=outcome.source

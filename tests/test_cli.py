@@ -181,6 +181,12 @@ class TestSweep:
         assert second["sweep"]["computed"] == 0
         assert second["sweep"]["cache_hits"] == 2
         assert second["series"] == first["series"]
+        # A cold run and a resumed run write byte-identical reports.
+        store = ["--store", str(tmp_path / "cold")]
+        cold, resumed = tmp_path / "a.json", tmp_path / "b.json"
+        main(args[:-3] + store + ["--out", str(cold)])
+        main(args[:-3] + store + ["--resume", "--out", str(resumed)])
+        assert cold.read_bytes() == resumed.read_bytes()
 
     def test_out_writes_report_json(self, capsys, tmp_path):
         out_file = tmp_path / "figure.json"

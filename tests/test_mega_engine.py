@@ -31,10 +31,9 @@ from repro.sim.mega import (
     popcount_prefix,
     run_mega,
 )
-from repro.sim.parallel import ResultCache
 from repro.sim.runner import monte_carlo
 from repro.sim.scenario import Scenario
-from repro.sweep import Cell, scale_grid
+from repro.sweep import Cell, ResultStore, scale_grid
 from repro.util import coerce_int
 
 
@@ -118,32 +117,25 @@ def _fingerprint(result):
 
 
 def test_mega_byte_invariant_across_shards_and_workers():
-    """The tentpole guarantee at n = 10⁴: shard size and worker count
-    are pure execution knobs — per-block seed derivation makes every
-    layout produce the same bytes."""
+    """The tentpole guarantee at n = 10⁴: the worker count is a pure
+    execution knob — per-block seed derivation makes every fan-out
+    produce the same bytes."""
     scenario = _attacked_scenario(10_000)
-    baseline = run_mega(scenario, 3, seed=99, shard_nodes=MEGA_BLOCK_NODES)
-    base_counts = baseline.counts.tobytes()
-    for shard_nodes, workers in [
-        (10_000, 1),  # non-multiple: rounded up to the block grid
-        (DEFAULT_SHARD_NODES, 1),  # one shard covers everything
-        (MEGA_BLOCK_NODES, 2),  # parallel workers
-    ]:
-        again = run_mega(
-            scenario, 3, seed=99, shard_nodes=shard_nodes, workers=workers
-        )
-        assert again.counts.tobytes() == base_counts, (
-            f"shard_nodes={shard_nodes} workers={workers} diverged"
-        )
-        assert again.counts_attacked.tobytes() == (
-            baseline.counts_attacked.tobytes()
-        )
+    baseline = run_mega(scenario, 3, seed=99)
+    again = run_mega(scenario, 3, seed=99, workers=2)
+    assert _fingerprint(again) == _fingerprint(baseline)
+    assert again.mega_meta().tolist() == baseline.mega_meta().tolist()
+    assert again.shard_nodes == DEFAULT_SHARD_NODES
 
 
 def test_mega_shard_nodes_rounds_up_to_block_multiple():
-    result = run_mega(_attacked_scenario(10_000), 1, seed=1, shard_nodes=5000)
+    # The recorded layout label is a constant: it names no work.
+    result = run_mega(_attacked_scenario(10_000), 1, seed=1)
+    assert result.shard_nodes == DEFAULT_SHARD_NODES
     assert result.shard_nodes % MEGA_BLOCK_NODES == 0
-    assert result.shard_nodes >= 5000
+    assert result.to_dict()["data"]["mega"]["shard_nodes"] == (
+        DEFAULT_SHARD_NODES
+    )
 
 
 def test_mega_seed_determinism_and_sensitivity():
@@ -182,7 +174,7 @@ def test_mega_runs_all_protocol_variants():
 
 def test_mega_peak_state_bytes_stays_linear_and_small():
     scenario = _attacked_scenario(20_000)
-    result = run_mega(scenario, 1, seed=3, shard_nodes=MEGA_BLOCK_NODES)
+    result = run_mega(scenario, 1, seed=3)
     assert result.peak_state_bytes > 0
     # The packed layout holds well under 64 bytes of engine state per
     # node (bitmaps are 1/8 byte; the sender stash dominates at ~v·8):
@@ -231,23 +223,23 @@ def test_mega_envelope_round_trip():
 
 
 def test_mega_result_cache_round_trip(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
+    store = ResultStore(tmp_path / "store")
     scenario = _attacked_scenario(500)
     result = run_mega(scenario, 2, seed=51)
-    key = cache.key(scenario, 2, seed=51, engine="mega")
+    key = store.key(scenario, 2, seed=51, engine="mega")
     assert key is not None
-    cache.store(key, result)
-    loaded = cache.load(key, scenario)
+    store.store(key, result)
+    loaded = store.load(key, scenario)
     assert isinstance(loaded, MegaResult)
     assert np.array_equal(loaded.counts, result.counts)
     assert loaded.mega_meta().tolist() == result.mega_meta().tolist()
 
 
 def test_cached_monte_carlo_mega_hits(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
+    store = ResultStore(tmp_path / "store")
     scenario = _attacked_scenario(500)
-    first = monte_carlo(scenario, 2, seed=61, engine="mega", cache=cache)
-    second = monte_carlo(scenario, 2, seed=61, engine="mega", cache=cache)
+    first = monte_carlo(scenario, 2, seed=61, engine="mega", store=store)
+    second = monte_carlo(scenario, 2, seed=61, engine="mega", store=store)
     assert isinstance(second, MegaResult)
     assert second.counts.tobytes() == first.counts.tobytes()
 

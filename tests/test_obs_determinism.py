@@ -51,7 +51,7 @@ def test_event_stream_invariant_under_worker_count(engine, runs):
 @pytest.mark.parametrize("engine,runs", [("fast", 40), ("exact", 4)])
 def test_tracing_does_not_change_the_result(engine, runs):
     untraced = monte_carlo(
-        _scenario(), runs=runs, seed=99, engine=engine, workers=2, cache=None
+        _scenario(), runs=runs, seed=99, engine=engine, workers=2, store=None
     )
     traced, events = _traced(engine, runs, workers=2)
     assert events  # the stream actually recorded something

@@ -26,9 +26,9 @@ from repro.sim.executor import (
     stats,
     try_shared,
 )
-from repro.sim.parallel import ResultCache, _npz_lru_clear
+from repro.sweep import store as store_module
 from repro.sweep.orchestrator import SweepRunner
-from repro.sweep.store import ResultStore
+from repro.sweep.store import ResultStore, _npz_lru_clear
 
 
 @pytest.fixture(autouse=True)
@@ -428,76 +428,76 @@ class TestFaultInjectedByteIdentity:
 
 
 # ---------------------------------------------------------------------------
-# ResultCache LRU + stat-signature invalidation
+# ResultStore npz LRU + stat-signature invalidation
 # ---------------------------------------------------------------------------
 
 
 class TestResultCacheLRU:
     def _decode_counter(self, monkeypatch):
         calls = {"n": 0}
-        original = ResultCache._decode
+        original = store_module._decode_npz
 
-        def counting(self, path, scenario):
+        def counting(path, scenario):
             calls["n"] += 1
-            return original(self, path, scenario)
+            return original(path, scenario)
 
-        monkeypatch.setattr(ResultCache, "_decode", counting)
+        monkeypatch.setattr(store_module, "_decode_npz", counting)
         return calls
 
     def test_repeat_loads_decode_once(
         self, tmp_path, dos_scenario, monkeypatch
     ):
-        cache = ResultCache(tmp_path)
+        store = ResultStore(tmp_path)
         result = monte_carlo(dos_scenario, runs=10, seed=3)
-        key = cache.key(dos_scenario, 10, seed=3, engine="fast", horizon=None)
-        cache.store(key, result)
+        key = store.key(dos_scenario, 10, seed=3, engine="fast", horizon=None)
+        store.store(key, result)
         calls = self._decode_counter(monkeypatch)
         _npz_lru_clear()
 
-        first = cache.load(key, dos_scenario)
+        first = store.load(key, dos_scenario)
         assert first is not None
         assert calls["n"] == 1
         for _ in range(5):
-            again = cache.load(key, dos_scenario)
+            again = store.load(key, dos_scenario)
             np.testing.assert_array_equal(again.counts, first.counts)
         assert calls["n"] == 1  # every repeat served from the LRU
 
     def test_store_seeds_lru(self, tmp_path, dos_scenario, monkeypatch):
-        cache = ResultCache(tmp_path)
+        store = ResultStore(tmp_path)
         result = monte_carlo(dos_scenario, runs=10, seed=4)
-        key = cache.key(dos_scenario, 10, seed=4, engine="fast", horizon=None)
+        key = store.key(dos_scenario, 10, seed=4, engine="fast", horizon=None)
         calls = self._decode_counter(monkeypatch)
         _npz_lru_clear()
-        cache.store(key, result)
-        assert cache.load(key, dos_scenario) is not None
+        store.store(key, result)
+        assert store.load(key, dos_scenario) is not None
         assert calls["n"] == 0  # the write primed the LRU
 
     def test_file_change_invalidates_lru(
         self, tmp_path, dos_scenario, monkeypatch
     ):
-        cache = ResultCache(tmp_path)
+        store = ResultStore(tmp_path)
         result = monte_carlo(dos_scenario, runs=10, seed=5)
-        key = cache.key(dos_scenario, 10, seed=5, engine="fast", horizon=None)
-        cache.store(key, result)
+        key = store.key(dos_scenario, 10, seed=5, engine="fast", horizon=None)
+        store.store(key, result)
         _npz_lru_clear()
-        assert cache.load(key, dos_scenario) is not None
+        assert store.load(key, dos_scenario) is not None
 
         # Poison the on-disk entry; the cached decode must NOT mask it.
-        path = cache.path_for(key)
+        path = store.path_for(key)
         path.write_bytes(b"not an npz file at all")
-        loaded, status = cache.load_ex(key, dos_scenario)
+        loaded, status = store.load_ex(key, dos_scenario)
         assert loaded is None
         assert status == "corrupt"
 
     def test_deleted_file_is_a_miss_despite_lru(
         self, tmp_path, dos_scenario
     ):
-        cache = ResultCache(tmp_path)
+        store = ResultStore(tmp_path)
         result = monte_carlo(dos_scenario, runs=10, seed=6)
-        key = cache.key(dos_scenario, 10, seed=6, engine="fast", horizon=None)
-        cache.store(key, result)
-        assert cache.load(key, dos_scenario) is not None
-        cache.path_for(key).unlink()
-        loaded, status = cache.load_ex(key, dos_scenario)
+        key = store.key(dos_scenario, 10, seed=6, engine="fast", horizon=None)
+        store.store(key, result)
+        assert store.load(key, dos_scenario) is not None
+        store.path_for(key).unlink()
+        loaded, status = store.load_ex(key, dos_scenario)
         assert loaded is None
         assert status == "miss"
