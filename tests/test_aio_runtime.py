@@ -1,6 +1,7 @@
 """The asyncio cluster runtime (`repro.aio`)."""
 
 import asyncio
+import dataclasses
 import threading
 import time
 
@@ -10,6 +11,7 @@ from repro.adversary import AttackSpec
 from repro.aio import AioCluster, AioClusterConfig, run_aio_experiment
 from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.api import Experiment, result_from_dict
+from repro.des.cluster import ClusterConfig, GroupConfig, _Cluster
 from repro.des.measurement import MeasurementResult
 from repro.net import UdpTransport
 from repro.obs import MemorySink, Tracer
@@ -145,6 +147,53 @@ class TestRunAioExperiment:
         )
         assert result.residual_reliability() >= 0.99
         assert tracer.counters.reconcile_measurement(result) == []
+
+
+class TestOneHost:
+    """The wall clock hosts the DES's group: one build, one seed order."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(n=8),
+            dict(
+                n=12, malicious_fraction=0.25,
+                attack=AttackSpec(alpha=0.25, x=8),
+                faults="crash@2-4:0.25; loss:0.02; delay:4~2",
+            ),
+        ],
+        ids=["plain", "attacked-faulty"],
+    )
+    def test_a_seeded_aio_cluster_lays_out_the_des_group(self, fields):
+        config = AioClusterConfig(round_duration_ms=50.0, **fields)
+        group = {
+            f.name: getattr(config, f.name)
+            for f in dataclasses.fields(GroupConfig)
+        }
+        des = _Cluster(ClusterConfig(**group), 5)
+        des.start()
+
+        async def go():
+            cluster = AioCluster(config, seed=5)
+            await cluster.start()
+            try:
+                return (
+                    {
+                        pid: node.rng.bit_generator.state
+                        for pid, node in cluster.nodes.items()
+                    },
+                    [a.rng.bit_generator.state for a in cluster.attackers],
+                )
+            finally:
+                await cluster.stop()
+
+        nodes, attackers = asyncio.run(go())
+        assert nodes == {
+            pid: node.rng.bit_generator.state
+            for pid, node in des.nodes.items()
+        }
+        assert attackers == [a.rng.bit_generator.state for a in des.attackers]
+        assert len(attackers) == (config.attack is not None)
 
 
 class TestAioClusterLifecycle:
