@@ -8,11 +8,12 @@ in-process datagram loopback
 (:class:`~repro.aio.transport.AioUdpBridge` over
 :class:`~repro.net.transport.UdpTransport`).
 
-It is the repository's one wall-clock stack.  It spends one heap entry
-per node round rather than an OS thread per node, so group sizes in the
-thousands fit in a single process.  Wall-clock contention shows up as slow motion — every timer and link
-delay on the one :class:`~repro.aio.env.LoopClock` stretches together,
-and purging counts *local* rounds — so reliability survives load.
+It is the repository's one wall-clock stack: the DES's cluster host
+(:class:`~repro.des.cluster._Cluster`) on a wall-clock network, one
+heap entry per node round rather than an OS thread per node.  Load
+shows up as slow motion — every timer and link delay on the one
+:class:`~repro.aio.env.LoopClock` stretches together, and purging
+counts *local* rounds — so reliability survives load.
 
 Entry points:
 

@@ -4,10 +4,12 @@
 discrete-event heap, pumped from an :mod:`asyncio` loop — and
 :class:`AsyncEnvironment` gives one :class:`~repro.des.node.GossipNode`
 (or :class:`~repro.des.attacker.AttackerProcess`) time, timers and a
-datagram service on it.  All callbacks execute on the loop, so no lock
-is needed to serialise protocol logic: cooperative scheduling *is* the
-lock.  Time is milliseconds since the clock's creation, matching the
-contract of :class:`~repro.des.environment.Environment`.
+datagram service on it.  Neither draws randomness: every stream a
+node or attacker reads is its own, seeded by the cluster host.  All
+callbacks execute on the loop, so no lock is needed to serialise
+protocol logic: cooperative scheduling *is* the lock.  Time is
+milliseconds since the clock's creation, matching the contract of
+:class:`~repro.des.environment.Environment`.
 """
 
 from __future__ import annotations
@@ -17,14 +19,10 @@ import functools
 import math
 from typing import Callable, Dict, Optional
 
-import numpy as np
-
 from repro.des.engine import EventHandle, EventLoop
 from repro.des.environment import Environment, Handler
 from repro.net.address import Address
 from repro.net.transport import Transport
-from repro.util import derive_rng
-from repro.util.rng import SeedLike
 
 
 class LoopClock(EventLoop):
@@ -150,11 +148,13 @@ class LoopClock(EventLoop):
 class AsyncEnvironment(Environment):
     """One node's view of a shared clock and a shared transport.
 
-    Every scheduled callback and every bound handler fires on the
-    clock's loop.  ``on_error`` receives exceptions escaping a timer or
-    receive callback — the loop would otherwise swallow them into its
-    exception handler and the node would just go quiet (see the
-    cluster's node watchdog).
+    The cluster host builds one per node (and one per attacker) and
+    re-points :attr:`transport` when a fault plan wraps it.  Every
+    scheduled callback and every bound handler fires on the clock's
+    loop.  ``on_error`` receives exceptions escaping a timer or receive
+    callback — the loop would otherwise swallow them into its exception
+    handler and the node would just go quiet (see the cluster's node
+    watchdog).
     """
 
     def __init__(
@@ -162,12 +162,10 @@ class AsyncEnvironment(Environment):
         transport: Transport,
         *,
         clock: LoopClock,
-        seed: SeedLike = None,
         on_error: Optional[Callable[[BaseException], None]] = None,
     ):
         self.transport = transport
         self.clock = clock
-        self._rng = derive_rng(seed)
         self._closed = False
         self.on_error = on_error
 
@@ -199,10 +197,6 @@ class AsyncEnvironment(Environment):
 
     def send(self, src: Address, dst: Address, payload: object) -> None:
         self.transport.send(src, dst, payload)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._rng
 
     def close(self) -> None:
         """Refuse further callbacks; pending timers fire as no-ops."""

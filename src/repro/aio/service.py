@@ -7,7 +7,8 @@ experiment:
 
 - ``{"op": "start", "n": 2000, ...}`` — build and start a cluster;
 - ``{"op": "multicast", "payload": "..."}`` — inject application
-  traffic;
+  traffic (from ``"source"``, default 0; a down or unknown source
+  answers ``"ok": false`` naming it, and nothing is sent);
 - ``{"op": "inject", "faults": "crash@3:0.2"}`` /
   ``{"op": "inject", "attack": {"alpha": 0.1, "x": 128}}`` — fault
   plans and DoS floods against the live group;
@@ -418,10 +419,14 @@ class GossipService:
     async def _op_multicast(self, request: dict) -> dict:
         cluster = self._require_cluster()
         payload = request.get("payload", "")
+        source = int(request.get("source", cluster.config.source))
         msg_id = cluster.multicast(
-            int(request.get("source", cluster.config.source)),
-            payload.encode() if isinstance(payload, str) else payload,
+            source, payload.encode() if isinstance(payload, str) else payload
         )
+        if msg_id is None:
+            raise ValueError(
+                f"node {source} is down or not a member; nothing was sent"
+            )
         response = {"ok": True, "msg_id": list(msg_id)}
         fraction = request.get("await_fraction")
         if fraction is not None:

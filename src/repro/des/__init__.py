@@ -11,8 +11,9 @@ measurement.  The same node logic also runs in wall-clock time over
 loopback or UDP transports (:mod:`repro.aio`).
 
 One host, :class:`~repro.des.cluster._Cluster`, runs every DES
-experiment; membership is its input — a plan with churn tokens makes
-it a CA-certified dynamic group (Section 10,
+experiment and, as :class:`~repro.aio.cluster.AioCluster`, every
+wall-clock one; membership is its input — a plan with churn tokens
+makes it a CA-certified dynamic group (Section 10,
 :mod:`repro.des.churn`) instead of a static one.
 
 Key entry points:

@@ -1,7 +1,9 @@
-"""The DES cluster host and its experiment drivers (Section 8).
+"""The cluster host and the DES experiment drivers (Section 8).
 
-:class:`_Cluster` is the one discrete-event host: environment, nodes,
-attacker, fault wiring and delivery log.  Membership is an input — a
+:class:`_Cluster` is the one cluster host — nodes, keys, attackers,
+fault wiring and delivery log — on the virtual clock here and, as
+:class:`~repro.aio.cluster.AioCluster`, on the wall clock.  Membership
+is an input — a
 static group is ``GossipNode``\\ s over ``range(n)``; a plan with churn
 tokens builds CA-certified :class:`~repro.des.churn.MemberNode`\\ s and
 fires each join/leave/expel at its fault-clock round boundary, every
@@ -177,31 +179,40 @@ class ClusterConfig(GroupConfig):
 
 
 class _Cluster:
-    """A built cluster: environment, nodes, attacker, faults, delivery log.
+    """The one cluster host: nodes, keys, attackers, faults, delivery log.
 
-    Seed draw order (seeded runs replay it): environment → correct ids →
-    joiner ids (churn only) → attacker (only with an attack) → faults
-    (only with a plan).  A static group builds no CA and schedules no
-    probe, so its heap sequence is that of a cluster without churn
-    support.
+    Both clocks run this build.  Seed draw order (seeded runs replay
+    it): network → correct ids → joiner ids (churn only) → attackers
+    (only with an attack) → faults (only with a plan).  A static group
+    builds no CA and schedules no probe, so its heap sequence is that
+    of a cluster without churn support.
+
+    A stack supplies only the network: :meth:`_build_network` (draws
+    the first seed, sets :attr:`clock`), :meth:`_env_for`,
+    :meth:`_shape_links` and :meth:`_stamp` — here one
+    :class:`SimEnvironment` on the virtual clock, in
+    :class:`~repro.aio.cluster.AioCluster` a transport and a
+    :class:`~repro.aio.env.LoopClock`.
     """
+
+    #: The stack named in ``run_start``.
+    stack = "des"
 
     def __init__(
         self, config: ClusterConfig, seed: SeedLike = None, *, tracer=None
     ):
+        self._setup(config, seed, tracer)
+        self._build()
+
+    def _setup(self, config: GroupConfig, seed: SeedLike, tracer) -> None:
+        """The host's state that needs neither a clock nor a seed."""
         self.config = config
-        # Observability: a repro.obs Tracer or None.  DES events are
-        # continuous-time, stamped with ``t`` (sim ms); the tracer draws
-        # no randomness, so traced and untraced runs are identical.
+        # Observability: a repro.obs Tracer or None.  Events are
+        # continuous-time, stamped with ``t`` (ms); the tracer draws no
+        # randomness, so traced and untraced runs are identical.
         self.tracer = tracer
         self.round_ms = float(config.round_duration_ms)
-        seeds = SeedSequenceFactory(seed)
-        self.env = SimEnvironment(
-            loss=config.loss,
-            latency_range_ms=config.latency_range_ms,
-            seed=seeds.next_seed(),
-            tracer=tracer,
-        )
+        self._seeds = SeedSequenceFactory(seed)
         self.log = DeliveryLog(tracer)
         #: Per-message buffer-lifetime overrides, honoured by every node
         #: (a tracked message can outlive normal purging everywhere);
@@ -215,14 +226,25 @@ class _Cluster:
         #: Serial counter scoped to this cluster: repeated seeded runs
         #: mint identical message ids, so envelopes compare byte-equal.
         self.msg_ids = MessageIdFactory()
-        #: The plan resolved against the group (seedless).
+        #: The installed plan resolved against the group (seedless).
         self.schedule: Optional[FaultSchedule] = None
         if config.faults is not None:
             self.schedule = FaultSchedule(
                 config.faults, n=config.n, num_alive_correct=config.num_correct
             )
         self.churn = self.schedule is not None and self.schedule.has_churn
+        #: Where fault round 1 starts on :attr:`clock`.
+        self._fault_origin = 0.0
+        self.proto_cfg = config.protocol_config()
+        self.nodes: Dict[int, Union[GossipNode, MemberNode]] = {}
+        #: Members that left or were expelled (churn): a rejoin reuses them.
+        self.departed: Dict[int, MemberNode] = {}
+        self.attackers: List[AttackerProcess] = []
 
+    def _build(self) -> None:
+        """Network, nodes, keys, attackers and faults, in seed order."""
+        config, seeds, tracer = self.config, self._seeds, self.tracer
+        self._build_network(seeds.next_seed())
         # Seeds are pre-drawn in id order for the full id universe, so a
         # node's RNG stream depends only on its id — not on when the
         # event loop happens to construct it.
@@ -233,54 +255,25 @@ class _Cluster:
             for _, _, first, count in self.schedule.join_blocks():
                 for pid in range(first, first + count):
                     self._node_seeds[pid] = seeds.next_seed()
-        self.proto_cfg = config.protocol_config()
-        self.nodes: Dict[int, Union[GossipNode, MemberNode]] = {}
-        #: Members that left or were expelled (churn): a rejoin reuses them.
-        self.departed: Dict[int, MemberNode] = {}
-        if self.churn:
             self._build_membership()
         else:
             members = list(range(config.n))
             for pid in config.correct_ids():
                 self.nodes[pid] = GossipNode(
-                    self.env, pid, self.proto_cfg, members,
-                    on_deliver=self.log.delivered, **self._node_kwargs(pid),
+                    self._env_for(pid), pid, self.proto_cfg, members,
+                    **self._node_kwargs(pid),
                 )
         self._share_keys()
-
-        self.attacker: Optional[AttackerProcess] = None
         if config.attack is not None:
-            self.attacker = AttackerProcess(
-                self.env,
-                config.attack,
-                config.protocol,
-                config.attacked_ids(),
-                round_duration_ms=config.round_duration_ms,
-                seed=seeds.next_seed(),
-            )
-
+            self._spawn_attacker(config.attack, seeds.next_seed())
         # Fault wiring comes last, and its seed draw only happens when a
         # plan is present — faultless seeded clusters replay their
-        # historical streams exactly.  The environment's hooks are
-        # post-construction, so its seed position never moves either.
+        # historical streams exactly.
         if self.schedule is not None:
-            fault_seed = seeds.next_seed()
-            link = config.faults.link
-            if link is not None:
-                if link.affects_loss:
-                    self.env.loss_model = GilbertElliottModel.from_link_faults(
-                        link, seed=fault_seed
-                    )
-                if link.shapes_timing:
-                    self.env.link_faults = link
-            if config.faults.events:
-                self.env.block_fn = self._blocks
-            arm_flips(
-                self.env.loop, self.schedule, self.nodes, self.round_ms, tracer
-            )
+            self._install_faults(self.schedule, seeds.next_seed())
         if self.churn:
             self._schedule_churn_ops()
-            self.env.schedule(self.round_ms, self._probe)
+            self.clock.schedule(self.round_ms, self._probe)
 
         # run_start last: every seed position above is already consumed.
         if tracer is not None:
@@ -289,27 +282,85 @@ class _Cluster:
                 if self.churn else {}
             )
             tracer.run_start(
-                "des", continuous=True,
+                self.stack, continuous=True,
                 protocol=config.protocol.value, n=config.n, **extra,
             )
+
+    # -- the network (what a stack supplies) ---------------------------------
+
+    def _build_network(self, seed) -> None:
+        """Build the network from the run's first seed; set :attr:`clock`."""
+        self.env = SimEnvironment(
+            loss=self.config.loss,
+            latency_range_ms=self.config.latency_range_ms,
+            seed=seed,
+            tracer=self.tracer,
+        )
+        self.clock = self.env.loop
+
+    def _env_for(self, pid: Optional[int]):
+        """The environment of node ``pid`` (None: an attacker)."""
+        return self.env
+
+    def _shape_links(self, plan: FaultPlan, seed) -> None:
+        """Apply ``plan``'s link conditions and cuts to every send.  The
+        environment's hooks are post-construction, so its seed position
+        never moves."""
+        link = plan.link
+        if link is not None:
+            if link.affects_loss:
+                self.env.loss_model = GilbertElliottModel.from_link_faults(
+                    link, seed=seed
+                )
+            if link.shapes_timing:
+                self.env.link_faults = link
+        if plan.events:
+            self.env.block_fn = self._blocks
+
+    def _stamp(self) -> float:
+        """Now, as the delivery log records it (ms)."""
+        return self.clock.now
 
     # -- construction --------------------------------------------------------
 
     def _node_kwargs(self, pid: int) -> dict:
         return dict(
             seed=self._node_seeds[pid],
+            on_deliver=self._record,
             ttl_policy=self._ttl_for,
             registry=self.registry,
             id_factory=self.msg_ids,
         )
 
+    def _record(self, pid: int, message, now_ms: float) -> None:
+        self.log.delivered(pid, message, self._stamp())
+
     def _ttl_for(self, message) -> Optional[int]:
         return self.ttl_overrides.get(message.msg_id, self._pending_ttl)
 
     def _share_keys(self) -> None:
+        """One key directory, shared by every node (no node writes it)."""
         keys = {pid: node.keys.public for pid, node in self.nodes.items()}
         for node in self.nodes.values():
             node.learn_keys(keys)
+
+    def _spawn_attacker(self, spec: AttackSpec, seed) -> AttackerProcess:
+        config = self.config
+        attacker = AttackerProcess(
+            self._env_for(None), spec, config.protocol,
+            list(range(spec.victim_count(config.n))),
+            round_duration_ms=config.round_duration_ms, seed=seed,
+        )
+        self.attackers.append(attacker)
+        return attacker
+
+    def _install_faults(self, schedule: FaultSchedule, seed) -> None:
+        """The one install path for a plan, configured or injected: fault
+        round 1 starts now, and crash windows go on the clock."""
+        self.schedule = schedule
+        self._fault_origin = self.clock.now
+        self._shape_links(schedule.plan, seed)
+        arm_flips(self.clock, schedule, self.nodes, self.round_ms, self.tracer)
 
     def _build_membership(self) -> None:
         """Certified members for the initial correct ids, bootstrapped
@@ -344,8 +395,7 @@ class _Cluster:
 
     def _build_member(self, pid: int) -> MemberNode:
         return MemberNode(
-            self.env, pid, self.proto_cfg, self.ca,
-            on_deliver=self.log.delivered,
+            self._env_for(pid), pid, self.proto_cfg, self.ca,
             on_membership=self._on_membership,
             failure_timeout_rounds=float(FD_TIMEOUT_ROUNDS),
             **self._node_kwargs(pid),
@@ -353,16 +403,18 @@ class _Cluster:
 
     # -- the global fault clock ----------------------------------------------
 
-    def _fault_round(self) -> int:
-        """The 1-based fault round: r spans [(r-1)·R, r·R) from time 0."""
-        return int(self.env.now() // self.round_ms) + 1
+    def _fault_round(self, at_ms: Optional[float] = None) -> int:
+        """The 1-based fault round at ``at_ms`` (default: now) on
+        :attr:`clock`: r spans [(r-1)·R, r·R) from the fault origin."""
+        at_ms = self.clock.now if at_ms is None else at_ms
+        return int((at_ms - self._fault_origin) // self.round_ms) + 1
 
     def _blocks(self, src_node: int, dst_node: int) -> bool:
         return self.schedule.blocks(self._fault_round(), src_node, dst_node)
 
     def reachable_ids(self, horizon_ms: float):
         """Correct ids that can hold the stream at ``horizon_ms``."""
-        return self.schedule.reachable_ids(int(horizon_ms // self.round_ms) + 1)
+        return self.schedule.reachable_ids(self._fault_round(horizon_ms))
 
     # -- scheduled membership ops --------------------------------------------
 
@@ -370,7 +422,7 @@ class _Cluster:
         """Fire every resolved membership event at its round boundary."""
 
         def at(round_no: int, op, ids: List[int]) -> None:
-            self.env.loop.schedule((round_no - 1) * self.round_ms, op, ids)
+            self.clock.schedule((round_no - 1) * self.round_ms, op, ids)
 
         for start, stop, first, count in self.schedule.join_blocks():
             ids = list(range(first, first + count))
@@ -400,7 +452,7 @@ class _Cluster:
         record = {
             "kind": kind,
             "subject": subject,
-            "t_fire": self.env.now(),
+            "t_fire": self.clock.now,
             "expected": frozenset(
                 pid for pid, member in self.nodes.items()
                 if member.running and pid != subject
@@ -421,7 +473,7 @@ class _Cluster:
             self._share_keys()
             self._announce("join", event, pid)
         if self.tracer is not None:
-            self.tracer.member_join(ids, t=self.env.now())
+            self.tracer.member_join(ids, t=self.clock.now)
 
     def _leave(self, ids: List[int]) -> None:
         departed = []
@@ -436,7 +488,7 @@ class _Cluster:
             if event is not None:
                 self._announce("leave", event, pid)
         if self.tracer is not None and departed:
-            self.tracer.member_leave(departed, t=self.env.now())
+            self.tracer.member_leave(departed, t=self.clock.now)
 
     def _expel(self, ids: List[int]) -> None:
         for pid in ids:
@@ -449,7 +501,7 @@ class _Cluster:
             if cert is not None:
                 self._announce("expel", ExpelEvent(pid, cert), pid)
         if self.tracer is not None and ids:
-            self.tracer.member_expel(ids, t=self.env.now())
+            self.tracer.member_expel(ids, t=self.clock.now)
 
     def _on_membership(self, pid: int, event, now: float) -> None:
         kind = {
@@ -473,7 +525,7 @@ class _Cluster:
         views without touching its membership status — and one answered
         probe rehabilitates it.
         """
-        now_s = self.env.now() / 1000.0
+        now_s = self.clock.now / 1000.0
         round_no = self._fault_round()
         for pid, member in self.nodes.items():
             if not member.running:
@@ -492,29 +544,29 @@ class _Cluster:
             newly = detector.check(now_s)
             if self.tracer is not None:
                 if newly:
-                    self.tracer.suspect(newly, t=self.env.now(), by=pid)
+                    self.tracer.suspect(newly, t=self.clock.now, by=pid)
                 healed = sorted(before - detector.suspected)
                 if healed:
-                    self.tracer.rehabilitate(healed, t=self.env.now(), by=pid)
+                    self.tracer.rehabilitate(healed, t=self.clock.now, by=pid)
             member._refresh_views()
         # The delay is the absolute next-round time, so probes fire at
         # R, 3R, 7R, ... — the seeded churn envelopes record this cadence.
-        self.env.schedule(self.env.now() + self.round_ms, self._probe)
+        self.clock.schedule(self.clock.now + self.round_ms, self._probe)
 
-    # -- lifecycle and the tracked stream ------------------------------------
+    # -- lifecycle, the tracked stream and its measurement --------------------
 
     def start(self) -> None:
         for node in self.nodes.values():
             node.start()
-        if self.attacker is not None:
-            self.attacker.start()
+        for attacker in self.attackers:
+            attacker.start()
 
     def stop(self) -> None:
         for node in [*self.nodes.values(), *self.departed.values()]:
             if node.running:
                 node.stop()
-        if self.attacker is not None:
-            self.attacker.stop()
+        for attacker in self.attackers:
+            attacker.stop()
 
     def multicast_tracked(
         self, pid: int, payload: object, *, ttl: Optional[int] = None
@@ -526,7 +578,7 @@ class _Cluster:
         node = self.nodes.get(pid)
         if node is None or not node.running:
             return None
-        created = self.env.now()
+        created = self._stamp()
         self._pending_ttl = ttl
         try:
             msg = node.multicast(payload)
@@ -536,6 +588,43 @@ class _Cluster:
             self.ttl_overrides[msg.msg_id] = ttl
         self.log.sent(pid, msg.msg_id, created)
         return msg.msg_id
+
+    def measurement(
+        self,
+        send_rate: float,
+        messages_sent: int,
+        start_ms: float,
+        end_ms: float,
+        *,
+        horizon_ms: float,
+        churn: Optional[Dict[str, object]] = None,
+    ) -> MeasurementResult:
+        """Package the delivery log.  Receivers are the correct ids that
+        sent no tracked message; under a plan, reachability is read at
+        ``horizon_ms`` on :attr:`clock`."""
+        config = self.config
+        sources = {mid[0] for mid in self.log.created_at} or {config.source}
+        receivers = [
+            pid for pid in config.correct_ids() if pid not in sources
+        ]
+        reachable = faults = None
+        if self.schedule is not None:
+            faults = self.schedule.plan.describe()
+            ids = self.reachable_ids(horizon_ms)
+            reachable = [pid for pid in receivers if pid in ids]
+        return MeasurementResult(
+            protocol=config.protocol.value,
+            n=config.n,
+            correct_receivers=receivers,
+            send_rate=send_rate,
+            messages_sent=messages_sent,
+            experiment_start_ms=start_ms,
+            experiment_end_ms=end_ms,
+            deliveries=list(self.log.deliveries),
+            reachable_receivers=reachable,
+            faults=faults,
+            churn=churn,
+        )
 
 
 def run_throughput_experiment(
@@ -556,46 +645,28 @@ def run_throughput_experiment(
         t0 = float(t0)  # churn envelopes have always stamped a float start
     interval = 1000.0 / config.send_rate
     for i in range(config.messages):
-        cluster.env.loop.schedule(
+        cluster.clock.schedule(
             t0 + i * interval,
             cluster.multicast_tracked, config.source, f"msg-{i}".encode(),
         )
 
     t_send_end = t0 + config.messages * interval
     horizon_ms = t_send_end + (config.purge_rounds + 3) * round_ms
-    schedule = cluster.schedule
+    churn: Optional[Dict[str, object]] = None
     if cluster.churn:
+        schedule = cluster.schedule
         lag = schedule.awareness_lag(config.fan_out)
         settle = (schedule.last_event_round() + lag + 2) * round_ms
         horizon_ms = max(horizon_ms, settle)
-    cluster.env.loop.run_until(horizon_ms)
+    cluster.clock.run_until(horizon_ms)
     cluster.stop()
-
-    reachable: Optional[List[int]] = None
-    faults_desc: Optional[str] = None
-    churn: Optional[Dict[str, object]] = None
-    if schedule is not None:
-        faults_desc = config.faults.describe()
-        reachable_ids = cluster.reachable_ids(horizon_ms)
-        reachable = [
-            pid for pid in config.receiver_ids() if pid in reachable_ids
-        ]
-        if cluster.churn:
-            churn = churn_metrics(cluster, horizon_ms, reachable_ids)
-
-    deliveries = cluster.log.deliveries
-    result = MeasurementResult(
-        protocol=config.protocol.value,
-        n=config.n,
-        correct_receivers=config.receiver_ids(),
-        send_rate=config.send_rate,
-        messages_sent=config.messages,
-        experiment_start_ms=t0,
-        experiment_end_ms=t_send_end,
-        deliveries=deliveries,
-        reachable_receivers=reachable,
-        faults=faults_desc,
-        churn=churn,
+    if cluster.churn:
+        churn = churn_metrics(
+            cluster, horizon_ms, cluster.reachable_ids(horizon_ms)
+        )
+    result = cluster.measurement(
+        config.send_rate, config.messages, t0, t_send_end,
+        horizon_ms=horizon_ms, churn=churn,
     )
     if tracer is not None:
         counts = (
@@ -604,7 +675,7 @@ def run_throughput_experiment(
         )
         tracer.run_end(
             t=horizon_ms,
-            delivered=len(deliveries),
+            delivered=len(result.deliveries),
             messages=config.messages,
             **counts,
         )
@@ -633,54 +704,43 @@ def run_single_message_experiment(
         raise ValueError(f"runs must be >= 1, got {runs}")
     results = []
     seeds = SeedSequenceFactory(seed)
-    long_lived = config
     for _ in range(runs):
-        cluster = _Cluster(long_lived, seeds.next_seed())
+        cluster = _Cluster(config, seeds.next_seed())
         cluster.start()
 
         # Background multicasts: every node keeps its buffer non-empty.
-        if long_lived.background_rate > 0:
-            bg_interval = long_lived.round_duration_ms / long_lived.background_rate
+        if config.background_rate > 0:
+            bg_interval = config.round_duration_ms / config.background_rate
             horizon_ms = (
-                long_lived.warmup_rounds + horizon_rounds
-            ) * long_lived.round_duration_ms
+                config.warmup_rounds + horizon_rounds
+            ) * config.round_duration_ms
             for pid, node in cluster.nodes.items():
-                offset = float(cluster.env.rng.uniform(0, bg_interval))
-                when = offset
+                when = float(cluster.env.rng.uniform(0, bg_interval))
                 k = 0
                 while when < horizon_ms:
                     def _bg(node=node, k=k) -> None:
                         if node.running:
                             node.multicast(f"bg-{node.pid}-{k}".encode())
 
-                    cluster.env.loop.schedule(when, _bg)
+                    cluster.clock.schedule(when, _bg)
                     when += bg_interval
                     k += 1
 
-        t_inject = long_lived.warmup_rounds * long_lived.round_duration_ms
+        t_inject = config.warmup_rounds * config.round_duration_ms
         tracked: Dict[str, Tuple[int, int]] = {}
 
         def _inject() -> None:
             tracked["id"] = cluster.multicast_tracked(
-                long_lived.source, b"tracked-message",
-                ttl=horizon_rounds + 5,
+                config.source, b"tracked-message", ttl=horizon_rounds + 5
             )
 
-        cluster.env.loop.schedule(t_inject, _inject)
-        cluster.env.loop.run_until(
-            t_inject + horizon_rounds * long_lived.round_duration_ms
-        )
+        cluster.clock.schedule(t_inject, _inject)
+        t_end = t_inject + horizon_rounds * config.round_duration_ms
+        cluster.clock.run_until(t_end)
         cluster.stop()
 
-        result = MeasurementResult(
-            protocol=long_lived.protocol.value,
-            n=long_lived.n,
-            correct_receivers=long_lived.receiver_ids(),
-            send_rate=0.0,
-            messages_sent=1,
-            experiment_start_ms=t_inject,
-            experiment_end_ms=cluster.env.now(),
-            deliveries=cluster.log.deliveries,
+        result = cluster.measurement(
+            0.0, 1, t_inject, cluster.clock.now, horizon_ms=t_end
         )
         results.append(result.propagation_rounds(tracked["id"], fraction))
     return np.asarray(results)

@@ -49,11 +49,6 @@ class Environment(ABC):
     def send(self, src: Address, dst: Address, payload: object) -> None:
         """Send one datagram (may be lost; closed ports swallow silently)."""
 
-    @property
-    @abstractmethod
-    def rng(self) -> np.random.Generator:
-        """Source of randomness for protocol decisions."""
-
 
 class SimEnvironment(Environment):
     """Deterministic environment over an :class:`EventLoop`.

@@ -160,17 +160,11 @@ class GossipNode:
             )
         return ResourceBounds(bounds)
 
-    def learn_keys(
-        self, keys: Dict[int, PublicKey], *, copy: bool = True
-    ) -> None:
-        """Install the other members' public keys.
-
-        ``copy=False`` adopts ``keys`` as a shared reference instead of
-        copying — the asyncio runtime hands one key directory to
-        thousands of nodes, where per-node copies would be O(n²) dict
-        entries.  Callers using it must not mutate per-node.
-        """
-        self.peer_keys = dict(keys) if copy else keys
+    def learn_keys(self, keys: Dict[int, PublicKey]) -> None:
+        """Adopt the group's key directory — shared, not copied: one
+        directory serves every node, where per-node copies would be
+        O(n²) dict entries.  No node writes it."""
+        self.peer_keys = keys
 
     @property
     def uses_push(self) -> bool:

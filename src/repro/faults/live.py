@@ -19,9 +19,9 @@ A plan is applied with two small pieces:
   :meth:`FaultyTransport.start_clock` — the same global fault clock
   the discrete-event stack uses.
 - :func:`crash_flips` lists the crash / recover windows as round
-  boundaries in milliseconds; :func:`arm_flips` puts them on a
-  cluster's clock as ``node.stop()`` / ``node.start()`` events — the
-  asyncio cluster's and the discrete-event cluster's alike.
+  boundaries in milliseconds; :func:`arm_flips` puts them on the
+  cluster host's clock as ``node.stop()`` / ``node.start()`` events —
+  the virtual one or the asyncio :class:`~repro.aio.env.LoopClock`.
 
 On the wall clock both are deterministic given a seed only up to
 scheduling: the *plan* (who crashes when, which links are cut) is
@@ -38,7 +38,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
 from repro.net.address import Address
 from repro.net.transport import Handler, Transport
-from repro.util import derive_rng
+from repro.util import derive_rng, spawn_seeds
 from repro.util.rng import SeedLike
 
 
@@ -84,10 +84,13 @@ class FaultyTransport(Transport):
         link = plan.link
         self._ge: Optional[GilbertElliottModel] = None
         self._link = None
+        # Loss and timing draw independent children of the one seed, so
+        # no packet's jitter is a function of its loss draw.
+        loss_seed, timing_seed = spawn_seeds(seed, 2)
         if link is not None:
             if link.affects_loss:
                 self._ge = GilbertElliottModel.from_link_faults(
-                    link, seed=seed
+                    link, seed=loss_seed
                 )
                 layer = inner  # the plan's loss replaces the scalar one
                 while layer is not None:
@@ -95,7 +98,7 @@ class FaultyTransport(Transport):
                     layer = getattr(layer, "inner", None)
             if link.shapes_timing:
                 self._link = link
-        self._rng = derive_rng(seed)
+        self._rng = derive_rng(timing_seed)
         self._origin = inner.time()
         self._closed = False
         #: Counters for tests and reports.

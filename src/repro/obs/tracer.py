@@ -1,9 +1,10 @@
 """The tracer: typed event emission with pluggable sinks.
 
 A :class:`Tracer` is handed to an engine (``RoundSimulator(...,
-tracer=t)``, ``run_fast(..., tracer=t)``, ``_Cluster(..., tracer=t)``,
-``AioCluster(..., tracer=t)``); the engine calls the typed helpers
-below at its instrumentation points.  Every helper builds one plain
+tracer=t)``, ``run_fast(..., tracer=t)``) or to the one cluster host
+(``_Cluster(..., tracer=t)`` on the virtual clock, its subclass
+``AioCluster(..., tracer=t)`` on the wall clock); the engine calls the
+typed helpers below at its instrumentation points.  Every helper builds one plain
 dict event, folds it into the tracer's always-on
 :class:`~repro.obs.counters.ObsCounters`, and forwards it to each sink.
 

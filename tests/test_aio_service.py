@@ -186,6 +186,25 @@ class TestGossipService:
         assert stopped["ok"] is True and stopped["deliveries"] > 0
         assert rpc(service, {"op": "status"})["running"] is False
 
+    def test_multicast_from_a_down_or_unknown_pid_is_refused(self, service):
+        rpc(
+            service,
+            {
+                "op": "start", "n": 8, "round_duration_ms": 50.0,
+                "loss": 0.0, "seed": 26,
+            },
+        )
+        rpc(service, {"op": "inject", "faults": "crash@1-1000:0.25"})
+        time.sleep(0.12)
+        for source in (6, 99):
+            reply = rpc(
+                service, {"op": "multicast", "payload": "x", "source": source}
+            )
+            assert reply["ok"] is False
+            assert f"node {source}" in reply["error"]
+        assert rpc(service, {"op": "status"})["tracked_messages"] == 0
+        rpc(service, {"op": "stop"})
+
     def test_status_reports_the_shaper_once_a_plan_is_installed(self, service):
         rpc(
             service,

@@ -19,6 +19,7 @@ from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.faults import FaultPlan, FaultSchedule
 from repro.faults.live import FaultyTransport, arm_flips, crash_flips
 from repro.net import Address, UdpTransport
+from repro.util import SeedSequenceFactory
 
 SHAPED = "loss:0.02; delay:20~10; reorder:0.2; dup:0.1"
 SRC, DST = Address(0, 1), Address(1, 1)
@@ -323,6 +324,16 @@ class TestFaultyTransportOnLoop:
         transport.close()
 
 
+class TestShaperStreams:
+    def test_loss_and_timing_draw_independent_streams(self):
+        # One seed feeds both generators through independent children:
+        # a packet's jitter is no function of its loss draw.
+        seed = SeedSequenceFactory(7).next_seed()
+        faulty = shaper(AioLoopbackTransport(), "loss:0.02; delay:20~10", seed)
+        ge, timing = faulty._ge._rng.random(4), faulty._rng.random(4)
+        assert not (ge == timing).any()
+
+
 class TestShaperBookkeeping:
     def test_delayed_counts_only_packets_actually_armed(self):
         async def go():
@@ -475,8 +486,8 @@ class TestLiveClusterHardening:
             await cluster.stop()  # no-op, no error
 
         cluster = run_cluster(config, 2, stop_twice)
-        for env in cluster.envs.values():
-            assert env._closed
+        for node in cluster.nodes.values():
+            assert node.env._closed
 
     def test_stop_is_exception_safe(self):
         config = AioClusterConfig(protocol="drum", n=4, round_duration_ms=50.0)
@@ -492,8 +503,8 @@ class TestLiveClusterHardening:
             with pytest.raises(OSError, match="stop exploded"):
                 await cluster.stop()
             # Cleanup still happened for everything else.
-            for env in cluster.envs.values():
-                assert env._closed
+            for node in cluster.nodes.values():
+                assert node.env._closed
             assert cluster.transport._closed
             await cluster.stop()  # second call after the failure: no-op
 
@@ -517,6 +528,24 @@ class TestLiveClusterHardening:
         assert cluster.node_errors
         assert cluster.node_errors[0][0] == 1
         assert isinstance(cluster.node_errors[0][1], ValueError)
+
+    def test_a_crashed_or_unknown_pid_multicasts_nothing(self):
+        # As on the DES: a send from a down process is lost, not minted
+        # and gossiped once the process recovers.
+        config = AioClusterConfig(
+            n=8, round_duration_ms=50.0, faults="crash@1-1000:0.25"
+        )
+
+        async def body(cluster):
+            await asyncio.sleep(0.12)
+            assert not cluster.nodes[6].running
+            assert cluster.multicast(6, b"from-a-crashed-pid") is None
+            assert cluster.multicast(99, b"from-no-member") is None
+            assert cluster.multicast(0, b"from-a-live-pid") == (0, 0)
+
+        cluster = run_cluster(config, 1, body)
+        assert set(cluster.log.created_at) == {(0, 0)}
+        assert all(d.msg_id == (0, 0) for d in cluster.log.deliveries)
 
     def test_chaos_plan_on_live_stack(self):
         config = AioClusterConfig(
