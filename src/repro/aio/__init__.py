@@ -9,8 +9,9 @@ in-process datagram loopback
 :class:`~repro.net.transport.UdpTransport`).
 
 It is the repository's one wall-clock stack: the DES's cluster host
-(:class:`~repro.des.cluster._Cluster`) on a wall-clock network, one
-heap entry per node round rather than an OS thread per node.  Load
+(:class:`~repro.des.cluster._Cluster`) and its one network — node
+environments, loopback transport and link — on a wall clock, one heap
+entry per node round rather than an OS thread per node.  Load
 shows up as slow motion — every timer and link delay on the one
 :class:`~repro.aio.env.LoopClock` stretches together, and purging
 counts *local* rounds — so reliability survives load.
@@ -32,7 +33,7 @@ path).
 """
 
 from repro.aio.cluster import AioCluster, AioClusterConfig, run_aio_experiment
-from repro.aio.env import AsyncEnvironment, LoopClock
+from repro.aio.env import LoopClock
 from repro.aio.service import EventStreamSink, GossipService
 from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 
@@ -45,7 +46,6 @@ __all__ = [
     "AioClusterConfig",
     "AioLoopbackTransport",
     "AioUdpBridge",
-    "AsyncEnvironment",
     "EventStreamSink",
     "GossipService",
     "LoopClock",

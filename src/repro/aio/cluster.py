@@ -1,26 +1,25 @@
 """The asyncio cluster: the one cluster host on the wall clock.
 
 :class:`AioCluster` is :class:`~repro.des.cluster._Cluster` — its group
-build, seed order, keys, attackers, crash flips, tracked multicast and
-result packaging — over a wall-clock network: a loopback or UDP
-transport, one :class:`~repro.aio.env.LoopClock` and one
-:class:`~repro.aio.env.AsyncEnvironment` per node.  Nodes are timers on
-a single :mod:`asyncio` loop, not threads, so thousands fit one process.
-Every entry from outside catches the clock up to the wall first, so a
-saturated loop runs the whole protocol in slow motion; purging counts
-local rounds, so reliability survives.  The group, the plan and every
-RNG stream are seed-exact; packet interleaving is not.
+build, seed order, keys, attackers, membership, network, faults,
+tracked multicast and result packaging — on a
+:class:`~repro.aio.env.LoopClock`, with the one link round a loopback
+or UDP transport.  Nodes are timers on a single :mod:`asyncio` loop,
+not threads, so thousands fit one process.  Every entry from outside
+catches the clock up to the wall first, so a saturated loop runs the
+whole protocol in slow motion; purging counts local rounds, so
+reliability survives.  The group, the plan and every RNG stream are
+seed-exact; packet interleaving is not.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.adversary.attacks import AttackSpec
-from repro.aio.env import AsyncEnvironment, LoopClock
+from repro.aio.env import LoopClock
 from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.des.attacker import AttackerProcess
 from repro.des.cluster import GroupConfig, _Cluster
@@ -28,7 +27,6 @@ from repro.des.measurement import MeasurementResult
 from repro.faults.live import FaultyTransport
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
-from repro.net.link import LossModel
 from repro.net.transport import Transport, UdpTransport
 from repro.util.rng import SeedLike
 
@@ -40,8 +38,7 @@ TRANSPORTS = ("loopback", "udp")
 class AioClusterConfig(GroupConfig):
     """One asyncio-cluster configuration: the shared
     :class:`~repro.des.cluster.GroupConfig` with defaults favouring
-    sub-second demo rounds, plus the wall clock's own fields.  Churn
-    tokens are refused — this runtime keeps a fixed membership.
+    sub-second demo rounds, plus the wall clock's own fields.
     """
 
     malicious_fraction: float = 0.0
@@ -70,10 +67,6 @@ class AioClusterConfig(GroupConfig):
             from repro.api.engines import group_size_refusal
 
             raise ValueError(group_size_refusal("aio", self.n))
-        if self.faults is not None and self.faults.has_churn:
-            from repro.api.engines import churn_refusal
-
-            raise ValueError(churn_refusal("aio", self.faults))
 
 
 class AioCluster(_Cluster):
@@ -81,10 +74,8 @@ class AioCluster(_Cluster):
     → ``await start()`` (builds the host on the running loop) →
     multicast → ``await stop()``.
 
-    Its network: the transport and :class:`LoopClock`, one
-    :class:`AsyncEnvironment` per node (so :attr:`node_errors` names
-    the node), and a plan — configured or injected — as a
-    :class:`~repro.faults.live.FaultyTransport` round the transport.
+    Its clock is a :class:`LoopClock` on the running loop, and the link
+    wraps a loopback or UDP transport on it with a base latency of 0.
     Methods assume loop context.
     """
 
@@ -102,10 +93,7 @@ class AioCluster(_Cluster):
         # ``Tracer(..., thread_safe=True)``.
         self._setup(config, seed, tracer)
         self._given_transport = transport
-        self.transport: Optional[Transport] = None
-        #: The fault layer on the send path, once a plan is installed.
-        self.shaper: Optional[FaultyTransport] = None
-        self.node_errors: List[Tuple[int, BaseException]] = []
+        self.transport: Optional[FaultyTransport] = None
         #: Every timer and in-flight datagram of the cluster, once started.
         self.clock: Optional[LoopClock] = None
         self._started_at: Optional[float] = None
@@ -113,50 +101,30 @@ class AioCluster(_Cluster):
 
     # -- the network ----------------------------------------------------------
 
-    def _build_network(self, seed) -> None:
+    def _build_network(self) -> Tuple[Transport, Tuple[float, float]]:
         config = self.config
         loop = asyncio.get_running_loop()
         transport = self._given_transport
         if transport is None:
-            loss = LossModel(config.loss, seed=seed)
             transport = (
-                AioUdpBridge(UdpTransport(loss)) if config.transport == "udp"
-                else AioLoopbackTransport(loss)
+                AioUdpBridge(UdpTransport()) if config.transport == "udp"
+                else AioLoopbackTransport()
             )
         ticks = getattr(transport, "_TICKS_PER_ROUND", 128)  # else as UDP
         self.clock = LoopClock(loop, config.round_duration_ms / ticks)
         attach = getattr(transport, "attach", None)
         if attach is not None:
             attach(loop, self.clock)
-        self.transport = transport
-
-    def _env_for(self, pid: Optional[int]) -> AsyncEnvironment:
-        on_error = (
-            None if pid is None
-            else functools.partial(self._record_node_error, pid)
-        )
-        return AsyncEnvironment(
-            self.transport, clock=self.clock, on_error=on_error
-        )
-
-    def _shape_links(self, plan: FaultPlan, seed) -> None:
-        self.shaper = self.transport = FaultyTransport(
-            self.transport,
-            plan,
-            n=self.config.n,
-            num_alive_correct=self.config.num_correct,
-            round_duration_ms=self.config.round_duration_ms,
-            seed=seed,
-            tracer=self.tracer,
-        )
-        # Handlers stay bound on the inner transport; only the send
-        # path moves.
-        for proc in (*self.nodes.values(), *self.attackers):
-            proc.env.transport = self.shaper
+        return transport, (0.0, 0.0)
 
     def _stamp(self) -> float:
         """Loop time in ms, the base ``loop.time()`` callers measure in."""
         return self.clock.time() * 1000.0
+
+    @property
+    def shaper(self) -> Optional[FaultyTransport]:
+        """The link, once a fault plan is installed (status reports)."""
+        return None if self.schedule is None else self.transport
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -180,7 +148,9 @@ class AioCluster(_Cluster):
         try:
             _Cluster.stop(self)
         finally:
-            for proc in (*self.nodes.values(), *self.attackers):
+            for proc in (
+                *self.nodes.values(), *self.departed.values(), *self.attackers
+            ):
                 proc.env.close()
             if self.transport is not None:
                 self.transport.close()
@@ -196,20 +166,6 @@ class AioCluster(_Cluster):
             raise RuntimeError("cluster is not running")
         self.clock.catch_up()
 
-    # -- node watchdog --------------------------------------------------------
-
-    def _record_node_error(self, pid: int, exc: BaseException) -> None:
-        self.node_errors.append((pid, exc))
-
-    def _check_node_errors(self) -> None:
-        if not self.node_errors:
-            return
-        pid, exc = self.node_errors[0]
-        raise RuntimeError(
-            f"{len(self.node_errors)} node callback error(s); first from "
-            f"node {pid}: {exc!r}"
-        ) from exc
-
     # -- runtime injection (the service's control plane) ----------------------
 
     def inject_faults(self, plan: Union[FaultPlan, str]) -> None:
@@ -220,9 +176,10 @@ class AioCluster(_Cluster):
         if isinstance(plan, str):
             plan = FaultPlan.parse(plan)
         if plan.has_churn:
-            from repro.api.engines import churn_refusal
-
-            raise ValueError(churn_refusal("aio", plan))
+            raise ValueError(
+                f"churn tokens in {plan.describe()!r} need a group built "
+                f"with them: configure the plan before start() instead"
+            )
         if plan.is_empty:
             return
         if self.schedule is not None:
@@ -276,7 +233,12 @@ class AioCluster(_Cluster):
         deadline = loop.time() + timeout_s
         while True:
             self.clock.catch_up()
-            self._check_node_errors()
+            if self.node_errors:
+                pid, exc = self.node_errors[0]
+                raise RuntimeError(
+                    f"{len(self.node_errors)} node callback error(s); "
+                    f"first from node {pid}: {exc!r}"
+                ) from exc
             got = self.log.receivers.get(msg_id, ())
             if len(got) >= needed:
                 return True

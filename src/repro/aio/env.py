@@ -1,28 +1,22 @@
-"""Asyncio implementation of the node environment.
+"""The wall clock of the one cluster host.
 
-:class:`LoopClock` is a cluster's one clock and only time base — the
-discrete-event heap, pumped from an :mod:`asyncio` loop — and
-:class:`AsyncEnvironment` gives one :class:`~repro.des.node.GossipNode`
-(or :class:`~repro.des.attacker.AttackerProcess`) time, timers and a
-datagram service on it.  Neither draws randomness: every stream a
-node or attacker reads is its own, seeded by the cluster host.  All
-callbacks execute on the loop, so no lock is needed to serialise
-protocol logic: cooperative scheduling *is* the lock.  Time is
-milliseconds since the clock's creation, matching the contract of
-:class:`~repro.des.environment.Environment`.
+:class:`LoopClock` is the discrete-event heap
+(:class:`~repro.des.engine.EventLoop`), pumped from an :mod:`asyncio`
+loop: the aio cluster's one clock and only time base, under the same
+node environment, loopback transport and link the virtual clock runs
+(:mod:`repro.des.environment`, :mod:`repro.faults.live`).  It draws no
+randomness.  All callbacks execute on the loop, so no lock is needed to
+serialise protocol logic: cooperative scheduling *is* the lock.  Time
+is milliseconds since the clock's creation.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import math
 from typing import Callable, Dict, Optional
 
 from repro.des.engine import EventHandle, EventLoop
-from repro.des.environment import Environment, Handler
-from repro.net.address import Address
-from repro.net.transport import Transport
 
 
 class LoopClock(EventLoop):
@@ -34,8 +28,12 @@ class LoopClock(EventLoop):
     the wall, which :meth:`catch_up` brings the heap up to.  Stamps read
     :meth:`time`, so the tick (the handle waits for the earliest due
     time rounded *up* to a multiple of ``tick_ms``; 0 coalesces
-    nothing) only sets how often the loop wakes.  Loop thread only.
+    nothing) only sets how often the loop wakes.  A callback's exception
+    goes to the loop's exception handler and the pass goes on.  Loop
+    thread only.
     """
+
+    catches_errors = True
 
     def __init__(self, loop=None, tick_ms: float = 0.0):
         super().__init__()
@@ -59,10 +57,6 @@ class LoopClock(EventLoop):
         if not self._pumping:
             self._now = self._wall()
         return self._now
-
-    def time(self) -> float:
-        """:attr:`now` in ``loop.time()`` seconds — what stamps read."""
-        return self._origin + self.now / 1000.0
 
     def schedule(self, delay_ms: float, fn: Callable, *args) -> EventHandle:
         if self._armed_for == -math.inf:  # closed: nobody would pump it
@@ -131,73 +125,14 @@ class LoopClock(EventLoop):
                 self._arm(self._queue[0][0])
 
     def stats(self) -> Dict[str, float]:
-        """The clock's self-health counters, for status reports."""
         return dict(
-            tick_ms=self.tick_ms, wakes=self.wakes, events=self.events_run,
+            super().stats(), tick_ms=self.tick_ms, wakes=self.wakes,
             late_ms_max=self.late_ms_max, refused=self.refused,
         )
 
     def close(self) -> None:
         """Drop what is pending and never wake again."""
-        self._queue.clear()
+        super().close()
         self._armed_for = -math.inf
         if self._handle is not None:
             self._handle.cancel()
-
-
-class AsyncEnvironment(Environment):
-    """One node's view of a shared clock and a shared transport.
-
-    The cluster host builds one per node (and one per attacker) and
-    re-points :attr:`transport` when a fault plan wraps it.  Every
-    scheduled callback and every bound handler fires on the clock's
-    loop.  ``on_error`` receives exceptions escaping a timer or receive
-    callback — the loop would otherwise swallow them into its exception
-    handler and the node would just go quiet (see the cluster's node
-    watchdog).
-    """
-
-    def __init__(
-        self,
-        transport: Transport,
-        *,
-        clock: LoopClock,
-        on_error: Optional[Callable[[BaseException], None]] = None,
-    ):
-        self.transport = transport
-        self.clock = clock
-        self._closed = False
-        self.on_error = on_error
-
-    def now(self) -> float:
-        return self.clock.now
-
-    def _fire(self, fn: Callable, *args) -> None:
-        if self._closed:
-            return
-        self.clock.catch_up()  # a receive arriving from outside a pass
-        try:
-            fn(*args)
-        except Exception as exc:
-            if self.on_error is None:
-                raise
-            self.on_error(exc)
-
-    def schedule(self, delay_ms: float, fn: Callable, *args) -> object:
-        return self.clock.schedule(delay_ms, self._fire, fn, *args)
-
-    def cancel(self, handle: object) -> None:
-        handle.cancel()
-
-    def bind(self, addr: Address, handler: Handler) -> None:
-        self.transport.bind(addr, functools.partial(self._fire, handler))
-
-    def unbind(self, addr: Address) -> None:
-        self.transport.unbind(addr)
-
-    def send(self, src: Address, dst: Address, payload: object) -> None:
-        self.transport.send(src, dst, payload)
-
-    def close(self) -> None:
-        """Refuse further callbacks; pending timers fire as no-ops."""
-        self._closed = True

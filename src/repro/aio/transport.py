@@ -1,36 +1,29 @@
 """Datagram transports for the asyncio runtime.
 
-Two ways onto the event loop:
+Two ways onto the event loop, both keeping time on a
+:class:`~repro.aio.env.LoopClock` (``schedule`` is an entry in its heap,
+not a thread and not a loop timer of its own; ``now`` its event time):
 
-- :class:`AioLoopbackTransport` — in-process delivery as a zero-delay
-  event on the clock.  Sends from the loop itself (the common case:
-  every node callback runs on the loop) enqueue directly; sends from
-  foreign threads (a service worker, a test harness) marshal through
-  ``call_soon_threadsafe``.
-  Handler lookup happens at *dispatch* time, so a random port unbound
-  between send and delivery dead-letters exactly like a closed socket.
+- :class:`AioLoopbackTransport` — the one in-process
+  :class:`~repro.des.environment.LoopbackTransport` on that clock.
+  Events scheduled from foreign threads (a service worker, a test
+  harness) marshal through ``call_soon_threadsafe``.
 - :class:`AioUdpBridge` — wraps the existing
   :class:`~repro.net.transport.UdpTransport`: real UDP datagrams on
   localhost, with the receiver threads' callbacks marshalled onto the
   loop so node logic still runs single-threaded.
-
-Both keep time on a :class:`~repro.aio.env.LoopClock`: ``call_later``
-is an entry in the clock's event heap, not a thread and not a loop
-timer of its own, and ``time`` is its event time: a shaped link costs
-one heap event per delayed packet, dispatched on the spot when it
-fires (:meth:`deliver`), in due order with the rest of the cluster.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.aio.env import LoopClock
 from repro.des.engine import EventHandle
+from repro.des.environment import LoopbackTransport
 from repro.net.address import Address
-from repro.net.link import LossModel
 from repro.net.transport import Handler, Transport
 
 
@@ -45,13 +38,10 @@ class _LoopTransport(Transport):
     #: wall time of its pass, so the tick is latency on every hop.
     _TICKS_PER_ROUND = 128
 
-    def __init__(self, loss: Optional[LossModel] = None):
-        super().__init__(loss)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self.clock: Optional[LoopClock] = None
-        self._loop_thread: Optional[int] = None
-        self._closed = False
-        self.dropped = 0
+    _loop: Optional[asyncio.AbstractEventLoop] = None
+    _loop_thread: Optional[int] = None
+    _closed = False
+    dropped = 0
 
     def attach(
         self,
@@ -64,15 +54,11 @@ class _LoopTransport(Transport):
         self._loop = self.clock.loop
         self._loop_thread = threading.get_ident()
 
-    def time(self) -> float:
-        """The clock's event time (before :meth:`attach`, the wall)."""
-        return super().time() if self.clock is None else self.clock.time()
-
     def in_context(self) -> bool:
         """True on the loop thread, where the clock's events run."""
         return threading.get_ident() == self._loop_thread
 
-    def call_later(self, delay_s: float, fn: Callable, *args):
+    def schedule(self, delay_ms: float, fn: Callable, *args):
         """An event on the clock; ``fn(*args)`` always runs on the loop
         thread.
 
@@ -85,11 +71,11 @@ class _LoopTransport(Transport):
             return None
         clock = self.clock
         if self.in_context():
-            return clock.schedule(delay_s * 1000.0, fn, *args)
+            return clock.schedule(delay_ms, fn, *args)
         # Off-loop caller: the event heap is not thread-safe, so the
         # loop arms it for the absolute time asked for (the hop does not
         # stretch the delay); the event checks the handle given back here.
-        timer = EventHandle(clock._wall() + delay_s * 1000.0)
+        timer = EventHandle(clock._wall() + delay_ms)
         try:
             loop.call_soon_threadsafe(self._arm_at, timer, fn, args)
         except RuntimeError:
@@ -107,8 +93,8 @@ class _LoopTransport(Transport):
             fn(*args)
 
 
-class AioLoopbackTransport(_LoopTransport):
-    """Loopback transport dispatching every delivery on the event loop.
+class AioLoopbackTransport(_LoopTransport, LoopbackTransport):
+    """The loopback transport on the asyncio loop.
 
     Sends before attachment are dropped like packets on a downed
     interface.
@@ -116,56 +102,6 @@ class AioLoopbackTransport(_LoopTransport):
 
     #: Every hop is a clock event, so the tick only batches wake-ups.
     _TICKS_PER_ROUND = 16
-
-    def __init__(self, loss: Optional[LossModel] = None):
-        super().__init__(loss)
-        self._handlers: Dict[Address, Handler] = {}
-        self.delivered = 0
-
-    def bind(self, addr: Address, handler: Handler) -> None:
-        self._handlers[addr] = handler
-
-    def unbind(self, addr: Address) -> None:
-        self._handlers.pop(addr, None)
-
-    def _dispatch(self, src: Address, dst: Address, payload: object) -> None:
-        if self._closed:
-            return
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self.dropped += 1
-            return
-        self.delivered += 1
-        handler(src, payload)
-
-    def send(self, src: Address, dst: Address, payload: object) -> None:
-        loop = self._loop
-        if self._closed or loop is None or loop.is_closed():
-            self.dropped += 1
-            return
-        if self.loss is not None and not self.loss.delivered():
-            self.dropped += 1
-            return
-        if threading.get_ident() == self._loop_thread:
-            self.clock.schedule(0.0, self._dispatch, src, dst, payload)
-        else:
-            # Off-loop producer (a service worker thread, tests).
-            try:
-                loop.call_soon_threadsafe(self._dispatch, src, dst, payload)
-            except RuntimeError:
-                self.dropped += 1  # loop shut down mid-send
-
-    def deliver(self, src: Address, dst: Address, payload: object) -> None:
-        """``send`` from a clock event that runs no handler itself (a
-        packet the shaper held back): dispatched now, not an event later."""
-        if self._closed or self.loss is not None and not self.loss.delivered():
-            self.dropped += 1
-            return
-        self._dispatch(src, dst, payload)
-
-    def close(self) -> None:
-        self._closed = True
-        self._handlers.clear()
 
 
 class AioUdpBridge(_LoopTransport):
@@ -179,7 +115,7 @@ class AioUdpBridge(_LoopTransport):
     """
 
     def __init__(self, inner: Transport):
-        super().__init__(loss=None)
+        super().__init__()
         self.inner = inner
 
     def bind(self, addr: Address, handler: Handler) -> None:

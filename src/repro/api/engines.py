@@ -2,17 +2,17 @@
 
 Every execution stack registers an :class:`EngineSpec` here — a name, a
 runner, and a declaration of what the stack *can* do
-(:class:`EngineCapabilities`: fault plans, churn, tracing, determinism
-class, group-size ceiling).  ``Experiment.run(engine=...)`` looks the
+(:class:`EngineCapabilities`: fault plans, tracing, determinism class,
+group-size ceiling).  ``Experiment.run(engine=...)`` looks the
 spec up, checks the experiment against the declared capabilities, and
 calls the runner — there is no per-engine ``if``/``elif`` chain
 anywhere in :mod:`repro.api`.
 
 The registry is also the single source of "engine X can't do Y" error
-messages: :func:`churn_refusal` and :func:`group_size_refusal` build
-uniform refusals that name the engines that *can*, so the aio stack's
-churn error and the fast engine's dense-layout error read the same and
-stay correct as new engines register.
+messages: :func:`group_size_refusal` builds a uniform refusal that
+names the engines that *can*, so the aio stack's and the fast engine's
+group-size errors read the same and stay correct as new engines
+register.  Every engine honours churn tokens (join/leave/expel).
 
 A new stack plugs in with::
 
@@ -58,8 +58,6 @@ class EngineCapabilities:
 
     #: Accepts :mod:`repro.faults` plans (crash/partition/loss/...).
     faults: bool = True
-    #: Realises dynamic membership (join/leave/expel fault tokens).
-    churn: bool = False
     #: Emits :mod:`repro.obs` events when handed a tracer.
     tracing: bool = True
     #: One of :data:`DETERMINISM_CLASSES`.
@@ -117,8 +115,6 @@ class EngineSpec:
                     f'engine "{self.name}" does not honour fault plans; '
                     + _use_instead(lambda c: c.faults)
                 )
-            if getattr(plan, "has_churn", False) and not caps.churn:
-                raise EngineCapabilityError(churn_refusal(self.name, plan))
         if caps.max_n is not None and experiment.n > caps.max_n:
             raise EngineCapabilityError(
                 group_size_refusal(self.name, experiment.n)
@@ -180,7 +176,6 @@ def capability_table() -> List[Dict[str, object]]:
             {
                 "engine": spec.name,
                 "faults": caps.faults,
-                "churn": caps.churn,
                 "tracing": caps.tracing,
                 "determinism": caps.determinism,
                 "continuous": caps.continuous,
@@ -208,22 +203,6 @@ def _use_instead(predicate: Callable[[EngineCapabilities], bool]) -> str:
     if not names:
         return "no registered engine supports this"
     return "use " + " or ".join(f'engine="{name}"' for name in names)
-
-
-def churn_refusal(engine: str, plan) -> str:
-    """The uniform "this engine cannot churn" message.
-
-    Names every registered engine whose declared capabilities include
-    dynamic membership, so the message stays correct as stacks register.
-    """
-    return (
-        f'engine "{engine}" cannot honour churn tokens '
-        f"(join/leave/expel) in the fault spec "
-        f"({plan.describe()!r}): it runs a fixed membership with no "
-        f"certification authority.  Drop the churn tokens or "
-        + _use_instead(lambda c: c.churn)
-        + ", which realise dynamic membership"
-    )
 
 
 def group_size_refusal(engine: str, n: int, *, detail: str = "") -> str:
@@ -264,7 +243,7 @@ def _ensure_builtin() -> None:
         EngineSpec(
             name="exact",
             runner="repro.api.experiment:run_exact_engine",
-            capabilities=EngineCapabilities(churn=True, determinism="bit"),
+            capabilities=EngineCapabilities(determinism="bit"),
             summary="object-level round simulator (golden-traced)",
         )
     )
@@ -273,7 +252,7 @@ def _ensure_builtin() -> None:
             name="fast",
             runner="repro.api.experiment:run_fast_engine",
             capabilities=EngineCapabilities(
-                churn=True, determinism="bit", max_n=FAST_MAX_N
+                determinism="bit", max_n=FAST_MAX_N
             ),
             summary="vectorised Monte-Carlo engine (paper-strength sweeps)",
         )
@@ -282,7 +261,7 @@ def _ensure_builtin() -> None:
         EngineSpec(
             name="mega",
             runner="repro.api.experiment:run_mega_engine",
-            capabilities=EngineCapabilities(churn=True, determinism="bit"),
+            capabilities=EngineCapabilities(determinism="bit"),
             summary="packed-bitset engine for mega-scale groups (n to 1e6)",
         )
     )
@@ -291,7 +270,7 @@ def _ensure_builtin() -> None:
             name="des",
             runner="repro.api.experiment:run_des_engine",
             capabilities=EngineCapabilities(
-                churn=True, determinism="bit", continuous=True
+                determinism="bit", continuous=True
             ),
             summary="discrete-event measurement platform (Section 8)",
         )

@@ -154,7 +154,8 @@ class Experiment:
         Dispatch goes through the declared engine registry
         (:mod:`repro.api.engines`): the spec's capability declaration is
         checked first, so asking a stack for something it can't do
-        (churn on ``"aio"``, a mega-scale group on ``"fast"``) raises
+        (a fault plan on a faultless stack, a mega-scale group on
+        ``"fast"``) raises
         one uniform :class:`~repro.api.engines.EngineCapabilityError`
         naming the engines that *can*.
         """

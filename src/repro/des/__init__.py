@@ -12,9 +12,12 @@ loopback or UDP transports (:mod:`repro.aio`).
 
 One host, :class:`~repro.des.cluster._Cluster`, runs every DES
 experiment and, as :class:`~repro.aio.cluster.AioCluster`, every
-wall-clock one; membership is its input — a plan with churn tokens
-makes it a CA-certified dynamic group (Section 10,
-:mod:`repro.des.churn`) instead of a static one.
+wall-clock one, over one network on either clock: a node
+:class:`~repro.des.environment.Environment` per process, a loopback
+transport, and one link (:class:`~repro.faults.live.FaultyTransport`)
+that owns loss, latency, cuts and shaping.  Membership is its input —
+a plan with churn tokens makes it a CA-certified dynamic group
+(Section 10, :mod:`repro.des.churn`) instead of a static one.
 
 Key entry points:
 
@@ -27,7 +30,7 @@ Key entry points:
 """
 
 from repro.des.engine import EventLoop
-from repro.des.environment import Environment, SimEnvironment
+from repro.des.environment import Environment, LoopbackTransport
 from repro.des.node import GossipNode
 from repro.des.attacker import AttackerProcess
 from repro.des.measurement import DeliveryRecord, MeasurementResult
@@ -44,8 +47,8 @@ __all__ = [
     "Environment",
     "EventLoop",
     "GossipNode",
+    "LoopbackTransport",
     "MeasurementResult",
-    "SimEnvironment",
     "run_single_message_experiment",
     "run_throughput_experiment",
 ]

@@ -94,7 +94,7 @@ class AttackerProcess:
     def stop(self) -> None:
         self.running = False
         if self._handle is not None:
-            self.env.cancel(self._handle)
+            self._handle.cancel()
             self._handle = None
 
     def _burst(self) -> None:

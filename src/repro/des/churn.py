@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.crypto.ca import CertificationAuthority
-from repro.des.environment import SimEnvironment
+from repro.des.environment import Environment
 from repro.des.node import GossipNode
 from repro.membership.dynamic import DynamicMembership
 from repro.membership.events import JoinEvent, LeaveEvent, MembershipEvent
@@ -41,7 +41,7 @@ class MemberNode:
 
     def __init__(
         self,
-        env: SimEnvironment,
+        env: Environment,
         pid: int,
         config: ProtocolConfig,
         ca: CertificationAuthority,
@@ -152,6 +152,10 @@ def churn_metrics(cluster, horizon_ms: float, reachable_ids) -> Dict[str, object
     """
     schedule = cluster.schedule
     round_ms = float(cluster.config.round_duration_ms)
+    # Where the clock's 0 and fault round 1 lie in delivery stamps: 0
+    # on the virtual clock, loop time on the wall clock.
+    offset = cluster._stamp() - cluster.clock.now
+    origin = offset + cluster.transport.origin_ms
     join_round = {}
     for at, _stop, first, count in schedule.join_blocks():
         for pid in range(first, first + count):
@@ -166,8 +170,8 @@ def churn_metrics(cluster, horizon_ms: float, reachable_ids) -> Dict[str, object
     for pid in sorted(join_round):
         if pid not in reachable_ids:
             continue
-        t_join = (join_round[pid] - 1) * round_ms
-        t_first = first_delivery.get(pid, horizon_ms)
+        t_join = origin + (join_round[pid] - 1) * round_ms
+        t_first = first_delivery.get(pid, offset + horizon_ms)
         latencies.append(
             max(1.0, math.floor((t_first - t_join) / round_ms) + 1.0)
         )

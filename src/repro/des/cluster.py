@@ -1,13 +1,16 @@
 """The cluster host and the DES experiment drivers (Section 8).
 
 :class:`_Cluster` is the one cluster host — nodes, keys, attackers,
-fault wiring and delivery log — on the virtual clock here and, as
-:class:`~repro.aio.cluster.AioCluster`, on the wall clock.  Membership
-is an input — a
-static group is ``GossipNode``\\ s over ``range(n)``; a plan with churn
-tokens builds CA-certified :class:`~repro.des.churn.MemberNode`\\ s and
-fires each join/leave/expel at its fault-clock round boundary, every
-membership event riding the protocol under test (Section 10).
+network, fault wiring and delivery log — on the virtual clock here and,
+as :class:`~repro.aio.cluster.AioCluster`, on the wall clock.  Both run
+one network: a node :class:`~repro.des.environment.Environment` per
+process over one link (:class:`~repro.faults.live.FaultyTransport`)
+round a loopback transport; only the clock differs.  Membership is an
+input — a static group is ``GossipNode``\\ s over ``range(n)``; a plan
+with churn tokens builds CA-certified
+:class:`~repro.des.churn.MemberNode`\\ s and fires each
+join/leave/expel at its fault-clock round boundary, every membership
+event riding the protocol under test (Section 10).
 
 Two experiment shapes:
 
@@ -24,6 +27,7 @@ Two experiment shapes:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -37,11 +41,11 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.signatures import SignatureRegistry
 from repro.des.attacker import AttackerProcess
 from repro.des.churn import MemberNode, churn_metrics
-from repro.des.environment import SimEnvironment
+from repro.des.engine import EventLoop
+from repro.des.environment import Environment, LoopbackTransport
 from repro.des.measurement import DeliveryLog, MeasurementResult
 from repro.des.node import GossipNode
-from repro.faults.gilbert import GilbertElliottModel
-from repro.faults.live import arm_flips
+from repro.faults.live import FaultyTransport, arm_flips
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FD_TIMEOUT_ROUNDS, FaultSchedule
 from repro.membership.events import ExpelEvent
@@ -187,12 +191,13 @@ class _Cluster:
     builds no CA and schedules no probe, so its heap sequence is that
     of a cluster without churn support.
 
-    A stack supplies only the network: :meth:`_build_network` (draws
-    the first seed, sets :attr:`clock`), :meth:`_env_for`,
-    :meth:`_shape_links` and :meth:`_stamp` — here one
-    :class:`SimEnvironment` on the virtual clock, in
-    :class:`~repro.aio.cluster.AioCluster` a transport and a
-    :class:`~repro.aio.env.LoopClock`.
+    The network is one link, :attr:`transport` (a
+    :class:`~repro.faults.live.FaultyTransport` drawing on the network
+    seed), and one :class:`~repro.des.environment.Environment` per
+    process on it.  A stack supplies only its clock and what the link
+    wraps — :meth:`_build_network`, here the virtual
+    :class:`~repro.des.engine.EventLoop` and a loopback transport — and
+    :meth:`_stamp`.
     """
 
     #: The stack named in ``run_start``.
@@ -233,18 +238,27 @@ class _Cluster:
                 config.faults, n=config.n, num_alive_correct=config.num_correct
             )
         self.churn = self.schedule is not None and self.schedule.has_churn
-        #: Where fault round 1 starts on :attr:`clock`.
-        self._fault_origin = 0.0
         self.proto_cfg = config.protocol_config()
         self.nodes: Dict[int, Union[GossipNode, MemberNode]] = {}
         #: Members that left or were expelled (churn): a rejoin reuses them.
         self.departed: Dict[int, MemberNode] = {}
         self.attackers: List[AttackerProcess] = []
+        #: Exceptions escaping node callbacks, as (pid, exception).
+        self.node_errors: List[Tuple[int, BaseException]] = []
 
     def _build(self) -> None:
         """Network, nodes, keys, attackers and faults, in seed order."""
         config, seeds, tracer = self.config, self._seeds, self.tracer
-        self._build_network(seeds.next_seed())
+        inner, latency_range_ms = self._build_network()
+        #: The one link every process sends through.
+        self.transport = FaultyTransport(
+            inner,
+            round_duration_ms=config.round_duration_ms,
+            seed=seeds.next_seed(),
+            tracer=tracer,
+            loss=config.loss,
+            latency_range_ms=latency_range_ms,
+        )
         # Seeds are pre-drawn in id order for the full id universe, so a
         # node's RNG stream depends only on its id — not on when the
         # event loop happens to construct it.
@@ -286,42 +300,32 @@ class _Cluster:
                 protocol=config.protocol.value, n=config.n, **extra,
             )
 
-    # -- the network (what a stack supplies) ---------------------------------
+    # -- what a stack supplies -----------------------------------------------
 
-    def _build_network(self, seed) -> None:
-        """Build the network from the run's first seed; set :attr:`clock`."""
-        self.env = SimEnvironment(
-            loss=self.config.loss,
-            latency_range_ms=self.config.latency_range_ms,
-            seed=seed,
-            tracer=self.tracer,
-        )
-        self.clock = self.env.loop
-
-    def _env_for(self, pid: Optional[int]):
-        """The environment of node ``pid`` (None: an attacker)."""
-        return self.env
-
-    def _shape_links(self, plan: FaultPlan, seed) -> None:
-        """Apply ``plan``'s link conditions and cuts to every send.  The
-        environment's hooks are post-construction, so its seed position
-        never moves."""
-        link = plan.link
-        if link is not None:
-            if link.affects_loss:
-                self.env.loss_model = GilbertElliottModel.from_link_faults(
-                    link, seed=seed
-                )
-            if link.shapes_timing:
-                self.env.link_faults = link
-        if plan.events:
-            self.env.block_fn = self._blocks
+    def _build_network(self) -> Tuple[LoopbackTransport, Tuple[float, float]]:
+        """Set :attr:`clock`; return what the link wraps and its base
+        latency range (ms)."""
+        self.clock = EventLoop()
+        return LoopbackTransport(self.clock), self.config.latency_range_ms
 
     def _stamp(self) -> float:
         """Now, as the delivery log records it (ms)."""
         return self.clock.now
 
     # -- construction --------------------------------------------------------
+
+    def _env_for(self, pid: Optional[int]) -> Environment:
+        """The environment of node ``pid`` (None: an attacker).  Where
+        the clock catches a callback's exception, it is recorded against
+        the node in :attr:`node_errors` instead."""
+        on_error = (
+            functools.partial(self._record_node_error, pid)
+            if self.clock.catches_errors and pid is not None else None
+        )
+        return Environment(self.transport, clock=self.clock, on_error=on_error)
+
+    def _record_node_error(self, pid: int, exc: BaseException) -> None:
+        self.node_errors.append((pid, exc))
 
     def _node_kwargs(self, pid: int) -> dict:
         return dict(
@@ -358,8 +362,7 @@ class _Cluster:
         """The one install path for a plan, configured or injected: fault
         round 1 starts now, and crash windows go on the clock."""
         self.schedule = schedule
-        self._fault_origin = self.clock.now
-        self._shape_links(schedule.plan, seed)
+        self.transport.install(schedule, seed)
         arm_flips(self.clock, schedule, self.nodes, self.round_ms, self.tracer)
 
     def _build_membership(self) -> None:
@@ -400,21 +403,6 @@ class _Cluster:
             failure_timeout_rounds=float(FD_TIMEOUT_ROUNDS),
             **self._node_kwargs(pid),
         )
-
-    # -- the global fault clock ----------------------------------------------
-
-    def _fault_round(self, at_ms: Optional[float] = None) -> int:
-        """The 1-based fault round at ``at_ms`` (default: now) on
-        :attr:`clock`: r spans [(r-1)·R, r·R) from the fault origin."""
-        at_ms = self.clock.now if at_ms is None else at_ms
-        return int((at_ms - self._fault_origin) // self.round_ms) + 1
-
-    def _blocks(self, src_node: int, dst_node: int) -> bool:
-        return self.schedule.blocks(self._fault_round(), src_node, dst_node)
-
-    def reachable_ids(self, horizon_ms: float):
-        """Correct ids that can hold the stream at ``horizon_ms``."""
-        return self.schedule.reachable_ids(self._fault_round(horizon_ms))
 
     # -- scheduled membership ops --------------------------------------------
 
@@ -526,7 +514,7 @@ class _Cluster:
         probe rehabilitates it.
         """
         now_s = self.clock.now / 1000.0
-        round_no = self._fault_round()
+        round_no = self.transport.current_round()
         for pid, member in self.nodes.items():
             if not member.running:
                 continue
@@ -597,21 +585,25 @@ class _Cluster:
         end_ms: float,
         *,
         horizon_ms: float,
-        churn: Optional[Dict[str, object]] = None,
     ) -> MeasurementResult:
         """Package the delivery log.  Receivers are the correct ids that
         sent no tracked message; under a plan, reachability is read at
-        ``horizon_ms`` on :attr:`clock`."""
+        ``horizon_ms`` on :attr:`clock`, and a churn run carries its
+        ``churn`` payload (:func:`~repro.des.churn.churn_metrics`)."""
         config = self.config
         sources = {mid[0] for mid in self.log.created_at} or {config.source}
         receivers = [
             pid for pid in config.correct_ids() if pid not in sources
         ]
-        reachable = faults = None
+        reachable = faults = churn = None
         if self.schedule is not None:
             faults = self.schedule.plan.describe()
-            ids = self.reachable_ids(horizon_ms)
+            ids = self.schedule.reachable_ids(
+                self.transport.current_round(horizon_ms)
+            )
             reachable = [pid for pid in receivers if pid in ids]
+            if self.churn:
+                churn = churn_metrics(self, horizon_ms, ids)
         return MeasurementResult(
             protocol=config.protocol.value,
             n=config.n,
@@ -652,7 +644,6 @@ def run_throughput_experiment(
 
     t_send_end = t0 + config.messages * interval
     horizon_ms = t_send_end + (config.purge_rounds + 3) * round_ms
-    churn: Optional[Dict[str, object]] = None
     if cluster.churn:
         schedule = cluster.schedule
         lag = schedule.awareness_lag(config.fan_out)
@@ -660,15 +651,12 @@ def run_throughput_experiment(
         horizon_ms = max(horizon_ms, settle)
     cluster.clock.run_until(horizon_ms)
     cluster.stop()
-    if cluster.churn:
-        churn = churn_metrics(
-            cluster, horizon_ms, cluster.reachable_ids(horizon_ms)
-        )
     result = cluster.measurement(
         config.send_rate, config.messages, t0, t_send_end,
-        horizon_ms=horizon_ms, churn=churn,
+        horizon_ms=horizon_ms,
     )
     if tracer is not None:
+        churn = result.churn
         counts = (
             {k: churn[k] for k in ("joined", "left", "expelled")}
             if churn is not None else {}
@@ -715,7 +703,7 @@ def run_single_message_experiment(
                 config.warmup_rounds + horizon_rounds
             ) * config.round_duration_ms
             for pid, node in cluster.nodes.items():
-                when = float(cluster.env.rng.uniform(0, bg_interval))
+                when = float(cluster.transport.rng.uniform(0, bg_interval))
                 k = 0
                 while when < horizon_ms:
                     def _bg(node=node, k=k) -> None:

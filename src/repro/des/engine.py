@@ -2,7 +2,9 @@
 
 A plain priority-queue scheduler over virtual milliseconds.  Events
 scheduled for the same instant fire in scheduling order, which keeps
-runs fully deterministic for a given seed.
+runs fully deterministic for a given seed.  It is the virtual clock of
+the one cluster host; :class:`~repro.aio.env.LoopClock` is the same
+heap fired from an asyncio loop, behind the same surface.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 
 @dataclass(slots=True)
@@ -27,6 +29,12 @@ class EventHandle:
 class EventLoop:
     """A virtual-time event scheduler."""
 
+    #: Seconds at clock time 0, the base :meth:`time` counts from.
+    _origin = 0.0
+    #: Whether a callback's exception stays inside the clock; here it
+    #: propagates out of :meth:`run_until`.
+    catches_errors = False
+
     def __init__(self):
         self._now = 0.0
         self._seq = itertools.count()
@@ -37,6 +45,13 @@ class EventLoop:
     def now(self) -> float:
         """Current virtual time in milliseconds."""
         return self._now
+
+    def time(self) -> float:
+        """:attr:`now` in seconds from :attr:`_origin`."""
+        return self._origin + self.now / 1000.0
+
+    def catch_up(self) -> None:
+        """Virtual time moves only in :meth:`run_until`: nothing is due."""
 
     def schedule(self, delay_ms: float, fn: Callable, *args) -> EventHandle:
         """Run ``fn(*args)`` after ``delay_ms`` of virtual time."""
@@ -88,3 +103,11 @@ class EventLoop:
     def pending(self) -> int:
         """Events still queued (including cancelled tombstones)."""
         return len(self._queue)
+
+    def stats(self) -> Dict[str, float]:
+        """The clock's self-health counters, for status reports."""
+        return {"events": self.events_run}
+
+    def close(self) -> None:
+        """Drop what is pending."""
+        self._queue.clear()

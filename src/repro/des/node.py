@@ -201,7 +201,7 @@ class GossipNode:
         """Halt the round loop and release every port."""
         self.running = False
         if self._round_handle is not None:
-            self.env.cancel(self._round_handle)
+            self._round_handle.cancel()
             self._round_handle = None
         if self.uses_push:
             self.env.unbind(self._offer_addr)

@@ -11,13 +11,12 @@ in contrast to the paper's i.i.d. :class:`~repro.net.link.LossModel`.
 ``reseed()`` surface and a ``loss_probability`` attribute (the
 stationary mean, so code that *reports* the loss rate keeps working).
 The exact round engine swaps it in via ``Network.use_loss_model`` and
-the DES environment via its ``loss_model`` hook, the aio shaper
-(:mod:`repro.faults.live`) directly; the vectorised
-engine keeps its own per-run chain (see ``sim/fast.py``).
+the one link of the DES and aio (:mod:`repro.faults.live`) as its loss
+model; the vectorised engine keeps its own per-run chain (see
+``sim/fast.py``).
 
 Chain stepping mutates state, so one model belongs to one thread: the
-discrete-event loop, or the asyncio loop on which the aio shaper draws
-even for sends made off it.  The golden no-fault hot path never touches
+clock's, on which the link draws even for sends made off it.  The golden no-fault hot path never touches
 this class.
 """
 

@@ -1,32 +1,24 @@
-"""Fault injection on an event clock: the wall-clock runtime
-(:mod:`repro.aio`), and crash windows on the discrete-event cluster.
+"""The one link, and crash windows on the cluster host's clock.
 
-A plan is applied with two small pieces:
+Both clocks of the one cluster host (:mod:`repro.des.cluster`) run one
+network (DESIGN.md §7), applied with two small pieces:
 
-- :class:`FaultyTransport` wraps a clock-bearing
-  :class:`~repro.net.transport.Transport` and applies the plan's *link*
-  conditions (Gilbert–Elliott loss, delay and jitter, reordering,
-  duplication) plus the packet-level effects of scheduled events
-  (partition cuts, stall muting, traffic touching a crashed machine).
-  A delayed packet is one argument-carrying event on the wrapped
-  transport's clock (:meth:`~repro.net.transport.Transport.call_later`),
-  the cluster's one clock, and the shaper itself runs only there: a
-  send from another thread hops onto the loop before any draw, so the
-  shaper needs no lock and counts what is pending with a plain
-  integer.  The fault round (and drop
-  stamps) read the same transport's ``time()``: round ``r`` spans
-  ``[(r-1)·round_duration_ms, r·round_duration_ms)`` measured from
-  :meth:`FaultyTransport.start_clock` — the same global fault clock
-  the discrete-event stack uses.
+- :class:`FaultyTransport` is the link: round a clock-bearing
+  :class:`~repro.net.transport.Transport` (the loopback transport, or
+  the UDP bridge) it owns every per-datagram draw — scalar loss, base
+  latency, a plan's cuts, Gilbert–Elliott loss and timing shaping —
+  and the ``gossip_sent`` / ``dropped`` trace events.  A datagram is
+  one event on the wrapped transport's clock, and fault rounds count
+  that clock's milliseconds: round ``r`` spans
+  ``[(r-1)·round_duration_ms, r·round_duration_ms)`` from
+  :meth:`FaultyTransport.start_clock`.
 - :func:`crash_flips` lists the crash / recover windows as round
   boundaries in milliseconds; :func:`arm_flips` puts them on the
-  cluster host's clock as ``node.stop()`` / ``node.start()`` events —
-  the virtual one or the asyncio :class:`~repro.aio.env.LoopClock`.
+  cluster host's clock as ``node.stop()`` / ``node.start()`` events.
 
-On the wall clock both are deterministic given a seed only up to
-scheduling: the *plan* (who crashes when, which links are cut) is
-exactly reproducible, while packet-level interleaving is not.  On the
-virtual clock the flips are as seed-exact as everything else.
+On the virtual clock everything is seed-exact.  On the wall clock the
+*plan* (who crashes when, which links are cut) is exactly reproducible,
+while packet-level interleaving is not.
 """
 
 from __future__ import annotations
@@ -37,89 +29,109 @@ from repro.faults.gilbert import GilbertElliottModel
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
 from repro.net.address import Address
+from repro.net.link import LossModel
 from repro.net.transport import Handler, Transport
 from repro.util import derive_rng, spawn_seeds
 from repro.util.rng import SeedLike
 
 
 class FaultyTransport(Transport):
-    """A transport decorator applying a :class:`FaultPlan` to every send.
+    """The link: every send's loss, latency and faults, on one generator.
 
-    Every draw happens in the wrapped transport's delivery context (the
-    loop thread): a send from anywhere else first hops there as a
-    zero-delay ``call_later``.  A plan with a loss model replaces the
-    wrapped stack's scalar loss, as on every other engine.
+    Per datagram it draws from :attr:`rng`, in this order: the cut check
+    (no draw); loss — the plan's loss model if installed, else the
+    scalar ``loss``, drawn only when > 0; the base latency, drawn only
+    when the range is wide; then the plan's jitter, reorder hold-back
+    and duplicate (its own base latency plus the delay, scheduled before
+    the original).  A ``plan`` given here is installed at once, on a
+    child of ``seed`` independent of :attr:`rng`.  Every draw happens in
+    the wrapped transport's context, so no lock is needed: a send from
+    anywhere else first hops there as a zero-delay event.
     """
 
     def __init__(
         self,
         inner: Transport,
-        plan: FaultPlan,
+        plan: Optional[FaultPlan] = None,
         *,
-        n: int,
-        num_alive_correct: int,
+        n: Optional[int] = None,
+        num_alive_correct: Optional[int] = None,
         round_duration_ms: float,
         seed: SeedLike = None,
         tracer=None,
+        loss: float = 0.0,
+        latency_range_ms: Tuple[float, float] = (0.0, 0.0),
     ):
-        super().__init__(loss=None)
         if round_duration_ms <= 0:
             raise ValueError(
                 f"round_duration_ms must be > 0, got {round_duration_ms}"
             )
+        lo, hi = latency_range_ms
+        if not 0 <= lo <= hi:
+            raise ValueError(
+                f"latency_range_ms must satisfy 0 <= lo <= hi, got "
+                f"{latency_range_ms}"
+            )
+        if plan is not None:
+            fault_seed, seed = spawn_seeds(seed, 2)
+        #: The link's one generator: scalar loss, latency and shaping.
+        self.rng = derive_rng(seed)
+        # The active loss model; a plan's replaces this scalar one.
+        super().__init__(LossModel(loss, seed=self.rng))
         self.inner = inner
-        # A fired delayed packet: a loop transport dispatches it at once.
-        self._forward = getattr(inner, "deliver", inner.send)
-        self.plan = plan
-        # Observability: dropped events (partition cuts, bursty loss)
-        # stamped with ``t`` = ms since the fault clock's origin, all
-        # emitted on the loop thread.
-        self.tracer = tracer
+        # A held datagram fires here; a loop transport dispatches it at
+        # once, anything else (a socket, a stacked link) sends it on.
+        self._deliver = getattr(inner, "deliver", None)
+        self.latency_range_ms = (float(lo), float(hi))
         self.round_duration_ms = float(round_duration_ms)
-        self.schedule = (
-            FaultSchedule(plan, n=n, num_alive_correct=num_alive_correct)
-            if plan.events
-            else None
-        )
-        link = plan.link
-        self._ge: Optional[GilbertElliottModel] = None
+        # Observability: sends and drops stamped with ``t`` = ms on the
+        # clock, all emitted on it.  The tracer draws no randomness.
+        self.tracer = tracer
+        #: Where fault round 1 starts on the clock (ms).
+        self.origin_ms = inner.now()
+        self._cuts: Optional[FaultSchedule] = None
         self._link = None
-        # Loss and timing draw independent children of the one seed, so
-        # no packet's jitter is a function of its loss draw.
-        loss_seed, timing_seed = spawn_seeds(seed, 2)
-        if link is not None:
-            if link.affects_loss:
-                self._ge = GilbertElliottModel.from_link_faults(
-                    link, seed=loss_seed
-                )
-                layer = inner  # the plan's loss replaces the scalar one
-                while layer is not None:
-                    layer.loss = None
-                    layer = getattr(layer, "inner", None)
-            if link.shapes_timing:
-                self._link = link
-        self._rng = derive_rng(timing_seed)
-        self._origin = inner.time()
         self._closed = False
         #: Counters for tests and reports.
         self.blocked = 0
         self.dropped = 0
         self.delayed = 0
         self.duplicated = 0
-        #: Packets armed on the delay line and not yet delivered.
+        #: Datagrams on the clock and not yet delivered.
         self.pending = 0
+        if plan is not None:
+            self.install(
+                FaultSchedule(plan, n=n, num_alive_correct=num_alive_correct),
+                fault_seed,
+            )
+
+    def install(self, schedule: FaultSchedule, seed: SeedLike = None) -> None:
+        """Apply ``schedule``'s plan to every later send, fault round 1
+        starting now.  Its loss model, seeded with ``seed`` itself,
+        replaces the scalar loss."""
+        plan = schedule.plan
+        link = plan.link
+        if link is not None:
+            if link.affects_loss:
+                self.loss = GilbertElliottModel.from_link_faults(
+                    link, seed=seed
+                )
+            if link.shapes_timing:
+                self._link = link
+        if plan.events:
+            self._cuts = schedule
+        self.start_clock()
 
     # -- the global fault clock ---------------------------------------------
 
     def start_clock(self) -> None:
-        """Anchor fault round 1 at the current instant (call on start)."""
-        self._origin = self.inner.time()
+        """Anchor fault round 1 at the current instant."""
+        self.origin_ms = self.inner.now()
 
-    def current_round(self) -> int:
-        return int(self._elapsed_ms() // self.round_duration_ms) + 1
-
-    def _elapsed_ms(self) -> float:
-        return (self.inner.time() - self._origin) * 1000.0
+    def current_round(self, at_ms: Optional[float] = None) -> int:
+        """The 1-based fault round at ``at_ms`` (default: now)."""
+        at_ms = self.inner.now() if at_ms is None else at_ms
+        return int((at_ms - self.origin_ms) // self.round_duration_ms) + 1
 
     # -- Transport interface --------------------------------------------------
 
@@ -132,86 +144,97 @@ class FaultyTransport(Transport):
     def send(self, src: Address, dst: Address, payload: object) -> None:
         if self._closed:
             return
-        if not self.inner.in_context():
-            self.inner.call_later(0.0, self.send, src, dst, payload)
+        inner = self.inner
+        if not inner.in_context():
+            inner.schedule(0.0, self.send, src, dst, payload)
             return
-        if self.schedule is not None and self.schedule.blocks(
+        tr = self.tracer
+        if tr is not None:
+            tr.gossip_sent(src.node, dst.node, dst.port, t=inner.now())
+        cuts = self._cuts
+        if cuts is not None and cuts.blocks(
             self.current_round(), src.node, dst.node
         ):
+            # A crashed machine or partition cut, not a lossy link:
+            # counted separately, no randomness consumed.
             self.blocked += 1
-            if self.tracer is not None:
-                self.tracer.dropped(
-                    "partition", node=dst.node, port=dst.port,
-                    t=self._elapsed_ms(),
+            if tr is not None:
+                tr.dropped(
+                    "partition", node=dst.node, port=dst.port, t=inner.now()
                 )
             return
-        if self._ge is not None and not self._ge.delivered():
+        if not self.loss.delivered():
             self.dropped += 1
-            if self.tracer is not None:
-                self.tracer.dropped(
-                    "loss", node=dst.node, port=dst.port,
-                    t=self._elapsed_ms(),
-                )
+            if tr is not None:
+                tr.dropped("loss", node=dst.node, port=dst.port, t=inner.now())
             return
-        link = self._link
-        if link is None:
-            self.inner.send(src, dst, payload)
-            return
+        rng = self.rng
+        lo, hi = self.latency_range_ms
         # ``lo + (hi - lo) * random()`` is ``uniform(lo, hi)`` bit for
         # bit, at a third of the cost per scalar draw.
-        rng = self._rng
-        delay = link.delay_ms
-        jitter = link.jitter_ms
-        if jitter > 0:
-            delay += -jitter + 2.0 * jitter * rng.random()
-        if link.reorder_prob > 0 and rng.random() < link.reorder_prob:
-            # Push the packet past the link's normal spread so a later
-            # send can overtake it.
-            span = link.delay_ms + jitter + 1.0
-            delay += span * (1.0 + rng.random())
-        duplicate = (
-            link.duplicate_prob > 0 and rng.random() < link.duplicate_prob
-        )
-        dup_delay = link.delay_ms + jitter * rng.random() if duplicate else 0.0
-        self._send_later(delay, src, dst, payload)
-        if duplicate:
-            self.duplicated += 1
-            self._send_later(dup_delay, src, dst, payload)
+        latency = lo if hi == lo else lo + (hi - lo) * rng.random()
+        link = self._link
+        if link is not None:  # an unshaped link adds 0.0 and draws nothing
+            latency += link.delay_ms
+            if link.jitter_ms > 0:
+                j = link.jitter_ms
+                latency = max(0.0, latency + (-j + 2.0 * j * rng.random()))
+            if link.reorder_prob > 0 and rng.random() < link.reorder_prob:
+                # Hold the packet back past anything sent in the next
+                # latency-plus-delay span, so it overtakes nothing and
+                # later packets overtake it.
+                span = hi + link.delay_ms + link.jitter_ms
+                latency += span * (1.0 + rng.random())
+            if (
+                link.duplicate_prob > 0
+                and rng.random() < link.duplicate_prob
+            ):
+                self.duplicated += 1
+                dup = lo if hi == lo else lo + (hi - lo) * rng.random()
+                self._send_later(dup + link.delay_ms, src, dst, payload)
+        self._send_later(latency, src, dst, payload)
 
     def _send_later(
         self, delay_ms: float, src: Address, dst: Address, payload: object
     ) -> None:
-        if delay_ms <= 0:
-            self.inner.send(src, dst, payload)
-            return
-        if self._closed or self.inner.call_later(
-            delay_ms / 1000.0, self._arrive, src, dst, payload
-        ) is None:
-            return  # closed, or inner is down and has counted the drop
-        self.delayed += 1
-        self.pending += 1
+        """Put the datagram on the clock: one event, :meth:`_arrive`."""
+        if self._deliver is None and delay_ms <= 0:
+            self.inner.send(src, dst, payload)  # a socket: out at once
+        elif not self._closed and self.inner.schedule(
+            delay_ms, self._arrive, src, dst, payload
+        ) is not None:  # else closed, or inner is down and counted it
+            self.pending += 1
+            if delay_ms > 0:
+                self.delayed += 1
 
     def _arrive(self, src: Address, dst: Address, payload: object) -> None:
-        """A held packet's clock event: forwarded unless closed since."""
+        """A datagram's clock event: delivered unless closed since."""
         if self._closed:
             return
         self.pending -= 1
-        self._forward(src, dst, payload)
+        deliver = self._deliver
+        if deliver is None:
+            self.inner.send(src, dst, payload)
+        elif not deliver(src, dst, payload) and self.tracer is not None:
+            self.tracer.dropped(
+                "closed", node=dst.node, port=dst.port, t=self.inner.now()
+            )
 
-    def time(self) -> float:
-        """The inner transport's clock, so stacked shapers share it."""
-        return self.inner.time()
+    @property
+    def clock(self):
+        """The inner transport's clock, so stacked links share it."""
+        return self.inner.clock
 
-    def call_later(self, delay_s: float, fn: Callable, *args):
-        """The inner transport's clock, so stacked shapers share it."""
-        return self.inner.call_later(delay_s, fn, *args)
+    def schedule(self, delay_ms: float, fn: Callable, *args):
+        """The inner transport's clock, so stacked links share it."""
+        return self.inner.schedule(delay_ms, fn, *args)
 
     def in_context(self) -> bool:
-        """The inner transport's context, where the shaper draws."""
+        """The inner transport's context, where the link draws."""
         return self.inner.in_context()
 
     def counters(self) -> Dict[str, int]:
-        """The shaper's self-health counters, for status reports."""
+        """The link's self-health counters, for status reports."""
         return {
             "blocked": self.blocked,
             "dropped": self.dropped,
@@ -221,7 +244,7 @@ class FaultyTransport(Transport):
         }
 
     def close(self) -> None:
-        """Stop shaping; packets still on the delay line fire as no-ops."""
+        """Stop sending; datagrams still on the clock fire as no-ops."""
         self._closed = True
         self.pending = 0
         self.inner.close()

@@ -9,13 +9,14 @@ actual network stack.  It applies an optional
 :class:`~repro.net.link.LossModel` on send and delivers to per-port
 handler callbacks registered by receivers.
 
-A transport that can hold a packet back also owns a clock —
-:meth:`Transport.call_later` ("run this after a delay, in the context
-my deliveries run in") and :meth:`Transport.time` — which the link
-shaper delays packets and counts fault rounds on.  The clocks live in
-:mod:`repro.aio.transport`, as events on the cluster's one clock;
-:class:`~repro.aio.transport.AioUdpBridge` lends one to a
-:class:`UdpTransport`.
+A transport that can hold a packet back also carries a clock —
+:meth:`Transport.schedule` ("run this after a delay, in the context my
+deliveries run in") and :meth:`Transport.now` — which the link
+(:class:`~repro.faults.live.FaultyTransport`) delays packets and counts
+fault rounds on: the cluster's one clock, virtual
+(:class:`~repro.des.environment.LoopbackTransport`) or asyncio
+(:mod:`repro.aio.transport`; :class:`~repro.aio.transport.AioUdpBridge`
+lends one to a :class:`UdpTransport`).
 """
 
 from __future__ import annotations
@@ -53,28 +54,38 @@ class Transport(ABC):
     def send(self, src: Address, dst: Address, payload: object) -> None:
         """Send one datagram.  Silently dropped on loss or closed port."""
 
-    def time(self) -> float:
-        """Seconds on the clock ``call_later`` delays count on."""
-        return time.monotonic()
+    #: The clock :meth:`schedule` delays count on; None without one.
+    clock = None
 
-    def call_later(self, delay_s: float, fn: Callable, *args):
-        """Run ``fn(*args)`` after ``delay_s`` in this transport's
+    def now(self) -> float:
+        """Milliseconds on :attr:`clock` (the monotonic wall without one)."""
+        if self.clock is None:
+            return time.monotonic() * 1000.0
+        return self.clock.now
+
+    def schedule(self, delay_ms: float, fn: Callable, *args):
+        """Run ``fn(*args)`` after ``delay_ms`` in this transport's
         delivery context.
 
         Returns a handle with ``cancel()``, or ``None`` when the
         transport is down: ``fn`` will never run and the transport has
         counted the drop, as its ``send`` would.  Only a transport with
-        a clock can (:mod:`repro.aio.transport`).
+        a clock can.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no clock to delay on; wrap it in "
             f"repro.aio.transport.AioUdpBridge"
         )
 
+    def call_later(self, delay_s: float, fn: Callable, *args):
+        """:meth:`schedule`, with the delay in seconds."""
+        return self.schedule(delay_s * 1000.0, fn, *args)
+
     def in_context(self) -> bool:
         """True when the caller already runs in the delivery context
-        ``call_later`` callbacks run in; never, without a clock."""
-        return False
+        :meth:`schedule` callbacks run in: with a clock and no loop
+        thread, always; without a clock, never."""
+        return self.clock is not None
 
     def close(self) -> None:
         """Release any resources held by the transport."""

@@ -4,7 +4,25 @@ import numpy as np
 import pytest
 
 from repro.adversary import AttackSpec
+from repro.des.engine import EventLoop
+from repro.des.environment import Environment, LoopbackTransport
+from repro.faults.live import FaultyTransport
 from repro.sim import Scenario
+
+
+def sim_env(*, loss=0.0, latency_range_ms=(0.5, 2.0), seed=None):
+    """A node environment on the virtual clock, over the network the DES
+    host builds: an ``EventLoop``, a loopback transport and the link.
+
+    Nodes built on one share it; ``env.clock`` runs them and
+    ``env.transport`` is the link (``.inner`` the loopback).
+    """
+    clock = EventLoop()
+    link = FaultyTransport(
+        LoopbackTransport(clock), round_duration_ms=1000.0, seed=seed,
+        loss=loss, latency_range_ms=latency_range_ms,
+    )
+    return Environment(link, clock=clock)
 
 
 @pytest.fixture

@@ -10,14 +10,15 @@ import json
 import math
 
 import pytest
+from conftest import sim_env
 from hypothesis import given, settings, strategies as st
 from test_des_golden import SHAPED, closures
 
 from repro.adversary import AttackSpec
-from repro.aio import AioCluster, AioClusterConfig, AsyncEnvironment, LoopClock
+from repro.aio import AioCluster, AioClusterConfig, LoopClock
 from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.des.engine import EventLoop
-from repro.des.environment import SimEnvironment
+from repro.des.environment import Environment
 from repro.faults import FaultPlan
 from repro.faults.live import FaultyTransport
 from repro.net import Address, UdpTransport
@@ -292,12 +293,12 @@ class TestPump:
 
 @pytest.mark.parametrize("delay_ms", [-1.0, -1e-9, math.nan])
 def test_negative_or_nan_delay_raises_on_both_continuous_stacks(delay_ms):
-    sim = SimEnvironment()
+    sim = sim_env()
     with pytest.raises(ValueError, match="delay_ms"):
         sim.schedule(delay_ms, lambda: None)
 
     async def main(loop):
-        env = AsyncEnvironment(AioLoopbackTransport(), clock=LoopClock())
+        env = Environment(AioLoopbackTransport(), clock=LoopClock())
         with pytest.raises(ValueError, match="delay_ms"):
             env.schedule(delay_ms, lambda: None)
         return env.clock.pending()
@@ -456,7 +457,7 @@ def test_a_shaped_attacked_cluster_queues_no_closure():
     }
     # Held datagrams, the flood's scheduled sends, node timers.
     assert {
-        "FaultyTransport._arrive", "AsyncEnvironment.send", "GossipNode._round",
+        "FaultyTransport._arrive", "FaultyTransport.send", "GossipNode._round",
     } <= queued
     assert closures(queue) == set()
 

@@ -13,7 +13,7 @@ from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
 from repro.api import Experiment, result_from_dict
 from repro.des.cluster import ClusterConfig, GroupConfig, _Cluster
 from repro.des.measurement import MeasurementResult
-from repro.net import UdpTransport
+from repro.net import Address, UdpTransport
 from repro.obs import MemorySink, Tracer
 
 # Small, quick wall-clock settings shared by most tests.
@@ -33,9 +33,9 @@ class TestAioClusterConfig:
         with pytest.raises(ValueError, match="transport"):
             AioClusterConfig(n=8, transport="carrier-pigeon")
 
-    def test_churn_tokens_refused_with_registry_message(self):
-        with pytest.raises(ValueError, match=r"join@3:0\.2"):
-            AioClusterConfig(n=16, faults="join@3:0.2")
+    def test_churn_tokens_accepted(self):
+        config = AioClusterConfig(n=16, faults="join@3:0.2")
+        assert config.faults.has_churn
 
     def test_group_size_ceiling_enforced(self):
         from repro.aio.engine import AIO_MAX_N
@@ -425,6 +425,93 @@ class TestShapedCluster:
         result = cluster.result(10.0, 3)
         assert result.faults == "delay:20~10"
         assert result.residual_reliability() >= 0.99
+
+
+class TestOneNetwork:
+    """aio sends through the DES's link: sends and drops are traced."""
+
+    def test_sends_and_every_drop_are_traced(self):
+        config = AioClusterConfig(n=8, round_duration_ms=50.0, loss=0.05)
+        tracer = Tracer()
+
+        async def go():
+            cluster = AioCluster(config, seed=1, tracer=tracer)
+            await cluster.start()
+            try:
+                for i in range(4):
+                    mid = cluster.multicast(0, f"traced-{i}".encode())
+                    assert await cluster.await_delivery(
+                        mid, fraction=1.0, timeout_s=15.0
+                    )
+                # A datagram to a port nobody binds is dropped as closed.
+                cluster.transport.send(
+                    Address(0, 1), Address(config.n + 5, 1), b"nobody"
+                )
+                await asyncio.sleep(0.3)
+                cluster.clock.catch_up()
+                in_flight = cluster.transport.pending
+            finally:
+                await cluster.stop()
+            return cluster, in_flight
+
+        cluster, in_flight = asyncio.run(go())
+        counters = tracer.counters
+        drops = counters.dropped_by_reason
+        assert counters.by_type["gossip_sent"] > 0
+        assert drops["loss"] == cluster.transport.dropped > 0
+        assert drops["closed"] > 0
+        # Every traced send ends delivered, dropped, or still in flight.
+        assert counters.by_type["gossip_sent"] == (
+            cluster.transport.inner.delivered + sum(drops.values()) + in_flight
+        )
+        assert counters.reconcile_measurement(cluster.result(10.0, 4)) == []
+
+
+class TestAioChurn:
+    """The host's churn on the wall clock: joins, leaves and an expel."""
+
+    def test_a_churn_plan_runs_on_the_wall_clock(self):
+        config = AioClusterConfig(
+            n=20, round_duration_ms=50.0,
+            faults="join@3:0.2; leave@6:0.1; expel@8:0.05",
+        )
+        tracer = Tracer()
+
+        async def go():
+            cluster = AioCluster(config, seed=3, tracer=tracer)
+            await cluster.start()
+            try:
+                for i in range(3):
+                    cluster.multicast(0, f"churn-{i}".encode())
+                    await asyncio.sleep(0.15)
+                await asyncio.sleep(0.5)  # past the expel at round 8
+            finally:
+                await cluster.stop()
+            return cluster
+
+        cluster = asyncio.run(go())
+        result = cluster.result(10.0, 3)
+        assert cluster.joined == [20, 21, 22, 23]
+        assert cluster.left == [18, 19]
+        assert len(cluster.expelled) == 1
+        assert cluster.node_errors == []
+        assert result.churn["joined"] == 4 and result.churn["left"] == 2
+        assert tracer.counters.reconcile_measurement(result) == []
+
+    def test_injected_churn_is_refused(self):
+        async def go():
+            cluster = AioCluster(
+                AioClusterConfig(n=8, round_duration_ms=50.0), seed=1
+            )
+            await cluster.start()
+            try:
+                with pytest.raises(ValueError, match=r"leave@3:0\.2"):
+                    cluster.inject_faults("leave@3:0.2")
+                assert cluster.schedule is None
+            finally:
+                await cluster.stop()
+
+        asyncio.run(go())
 
 
 class TestSerialScoping:

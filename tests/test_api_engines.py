@@ -8,7 +8,6 @@ from repro.api.engines import (
     EngineCapabilityError,
     EngineSpec,
     capability_table,
-    churn_refusal,
     get_engine,
     group_size_refusal,
 )
@@ -86,8 +85,8 @@ class TestRegistry:
         assert rows["fast"]["max_n"] == FAST_MAX_N
         assert rows["aio"]["determinism"] == "wallclock"
         assert rows["aio"]["continuous"] is True
-        assert rows["des"]["churn"] is True
-        assert not rows["aio"]["churn"]
+        # Every engine churns: the table has no churn column.
+        assert all("churn" not in row for row in rows.values())
 
 
 class TestCapabilityChecks:
@@ -108,18 +107,15 @@ class TestCapabilityChecks:
             engines.unregister("nofaults")
 
     def test_live_churn_refusal_is_the_registry_message(self):
-        plan = FaultPlan.parse("join@3:0.2")
-        expected = churn_refusal("aio", plan)
-        with pytest.raises(EngineCapabilityError) as exc:
-            Experiment(n=16, faults="join@3:0.2").run("aio", seed=1)
-        assert str(exc.value) == expected
+        # The registry refuses churn on no engine, aio included.
+        exp = Experiment(n=16, faults="join@3:0.2")
+        for name in engines.engines():
+            get_engine(name).check(exp)
 
     def test_churn_refusal_names_capable_engines(self):
-        message = churn_refusal("aio", FaultPlan.parse("leave@4:0.1"))
-        assert "churn tokens (join/leave/expel)" in message
-        for capable in ("exact", "fast", "mega", "des"):
-            assert f'engine="{capable}"' in message
-        assert 'engine="aio"' not in message
+        # Every engine churns, so there is no churn capability to declare.
+        with pytest.raises(TypeError, match="churn"):
+            EngineCapabilities(churn=False)
 
     def test_fast_group_size_refusal_names_roomier_engines(self):
         with pytest.raises(EngineCapabilityError) as exc:

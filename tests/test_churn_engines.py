@@ -17,13 +17,14 @@ timeline, and every stack realises exactly that timeline:
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import numpy as np
 import pytest
 
 from equivalence import compare_results, wilson_ci
-from repro.aio import AioClusterConfig
+from repro.aio import AioCluster, AioClusterConfig
 from repro.api import Experiment, encode_envelope
 from repro.des.cluster import ClusterConfig, _Cluster, run_throughput_experiment
 from repro.des.measurement import MeasurementResult
@@ -325,21 +326,34 @@ class TestExperimentApi:
 
 
 class TestLiveRejectsChurn:
-    """A loud error where churn cannot be honoured: the wall-clock
-    (``aio``) stack, at its config and through the API."""
+    """Where the wall-clock (``aio``) stack still refuses churn: tokens
+    injected into a running group built without them.  Configured
+    churn runs on it like on every other engine."""
 
-    def test_live_config_raises(self):
-        with pytest.raises(ValueError, match="churn"):
-            AioClusterConfig(n=8, faults="join@3:0.2")
+    def test_live_config_accepts_churn(self):
+        assert AioClusterConfig(n=8, faults="join@3:0.2").faults.has_churn
 
-    def test_live_config_error_names_the_offending_spec(self):
-        with pytest.raises(ValueError, match=r"join@3:0\.2"):
-            AioClusterConfig(n=8, faults="join@3:0.2")
+    def test_live_inject_error_names_the_offending_spec(self):
+        async def go():
+            cluster = AioCluster(
+                AioClusterConfig(n=8, round_duration_ms=50.0), seed=1
+            )
+            await cluster.start()
+            try:
+                with pytest.raises(ValueError, match=r"join@3:0\.2"):
+                    cluster.inject_faults("join@3:0.2")
+            finally:
+                await cluster.stop()
 
-    def test_live_engine_via_api_raises(self):
-        exp = Experiment(protocol="drum", n=8, loss=0.0, faults="leave@3:0.2")
-        with pytest.raises(ValueError, match="churn"):
-            exp.run(engine="aio", seed=1)
+        asyncio.run(go())
+
+    def test_live_engine_via_api_churns(self):
+        exp = Experiment(
+            protocol="drum", n=8, loss=0.0, round_duration_ms=50.0,
+            send_rate=20.0, messages=4, faults="leave@3:0.2",
+        )
+        result = exp.run(engine="aio", seed=1)
+        assert result.churn["left"] == 2
 
     def test_live_still_accepts_plain_fault_plans(self):
         config = AioClusterConfig(n=8, faults="crash@3:0.2")

@@ -26,7 +26,7 @@ def _cluster(faults, n=6):
 
 def run_to(cluster, rounds):
     """Run the virtual clock to the end of fault round ``rounds``."""
-    cluster.env.loop.run_until(rounds * ROUND_MS)
+    cluster.clock.run_until(rounds * ROUND_MS)
 
 
 def reached(cluster, mid, members):

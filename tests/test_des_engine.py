@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.des import EventLoop, SimEnvironment
+from conftest import sim_env
+
+from repro.des import EventLoop
 from repro.net import Address
 
 
@@ -90,50 +92,50 @@ class TestEventLoop:
 
 class TestSimEnvironment:
     def test_send_and_receive_with_latency(self):
-        env = SimEnvironment(latency_range_ms=(1.0, 1.0), seed=1)
+        env = sim_env(latency_range_ms=(1.0, 1.0), seed=1)
         received = []
         env.bind(Address(1, 5), lambda src, p: received.append((env.now(), p)))
         env.send(Address(0, 1), Address(1, 5), "hello")
-        env.loop.run_until(10)
+        env.clock.run_until(10)
         assert len(received) == 1
         when, payload = received[0]
         assert payload == "hello"
         assert when == pytest.approx(1.0)
 
     def test_unbound_port_dead_letters(self):
-        env = SimEnvironment(seed=1)
+        env = sim_env(seed=1)
         env.send(Address(0, 1), Address(9, 9), "x")
-        env.loop.run_until(10)
-        assert env.dead_lettered == 1
+        env.clock.run_until(10)
+        assert env.transport.inner.dropped == 1
 
     def test_loss(self):
-        env = SimEnvironment(loss=1.0, seed=1)
+        env = sim_env(loss=1.0, seed=1)
         received = []
         env.bind(Address(1, 5), lambda s, p: received.append(p))
         for _ in range(10):
             env.send(Address(0, 1), Address(1, 5), "x")
-        env.loop.run_until(10)
+        env.clock.run_until(10)
         assert received == []
-        assert env.lost == 10
+        assert env.transport.dropped == 10
 
     def test_unbind_stops_delivery(self):
-        env = SimEnvironment(seed=1)
+        env = sim_env(seed=1)
         received = []
         addr = Address(1, 5)
         env.bind(addr, lambda s, p: received.append(p))
         env.send(Address(0, 1), addr, "x")
         env.unbind(addr)  # unbound before the latency elapses
-        env.loop.run_until(10)
+        env.clock.run_until(10)
         assert received == []
 
     def test_latency_range_validated(self):
         with pytest.raises(ValueError):
-            SimEnvironment(latency_range_ms=(5.0, 1.0))
+            sim_env(latency_range_ms=(5.0, 1.0))
 
     def test_schedule_and_cancel(self):
-        env = SimEnvironment(seed=1)
+        env = sim_env(seed=1)
         fired = []
         handle = env.schedule(5, lambda: fired.append(1))
-        env.cancel(handle)
-        env.loop.run_until(10)
+        handle.cancel()
+        env.clock.run_until(10)
         assert fired == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ProtocolConfig
-from repro.des import AttackerProcess, GossipNode, SimEnvironment
+from repro.des import AttackerProcess, GossipNode
 from repro.des.attacker import FabricatedPayload
 from repro.adversary import AttackSpec
 from repro.core.config import ProtocolKind
@@ -12,10 +12,11 @@ from repro.net.address import (
     PORT_PUSH_OFFER,
     Address,
 )
+from conftest import sim_env
 
 
 def _cluster(n=6, kind="drum", loss=0.0, round_ms=100.0, seed=0, **cfg_kwargs):
-    env = SimEnvironment(loss=loss, latency_range_ms=(0.5, 1.5), seed=seed)
+    env = sim_env(loss=loss, latency_range_ms=(0.5, 1.5), seed=seed)
     config = ProtocolConfig(
         kind=ProtocolKind(kind), round_duration_ms=round_ms, **cfg_kwargs
     )
@@ -37,8 +38,8 @@ class TestLifecycle:
     def test_start_binds_well_known_ports(self):
         env, nodes, _ = _cluster(n=3)
         nodes[0].start()
-        assert env.is_bound(Address(0, PORT_PUSH_OFFER))
-        assert env.is_bound(Address(0, PORT_PULL_REQUEST))
+        assert Address(0, PORT_PUSH_OFFER) in env.transport.inner._handlers
+        assert Address(0, PORT_PULL_REQUEST) in env.transport.inner._handlers
 
     def test_double_start_rejected(self):
         env, nodes, _ = _cluster(n=3)
@@ -49,9 +50,9 @@ class TestLifecycle:
     def test_stop_unbinds_everything(self):
         env, nodes, _ = _cluster(n=3)
         nodes[0].start()
-        env.loop.run_until(500)
+        env.clock.run_until(500)
         nodes[0].stop()
-        assert not env.is_bound(Address(0, PORT_PUSH_OFFER))
+        assert Address(0, PORT_PUSH_OFFER) not in env.transport.inner._handlers
         # No random ports left bound either.
         assert not nodes[0].ports.open_ports
 
@@ -59,7 +60,7 @@ class TestLifecycle:
         env, nodes, _ = _cluster(n=3, round_ms=100.0)
         for node in nodes.values():
             node.start()
-        env.loop.run_until(1000)
+        env.clock.run_until(1000)
         counts = [node.round_no for node in nodes.values()]
         assert all(7 <= c <= 12 for c in counts)
 
@@ -69,9 +70,9 @@ class TestDissemination:
         env, nodes, deliveries = _cluster(n=6)
         for node in nodes.values():
             node.start()
-        env.loop.run_until(300)
+        env.clock.run_until(300)
         nodes[0].multicast(b"payload")
-        env.loop.run_until(3000)
+        env.clock.run_until(3000)
         receivers = {pid for pid, _, _ in deliveries}
         assert receivers == set(range(6))
 
@@ -79,9 +80,9 @@ class TestDissemination:
         env, nodes, deliveries = _cluster(n=6)
         for node in nodes.values():
             node.start()
-        env.loop.run_until(200)
+        env.clock.run_until(200)
         mid = nodes[0].multicast(b"payload").msg_id
-        env.loop.run_until(5000)
+        env.clock.run_until(5000)
         per_receiver = [pid for pid, m, _ in deliveries if m == mid]
         assert len(per_receiver) == len(set(per_receiver))
 
@@ -89,27 +90,27 @@ class TestDissemination:
         env, nodes, deliveries = _cluster(n=6, kind="push")
         for node in nodes.values():
             node.start()
-        env.loop.run_until(200)
+        env.clock.run_until(200)
         nodes[0].multicast(b"via-push")
-        env.loop.run_until(3000)
+        env.clock.run_until(3000)
         assert {pid for pid, _, _ in deliveries} == set(range(6))
 
     def test_pull_only_node_disseminates(self):
         env, nodes, deliveries = _cluster(n=6, kind="pull")
         for node in nodes.values():
             node.start()
-        env.loop.run_until(200)
+        env.clock.run_until(200)
         nodes[0].multicast(b"via-pull")
-        env.loop.run_until(3000)
+        env.clock.run_until(3000)
         assert {pid for pid, _, _ in deliveries} == set(range(6))
 
     def test_hop_counters_increase_with_distance(self):
         env, nodes, deliveries = _cluster(n=8)
         for node in nodes.values():
             node.start()
-        env.loop.run_until(200)
+        env.clock.run_until(200)
         mid = nodes[0].multicast(b"x").msg_id
-        env.loop.run_until(6000)
+        env.clock.run_until(6000)
         counters = {}
         for pid, m, t in deliveries:
             if m == mid:
@@ -121,7 +122,7 @@ class TestDissemination:
         # Only the source runs: nothing to gossip with, message purges.
         nodes[0].start()
         nodes[0].multicast(b"doomed")
-        env.loop.run_until(400)
+        env.clock.run_until(400)
         assert len(nodes[0].buffer) == 0
         assert nodes[0].buffer.purged_total == 1
 
@@ -167,7 +168,7 @@ class TestSecurity:
 
 class TestAttacker:
     def test_attacker_injects_at_rate(self):
-        env = SimEnvironment(seed=1)
+        env = sim_env(seed=1)
         attacker = AttackerProcess(
             env,
             AttackSpec(alpha=1.0, x=40),
@@ -177,7 +178,7 @@ class TestAttacker:
             seed=2,
         )
         attacker.start()
-        env.loop.run_until(1000)  # ten rounds
+        env.clock.run_until(1000)  # ten rounds
         attacker.stop()
         # 40 per victim per round × 2 victims × ~10 rounds.
         assert attacker.injected_total == pytest.approx(800, rel=0.15)
@@ -196,9 +197,9 @@ class TestAttacker:
             seed=4,
         )
         attacker.start()
-        env.loop.run_until(200)
+        env.clock.run_until(200)
         mid = nodes[0].multicast(b"x").msg_id
-        env.loop.run_until(4000)
+        env.clock.run_until(4000)
         times = {pid: t for pid, m, t in deliveries if m == mid}
         victims_t = [times.get(pid, float("inf")) for pid in (1, 2)]
         others_t = [times[pid] for pid in (3, 4, 5)]
@@ -206,7 +207,7 @@ class TestAttacker:
         assert set(times) >= {0, 3, 4, 5}
 
     def test_attacker_double_start_rejected(self):
-        env = SimEnvironment(seed=1)
+        env = sim_env(seed=1)
         attacker = AttackerProcess(
             env, AttackSpec(alpha=1.0, x=4), ProtocolKind.DRUM, [0], seed=2
         )

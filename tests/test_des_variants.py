@@ -4,12 +4,13 @@ import pytest
 
 from repro.adversary import AttackSpec
 from repro.core import ProtocolConfig, ProtocolKind
-from repro.des import AttackerProcess, GossipNode, SimEnvironment
+from repro.des import AttackerProcess, GossipNode
 from repro.net.address import PORT_PULL_REPLY, Address
+from conftest import sim_env
 
 
 def _cluster(kind, n=8, seed=0, round_ms=100.0):
-    env = SimEnvironment(loss=0.0, latency_range_ms=(0.5, 1.5), seed=seed)
+    env = sim_env(loss=0.0, latency_range_ms=(0.5, 1.5), seed=seed)
     config = ProtocolConfig(kind=ProtocolKind(kind), round_duration_ms=round_ms)
     deliveries = []
     nodes = {
@@ -29,15 +30,15 @@ class TestNoRandomPortsVariant:
     def test_binds_well_known_reply_port(self):
         env, nodes, _ = _cluster("drum-no-random-ports")
         nodes[0].start()
-        assert env.is_bound(Address(0, PORT_PULL_REPLY))
+        assert Address(0, PORT_PULL_REPLY) in env.transport.inner._handlers
 
     def test_disseminates_without_attack(self):
         env, nodes, deliveries = _cluster("drum-no-random-ports")
         for node in nodes.values():
             node.start()
-        env.loop.run_until(200)
+        env.clock.run_until(200)
         nodes[0].multicast(b"wkp")
-        env.loop.run_until(4000)
+        env.clock.run_until(4000)
         assert {p for p, _ in deliveries} == set(range(8))
 
     def test_reply_port_flood_hurts_this_variant_more(self):
@@ -57,10 +58,10 @@ class TestNoRandomPortsVariant:
                 seed=seed + 1,
             )
             attacker.start()
-            env.loop.run_until(200)
+            env.clock.run_until(200)
             mid = nodes[0].multicast(b"x").msg_id
             horizon = 20000.0
-            env.loop.run_until(200 + horizon)
+            env.clock.run_until(200 + horizon)
             got = {p for p, m in deliveries if m == mid}
             return len(got)
 
@@ -104,7 +105,7 @@ class TestSharedBoundsVariant:
         env, nodes, deliveries = _cluster("drum-shared-bounds")
         for node in nodes.values():
             node.start()
-        env.loop.run_until(200)
+        env.clock.run_until(200)
         nodes[0].multicast(b"shared")
-        env.loop.run_until(4000)
+        env.clock.run_until(4000)
         assert {p for p, _ in deliveries} == set(range(8))

@@ -4,9 +4,10 @@ import pytest
 
 from repro.adversary import AttackSpec
 from repro.core import DataMessage, ProtocolConfig
-from repro.des import GossipNode, SimEnvironment
+from repro.des import GossipNode
 from repro.net import Address, Packet
 from repro.sim import Scenario, monte_carlo, run_fast
+from conftest import sim_env
 
 
 class TestPacketSizeHint:
@@ -22,7 +23,7 @@ class TestPacketSizeHint:
 
 class TestDataQuotaExhaustion:
     def test_push_data_quota_drops_excess(self):
-        env = SimEnvironment(seed=1)
+        env = sim_env(seed=1)
         config = ProtocolConfig.drum()
         node = GossipNode(env, 0, config, [0, 1], seed=2, data_bound=2)
         node.start()

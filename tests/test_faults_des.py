@@ -76,23 +76,26 @@ class TestChaosExperiment:
 
         cluster = _Cluster(config, seed=3)
         cluster.start()
-        cluster.env.loop.run_until(4 * config.round_duration_ms)
+        cluster.clock.run_until(4 * config.round_duration_ms)
         cluster.stop()
-        assert cluster.env.blocked > 0
+        assert cluster.transport.blocked > 0
 
 
 class TestTimingFaults:
     def test_delay_shifts_packet_arrival(self):
-        from repro.des.environment import SimEnvironment
-        from repro.faults.plan import LinkFaults
+        from conftest import sim_env
+        from repro.faults.plan import FaultPlan
+        from repro.faults.schedule import FaultSchedule
         from repro.net.address import Address
 
-        env = SimEnvironment(loss=0.0, latency_range_ms=(1.0, 2.0), seed=0)
-        env.link_faults = LinkFaults(delay_ms=50.0)
+        env = sim_env(loss=0.0, latency_range_ms=(1.0, 2.0), seed=0)
+        env.transport.install(
+            FaultSchedule(FaultPlan.parse("delay:50"), n=2, num_alive_correct=2)
+        )
         arrivals = []
         env.bind(Address(1, 0), lambda src, payload: arrivals.append(env.now()))
         env.send(Address(0, 0), Address(1, 0), "probe")
-        env.loop.run_until(200.0)
+        env.clock.run_until(200.0)
         assert len(arrivals) == 1
         assert 51.0 <= arrivals[0] <= 52.0  # base latency + fixed delay
 
@@ -102,6 +105,6 @@ class TestTimingFaults:
         config = chaos_config(faults="dup:0.5", messages=10)
         cluster = _Cluster(config, seed=3)
         cluster.start()
-        cluster.env.loop.run_until(5 * config.round_duration_ms)
+        cluster.clock.run_until(5 * config.round_duration_ms)
         cluster.stop()
-        assert cluster.env.duplicated > 0
+        assert cluster.transport.duplicated > 0

@@ -113,7 +113,7 @@ def test_thread_safety_under_concurrent_draws():
             inner, FaultPlan.parse("gilbert:0.2,0.8,0.1,0.2"), n=2,
             num_alive_correct=2, round_duration_ms=1000.0, seed=9,
         )
-        spy = shaper._ge = _ThreadSpy(shaper._ge)
+        spy = shaper.loss = _ThreadSpy(shaper.loss)
         shaper.bind(dst, lambda s, p: None)
 
         def produce():

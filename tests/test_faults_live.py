@@ -330,7 +330,7 @@ class TestShaperStreams:
         # a packet's jitter is no function of its loss draw.
         seed = SeedSequenceFactory(7).next_seed()
         faulty = shaper(AioLoopbackTransport(), "loss:0.02; delay:20~10", seed)
-        ge, timing = faulty._ge._rng.random(4), faulty._rng.random(4)
+        ge, timing = faulty.loss._rng.random(4), faulty.rng.random(4)
         assert not (ge == timing).any()
 
 
