@@ -16,8 +16,8 @@ registered execution stack with ``.run(engine=...)``:
 
 Engines dispatch through the declared registry in
 :mod:`repro.api.engines`; each registers an
-:class:`~repro.api.engines.EngineSpec` with capability flags (faults /
-churn / tracing / determinism class / group-size ceiling), and
+:class:`~repro.api.engines.EngineSpec` with its capabilities
+(determinism class / continuous time / group-size ceiling), and
 capability mismatches raise one uniform
 :class:`~repro.api.engines.EngineCapabilityError` naming the engines
 that *can*.

@@ -2,7 +2,7 @@
 
 Every execution stack registers an :class:`EngineSpec` here — a name, a
 runner, and a declaration of what the stack *can* do
-(:class:`EngineCapabilities`: fault plans, tracing, determinism class,
+(:class:`EngineCapabilities`: determinism class, continuous time,
 group-size ceiling).  ``Experiment.run(engine=...)`` looks the
 spec up, checks the experiment against the declared capabilities, and
 calls the runner — there is no per-engine ``if``/``elif`` chain
@@ -12,7 +12,8 @@ The registry is also the single source of "engine X can't do Y" error
 messages: :func:`group_size_refusal` builds a uniform refusal that
 names the engines that *can*, so the aio stack's and the fast engine's
 group-size errors read the same and stay correct as new engines
-register.  Every engine honours churn tokens (join/leave/expel).
+register.  Every engine honours fault plans, churn tokens
+(join/leave/expel) and tracers, so none of those is a capability.
 
 A new stack plugs in with::
 
@@ -56,10 +57,6 @@ class EngineCapabilityError(ValueError):
 class EngineCapabilities:
     """What one execution stack declares it can honour."""
 
-    #: Accepts :mod:`repro.faults` plans (crash/partition/loss/...).
-    faults: bool = True
-    #: Emits :mod:`repro.obs` events when handed a tracer.
-    tracing: bool = True
     #: One of :data:`DETERMINISM_CLASSES`.
     determinism: str = "bit"
     #: Continuous-time stack: events carry ``t`` stamps, not rounds.
@@ -108,13 +105,6 @@ class EngineSpec:
     def check(self, experiment) -> None:
         """Raise :class:`EngineCapabilityError` on a capability mismatch."""
         caps = self.capabilities
-        plan = experiment.faults
-        if plan is not None and not getattr(plan, "is_empty", False):
-            if not caps.faults:
-                raise EngineCapabilityError(
-                    f'engine "{self.name}" does not honour fault plans; '
-                    + _use_instead(lambda c: c.faults)
-                )
         if caps.max_n is not None and experiment.n > caps.max_n:
             raise EngineCapabilityError(
                 group_size_refusal(self.name, experiment.n)
@@ -175,8 +165,6 @@ def capability_table() -> List[Dict[str, object]]:
         rows.append(
             {
                 "engine": spec.name,
-                "faults": caps.faults,
-                "tracing": caps.tracing,
                 "determinism": caps.determinism,
                 "continuous": caps.continuous,
                 "max_n": caps.max_n,

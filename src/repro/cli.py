@@ -22,7 +22,7 @@ subcommands mirror the library's three evaluation stacks::
     # Live asyncio gossip service with a JSONL-over-TCP control plane
     python -m repro serve --port 7000 --start --protocol drum --n 2000
 
-``--faults``, ``--profile``, and ``--trace`` are uniform across the
+``--faults`` and ``--trace`` are uniform across the
 execution subcommands (where the stack supports them).  Each subcommand
 prints a compact table; ``--json`` emits machine-readable results
 instead.
@@ -49,9 +49,7 @@ from repro.analysis import (
 from repro.core.config import ProtocolKind
 from repro.des import ClusterConfig, run_throughput_experiment
 from repro.sim import Scenario, monte_carlo
-from repro.sim.engine import RoundSimulator
 from repro.util import Table
-from repro.util.profiling import Profiler, profiling_enabled
 
 PROTOCOL_CHOICES = [kind.value for kind in ProtocolKind]
 
@@ -112,14 +110,6 @@ def _faults_spec(args) -> Optional[str]:
         tokens = f"join@5:{churn:g}; leave@12:{churn:g}"
         spec = f"{spec}; {tokens}" if spec else tokens
     return spec
-
-
-def _add_profile(parser: argparse.ArgumentParser, what: str) -> None:
-    parser.add_argument(
-        "--profile", action="store_true",
-        help=f"additionally print a per-phase hotspot table for {what} "
-             "(REPRO_PROFILE=1 does the same from the environment)",
-    )
 
 
 def _add_trace(parser: argparse.ArgumentParser) -> None:
@@ -206,16 +196,6 @@ def cmd_simulate(args) -> int:
             payload["mean view convergence [rounds]"] = float(
                 np.mean(result.view_convergence())
             )
-    profiler = None
-    if args.profile or profiling_enabled(False):
-        # One seeded exact-engine pass with per-phase timers; profiling
-        # draws no randomness, so the profiled trace matches what the
-        # Monte-Carlo workers simulate.
-        sim = RoundSimulator(scenario, seed=args.seed, profile=True)
-        sim.run()
-        profiler = sim.profiler
-        if args.json:
-            payload["profile"] = profiler.snapshot()
     if sink is not None and args.json:
         payload["trace"] = {"path": args.trace, "events": sink.written}
     _emit(
@@ -223,24 +203,14 @@ def cmd_simulate(args) -> int:
         f"Simulation: {scenario.describe()} ({args.runs} runs)",
         payload,
     )
-    if not args.json:
-        if profiler is not None:
-            print(profiler.hotspot_table())
-        if sink is not None:
-            print(f"trace: {args.trace} ({sink.written} events)")
+    if not args.json and sink is not None:
+        print(f"trace: {args.trace} ({sink.written} events)")
     return 0
 
 
 def cmd_analyze(args) -> int:
     attack = _attack(args)
     b = int(round(args.malicious * args.n)) if attack else 0
-    profiler = (
-        Profiler()
-        if args.profile or profiling_enabled(False)
-        else None
-    )
-    if profiler is not None:
-        profiler.phase_start("coverage-curves")
     if attack is None:
         curves = coverage_curve_no_attack(
             args.protocol, args.n, b, fan_out=args.fan_out,
@@ -251,9 +221,6 @@ def cmd_analyze(args) -> int:
             args.protocol, args.n, b, attack, fan_out=args.fan_out,
             loss=args.loss, rounds=args.rounds, refined=args.refined,
         )
-    if profiler is not None:
-        profiler.phase_stop("coverage-curves")
-        profiler.phase_start("acceptance")
     payload = {
         "rounds to 99% (expected coverage)": curves.rounds_to_fraction(0.99),
         "p_u": accept_probability_unattacked(args.n, args.fan_out),
@@ -269,13 +236,7 @@ def cmd_analyze(args) -> int:
             payload["escape std"] = escape_time_std(
                 args.n, args.fan_out, attack.x
             )
-    if profiler is not None:
-        profiler.phase_stop("acceptance")
-        if args.json:
-            payload["profile"] = profiler.snapshot()
     _emit(args, f"Analysis: {args.protocol}, n={args.n}", payload)
-    if profiler is not None and not args.json:
-        print(profiler.hotspot_table("Analysis hotspots"))
     return 0
 
 
@@ -293,25 +254,14 @@ def cmd_measure(args) -> int:
         round_duration_ms=args.round_ms,
         faults=_faults_spec(args),
     )
-    profiler = (
-        Profiler()
-        if args.profile or profiling_enabled(False)
-        else None
-    )
     tracer, sink = _open_tracer(args)
     try:
-        if profiler is not None:
-            profiler.phase_start("experiment")
         result = run_throughput_experiment(
             config, seed=args.seed, tracer=tracer
         )
-        if profiler is not None:
-            profiler.phase_stop("experiment")
     finally:
         if sink is not None:
             sink.close()
-    if profiler is not None:
-        profiler.phase_start("summarize")
     throughput = result.throughput()
     latencies = [
         latency
@@ -337,10 +287,6 @@ def cmd_measure(args) -> int:
             payload["mean view convergence [rounds]"] = result.churn[
                 "view_convergence"
             ]
-    if profiler is not None:
-        profiler.phase_stop("summarize")
-        if args.json:
-            payload["profile"] = profiler.snapshot()
     if sink is not None and args.json:
         payload["trace"] = {"path": args.trace, "events": sink.written}
     _emit(
@@ -349,11 +295,8 @@ def cmd_measure(args) -> int:
         f"{args.messages} msgs @ {args.send_rate:g}/s",
         payload,
     )
-    if not args.json:
-        if profiler is not None:
-            print(profiler.hotspot_table("Measurement hotspots"))
-        if sink is not None:
-            print(f"trace: {args.trace} ({sink.written} events)")
+    if not args.json and sink is not None:
+        print(f"trace: {args.trace} ({sink.written} events)")
     return 0
 
 
@@ -557,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
              "identical for any count; REPRO_START_METHOD picks "
              "fork/spawn/forkserver)",
     )
-    _add_profile(p_sim, "one seeded exact-engine pass")
     _add_trace(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -568,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--refined", action="store_true",
         help="use the exact (beyond-paper) acceptance computation",
     )
-    _add_profile(p_ana, "the numerical analysis")
     p_ana.set_defaults(func=cmd_analyze)
 
     p_meas = sub.add_parser("measure", help="full-protocol stream measurement")
@@ -577,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("--messages", type=int, default=400)
     p_meas.add_argument("--send-rate", type=float, default=40.0)
     p_meas.add_argument("--round-ms", type=float, default=1000.0)
-    _add_profile(p_meas, "the streamed experiment")
     _add_trace(p_meas)
     p_meas.set_defaults(func=cmd_measure)
 

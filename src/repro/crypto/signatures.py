@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.crypto.keys import PrivateKey, PublicKey
-from repro.util.profiling import bump
 
 #: Bound on the default (module-level) registry.  Scoped registries are
 #: unbounded — their lifetime is the simulation that owns them.
@@ -46,12 +45,7 @@ def payload_digest(payload: object) -> str:
         blob = pickle.dumps(payload)
     except Exception as exc:
         raise TypeError(f"payload is not signable: {exc}") from exc
-    bump("signature_digests_computed")
     return hashlib.sha256(blob).hexdigest()
-
-
-# Backwards-compatible private alias (pre-registry code imported this).
-_digest = payload_digest
 
 
 class SignatureRegistry:

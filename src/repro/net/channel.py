@@ -16,7 +16,6 @@ from typing import List, Optional
 
 from repro.net.packet import Packet
 from repro.util import check_non_negative, derive_rng
-from repro.util.profiling import bump
 from repro.util.rng import SeedLike
 
 
@@ -62,9 +61,10 @@ class BoundedChannel:
         #: subsets.  The naive reference mode is not instrumented.
         self._tracer = tracer
         self._node = node
-        #: Reference (unoptimised) mode for the perf harness: the RNG is
-        #: built eagerly, fabricated packets are stored as objects, and
-        #: ``drain`` picks its subset directly over the arrival objects.
+        #: Reference (unoptimised) mode the tests hold the bulk path
+        #: against: the RNG is built eagerly, fabricated packets are
+        #: stored as objects, and ``drain`` picks its subset directly
+        #: over the arrival objects.
         #: Statistically identical to the fast path, but it consumes a
         #: different RNG stream — never use it for golden-traced runs.
         self.naive = naive
@@ -80,7 +80,6 @@ class BoundedChannel:
     def _rng(self):
         rng = self._rng_obj
         if rng is None:
-            bump("channel_rngs_built")
             rng = self._rng_obj = derive_rng(self._seed)
             self._seed = None
         return rng
@@ -193,7 +192,7 @@ class BoundedChannel:
         Chooses a uniformly random ``bound``-sized subset of *all*
         arrival objects (fabricated ones included) and returns the valid
         packets in it — the definition the fast path's hypergeometric
-        split is derived from.  Kept as the perf harness's reference.
+        split is derived from.  Kept as the tests' reference.
         """
         arrivals = self._arrivals
         total = len(arrivals)

@@ -16,7 +16,6 @@ from repro.net.channel import BoundedChannel
 from repro.net.link import LossModel
 from repro.net.packet import Packet
 from repro.util import SeedSequenceFactory
-from repro.util.profiling import bump
 from repro.util.rng import SeedLike
 
 
@@ -31,12 +30,12 @@ class Network:
         naive: bool = False,
         tracer=None,
     ):
-        #: Reference (unoptimised) mode for the perf-regression harness:
-        #: floods materialise one :class:`Packet` per fabricated message
-        #: (with a per-packet loss draw) and channels run eagerly-seeded,
-        #: object-level bounded acceptance.  Statistically equivalent to
-        #: the fast path but on a different RNG stream — benchmark use
-        #: only, never for golden-traced runs.
+        #: Reference (unoptimised) mode the tests hold the bulk path
+        #: against: floods materialise one :class:`Packet` per fabricated
+        #: message (with a per-packet loss draw) and channels run
+        #: eagerly-seeded, object-level bounded acceptance.  Statistically equivalent to
+        #: the fast path but on a different RNG stream — test use only,
+        #: never for golden-traced runs.
         self.naive = naive
         self._seeds = SeedSequenceFactory(seed)
         self.loss = loss if loss is not None else LossModel(0.0, seed=self._seeds.next_seed())
@@ -275,7 +274,6 @@ class Network:
                 delivered += 1
             return delivered
         self.sent_packets += count
-        bump("packets_flooded_bulk", count)
         survivors = self.loss.surviving_count(count)
         self.lost_packets += count - survivors
         if tr is not None and count > survivors:

@@ -33,7 +33,6 @@ from repro.net.network import Network
 from repro.sim.results import RunResult
 from repro.sim.scenario import Scenario
 from repro.util import SeedSequenceFactory
-from repro.util.profiling import Profiler, maybe_profiler
 from repro.util.rng import SeedLike
 
 
@@ -48,7 +47,6 @@ class RoundSimulator:
         attacker_cls: Optional[type] = None,
         attacker_factory=None,
         distribute_keys: bool = True,
-        profile: Optional[bool] = None,
         naive: bool = False,
         tracer=None,
     ):
@@ -62,31 +60,22 @@ class RoundSimulator:
         ablation: processes advertise their random reply ports in
         cleartext, which a snooping adversary can harvest.
 
-        ``profile=True`` attaches a per-phase hotspot
-        :class:`~repro.util.profiling.Profiler` (read it from
-        ``self.profiler`` after :meth:`run`); ``profile=None`` defers to
-        the validated ``REPRO_PROFILE`` environment toggle.  Profiling
-        only times phases — it draws no randomness, so profiled and
-        unprofiled runs produce identical traces.
-
         ``naive=True`` runs the network in its unoptimised reference
         mode (object-per-packet floods, eagerly-seeded object-level
         channels).  It samples the same distributions but consumes a
         different RNG stream, so seeded naive and fast runs differ
-        packet-for-packet; it exists for the perf harness to measure
-        the fast path against, not for experiments.
+        packet-for-packet.  It is the tests' reference for the bulk
+        path (``tests/test_perf_fastpath.py`` and the statistical
+        equivalence test in ``tests/test_exact_golden.py``), not a mode
+        for experiments.
 
         ``tracer`` attaches a :class:`~repro.obs.tracer.Tracer`: the
         engine then emits the full per-packet event stream (round
         markers, sends, floods, channel acceptance and drops,
-        deliveries, fault transitions).  Like profiling, tracing draws
+        deliveries, fault transitions).  Tracing draws
         no randomness — traced and untraced seeded runs produce
         byte-identical :class:`RunResult` traces."""
         self.scenario = scenario
-        if profile is None:
-            self.profiler: Optional[Profiler] = maybe_profiler(False)
-        else:
-            self.profiler = Profiler() if profile else None
         self._tracer = tracer
         seeds = SeedSequenceFactory(seed)
         self._rng = np.random.default_rng(seeds.next_seed())
@@ -252,56 +241,21 @@ class RoundSimulator:
                 send_procs = [p for p in procs if p.pid not in stalled]
             if tr is not None:
                 self._emit_fault_transitions(tr, crashed)
-        prof = self.profiler
-        if prof is None:
-            for p in procs:
-                p.begin_round()
-            for p in send_procs:
-                p.send_phase()
-            self._attacker_step()
-            for p in procs:
-                p.receive_phase()
-            for p in procs:
-                p.reply_phase()
-            for p in procs:
-                p.data_phase()
-            # Drum discards all unread messages at round end.
-            self.network.end_round()
-            for p in procs:
-                p.end_round()
-            if self._churn is not None:
-                self._churn.end_round(self.round_no)
-            if tr is not None:
-                self._emit_deliveries(tr)
-            return
-        prof.phase_start("begin_round")
         for p in procs:
             p.begin_round()
-        prof.phase_stop("begin_round")
-        prof.phase_start("send_phase")
         for p in send_procs:
             p.send_phase()
-        prof.phase_stop("send_phase")
-        prof.phase_start("attacker")
         self._attacker_step()
-        prof.phase_stop("attacker")
-        prof.phase_start("receive_phase")
         for p in procs:
             p.receive_phase()
-        prof.phase_stop("receive_phase")
-        prof.phase_start("reply_phase")
         for p in procs:
             p.reply_phase()
-        prof.phase_stop("reply_phase")
-        prof.phase_start("data_phase")
         for p in procs:
             p.data_phase()
-        prof.phase_stop("data_phase")
-        prof.phase_start("end_round")
+        # Drum discards all unread messages at round end.
         self.network.end_round()
         for p in procs:
             p.end_round()
-        prof.phase_stop("end_round")
         if self._churn is not None:
             self._churn.end_round(self.round_no)
         if tr is not None:

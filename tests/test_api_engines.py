@@ -50,7 +50,6 @@ class TestRegistry:
             EngineSpec(
                 name="teststack",
                 runner=runner,
-                capabilities=EngineCapabilities(faults=False),
             )
         )
         try:
@@ -85,26 +84,20 @@ class TestRegistry:
         assert rows["fast"]["max_n"] == FAST_MAX_N
         assert rows["aio"]["determinism"] == "wallclock"
         assert rows["aio"]["continuous"] is True
-        # Every engine churns: the table has no churn column.
-        assert all("churn" not in row for row in rows.values())
+        # Every engine churns, honours fault plans and traces: the table
+        # has no column for any of them.
+        for row in rows.values():
+            assert not {"churn", "faults", "tracing"} & set(row)
 
 
 class TestCapabilityChecks:
     def test_plan_on_faultless_engine_refused(self):
-        engines.register(
-            EngineSpec(
-                name="nofaults",
-                runner=lambda e, **kw: None,
-                capabilities=EngineCapabilities(faults=False),
-            )
-        )
-        try:
-            with pytest.raises(
-                EngineCapabilityError, match="does not honour fault plans"
-            ):
-                Experiment(n=8, faults="loss:0.1").run("nofaults")
-        finally:
-            engines.unregister("nofaults")
+        # Every engine honours fault plans and tracers: there is no
+        # capability to declare a stack without them.
+        with pytest.raises(TypeError):
+            EngineCapabilities(faults=False)
+        with pytest.raises(TypeError):
+            EngineCapabilities(tracing=False)
 
     def test_live_churn_refusal_is_the_registry_message(self):
         # The registry refuses churn on no engine, aio included.

@@ -76,37 +76,6 @@ class TestSimulate:
                 "--workers", "0",
             ])
 
-    def test_profile_flag_prints_hotspot_table(self, capsys):
-        code = main([
-            "simulate", "--n", "40", "--runs", "5", "--seed", "1",
-            "--profile",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "hotspots" in out
-        assert "share" in out
-
-    def test_profile_env_toggle(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        main(["simulate", "--n", "40", "--runs", "5", "--seed", "1"])
-        assert "hotspots" in capsys.readouterr().out
-
-    def test_profile_json_embeds_snapshot(self, capsys):
-        main([
-            "simulate", "--n", "40", "--runs", "5", "--seed", "1",
-            "--profile", "--json",
-        ])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["profile"]
-        for stats in payload["profile"].values():
-            assert stats["seconds"] >= 0
-            assert stats["calls"] >= 1
-
-    def test_invalid_profile_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "yes")
-        with pytest.raises(ValueError, match="REPRO_PROFILE must be 0 or 1"):
-            main(["simulate", "--n", "40", "--runs", "5", "--seed", "1"])
-
 
 class TestAnalyze:
     def test_no_attack(self, capsys):
