@@ -2,9 +2,10 @@
 """A live Drum cluster on one asyncio loop — with a real attacker.
 
 Starts eight concurrently running Drum nodes over an in-process loopback
-transport (set ``transport="udp"`` for real UDP sockets), launches a
-flooding attacker against a quarter of them, multicasts a few messages,
-and reports per-message delivery.
+transport (set ``transport="udp"`` for real UDP sockets, which the same
+loop reads: still one thread), launches a flooding attacker against a
+quarter of them, multicasts a few messages, and reports per-message
+delivery.
 
 This is the same :class:`~repro.des.node.GossipNode` code the
 deterministic measurement platform runs — here it runs on wall-clock

@@ -5,8 +5,7 @@ One :mod:`asyncio` event loop hosts thousands of
 the discrete-event stack runs — as cooperatively scheduled tasks over an
 in-process datagram loopback
 (:class:`~repro.aio.transport.AioLoopbackTransport`) or real UDP sockets
-(:class:`~repro.aio.transport.AioUdpBridge` over
-:class:`~repro.net.transport.UdpTransport`).
+the same loop reads (:class:`~repro.aio.transport.UdpTransport`).
 
 It is the repository's one wall-clock stack: the DES's cluster host
 (:class:`~repro.des.cluster._Cluster`) and its one network — node
@@ -35,7 +34,7 @@ path).
 from repro.aio.cluster import AioCluster, AioClusterConfig, run_aio_experiment
 from repro.aio.env import LoopClock
 from repro.aio.service import EventStreamSink, GossipService
-from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
+from repro.aio.transport import AioLoopbackTransport, UdpTransport
 
 # Self-registration with the engine registry (also triggered by the
 # registry's bootstrap, whichever happens first).
@@ -45,9 +44,9 @@ __all__ = [
     "AioCluster",
     "AioClusterConfig",
     "AioLoopbackTransport",
-    "AioUdpBridge",
     "EventStreamSink",
     "GossipService",
     "LoopClock",
+    "UdpTransport",
     "run_aio_experiment",
 ]

@@ -20,14 +20,14 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.adversary.attacks import AttackSpec
 from repro.aio.env import LoopClock
-from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
+from repro.aio.transport import AioLoopbackTransport, UdpTransport
 from repro.des.attacker import AttackerProcess
 from repro.des.cluster import GroupConfig, _Cluster
 from repro.des.measurement import MeasurementResult
 from repro.faults.live import FaultyTransport
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
-from repro.net.transport import Transport, UdpTransport
+from repro.net.transport import Transport
 from repro.util.rng import SeedLike
 
 #: Transports the config can name.
@@ -51,7 +51,7 @@ class AioClusterConfig(GroupConfig):
     #: lets earlier messages' tails finish spreading before teardown.
     drain_rounds: float = 0.0
     #: ``"loopback"`` (in-process datagrams) or ``"udp"`` (real sockets
-    #: via :class:`~repro.net.transport.UdpTransport`).
+    #: via :class:`~repro.aio.transport.UdpTransport`).
     transport: str = "loopback"
 
     def __post_init__(self) -> None:
@@ -107,9 +107,20 @@ class AioCluster(_Cluster):
         transport = self._given_transport
         if transport is None:
             transport = (
-                AioUdpBridge(UdpTransport()) if config.transport == "udp"
+                UdpTransport() if config.transport == "udp"
                 else AioLoopbackTransport()
             )
+        if isinstance(transport, UdpTransport):
+            # Refused before any bind: past the range a bind raises
+            # halfway through the group, and sends to the rest raise.
+            ids = config.n if self.schedule is None else self.schedule.total_n
+            if ids > transport.max_ids:
+                raise ValueError(
+                    f"a UDP group of {ids} ids does not fit ports "
+                    f"{transport.base_port}-65535 at "
+                    f"{transport.ports_per_node} per id: at most "
+                    f"{transport.max_ids} ids (n plus churn joiners)"
+                )
         ticks = getattr(transport, "_TICKS_PER_ROUND", 128)  # else as UDP
         self.clock = LoopClock(loop, config.round_duration_ms / ticks)
         attach = getattr(transport, "attach", None)
@@ -156,7 +167,7 @@ class AioCluster(_Cluster):
                 self.transport.close()
             if self.clock is not None:
                 self.clock.close()
-        if self.tracer is not None:
+        if self.tracer is not None and self._started_at is not None:
             self.tracer.run_end(delivered=len(self.log.deliveries))
         # Let cancelled callbacks drain before the loop is torn down.
         await asyncio.sleep(0)
@@ -274,8 +285,8 @@ def run_aio_experiment(
 
     async def _run() -> MeasurementResult:
         cluster = AioCluster(config, seed=seed, tracer=tracer)
-        await cluster.start()
         try:
+            await cluster.start()
             interval_s = 1.0 / config.send_rate
             last_id = None
             for i in range(config.messages):

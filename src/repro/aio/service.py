@@ -368,7 +368,11 @@ class GossipService:
         cluster = AioCluster(
             config, seed=request.get("seed"), tracer=self.tracer
         )
-        await cluster.start()
+        try:
+            await cluster.start()
+        except BaseException:
+            await cluster.stop()  # a half-started group holds sockets
+            raise
         self.cluster = cluster
         return {
             "ok": True,

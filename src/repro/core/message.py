@@ -26,7 +26,7 @@ class MessageIdFactory:
     history of *prior* in-process runs into the serials.)
 
     ``next(itertools.count())`` is atomic under the GIL, so one factory
-    may be shared by off-loop producers without a lock.
+    may be shared across threads without a lock.
     """
 
     __slots__ = ("_serials",)

@@ -5,11 +5,11 @@ network (DESIGN.md §7), applied with two small pieces:
 
 - :class:`FaultyTransport` is the link: round a clock-bearing
   :class:`~repro.net.transport.Transport` (the loopback transport, or
-  the UDP bridge) it owns every per-datagram draw — scalar loss, base
-  latency, a plan's cuts, Gilbert–Elliott loss and timing shaping —
-  and the ``gossip_sent`` / ``dropped`` trace events.  A datagram is
-  one event on the wrapped transport's clock, and fault rounds count
-  that clock's milliseconds: round ``r`` spans
+  UDP sockets on the asyncio loop) it owns every per-datagram draw —
+  scalar loss, base latency, a plan's cuts, Gilbert–Elliott loss and
+  timing shaping — and the ``gossip_sent`` / ``dropped`` trace events.
+  A datagram is one event on the wrapped transport's clock, and fault
+  rounds count that clock's milliseconds: round ``r`` spans
   ``[(r-1)·round_duration_ms, r·round_duration_ms)`` from
   :meth:`FaultyTransport.start_clock`.
 - :func:`crash_flips` lists the crash / recover windows as round
@@ -44,9 +44,9 @@ class FaultyTransport(Transport):
     when the range is wide; then the plan's jitter, reorder hold-back
     and duplicate (its own base latency plus the delay, scheduled before
     the original).  A ``plan`` given here is installed at once, on a
-    child of ``seed`` independent of :attr:`rng`.  Every draw happens in
-    the wrapped transport's context, so no lock is needed: a send from
-    anywhere else first hops there as a zero-delay event.
+    child of ``seed`` independent of :attr:`rng`.  Every send comes
+    from the wrapped transport's clock context (a node's timer or
+    receive), so no lock is needed.
     """
 
     def __init__(
@@ -76,8 +76,8 @@ class FaultyTransport(Transport):
             fault_seed, seed = spawn_seeds(seed, 2)
         #: The link's one generator: scalar loss, latency and shaping.
         self.rng = derive_rng(seed)
-        # The active loss model; a plan's replaces this scalar one.
-        super().__init__(LossModel(loss, seed=self.rng))
+        #: The active loss model; a plan's replaces this scalar one.
+        self.loss = LossModel(loss, seed=self.rng)
         self.inner = inner
         # A held datagram fires here; a loop transport dispatches it at
         # once, anything else (a socket, a stacked link) sends it on.
@@ -145,9 +145,6 @@ class FaultyTransport(Transport):
         if self._closed:
             return
         inner = self.inner
-        if not inner.in_context():
-            inner.schedule(0.0, self.send, src, dst, payload)
-            return
         tr = self.tracer
         if tr is not None:
             tr.gossip_sent(src.node, dst.node, dst.port, t=inner.now())
@@ -228,10 +225,6 @@ class FaultyTransport(Transport):
     def schedule(self, delay_ms: float, fn: Callable, *args):
         """The inner transport's clock, so stacked links share it."""
         return self.inner.schedule(delay_ms, fn, *args)
-
-    def in_context(self) -> bool:
-        """The inner transport's context, where the link draws."""
-        return self.inner.in_context()
 
     def counters(self) -> Dict[str, int]:
         """The link's self-health counters, for status reports."""

@@ -12,9 +12,9 @@ Provides the building blocks the protocols run on:
   end, exactly as Drum prescribes.
 - :class:`~repro.net.network.Network` — the fabric tying nodes, ports,
   loss, and channels together for the round-based simulator.
-- :class:`~repro.net.transport.Transport` and
-  :class:`~repro.net.transport.UdpTransport` — the datagram abstraction
-  the asyncio runtime (:mod:`repro.aio`) sends through, and real UDP.
+- :class:`~repro.net.transport.Transport` — the datagram interface the
+  cluster host sends through (in-process loopback, or real UDP on the
+  asyncio loop: :class:`repro.aio.transport.UdpTransport`).
 """
 
 from repro.net.address import (
@@ -29,7 +29,7 @@ from repro.net.channel import BoundedChannel
 from repro.net.link import LossModel
 from repro.net.network import Network
 from repro.net.packet import Packet
-from repro.net.transport import Transport, UdpTransport
+from repro.net.transport import Transport
 
 __all__ = [
     "Address",
@@ -43,5 +43,4 @@ __all__ = [
     "Packet",
     "RANDOM_PORT_BASE",
     "Transport",
-    "UdpTransport",
 ]

@@ -20,7 +20,7 @@ continuous-time stacks never start a round, so their events omit
 
 ``thread_safe=True`` serialises emission under a lock — required when
 a multi-threaded producer (an asyncio service scraped from other
-threads, off-loop senders) shares one tracer across threads.
+threads) shares one tracer across threads.
 """
 
 from __future__ import annotations

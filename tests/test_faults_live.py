@@ -15,10 +15,10 @@ from equivalence import wilson_ci
 
 from repro.aio import AioCluster, AioClusterConfig
 from repro.aio.env import LoopClock
-from repro.aio.transport import AioLoopbackTransport, AioUdpBridge
+from repro.aio.transport import AioLoopbackTransport, UdpTransport
 from repro.faults import FaultPlan, FaultSchedule
 from repro.faults.live import FaultyTransport, arm_flips, crash_flips
-from repro.net import Address, UdpTransport
+from repro.net import Address
 from repro.util import SeedSequenceFactory
 
 SHAPED = "loss:0.02; delay:20~10; reorder:0.2; dup:0.1"
@@ -197,14 +197,11 @@ class TestFaultyTransportOnLoop:
         sends = 400
 
         async def go():
-            inner = AioUdpBridge(
-                UdpTransport(base_port=28000, ports_per_node=16)
-            )
+            inner = UdpTransport(base_port=28000, ports_per_node=16)
             inner.attach()
             transport = shaper(inner)
             arrivals = Arrivals()
             transport.bind(DST, arrivals)
-            await asyncio.sleep(0.05)  # receiver thread is up
             before = threading.active_count()
             peak = await send_and_drain(transport, sends, burst=40)
             expected = sends - transport.dropped + transport.duplicated
@@ -251,44 +248,6 @@ class TestFaultyTransportOnLoop:
         assert pending_after_close == 0
         assert received == []
         assert complaints == []
-
-    def test_off_loop_send_is_delivered_on_the_loop_thread(self):
-        async def go():
-            inner = AioLoopbackTransport()
-            inner.attach()
-            transport = shaper(inner, "delay:20")
-            arrivals = Arrivals()
-            transport.bind(DST, arrivals)
-            senders, shaped_on = set(), set()
-            send_later = transport._send_later
-
-            def spy(*args):
-                shaped_on.add(threading.get_ident())
-                send_later(*args)
-
-            transport._send_later = spy
-
-            def produce():
-                senders.add(threading.get_ident())
-                for i in range(50):
-                    transport.send(SRC, DST, (i, time.monotonic()))
-
-            await asyncio.get_running_loop().run_in_executor(None, produce)
-            deadline = time.monotonic() + 5.0
-            while len(arrivals.index) < 50 and time.monotonic() < deadline:
-                await asyncio.sleep(0.01)
-            transport.close()
-            return transport, arrivals, senders, shaped_on
-
-        transport, arrivals, senders, shaped_on = asyncio.run(go())
-        assert senders.isdisjoint({threading.get_ident()})
-        # Each send hopped onto the loop before the shaper drew anything.
-        assert shaped_on == {threading.get_ident()}
-        assert transport.delayed == 50
-        assert arrivals.threads == {threading.get_ident()}
-        assert sorted(arrivals.index) == list(range(50))
-        assert min(arrivals.age_ms) >= 19.0
-        assert transport.pending == 0
 
     def test_stacked_shapers_share_the_inner_clock(self):
         async def go():
@@ -578,7 +537,7 @@ class TestLiveClusterHardening:
             if installed == "injected":
                 assert cluster.transport.loss.loss_probability == 0.01
                 cluster.inject_faults("loss:0.02")
-            assert cluster.shaper.inner.loss is None
+            assert not hasattr(cluster.shaper.inner, "loss")
             cluster.transport.bind(sink, lambda src, p: received.append(p))
             for i in range(sends):
                 cluster.transport.send(SRC, sink, i)

@@ -1,14 +1,12 @@
-"""Tests for repro.net.transport: the UDP datagram service."""
+"""Tests for the UDP datagram service (`repro.aio.transport.UdpTransport`)."""
 
 import asyncio
 import errno
-import threading
+import importlib
 import time
 
-import pytest
-
-from repro.aio.transport import AioLoopbackTransport
-from repro.net import Address, LossModel, UdpTransport
+from repro.aio.transport import WIRE_TYPES, AioLoopbackTransport, UdpTransport
+from repro.net import Address
 
 
 class TestCallLater:
@@ -29,41 +27,60 @@ class TestCallLater:
 
 class TestUdpTransport:
     def test_roundtrip_localhost(self):
-        transport = UdpTransport(base_port=23000, ports_per_node=16)
-        received = []
-        event = threading.Event()
+        async def go():
+            transport = UdpTransport(base_port=23000, ports_per_node=16)
+            transport.attach()
+            arrived = asyncio.get_running_loop().create_future()
+            transport.bind(
+                Address(1, 2),
+                lambda src, payload: arrived.set_result((src, payload)),
+            )
+            transport.send(Address(0, 1), Address(1, 2), {"k": "v"})
+            try:
+                return await asyncio.wait_for(arrived, 2.0)
+            finally:
+                transport.close()
 
-        def handler(src, payload):
-            received.append((src, payload))
-            event.set()
-
-        transport.bind(Address(1, 2), handler)
-        time.sleep(0.05)
-        transport.send(Address(0, 1), Address(1, 2), {"k": "v"})
-        assert event.wait(timeout=2.0), "datagram never arrived"
-        transport.close()
-        assert received[0] == (Address(0, 1), {"k": "v"})
+        assert asyncio.run(go()) == (Address(0, 1), {"k": "v"})
 
     def test_close_joins_every_receiver(self):
-        before = threading.active_count()
-        transport = UdpTransport(base_port=23200, ports_per_node=16)
-        for port in range(3):
-            transport.bind(Address(1, port), lambda s, p: None)
-        transport.unbind(Address(1, 0))  # still running until it notices
-        assert threading.active_count() == before + 3
-        transport.close()
-        assert threading.active_count() == before
+        """Close removes every reader and closes every socket."""
+
+        async def go():
+            selector = asyncio.get_running_loop()._selector
+            watched = len(selector.get_map())
+            transport = UdpTransport(base_port=23200, ports_per_node=16)
+            transport.attach()
+            for port in range(3):
+                transport.bind(Address(1, port), lambda s, p: None)
+            sockets = list(transport._sockets.values())
+            assert len(selector.get_map()) == watched + 3
+            transport.unbind(Address(1, 0))
+            assert sockets[0].fileno() == -1
+            assert len(selector.get_map()) == watched + 2
+            transport.close()
+            assert len(selector.get_map()) == watched
+            assert [s.fileno() for s in sockets] == [-1, -1, -1]
+            assert transport._sockets == {} and transport._send_sock is None
+
+        asyncio.run(go())
 
     def test_call_later_needs_a_clock(self):
+        """Before ``attach`` a call is a counted drop."""
         transport = UdpTransport(base_port=23300, ports_per_node=16)
-        with pytest.raises(NotImplementedError, match="AioUdpBridge"):
-            transport.call_later(0.01, lambda: None)
+        assert transport.call_later(0.01, lambda: None) is None
+        assert transport.dropped == 1
         transport.close()
 
     def test_send_to_unbound_is_silent(self):
-        transport = UdpTransport(base_port=23400, ports_per_node=16)
-        transport.send(Address(0, 1), Address(3, 2), "nobody-home")
-        transport.close()
+        async def go():
+            transport = UdpTransport(base_port=23400, ports_per_node=16)
+            transport.attach()
+            transport.send(Address(0, 1), Address(3, 2), "nobody-home")
+            transport.close()
+            return transport.send_errors
+
+        assert asyncio.run(go()) == 0
 
     def test_port_mapping_disjoint_across_nodes(self):
         transport = UdpTransport(base_port=23800, ports_per_node=16)
@@ -109,14 +126,13 @@ class _FlakySocket:
 
 
 class TestUdpRobustness:
-    """Hardening behaviour: closed guard, loss interaction, retries."""
+    """Hardening behaviour: closed guard, send errors, the wire types."""
 
     def test_send_after_close_is_noop(self):
         transport = UdpTransport(base_port=24600, ports_per_node=16)
         transport.close()
-        # No exception, no retry accounting: the datagram just vanishes.
+        # No exception, no error accounting: the datagram just vanishes.
         transport.send(Address(0, 1), Address(1, 2), "late")
-        assert transport.send_retries == 0
         assert transport.send_errors == 0
 
     def test_double_close_is_safe(self):
@@ -124,60 +140,38 @@ class TestUdpRobustness:
         transport.close()
         transport.close()
 
-    def test_loss_model_consulted_before_socket(self):
-        transport = UdpTransport(
-            LossModel(1.0, seed=0), base_port=24700, ports_per_node=16
-        )
-        try:
-            flaky = _FlakySocket(failures=0)
-            transport._send_sock = flaky
-            for _ in range(10):
-                transport.send(Address(0, 1), Address(1, 2), "x")
-            assert flaky.calls == 0  # all lost before reaching the kernel
-        finally:
-            transport._send_sock = _FlakySocket(0)
-            transport.close()
+    def send_once(self, monkeypatch, err):
+        """One send through a socket that keeps failing with ``err``."""
 
-    def test_transient_error_retried_with_bounded_backoff(self):
+        def refuse(_s):
+            raise AssertionError("send slept")
+
+        monkeypatch.setattr(time, "sleep", refuse)
         transport = UdpTransport(base_port=24750, ports_per_node=16)
-        try:
-            flaky = _FlakySocket(failures=2)
-            transport._send_sock = flaky
-            t0 = time.monotonic()
-            transport.send(Address(0, 1), Address(1, 2), "retry-me")
-            elapsed = time.monotonic() - t0
-            assert len(flaky.sent) == 1
-            assert transport.send_retries == 2
-            assert transport.send_errors == 0
-            # Backoff for two retries is ~1ms + ~2ms; bounded well under
-            # the test-suite latency budget.
-            assert elapsed < 0.05
-        finally:
-            transport._send_sock = _FlakySocket(0)
-            transport.close()
+        flaky = _FlakySocket(failures=99, err=err)
+        transport._send_sock = flaky
+        transport.send(Address(0, 1), Address(1, 2), "dropped")
+        transport.close()
+        return transport, flaky
 
-    def test_retry_budget_exhausted_counts_an_error(self):
-        transport = UdpTransport(base_port=24800, ports_per_node=16)
-        try:
-            flaky = _FlakySocket(failures=99, err=errno.ENOBUFS)
-            transport._send_sock = flaky
-            transport.send(Address(0, 1), Address(1, 2), "doomed")
-            assert flaky.sent == []
-            assert transport.send_retries == transport._MAX_SEND_RETRIES
-            assert transport.send_errors == 1
-        finally:
-            transport._send_sock = _FlakySocket(0)
-            transport.close()
+    def test_transient_error_retried_with_bounded_backoff(self, monkeypatch):
+        """A transient errno is one counted drop, with no sleep."""
+        transport, flaky = self.send_once(monkeypatch, errno.EAGAIN)
+        assert (flaky.calls, flaky.sent, transport.send_errors) == (1, [], 1)
 
-    def test_non_transient_error_not_retried(self):
-        transport = UdpTransport(base_port=24850, ports_per_node=16)
-        try:
-            flaky = _FlakySocket(failures=99, err=errno.ECONNREFUSED)
-            transport._send_sock = flaky
-            transport.send(Address(0, 1), Address(1, 2), "refused")
-            assert flaky.calls == 1
-            assert transport.send_retries == 0
-            assert transport.send_errors == 0
-        finally:
-            transport._send_sock = _FlakySocket(0)
-            transport.close()
+    def test_retry_budget_exhausted_counts_an_error(self, monkeypatch):
+        """ENOBUFS too: one try, one counted drop."""
+        transport, flaky = self.send_once(monkeypatch, errno.ENOBUFS)
+        assert (flaky.calls, flaky.sent, transport.send_errors) == (1, [], 1)
+
+    def test_non_transient_error_not_retried(self, monkeypatch):
+        transport, flaky = self.send_once(monkeypatch, errno.ECONNREFUSED)
+        assert (flaky.calls, transport.send_errors) == (1, 0)
+
+    def test_every_wire_type_resolves(self):
+        """A renamed message class would silently fail to decode."""
+        for module, names in WIRE_TYPES.items():
+            for name in names:
+                assert isinstance(
+                    getattr(importlib.import_module(module), name), type
+                )
