@@ -32,6 +32,7 @@ from repro.core.buffer import MessageBuffer
 from repro.core.config import ProtocolConfig, ProtocolKind
 from repro.core.message import (
     DataMessage,
+    Digest,
     MessageIdFactory,
     PullReply,
     PullRequest,
@@ -62,6 +63,21 @@ DeliverCallback = Callable[[int, DataMessage, float], None]
 #: ports are unattackable under random ports, and the paper leaves the
 #: data capability well above the control bounds.
 DEFAULT_DATA_BOUND = 512
+
+
+def _is_id(value: object) -> bool:
+    """A node id or port as correct nodes send it: an int >= 0, no bool."""
+    return type(value) is int and value >= 0
+
+
+def _well_formed(payload) -> bool:
+    """Whether a wire message's fields have the types its handler uses,
+    so a forged but well-typed message costs a drop, not an exception."""
+    if not _is_id(payload.sender):
+        return False
+    if hasattr(payload, "digest") and not isinstance(payload.digest, Digest):
+        return False
+    return not hasattr(payload, "messages") or type(payload.messages) is tuple
 
 
 class GossipNode:
@@ -314,7 +330,7 @@ class GossipNode:
         # exactly the acceptance slots the paper's model says it does.
         if not self.bounds.try_consume("push_offer"):
             return
-        if not isinstance(payload, PushOffer):
+        if not isinstance(payload, PushOffer) or not _well_formed(payload):
             self.stats["invalid_dropped"] += 1
             return
         reply_port = self._unseal(payload.reply_port)
@@ -337,7 +353,7 @@ class GossipNode:
     def _on_push_reply(self, src: Address, payload: object) -> None:
         if not self.bounds.try_consume("push_reply"):
             return
-        if not isinstance(payload, PushReply):
+        if not isinstance(payload, PushReply) or not _well_formed(payload):
             self.stats["invalid_dropped"] += 1
             return
         data_port = self._unseal(payload.data_port)
@@ -359,7 +375,7 @@ class GossipNode:
     def _on_push_data(self, src: Address, payload: object) -> None:
         if not self.bounds.try_consume("push_data"):
             return
-        if not isinstance(payload, PushData):
+        if not isinstance(payload, PushData) or not _well_formed(payload):
             self.stats["invalid_dropped"] += 1
             return
         for message in payload.messages[: self.config.max_sends_per_partner]:
@@ -388,7 +404,7 @@ class GossipNode:
     def _on_pull_request(self, src: Address, payload: object) -> None:
         if not self.bounds.try_consume("pull_request"):
             return
-        if not isinstance(payload, PullRequest):
+        if not isinstance(payload, PullRequest) or not _well_formed(payload):
             self.stats["invalid_dropped"] += 1
             return
         reply_port = self._unseal(payload.reply_port)
@@ -411,7 +427,7 @@ class GossipNode:
     def _on_pull_data(self, src: Address, payload: object) -> None:
         if not self.bounds.try_consume("pull_data"):
             return
-        if not isinstance(payload, PullReply):
+        if not isinstance(payload, PullReply) or not _well_formed(payload):
             self.stats["invalid_dropped"] += 1
             return
         for message in payload.messages[: self.config.max_sends_per_partner]:
@@ -467,4 +483,4 @@ class GossipNode:
                 advertised = open_envelope(self.keys.private, advertised)
             except Exception:
                 return None
-        return advertised if isinstance(advertised, int) else None
+        return advertised if _is_id(advertised) else None
