@@ -82,15 +82,14 @@ EQUIV_CASES = [(10**3, 120, 501, 502), (10**4, 40, 601, 602)]
 
 
 def run_scale_sweep(ns, sweep_runs):
-    report, rows = scale_grid(
+    cells = scale_grid(
         ["drum", "pull"],
         ns,
         budget_per_node=SWEEP_BUDGET,
         runs=sweep_runs,
         seed=SWEEP_SEED,
         max_rounds=MAX_ROUNDS,
-    )
-    cells = [cell for row in rows for cell in row]
+    ).cells
     series = sweep_runner().run("asymptotic_scale", cells).series()
     return {
         "ns": list(ns),

@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _common import mc_kwargs, once, record, runs, scaled
 
-from repro.adversary import fixed_budget_sweep
+from repro.adversary import AttackSpec
 from repro.metrics import adversary_best_extent
 from repro.sim import Scenario, monte_carlo
 from repro.util import Table
@@ -23,7 +23,10 @@ EXTENTS = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 
 def _budget_sweep(n, budget_per_n, seed):
-    specs = fixed_budget_sweep(budget_per_n * n, EXTENTS, n)
+    specs = [
+        AttackSpec.fixed_budget(budget_per_n * n, a, n)
+        for a in EXTENTS
+    ]
     out = {}
     for protocol in PROTOCOLS:
         times = []

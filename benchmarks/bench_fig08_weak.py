@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _common import once, record, runs, scaled
 
-from repro.adversary import fixed_budget_sweep
+from repro.adversary import AttackSpec
 from repro.sim import Scenario, monte_carlo
 from repro.util import Table
 
@@ -32,7 +32,8 @@ def _drum_sweep(n, seed):
             ).mean_rounds()
             times = [baseline] * len(EXTENTS)
         else:
-            for spec in fixed_budget_sweep(budget_per_n * n, EXTENTS, n):
+            for alpha in EXTENTS:
+                spec = AttackSpec.fixed_budget(budget_per_n * n, alpha, n)
                 scenario = Scenario(
                     protocol="drum",
                     n=n,

@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from _common import once, record, runs
 
-from repro.adversary import AttackSpec, fixed_budget_sweep
+from repro.adversary import AttackSpec
 from repro.analysis import (
     drum_effective_degrees,
     pull_escape_lower_bound,
@@ -61,8 +61,8 @@ def test_lemma2_drum_monotone_in_alpha(benchmark):
 
     def sweep():
         return [
-            _prop("drum", spec, 151)
-            for spec in fixed_budget_sweep(budget, alphas, N)
+            _prop("drum", AttackSpec.fixed_budget(budget, alpha, N), 151)
+            for alpha in alphas
         ]
 
     times = once(benchmark, sweep)

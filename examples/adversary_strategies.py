@@ -10,7 +10,7 @@ do is attack everyone — i.e., Drum removes the incentive to target.
 Run:  python examples/adversary_strategies.py
 """
 
-from repro import Scenario, monte_carlo, relative_budget_sweep
+from repro import AttackSpec, Experiment
 from repro.metrics import adversary_best_extent
 from repro.util import Table
 
@@ -21,7 +21,7 @@ RUNS = 120
 
 
 def main() -> None:
-    specs = relative_budget_sweep(C, ALPHAS, N, fan_out=4)
+    specs = [AttackSpec.relative_budget(C, a, N, fan_out=4) for a in ALPHAS]
     table = Table(
         f"Fixed budget B={C:g}x capacity: propagation time by attack extent (n={N})",
         ["protocol"] + [f"a={a:g} (x={s.x:.0f})" for a, s in zip(ALPHAS, specs)]
@@ -30,14 +30,15 @@ def main() -> None:
     for protocol in ("drum", "push", "pull"):
         times = []
         for spec in specs:
-            scenario = Scenario(
+            exp = Experiment(
                 protocol=protocol,
                 n=N,
                 malicious_fraction=0.1,
                 attack=spec,
                 max_rounds=400,
+                runs=RUNS,
             )
-            times.append(monte_carlo(scenario, runs=RUNS, seed=3).mean_rounds())
+            times.append(exp.run("fast", seed=3).mean_rounds())
         best = adversary_best_extent(ALPHAS, times)
         table.add_row(protocol, *times, f"α={best:g}")
     print(table)

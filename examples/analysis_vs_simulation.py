@@ -11,13 +11,22 @@ Run:  python examples/analysis_vs_simulation.py
 
 import numpy as np
 
-from repro import AttackSpec, Scenario, monte_carlo
+from repro import AttackSpec, Experiment
 from repro.analysis import coverage_curve_attack, coverage_curve_no_attack
 from repro.util import Table
 
 N = 120
 ROUNDS = 14
 CHECKPOINTS = [2, 4, 6, 8, 10, 12]
+
+
+def simulate(exp: Experiment, seed: int) -> np.ndarray:
+    """Mean coverage per round 0..ROUNDS over 400 runs.  A batch stops
+    once every run reached everyone; coverage then stays at 1, so the
+    curve is padded with its last value."""
+    exp = exp.with_(threshold=1.0, max_rounds=ROUNDS, runs=400)
+    coverage = exp.run("fast", seed=seed).coverage_by_round()
+    return np.pad(coverage, (0, ROUNDS + 1 - len(coverage)), mode="edge")
 
 
 def overlay(title, analysis, refined, sim):
@@ -38,10 +47,7 @@ def main() -> None:
         refined = coverage_curve_no_attack(
             protocol, N, rounds=ROUNDS, refined=True
         ).coverage
-        sim = monte_carlo(
-            Scenario(protocol=protocol, n=N, threshold=1.0),
-            runs=400, seed=7, horizon=ROUNDS,
-        ).coverage_by_round()
+        sim = simulate(Experiment(protocol=protocol, n=N), seed=7)
         overlay(f"{protocol}: expected coverage per round (n={N})",
                 analysis, refined, sim)
 
@@ -54,11 +60,11 @@ def main() -> None:
         refined = coverage_curve_attack(
             protocol, N, 12, attack, rounds=ROUNDS, refined=True
         ).coverage
-        sim = monte_carlo(
-            Scenario(protocol=protocol, n=N, malicious_fraction=0.1,
-                     attack=attack, threshold=1.0),
-            runs=400, seed=8, horizon=ROUNDS,
-        ).coverage_by_round()
+        sim = simulate(
+            Experiment(protocol=protocol, n=N, malicious_fraction=0.1,
+                       attack=attack),
+            seed=8,
+        )
         overlay(f"{protocol} under attack (n={N})", analysis, refined, sim)
 
     print(

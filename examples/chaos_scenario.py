@@ -22,17 +22,16 @@ rounds while the unbalanced protocols stay starved by the DoS flood
 (which crosses partitions: the attacker is outside the group) long
 after the network itself has recovered.
 
-The same plan string also drives the discrete-event cluster
-(``ClusterConfig(faults=...)``), the asyncio runtime
-(``AioClusterConfig(faults=...)``), and the CLI (``--faults``).
+The same plan string drives every engine (``Experiment(faults=...)``
+run on ``"des"`` or ``"aio"`` as well as ``"fast"``) and the CLI
+(``--faults``).
 
 Run:  python examples/chaos_scenario.py
 """
 
 import numpy as np
 
-from repro import AttackSpec, Scenario
-from repro.sim import run_fast
+from repro import AttackSpec, Experiment
 from repro.util import Table
 
 CHAOS = "crash@5-20:0.1;partition@8-15:0.4;gilbert:0.01,0.3,0.05,0.25"
@@ -51,18 +50,15 @@ def main() -> None:
         ],
     )
     for protocol in ("drum", "push", "pull"):
-        result = run_fast(
-            Scenario(
-                protocol=protocol,
-                n=60,
-                malicious_fraction=0.1,
-                attack=attack,
-                max_rounds=300,
-                faults=CHAOS,
-            ),
+        result = Experiment(
+            protocol=protocol,
+            n=60,
+            malicious_fraction=0.1,
+            attack=attack,
+            max_rounds=300,
+            faults=CHAOS,
             runs=100,
-            seed=7,
-        )
+        ).run("fast", seed=7)
         rr = result.residual_reliability()
         rtt = result.rounds_to_threshold()
         finite = rtt[~np.isnan(rtt)]
@@ -80,8 +76,8 @@ def main() -> None:
         "Drum is back to full coverage a few rounds after the partition\n"
         "heals; Push and Pull need several times longer because the flood\n"
         "keeps starving their single unprotected channel.  The same plan\n"
-        "string drives all three stacks (simulate --faults,\n"
-        "ClusterConfig(faults=...), AioClusterConfig(faults=...))."
+        "string drives every engine (simulate --faults,\n"
+        "Experiment(faults=...).run(\"des\") or .run(\"aio\"))."
     )
 
 

@@ -10,7 +10,7 @@ scenario (Figure 3a at x = 128).
 Run:  python examples/quickstart.py
 """
 
-from repro import AttackSpec, Scenario, monte_carlo
+from repro import AttackSpec, Experiment
 from repro.util import Table
 
 
@@ -21,20 +21,11 @@ def main() -> None:
         ["protocol", "no attack [rounds]", "under attack [rounds]", "slowdown"],
     )
     for protocol in ("drum", "push", "pull"):
-        healthy = monte_carlo(
-            Scenario(protocol=protocol, n=120), runs=150, seed=1
-        ).mean_rounds()
-        attacked = monte_carlo(
-            Scenario(
-                protocol=protocol,
-                n=120,
-                malicious_fraction=0.1,
-                attack=attack,
-                max_rounds=400,
-            ),
-            runs=150,
-            seed=2,
-        ).mean_rounds()
+        base = Experiment(protocol=protocol, n=120, runs=150)
+        healthy = base.run("fast", seed=1).mean_rounds()
+        attacked = base.with_(
+            malicious_fraction=0.1, attack=attack, max_rounds=400
+        ).run("fast", seed=2).mean_rounds()
         table.add_row(protocol, healthy, attacked, f"{attacked / healthy:.1f}x")
     print(table)
     print()

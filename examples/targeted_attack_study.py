@@ -3,7 +3,8 @@
 
 Reproduces the Section 7.2 methodology end to end:
 
-1. sweep the per-victim attack rate ``x`` with the extent fixed at 10 %;
+1. sweep the per-victim attack rate ``x`` with the extent fixed at 10 %
+   (one Figure 3(a) grid, :func:`repro.rate_grid`);
 2. fit each protocol's propagation-time trend
    (:func:`repro.metrics.dos_impact`) — Drum comes out flat, Push and
    Pull linear;
@@ -13,7 +14,7 @@ Reproduces the Section 7.2 methodology end to end:
 Run:  python examples/targeted_attack_study.py
 """
 
-from repro import AttackSpec, Scenario, monte_carlo
+from repro import rate_grid
 from repro.analysis import (
     escape_time_std,
     expected_escape_rounds,
@@ -28,27 +29,15 @@ RATES = [0, 32, 64, 128]
 RUNS = 120
 
 
-def sweep(protocol: str) -> list:
-    times = []
-    for x in RATES:
-        scenario = Scenario(
-            protocol=protocol,
-            n=N,
-            malicious_fraction=0.1,
-            attack=AttackSpec(alpha=ALPHA, x=float(x)),
-            max_rounds=400,
-        )
-        times.append(monte_carlo(scenario, runs=RUNS, seed=7).mean_rounds())
-    return times
-
-
 def main() -> None:
+    figure = rate_grid(
+        ["drum", "push", "pull"], RATES, n=N, alpha=ALPHA, runs=RUNS, seed=7,
+    ).run()
     table = Table(
         f"Propagation time vs attack rate (n={N}, alpha={ALPHA:.0%})",
         ["protocol"] + [f"x={x}" for x in RATES] + ["verdict"],
     )
-    for protocol in ("drum", "push", "pull"):
-        times = sweep(protocol)
+    for protocol, times in figure.series.items():
         report = dos_impact("x", RATES, times)
         verdict = "resistant" if report.is_resistant else "degrades"
         table.add_row(protocol, *times, verdict)

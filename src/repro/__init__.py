@@ -20,95 +20,49 @@ Quick start — one experiment description, any execution stack::
     measured = exp.run("des", seed=1)    # discrete-event measurement
     print(measured.delivery_ratio())
 
-The stack-native entry points remain fully supported::
+A paper figure is one grid, run one way::
 
-    from repro import Scenario, monte_carlo
+    from repro import rate_grid
 
-    scenario = Scenario(
-        protocol="drum", n=120, malicious_fraction=0.1,
-        attack=AttackSpec(alpha=0.1, x=128),
-    )
-    result = monte_carlo(scenario, runs=100, seed=1)
+    report = rate_grid(["drum", "push", "pull"], [0, 32, 64, 128],
+                       runs=100, seed=1).run(store="results/.cache")
+    print(report.to_json())
 
-Attach a :class:`repro.obs.Tracer` to any engine for a typed event
-stream (round markers, sends, bounded-acceptance wins, drops by reason,
-deliveries, fault transitions) through pluggable sinks; seeded runs are
-byte-identical with tracing on or off.
+Attach a :class:`Tracer` to any engine for a typed event stream (round
+markers, sends, bounded-acceptance wins, drops by reason, deliveries,
+fault transitions) through pluggable sinks; seeded runs are
+byte-identical with tracing on or off.  Everything else lives in the
+subpackages (:mod:`repro.sim`, :mod:`repro.des`, :mod:`repro.sweep`,
+:mod:`repro.analysis`, ...).
 """
 
-from repro.adversary import (
-    AttackSpec,
-    PortLoad,
-    RoundAttacker,
-    fixed_budget_sweep,
-    increasing_extent_sweep,
-    increasing_rate_sweep,
-    relative_budget_sweep,
-)
+from repro.adversary import AttackSpec
 from repro.api import Experiment, result_from_dict
-from repro.core import (
-    DrumProcess,
-    GossipProcess,
-    MessageBuffer,
-    ProtocolConfig,
-    ProtocolKind,
-    PullProcess,
-    PushProcess,
-)
+from repro.faults import FaultPlan
 from repro.obs import JsonlSink, MemorySink, PrometheusSink, Tracer
-from repro.sim import (
-    MonteCarloResult,
+from repro.sweep import (
     ResultStore,
-    RoundSimulator,
-    RunResult,
-    Scenario,
-    budget_sweep,
-    churn_sweep,
-    default_runs,
-    default_workers,
-    extent_sweep,
-    monte_carlo,
-    rate_sweep,
-    run_exact,
-    run_fast,
+    budget_grid,
+    churn_grid,
+    extent_grid,
+    rate_grid,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AttackSpec",
-    "DrumProcess",
     "Experiment",
-    "GossipProcess",
+    "FaultPlan",
     "JsonlSink",
     "MemorySink",
-    "MessageBuffer",
-    "MonteCarloResult",
-    "PortLoad",
     "PrometheusSink",
-    "ProtocolConfig",
-    "ProtocolKind",
-    "PullProcess",
-    "PushProcess",
     "ResultStore",
-    "RoundAttacker",
-    "RoundSimulator",
-    "RunResult",
-    "Scenario",
     "Tracer",
     "__version__",
-    "budget_sweep",
-    "churn_sweep",
-    "default_runs",
-    "default_workers",
-    "extent_sweep",
-    "rate_sweep",
-    "fixed_budget_sweep",
-    "increasing_extent_sweep",
-    "increasing_rate_sweep",
-    "monte_carlo",
-    "relative_budget_sweep",
+    "budget_grid",
+    "churn_grid",
+    "extent_grid",
+    "rate_grid",
     "result_from_dict",
-    "run_exact",
-    "run_fast",
 ]

@@ -3,10 +3,12 @@
 The paper's adversary focuses on a fraction ``α`` of the processes and
 sends each of them ``x`` fabricated messages per round, for a total
 strength ``B = x·α·n``.  This package expresses those attacks
-(:class:`~repro.adversary.attacks.AttackSpec`), injects them into the
-simulated network (:class:`~repro.adversary.attacker.RoundAttacker`),
-and enumerates the strategy sweeps of Sections 7.2–7.3
-(:mod:`repro.adversary.strategies`).
+(:class:`~repro.adversary.attacks.AttackSpec`) and injects them into the
+simulated network (:class:`~repro.adversary.attacker.RoundAttacker`).
+The strategy sweeps of Sections 7.2–7.3 are lists of specs: a fixed
+budget spread over each extent is
+``[AttackSpec.fixed_budget(B, a, n) for a in alphas]``, and the figure
+grids in :mod:`repro.sweep.grid` build them per cell.
 """
 
 from repro.adversary.attacks import AttackSpec, PortLoad
@@ -17,12 +19,6 @@ from repro.adversary.adaptive import (
     RotatingAttacker,
 )
 from repro.adversary.snooping import SnoopingAttacker
-from repro.adversary.strategies import (
-    fixed_budget_sweep,
-    increasing_extent_sweep,
-    increasing_rate_sweep,
-    relative_budget_sweep,
-)
 
 __all__ = [
     "AdaptiveAttacker",
@@ -32,8 +28,4 @@ __all__ = [
     "RotatingAttacker",
     "RoundAttacker",
     "SnoopingAttacker",
-    "fixed_budget_sweep",
-    "increasing_extent_sweep",
-    "increasing_rate_sweep",
-    "relative_budget_sweep",
 ]

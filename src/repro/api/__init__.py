@@ -47,19 +47,12 @@ from repro.api.results import (
     encode_envelope,
     result_from_dict,
 )
-from repro.des.measurement import MeasurementResult
-from repro.sim.results import MonteCarloResult, RunResult
-from repro.sim.scenario import Scenario
 
 __all__ = [
     "EngineCapabilities",
     "EngineCapabilityError",
     "EngineSpec",
     "Experiment",
-    "MeasurementResult",
-    "MonteCarloResult",
-    "RunResult",
-    "Scenario",
     "decode_envelope",
     "encode_envelope",
     "engines",

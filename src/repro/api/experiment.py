@@ -17,7 +17,8 @@ and keep their fields in sync by eye.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.adversary.attacks import AttackSpec
@@ -174,36 +175,31 @@ class Experiment:
 # — the same contract third-party stacks register with.
 
 
+def _monte_carlo(
+    engine: str, exp: Experiment, *, seed=None, workers=None, tracer=None
+):
+    """``exp.runs`` runs of ``exp`` on one of the round engines."""
+    from repro.sim.runner import monte_carlo
+
+    return monte_carlo(
+        exp.scenario(), exp.runs, seed=seed, engine=engine,
+        workers=workers, tracer=tracer,
+    )
+
+
 def run_exact_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):
     """One object-level run, or a Monte-Carlo batch when ``runs`` is set."""
     if exp.runs is None:
         from repro.sim.engine import run_exact
 
         return run_exact(exp.scenario(), seed=seed, tracer=tracer)
-    from repro.sim.runner import monte_carlo
-
-    return monte_carlo(
-        exp.scenario(), exp.runs, seed=seed, engine="exact",
-        workers=workers, tracer=tracer,
+    return _monte_carlo(
+        "exact", exp, seed=seed, workers=workers, tracer=tracer
     )
 
 
-def run_fast_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):
-    from repro.sim.runner import monte_carlo
-
-    return monte_carlo(
-        exp.scenario(), exp.runs, seed=seed, engine="fast",
-        workers=workers, tracer=tracer,
-    )
-
-
-def run_mega_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):
-    from repro.sim.runner import monte_carlo
-
-    return monte_carlo(
-        exp.scenario(), exp.runs, seed=seed, engine="mega",
-        workers=workers, tracer=tracer,
-    )
+run_fast_engine = functools.partial(_monte_carlo, "fast")
+run_mega_engine = functools.partial(_monte_carlo, "mega")
 
 
 def run_des_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):

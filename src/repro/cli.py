@@ -46,9 +46,16 @@ from repro.analysis import (
     escape_time_std,
     expected_escape_rounds,
 )
+from repro.api import Experiment
 from repro.core.config import ProtocolKind
-from repro.des import ClusterConfig, run_throughput_experiment
-from repro.sim import Scenario, monte_carlo
+from repro.metrics.stats import summarize_runs
+from repro.sweep.grid import (
+    MONTE_CARLO_METRICS,
+    budget_grid,
+    churn_grid,
+    extent_grid,
+    rate_grid,
+)
 from repro.util import Table
 
 PROTOCOL_CHOICES = [kind.value for kind in ProtocolKind]
@@ -134,6 +141,17 @@ def _open_tracer(args):
     return Tracer(sink), sink
 
 
+def _traced_run(args, run):
+    """``run(tracer)`` with ``--trace FILE`` recording (tracer None
+    without it); returns the result and the closed sink, if any."""
+    tracer, sink = _open_tracer(args)
+    try:
+        return run(tracer), sink
+    finally:
+        if sink is not None:
+            sink.close()
+
+
 def _attack(args) -> Optional[AttackSpec]:
     if args.alpha > 0 and args.rate > 0:
         return AttackSpec(alpha=args.alpha, x=args.rate)
@@ -142,36 +160,46 @@ def _attack(args) -> Optional[AttackSpec]:
     return None
 
 
-def _emit(args, title: str, payload: dict) -> None:
+def _emit(args, title: str, payload: dict, sink=None) -> None:
+    """Print ``payload`` as JSON or a one-row table, naming the trace
+    file ``sink`` wrote, if any."""
     if args.json:
+        if sink is not None:
+            payload["trace"] = {"path": args.trace, "events": sink.written}
         print(json.dumps(payload, indent=2, default=float))
         return
     table = Table(title, list(payload.keys()))
     table.add_row(*payload.values())
     print(table)
+    if sink is not None:
+        print(f"trace: {args.trace} ({sink.written} events)")
 
 
-def cmd_simulate(args) -> int:
+def _experiment(args, **knobs) -> Experiment:
+    """The experiment ``simulate`` / ``measure`` describe on the command
+    line, plus the per-stack ``knobs`` each one sets."""
     attack = _attack(args)
-    scenario = Scenario(
+    return Experiment(
         protocol=args.protocol,
         n=args.n,
         fan_out=args.fan_out,
         loss=args.loss,
         malicious_fraction=args.malicious if attack else 0.0,
         attack=attack,
-        max_rounds=args.max_rounds,
         faults=_faults_spec(args),
+        **knobs,
     )
-    tracer, sink = _open_tracer(args)
-    try:
-        result = monte_carlo(
-            scenario, runs=args.runs, seed=args.seed, workers=args.workers,
-            tracer=tracer,
-        )
-    finally:
-        if sink is not None:
-            sink.close()
+
+
+def cmd_simulate(args) -> int:
+    exp = _experiment(args, max_rounds=args.max_rounds, runs=args.runs)
+    result, sink = _traced_run(
+        args,
+        lambda tracer: exp.run(
+            "fast", seed=args.seed, workers=args.workers, tracer=tracer
+        ),
+    )
+    scenario = result.scenario
     payload = {
         "mean rounds to 99%": result.mean_rounds(),
         "std": result.std_rounds(),
@@ -183,28 +211,21 @@ def cmd_simulate(args) -> int:
         )
         heal = result.rounds_to_heal()
         if heal is not None:
-            finite = heal[~np.isnan(heal)]
-            payload["mean rounds to heal"] = (
-                float(finite.mean()) if finite.size else float("nan")
-            )
+            payload["mean rounds to heal"] = summarize_runs(heal).mean
         latency = result.join_latency()
         if latency is not None:
-            finite = latency[~np.isnan(latency)]
             payload["mean join latency [rounds]"] = (
-                float(finite.mean()) if finite.size else float("nan")
+                summarize_runs(latency).mean
             )
             payload["mean view convergence [rounds]"] = float(
                 np.mean(result.view_convergence())
             )
-    if sink is not None and args.json:
-        payload["trace"] = {"path": args.trace, "events": sink.written}
     _emit(
         args,
         f"Simulation: {scenario.describe()} ({args.runs} runs)",
         payload,
+        sink,
     )
-    if not args.json and sink is not None:
-        print(f"trace: {args.trace} ({sink.written} events)")
     return 0
 
 
@@ -241,27 +262,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    attack = _attack(args)
-    config = ClusterConfig(
-        protocol=args.protocol,
-        n=args.n,
-        malicious_fraction=args.malicious if attack else 0.0,
-        attack=attack,
-        fan_out=args.fan_out,
-        loss=args.loss,
+    exp = _experiment(
+        args,
         messages=args.messages,
         send_rate=args.send_rate,
         round_duration_ms=args.round_ms,
-        faults=_faults_spec(args),
     )
-    tracer, sink = _open_tracer(args)
-    try:
-        result = run_throughput_experiment(
-            config, seed=args.seed, tracer=tracer
-        )
-    finally:
-        if sink is not None:
-            sink.close()
+    result, sink = _traced_run(
+        args, lambda tracer: exp.run("des", seed=args.seed, tracer=tracer)
+    )
     throughput = result.throughput()
     latencies = [
         latency
@@ -287,27 +296,31 @@ def cmd_measure(args) -> int:
             payload["mean view convergence [rounds]"] = result.churn[
                 "view_convergence"
             ]
-    if sink is not None and args.json:
-        payload["trace"] = {"path": args.trace, "events": sink.written}
     _emit(
         args,
         f"Measurement: {args.protocol}, n={args.n}, "
         f"{args.messages} msgs @ {args.send_rate:g}/s",
         payload,
+        sink,
     )
-    if not args.json and sink is not None:
-        print(f"trace: {args.trace} ({sink.written} events)")
     return 0
 
 
-def cmd_sweep(args) -> int:
-    from repro.sim.sweeps import (
-        budget_sweep,
-        churn_sweep,
-        extent_sweep,
-        rate_sweep,
-    )
+#: ``repro sweep --kind`` -> (grid builder, its kind-specific options).
+SWEEP_KINDS = {
+    "rate": (rate_grid, lambda a: dict(alpha=a.alpha or 0.1)),
+    "extent": (extent_grid, lambda a: dict(x=a.rate or 128.0)),
+    "budget": (
+        budget_grid, lambda a: dict(budget_per_process=a.budget_per_process)
+    ),
+    "churn": (
+        churn_grid,
+        lambda a: dict(alpha=a.alpha or 0.1, x=a.rate or 0.0, metric=a.metric),
+    ),
+}
 
+
+def cmd_sweep(args) -> int:
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     if not protocols:
         raise SystemExit("--protocols needs at least one protocol name")
@@ -325,37 +338,23 @@ def cmd_sweep(args) -> int:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    common = dict(
-        n=args.n,
-        malicious_fraction=args.malicious,
-        runs=args.runs,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
-        workers=args.workers,
-        store=args.store,
-        tracer=tracer,
-        resume=args.resume,
-    )
+    builder, options = SWEEP_KINDS[args.kind]
     try:
-        if args.kind == "rate":
-            report = rate_sweep(
-                protocols, values, alpha=args.alpha or 0.1, **common
-            )
-        elif args.kind == "extent":
-            report = extent_sweep(
-                protocols, values, x=args.rate or 128.0, **common
-            )
-        elif args.kind == "churn":
-            report = churn_sweep(
-                protocols, values,
-                alpha=args.alpha or 0.1, x=args.rate or 0.0,
-                metric=args.metric, **common
-            )
-        else:
-            report = budget_sweep(
-                protocols, values,
-                budget_per_process=args.budget_per_process, **common
-            )
+        report = builder(
+            protocols,
+            values,
+            n=args.n,
+            malicious_fraction=args.malicious,
+            runs=args.runs,
+            seed=args.seed,
+            max_rounds=args.max_rounds,
+            **options(args),
+        ).run(
+            workers=args.workers,
+            store=args.store,
+            tracer=tracer,
+            resume=args.resume,
+        )
     finally:
         if sink is not None:
             sink.close()
@@ -526,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resumable multi-protocol figure sweep through the result store",
     )
     p_sweep.add_argument(
-        "--kind", default="rate",
-        choices=["rate", "extent", "budget", "churn"],
+        "--kind", default="rate", choices=list(SWEEP_KINDS),
         help="sweep shape: x-axis is the attack rate x, the extent "
              "alpha, the extent under a fixed total budget, or the "
              "churn-storm fraction (joins+leaves per storm; pair with "
@@ -560,11 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="for --kind budget: total budget B = this times n",
     )
     p_sweep.add_argument(
-        "--metric", default="reliability",
-        choices=[
-            "mean_rounds", "std_rounds", "reliability",
-            "join_latency", "view_convergence",
-        ],
+        "--metric", default="reliability", choices=MONTE_CARLO_METRICS,
         help="for --kind churn: the per-cell metric to chart "
              "(default: residual reliability over the "
              "certified-and-alive set)",

@@ -1,6 +1,7 @@
 """Round-synchronised simulation of the gossip protocols.
 
-Two engines share one :class:`~repro.sim.scenario.Scenario` description:
+Three round engines share one :class:`~repro.sim.scenario.Scenario`
+description:
 
 - :mod:`repro.sim.engine` — the *exact* object-level engine: real
   packets, ports, channels, sealed envelopes.  Used by tests and small
@@ -9,9 +10,13 @@ Two engines share one :class:`~repro.sim.scenario.Scenario` description:
   semantics expressed as vectorised sampling, stacking all runs of an
   experiment into array operations.  Used by the benchmark harness,
   where the paper averages 1000 runs per data point.
+- :mod:`repro.sim.mega` — the packed-bitset engine for groups up to
+  n = 10⁶, statistically pinned to the fast engine.
 
 :func:`repro.sim.runner.monte_carlo` dispatches between them and
-aggregates :class:`~repro.sim.results.MonteCarloResult` statistics.
+aggregates :class:`~repro.sim.results.MonteCarloResult` statistics;
+``repro.Experiment(...).run("fast" | "exact" | "mega")`` builds the
+scenario and calls it for you.
 
 Parallel execution runs on the process-wide persistent worker pool
 (:mod:`repro.sim.executor`): workers are forked once and reused across
@@ -19,7 +24,8 @@ every ``monte_carlo`` call and sweep cell; shard results come back
 through the pool's pickles and are assembled positionally.
 :func:`close_pool` tears the pool down explicitly (it is also
 registered atexit).  :class:`~repro.sweep.store.ResultStore` persists
-results for ``monte_carlo(store=...)`` and the sweeps alike.
+results for ``monte_carlo(store=...)`` and the sweep grids
+(:mod:`repro.sweep.grid`) alike.
 """
 
 from repro.sim.scenario import Scenario
@@ -35,12 +41,6 @@ from repro.sim.executor import (
 )
 from repro.sim.parallel import default_workers, parallel_map, run_sharded
 from repro.sim.runner import default_runs, monte_carlo
-from repro.sim.sweeps import (
-    budget_sweep,
-    churn_sweep,
-    extent_sweep,
-    rate_sweep,
-)
 from repro.sweep.store import ResultStore
 
 __all__ = [
@@ -51,17 +51,13 @@ __all__ = [
     "RunResult",
     "Scenario",
     "WorkerPool",
-    "budget_sweep",
-    "churn_sweep",
     "close_pool",
     "default_runs",
     "default_workers",
     "executor_stats",
-    "extent_sweep",
     "monte_carlo",
     "parallel_map",
     "pool_override",
-    "rate_sweep",
     "run_exact",
     "run_fast",
     "run_mega",

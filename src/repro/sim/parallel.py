@@ -8,8 +8,8 @@ function of the root seed, *independent of the worker count*:
   shards whose layout and seeds depend only on ``(runs, seed)`` — never
   on ``workers`` — so ``workers=1`` and ``workers=8`` produce
   bit-identical :class:`~repro.sim.results.MonteCarloResult` arrays;
-- the sweep helpers in :mod:`repro.sim.sweeps` pre-derive every grid
-  cell's seed in the parent and only *schedule* cells on the pool, so
+- a sweep grid (:class:`repro.sweep.grid.Grid`) pre-derives every
+  cell's seed in the parent and only *schedules* cells on the pool, so
   sweep reports are byte-identical JSON for any worker count.
 
 Execution is organised as **jobs** (:func:`make_job` /
@@ -276,7 +276,8 @@ class _DenseJob:
                 seeds = list(child_seeds(seed, len(sizes)))
             self._sizes = sizes
             self._seeds = seeds
-        elif engine == "exact":
+        else:
+            # The exact engine; callers validate the name (check_engine).
             run_seeds = child_seeds(seed, self.runs)
             # Result order is fixed by the per-run seeds, so the
             # chunking here only affects scheduling and may depend on
@@ -285,10 +286,6 @@ class _DenseJob:
             self._chunks = [
                 run_seeds[i:i + chunk] for i in range(0, self.runs, chunk)
             ]
-        else:
-            raise ValueError(
-                f"unknown engine {engine!r}; use 'fast', 'exact', or 'mega'"
-            )
 
     def calls(self, trace: bool) -> List[Tuple[Callable, tuple]]:
         if self.engine == "fast":
@@ -406,7 +403,8 @@ def run_sharded(
     fast engine's shard layout depends only on ``runs`` — so the result
     is bit-identical for every worker count.  The exact engine derives
     one child seed per run (exactly the historical serial behaviour),
-    which makes *its* sharding free to chase load balance.
+    which makes *its* sharding free to chase load balance; the packed
+    engine runs one task per run (:class:`repro.sim.mega.MegaJob`).
 
     ``tracer`` attaches a :class:`repro.obs.Tracer`.  Each shard records
     into a worker-local in-memory sink and ships its events back; the
@@ -419,20 +417,6 @@ def run_sharded(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     workers = check_workers(workers)
-    if engine == "mega":
-        # The packed engine owns its own run fan-out (one run per task,
-        # node axis streamed in shards) and result type; delegate whole.
-        # Imported lazily: mega imports this module's seed plumbing.
-        from repro.sim.mega import run_mega
-
-        return run_mega(
-            scenario,
-            runs,
-            seed=seed,
-            horizon=horizon,
-            workers=workers,
-            tracer=tracer,
-        )
     job = make_job(
         scenario, runs, seed=seed, engine=engine, horizon=horizon,
         workers=workers,

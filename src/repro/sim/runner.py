@@ -36,6 +36,17 @@ from repro.util.rng import SeedLike
 #: few percent.
 DEFAULT_RUNS = 100
 
+#: The round engines a Monte-Carlo experiment (or sweep cell) runs on.
+ROUND_ENGINES = ("fast", "exact", "mega")
+
+
+def check_engine(engine: str) -> None:
+    """Raise ValueError unless ``engine`` is one of :data:`ROUND_ENGINES`."""
+    if engine not in ROUND_ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; use 'fast', 'exact', or 'mega'"
+        )
+
 
 def default_runs(fallback: int = DEFAULT_RUNS) -> int:
     """The experiment run count: ``REPRO_RUNS`` env var or ``fallback``."""
@@ -76,10 +87,7 @@ def monte_carlo(
     """
     if runs is None:
         runs = default_runs()
-    if engine not in ("fast", "exact", "mega"):
-        raise ValueError(
-            f"unknown engine {engine!r}; use 'fast', 'exact', or 'mega'"
-        )
+    check_engine(engine)
     workers = default_workers() if workers is None else check_workers(workers)
 
     # Imported lazily: repro.sweep imports this package.

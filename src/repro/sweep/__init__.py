@@ -8,10 +8,16 @@ an orchestrated, interruptible workload:
 
 - :class:`~repro.sweep.grid.Cell` — one grid cell: a scenario (or DES
   cluster config), run count, positional seed, engine, and the metric
-  to extract.  Grid builders (:func:`~repro.sweep.grid.rate_grid`,
+  to extract.
+- :class:`~repro.sweep.grid.Grid` — one figure: a report header plus
+  protocol-major cell rows; ``Grid.run(...)`` evaluates it into a
+  :class:`~repro.metrics.report.SeriesReport`.  The builders
+  (:func:`~repro.sweep.grid.rate_grid`,
   :func:`~repro.sweep.grid.extent_grid`,
-  :func:`~repro.sweep.grid.budget_grid`) produce the paper's three
-  sweep shapes; arbitrary cell lists work the same way.
+  :func:`~repro.sweep.grid.budget_grid`,
+  :func:`~repro.sweep.grid.churn_grid`,
+  :func:`~repro.sweep.grid.scale_grid`) produce the paper's sweep
+  shapes; arbitrary cell lists run through the runner the same way.
 - :class:`~repro.sweep.store.ResultStore` — the persistent
   content-addressed result store: the npz tier holds full
   ``MonteCarloResult`` arrays (shared with ``monte_carlo(store=...)``),
@@ -25,14 +31,14 @@ an orchestrated, interruptible workload:
   Figure output is byte-identical for any worker count and for any
   interrupt/resume pattern.
 
-``repro.sim.sweeps`` routes its grids through this package, the
-``repro sweep`` CLI subcommand drives it from the shell, and the
+The ``repro sweep`` CLI subcommand drives it from the shell, and the
 benchmark harness (``benchmarks/_common.py``) shares one store across
 figures so common points compute once, ever.
 """
 
 from repro.sweep.grid import (
     Cell,
+    Grid,
     budget_grid,
     churn_grid,
     extent_grid,
@@ -45,6 +51,7 @@ from repro.sweep.store import ResultStore, as_store
 __all__ = [
     "Cell",
     "CellOutcome",
+    "Grid",
     "ResultStore",
     "SweepResult",
     "SweepRunner",

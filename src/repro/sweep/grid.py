@@ -15,21 +15,31 @@ Two cell kinds share the class:
   :func:`~repro.des.cluster.run_throughput_experiment` streaming
   experiment; results persist in the store's envelope-JSON tier.
 
-The grid builders produce the paper's three sweep shapes as
-protocol-major cell rows plus a matching empty
-:class:`~repro.metrics.report.SeriesReport`, deriving one child seed
-per protocol exactly like the historical ``repro.sim.sweeps`` helpers
-(so seeded sweep values are unchanged by the orchestration refactor).
+A paper figure is one :class:`Grid` — its report header plus
+protocol-major rows of cells — and ``Grid.run(...)`` is the one way to
+evaluate it.  The builders (:func:`rate_grid`, :func:`extent_grid`,
+:func:`budget_grid`, :func:`churn_grid`, :func:`scale_grid`) differ
+only in their header and in the scenario each ``(protocol, x)`` point
+runs; every one derives one child seed per protocol from ``seed``, so a
+seeded figure is a pure function of its arguments::
+
+    from repro import rate_grid
+
+    report = rate_grid(
+        ["drum", "push", "pull"], [0, 32, 64, 128], runs=200, seed=1,
+    ).run(workers=4, store="results/.cache")
+    print(report.to_json())
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.adversary.attacks import AttackSpec
 from repro.core.config import ProtocolKind
 from repro.metrics.report import SeriesReport
+from repro.sim.runner import check_engine
 from repro.sim.scenario import Scenario
 from repro.util import coerce_int, spawn_seeds
 from repro.util.rng import SeedLike
@@ -83,11 +93,7 @@ class Cell:
                 raise TypeError(
                     f"scenario must be a Scenario, got {self.scenario!r}"
                 )
-            if self.engine not in ("fast", "exact", "mega"):
-                raise ValueError(
-                    f"unknown engine {self.engine!r}; "
-                    "use 'fast', 'exact', or 'mega'"
-                )
+            check_engine(self.engine)
             if self.metric not in MONTE_CARLO_METRICS:
                 raise ValueError(
                     f"unknown monte_carlo metric {self.metric!r}; "
@@ -106,53 +112,103 @@ class Cell:
         return "monte_carlo" if self.scenario is not None else "measurement"
 
 
-GridRows = List[List[Cell]]
+@dataclass(frozen=True)
+class Grid:
+    """One figure: its report header and protocol-major rows of cells.
+
+    Row ``i`` is one protocol's series over ``x_values``.  The shape is
+    checked here, once: an empty grid or a ragged one would otherwise
+    mis-slice series silently when the values come back.
+    """
+
+    name: str
+    x_label: str
+    x_values: Tuple[float, ...]
+    metadata: dict
+    rows: Tuple[Tuple[Cell, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x_values", tuple(map(float, self.x_values)))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        if not self.rows:
+            raise ValueError("protocols must be a non-empty sequence")
+        series = [{cell.series for cell in row} for row in self.rows]
+        protocols = set().union(*series)
+        if len(protocols) != len(self.rows) or any(
+            len(labels) != 1 for labels in series
+        ):
+            raise ValueError(
+                f"cell grid has {len(self.rows)} rows for "
+                f"{len(protocols)} protocols; expected one row per protocol"
+            )
+        widths = {len(row) for row in self.rows}
+        if widths != {len(self.x_values)}:
+            raise ValueError(
+                f"ragged cell grid: row lengths {sorted(widths)} must all "
+                f"equal the {len(self.x_values)}-point x-axis"
+            )
+
+    @property
+    def cells(self) -> List[Cell]:
+        """Every cell, protocol-major — the order a sweep evaluates."""
+        return [cell for row in self.rows for cell in row]
+
+    def run(
+        self,
+        *,
+        store=None,
+        workers: Optional[int] = None,
+        tracer=None,
+        resume: bool = True,
+    ) -> SeriesReport:
+        """Evaluate every cell through
+        :class:`~repro.sweep.orchestrator.SweepRunner` and return the
+        filled figure report.
+
+        Cell seeds are fixed, so ``workers`` changes scheduling, never
+        values.  ``store`` (a directory or ``ResultStore``) makes the
+        run resumable under :attr:`name`: a rerun recomputes only the
+        cells its manifest and store do not already hold.
+        """
+        # Imported lazily: the orchestrator imports Cell from here.
+        from repro.sweep.orchestrator import SweepRunner
+
+        runner = SweepRunner(store=store, workers=workers, tracer=tracer)
+        result = runner.run(self.name, self.cells, resume=resume)
+        return result.fill_report(
+            SeriesReport(
+                self.name, self.x_label, list(self.x_values),
+                metadata=dict(self.metadata),
+            )
+        )
 
 
-def _protocol_rows(
+def _grid(
+    name: str,
+    x_label: str,
+    metadata: dict,
     protocols: Sequence[ProtocolName],
+    x_values: Sequence,
+    scenario_for: Callable[[ProtocolName, object], Scenario],
+    *,
     seed: SeedLike,
-    cell_for,
-) -> GridRows:
-    """Protocol-major rows with the historical per-protocol seeds."""
+    **cell,
+) -> Grid:
+    """The figure of ``scenario_for(protocol, x)`` cells, one child seed
+    per protocol; ``cell`` holds the shared ``runs``, ``engine`` and
+    ``metric``."""
     seeds = spawn_seeds(seed, len(protocols))
-    return [
-        [cell_for(protocol, proto_seed, x) for x in cell_for.x_values]
+    rows = [
+        [
+            Cell(
+                series=ProtocolKind(protocol).value, x=float(x),
+                scenario=scenario_for(protocol, x), seed=proto_seed, **cell,
+            )
+            for x in x_values
+        ]
         for protocol, proto_seed in zip(protocols, seeds)
     ]
-
-
-@dataclass
-class _CellFactory:
-    """Builds one cell per (protocol, x) for a sweep shape."""
-
-    x_values: Tuple[float, ...]
-    runs: Optional[int]
-    max_rounds: int
-    engine: str
-    metric: str
-    attack_for: object = field(repr=False, default=None)
-    malicious_fraction: float = 0.0
-    n: int = 120
-
-    def __call__(self, protocol: ProtocolName, seed, x: float) -> Cell:
-        attack = self.attack_for(x)
-        scenario = Scenario(
-            protocol=protocol,
-            n=self.n,
-            malicious_fraction=self.malicious_fraction if attack else 0.0,
-            attack=attack,
-            max_rounds=self.max_rounds,
-        )
-        return Cell(
-            series=str(ProtocolKind(protocol).value),
-            x=float(x),
-            scenario=scenario,
-            runs=self.runs,
-            seed=seed,
-            engine=self.engine,
-            metric=self.metric,
-        )
+    return Grid(name, x_label, x_values, metadata, rows)
 
 
 def rate_grid(
@@ -167,26 +223,24 @@ def rate_grid(
     max_rounds: int = 400,
     engine: str = "fast",
     metric: str = "mean_rounds",
-) -> Tuple[SeriesReport, GridRows]:
+) -> Grid:
     """Figure 3(a)'s grid: propagation time vs per-victim rate ``x``."""
     n = coerce_int("n", n)
-    report = SeriesReport(
-        name="rate_sweep",
-        x_label="x (fabricated msgs/victim/round)",
-        x_values=[float(x) for x in rates],
-        metadata={"n": n, "alpha": alpha},
+
+    def scenario_for(protocol, x):
+        attack = AttackSpec(alpha=alpha, x=x) if x > 0 else None
+        return Scenario(
+            protocol=protocol, n=n,
+            malicious_fraction=malicious_fraction if attack else 0.0,
+            attack=attack, max_rounds=max_rounds,
+        )
+
+    return _grid(
+        "rate_sweep", "x (fabricated msgs/victim/round)",
+        {"n": n, "alpha": alpha},
+        protocols, [float(x) for x in rates], scenario_for,
+        runs=runs, seed=seed, engine=engine, metric=metric,
     )
-    factory = _CellFactory(
-        x_values=tuple(float(x) for x in rates),
-        runs=runs,
-        max_rounds=max_rounds,
-        engine=engine,
-        metric=metric,
-        attack_for=lambda x: AttackSpec(alpha=alpha, x=x) if x > 0 else None,
-        malicious_fraction=malicious_fraction,
-        n=n,
-    )
-    return report, _protocol_rows(protocols, seed, factory)
 
 
 def extent_grid(
@@ -201,26 +255,22 @@ def extent_grid(
     max_rounds: int = 400,
     engine: str = "fast",
     metric: str = "mean_rounds",
-) -> Tuple[SeriesReport, GridRows]:
+) -> Grid:
     """Figure 3(b)'s grid: propagation time vs attack extent ``α``."""
     n = coerce_int("n", n)
-    report = SeriesReport(
-        name="extent_sweep",
-        x_label="alpha (fraction of processes attacked)",
-        x_values=[float(a) for a in alphas],
-        metadata={"n": n, "x": x},
+
+    def scenario_for(protocol, alpha):
+        return Scenario(
+            protocol=protocol, n=n, malicious_fraction=malicious_fraction,
+            attack=AttackSpec(alpha=alpha, x=x), max_rounds=max_rounds,
+        )
+
+    return _grid(
+        "extent_sweep", "alpha (fraction of processes attacked)",
+        {"n": n, "x": x},
+        protocols, [float(a) for a in alphas], scenario_for,
+        runs=runs, seed=seed, engine=engine, metric=metric,
     )
-    factory = _CellFactory(
-        x_values=tuple(float(a) for a in alphas),
-        runs=runs,
-        max_rounds=max_rounds,
-        engine=engine,
-        metric=metric,
-        attack_for=lambda a: AttackSpec(alpha=a, x=x),
-        malicious_fraction=malicious_fraction,
-        n=n,
-    )
-    return report, _protocol_rows(protocols, seed, factory)
 
 
 def budget_grid(
@@ -235,29 +285,24 @@ def budget_grid(
     max_rounds: int = 400,
     engine: str = "fast",
     metric: str = "mean_rounds",
-) -> Tuple[SeriesReport, GridRows]:
+) -> Grid:
     """Figures 7–8's grid: a fixed budget ``B = budget_per_process · n``
     split over each extent in ``alphas``."""
     n = coerce_int("n", n)
-    report = SeriesReport(
-        name="budget_sweep",
-        x_label="alpha (fraction of processes attacked)",
-        x_values=[float(a) for a in alphas],
-        metadata={"n": n, "budget_per_process": budget_per_process},
+
+    def scenario_for(protocol, alpha):
+        return Scenario(
+            protocol=protocol, n=n, malicious_fraction=malicious_fraction,
+            attack=AttackSpec.fixed_budget(budget_per_process * n, alpha, n),
+            max_rounds=max_rounds,
+        )
+
+    return _grid(
+        "budget_sweep", "alpha (fraction of processes attacked)",
+        {"n": n, "budget_per_process": budget_per_process},
+        protocols, [float(a) for a in alphas], scenario_for,
+        runs=runs, seed=seed, engine=engine, metric=metric,
     )
-    factory = _CellFactory(
-        x_values=tuple(float(a) for a in alphas),
-        runs=runs,
-        max_rounds=max_rounds,
-        engine=engine,
-        metric=metric,
-        attack_for=lambda a: AttackSpec.fixed_budget(
-            budget_per_process * n, a, n
-        ),
-        malicious_fraction=malicious_fraction,
-        n=n,
-    )
-    return report, _protocol_rows(protocols, seed, factory)
 
 
 def churn_grid(
@@ -275,7 +320,7 @@ def churn_grid(
     max_rounds: int = 400,
     engine: str = "fast",
     metric: str = "reliability",
-) -> Tuple[SeriesReport, GridRows]:
+) -> Grid:
     """The churn-storm grid: residual reliability vs churn fraction.
 
     Each x-axis point ``c`` runs the scenario under a symmetric churn
@@ -295,50 +340,28 @@ def churn_grid(
         raise ValueError(
             f"churn fractions must be in [0, 1), got {fractions}"
         )
-    report = SeriesReport(
-        name="churn_sweep",
-        x_label="churn fraction (joins and leaves per storm)",
-        x_values=fractions,
-        metadata={
-            "n": n,
-            "alpha": alpha,
-            "x": x,
-            "join_round": join_round,
-            "leave_round": leave_round,
-        },
-    )
     attack = AttackSpec(alpha=alpha, x=x) if x > 0 else None
-    seeds = spawn_seeds(seed, len(protocols))
-    rows: GridRows = []
-    for protocol, proto_seed in zip(protocols, seeds):
-        row = []
-        for c in fractions:
-            faults = (
+
+    def scenario_for(protocol, c):
+        return Scenario(
+            protocol=protocol, n=n,
+            malicious_fraction=malicious_fraction if attack else 0.0,
+            attack=attack, max_rounds=max_rounds,
+            faults=(
                 f"join@{join_round}:{c:g}; leave@{leave_round}:{c:g}"
-                if c > 0
-                else None
-            )
-            scenario = Scenario(
-                protocol=protocol,
-                n=n,
-                malicious_fraction=malicious_fraction if attack else 0.0,
-                attack=attack,
-                max_rounds=max_rounds,
-                faults=faults,
-            )
-            row.append(
-                Cell(
-                    series=str(ProtocolKind(protocol).value),
-                    x=c,
-                    scenario=scenario,
-                    runs=runs,
-                    seed=proto_seed,
-                    engine=engine,
-                    metric=metric,
-                )
-            )
-        rows.append(row)
-    return report, rows
+                if c > 0 else None
+            ),
+        )
+
+    metadata = {
+        "n": n, "alpha": alpha, "x": x,
+        "join_round": join_round, "leave_round": leave_round,
+    }
+    return _grid(
+        "churn_sweep", "churn fraction (joins and leaves per storm)",
+        metadata, protocols, fractions, scenario_for,
+        runs=runs, seed=seed, engine=engine, metric=metric,
+    )
 
 
 def scale_grid(
@@ -351,7 +374,7 @@ def scale_grid(
     max_rounds: int = 600,
     engine: str = "mega",
     metric: str = "mean_rounds",
-) -> Tuple[SeriesReport, GridRows]:
+) -> Grid:
     """The Section 6 asymptotics grid: propagation time vs group size.
 
     Unlike the other sweep shapes, the x-axis is ``n`` itself, and the
@@ -365,34 +388,16 @@ def scale_grid(
     (``np.logspace`` output included) so log-spaced mega-scale grids
     stay cacheable.
     """
-    ns = [coerce_int("n", value) for value in ns]
-    report = SeriesReport(
-        name="scale_sweep",
-        x_label="n (group size)",
-        x_values=[float(value) for value in ns],
-        metadata={"budget_per_node": budget_per_node},
+
+    def scenario_for(protocol, n):
+        return Scenario(
+            protocol=protocol, n=n,
+            attack=AttackSpec(alpha=1.0 / n, x=budget_per_node * n),
+            max_rounds=max_rounds,
+        )
+
+    return _grid(
+        "scale_sweep", "n (group size)", {"budget_per_node": budget_per_node},
+        protocols, [coerce_int("n", value) for value in ns], scenario_for,
+        runs=runs, seed=seed, engine=engine, metric=metric,
     )
-    seeds = spawn_seeds(seed, len(protocols))
-    rows: GridRows = []
-    for protocol, proto_seed in zip(protocols, seeds):
-        row = []
-        for n in ns:
-            scenario = Scenario(
-                protocol=protocol,
-                n=n,
-                attack=AttackSpec(alpha=1.0 / n, x=budget_per_node * n),
-                max_rounds=max_rounds,
-            )
-            row.append(
-                Cell(
-                    series=str(ProtocolKind(protocol).value),
-                    x=float(n),
-                    scenario=scenario,
-                    runs=runs,
-                    seed=proto_seed,
-                    engine=engine,
-                    metric=metric,
-                )
-            )
-        rows.append(row)
-    return report, rows

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.metrics.report import SeriesReport
+from repro.metrics.stats import summarize_runs
 from repro.sim.executor import get_pool
 from repro.sim.parallel import check_workers, default_workers, make_job
 from repro.sweep.grid import Cell
@@ -82,9 +83,7 @@ def _metric_value(cell: Cell, result) -> float:
         values = getattr(result, metric)()
         if values is None:
             return float("nan")  # churn-free cell: metric undefined
-        values = np.asarray(values, dtype=np.float64)
-        finite = values[~np.isnan(values)]
-        return float(finite.mean()) if finite.size else float("nan")
+        return summarize_runs(values).mean
     if metric == "delivery_ratio":
         return float(result.delivery_ratio())
     if metric == "throughput":

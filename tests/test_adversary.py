@@ -1,14 +1,10 @@
-"""Tests for attack specifications, strategies, and the round attacker."""
+"""Tests for attack specifications, strategy sweeps, and the round attacker."""
 
 import pytest
 
 from repro.adversary import (
     AttackSpec,
     RoundAttacker,
-    fixed_budget_sweep,
-    increasing_extent_sweep,
-    increasing_rate_sweep,
-    relative_budget_sweep,
 )
 from repro.core import ProtocolKind
 from repro.net import (
@@ -86,22 +82,29 @@ class TestPortLoads:
 
 
 class TestSweeps:
+    """The strategy sweeps of Sections 7.2–7.3 as lists of specs."""
+
     def test_increasing_rate(self):
-        specs = increasing_rate_sweep(0.1, [0, 32, 64])
+        specs = [AttackSpec(alpha=0.1, x=x) for x in [0, 32, 64]]
         assert [s.x for s in specs] == [0, 32, 64]
         assert all(s.alpha == 0.1 for s in specs)
 
     def test_increasing_extent(self):
-        specs = increasing_extent_sweep(128, [0.1, 0.4])
+        specs = [AttackSpec(alpha=a, x=128) for a in [0.1, 0.4]]
         assert [s.alpha for s in specs] == [0.1, 0.4]
 
     def test_fixed_budget_conserves_strength(self):
-        specs = fixed_budget_sweep(7.2 * 120, [0.1, 0.3, 0.9], n=120)
+        specs = [
+            AttackSpec.fixed_budget(7.2 * 120, a, 120)
+            for a in [0.1, 0.3, 0.9]
+        ]
         for spec in specs:
             assert spec.total_strength(120) == pytest.approx(7.2 * 120)
 
     def test_relative_budget_sweep(self):
-        specs = relative_budget_sweep(2.0, [0.1, 0.9], n=120, fan_out=4)
+        specs = [
+            AttackSpec.relative_budget(2.0, a, 120, 4) for a in [0.1, 0.9]
+        ]
         for spec in specs:
             assert spec.relative_strength(120, 4) == pytest.approx(2.0)
 

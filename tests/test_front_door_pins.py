@@ -99,14 +99,14 @@ def test_cli_json_payload(argv, digest, capsys):
 
 
 def test_scale_grid_cells():
-    report, rows = scale_grid(["drum", "pull"], [64, 128], runs=2, seed=5)
-    assert (report.name, report.x_label, report.x_values, report.metadata) == (
-        "scale_sweep", "n (group size)", [64.0, 128.0],
+    grid = scale_grid(["drum", "pull"], [64, 128], runs=2, seed=5)
+    assert (grid.name, grid.x_label, grid.x_values, grid.metadata) == (
+        "scale_sweep", "n (group size)", (64.0, 128.0),
         {"budget_per_node": 8.0},
     )
-    cells = [cell for row in rows for cell in row]
+    cells = grid.cells
     assert [(c.series, c.x, c.engine, c.runs) for c in cells] == [
         ("drum", 64.0, "mega", 2), ("drum", 128.0, "mega", 2),
         ("pull", 64.0, "mega", 2), ("pull", 128.0, "mega", 2),
     ]
-    assert sweep_identity(report.name, cells) == SCALE_IDENTITY
+    assert sweep_identity(grid.name, cells) == SCALE_IDENTITY

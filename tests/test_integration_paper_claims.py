@@ -9,7 +9,7 @@ fails, the reproduction has regressed.
 import numpy as np
 import pytest
 
-from repro.adversary import AttackSpec, fixed_budget_sweep
+from repro.adversary import AttackSpec
 from repro.metrics import adversary_best_extent, dos_impact
 from repro.sim import Scenario, monte_carlo
 
@@ -134,7 +134,8 @@ class TestSection73AdversaryStrategies:
         best = {}
         for protocol in ("drum", "push", "pull"):
             times = []
-            for spec in fixed_budget_sweep(budget, alphas, N):
+            for alpha in alphas:
+                spec = AttackSpec.fixed_budget(budget, alpha, N)
                 scenario = Scenario(
                     protocol=protocol, n=N, malicious_fraction=MALICIOUS,
                     attack=spec, max_rounds=400,

@@ -285,11 +285,11 @@ def test_scenario_coerces_numpy_n():
 
 def test_scale_grid_accepts_logspace_ns():
     ns = np.logspace(3, 5, num=3)  # float64 values 10³, 10⁴, 10⁵
-    report, rows = scale_grid(["drum", "pull"], ns, runs=2, seed=123)
-    assert report.name == "scale_sweep"
-    assert report.x_values == [1e3, 1e4, 1e5]
-    assert len(rows) == 2 and all(len(row) == 3 for row in rows)
-    for row in rows:
+    grid = scale_grid(["drum", "pull"], ns, runs=2, seed=123)
+    assert grid.name == "scale_sweep"
+    assert grid.x_values == (1e3, 1e4, 1e5)
+    assert len(grid.rows) == 2 and all(len(row) == 3 for row in grid.rows)
+    for row in grid.rows:
         for cell in row:
             assert cell.engine == "mega"
             assert type(cell.scenario.n) is int

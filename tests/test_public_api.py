@@ -11,6 +11,26 @@ class TestPublicSurface:
     def test_version(self):
         assert repro.__version__
 
+    def test_top_level_names_are_pinned(self):
+        """The front door: one experiment type, its inputs and results,
+        the store, tracing, and the four figure grids."""
+        assert repro.__all__ == [
+            "AttackSpec",
+            "Experiment",
+            "FaultPlan",
+            "JsonlSink",
+            "MemorySink",
+            "PrometheusSink",
+            "ResultStore",
+            "Tracer",
+            "__version__",
+            "budget_grid",
+            "churn_grid",
+            "extent_grid",
+            "rate_grid",
+            "result_from_dict",
+        ]
+
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
@@ -30,6 +50,13 @@ class TestPublicSurface:
     def test_threaded_runtime_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(f"{repro.__name__}.runtime")
+
+    @pytest.mark.parametrize("module", ["sim.sweeps", "adversary.strategies"])
+    def test_sweep_wrappers_are_gone(self, module):
+        """A figure is ``builder(...).run(...)``; a strategy sweep is a
+        list of ``AttackSpec`` classmethod calls."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"{repro.__name__}.{module}")
 
     def test_subpackage_all_exports_resolve(self):
         import repro.adversary
@@ -52,14 +79,14 @@ class TestPublicSurface:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
     def test_readme_quickstart_works(self):
-        """The module docstring's quickstart must actually run."""
-        from repro import AttackSpec, Scenario, monte_carlo
+        """The README's (and the module docstring's) quickstart runs."""
+        from repro import AttackSpec, Experiment
 
-        scenario = Scenario(
+        exp = Experiment(
             protocol="drum", n=120, malicious_fraction=0.1,
-            attack=AttackSpec(alpha=0.1, x=128),
+            attack=AttackSpec(alpha=0.1, x=128), runs=20,
         )
-        result = monte_carlo(scenario, runs=20, seed=1)
+        result = exp.run("fast", seed=1)
         assert 3 < result.mean_rounds() < 15
 
     def test_public_items_documented(self):

@@ -291,11 +291,10 @@ class TestZeroCopyPath:
         close_pool()
         stats().reset()
         for seed in (1, 2):
-            _, rows = rate_grid(
+            cells = rate_grid(
                 ["drum", "push"], [0, 32], n=40, alpha=0.1, runs=12,
                 seed=seed, max_rounds=120,
-            )
-            cells = [cell for row in rows for cell in row]
+            ).cells
             SweepRunner(workers=2).run("sweep", cells)
         assert stats().pool_spawns == 1
 
@@ -367,37 +366,35 @@ class TestFaultInjectedByteIdentity:
 
     @pytest.mark.parametrize("seed", [3, 21])
     def test_sweep_json_identical_under_reordering(self, seed):
-        from repro.sim import rate_sweep
+        from repro.sweep.grid import rate_grid
 
-        kwargs = dict(n=40, alpha=0.1, runs=12, seed=9, max_rounds=120)
-        baseline = rate_sweep(
-            ["drum", "push"], [0, 32, 64], workers=1, **kwargs
-        ).to_json()
+        grid = rate_grid(
+            ["drum", "push"], [0, 32, 64],
+            n=40, alpha=0.1, runs=12, seed=9, max_rounds=120,
+        )
+        baseline = grid.run(workers=1).to_json()
         with pool_override(ShufflePool(seed)):
-            shuffled = rate_sweep(
-                ["drum", "push"], [0, 32, 64], workers=4, **kwargs
-            ).to_json()
+            shuffled = grid.run(workers=4).to_json()
         assert shuffled == baseline
 
     def test_mid_sweep_kill_then_resume_through_manifest(self, tmp_path):
         from repro.sweep.grid import rate_grid
 
         def grid():
-            report, rows = rate_grid(
+            return rate_grid(
                 ["drum", "push"],
                 [0, 16, 32, 48, 64, 80],
                 n=40, alpha=0.1, runs=10, seed=17, max_rounds=120,
-            )
-            return report, [cell for row in rows for cell in row]
+            ).cells
 
         # The reference figure: fresh serial sweep, no store.
-        report, cells = grid()
+        cells = grid()
         reference = SweepRunner(workers=1).run("fig", cells)
         # Interrupted parallel sweep: the pool dies after 9 of 12 cells.
         # At workers=2 the manifest checkpoints every 8 completions, so
         # the kill lands *between* checkpoints.
         store = ResultStore(tmp_path / "store")
-        report2, cells2 = grid()
+        cells2 = grid()
         with pool_override(DyingPool(5, fuel=9)):
             with pytest.raises(RuntimeError, match="worker kill"):
                 SweepRunner(store, workers=2).run("fig", cells2)
@@ -410,7 +407,7 @@ class TestFaultInjectedByteIdentity:
         assert len(done_in_manifest) == 8  # one checkpoint fired
         # Resume: manifest serves its 8, the store serves the 1 computed
         # after the last checkpoint, the engine runs only the final 3.
-        report3, cells3 = grid()
+        cells3 = grid()
         resumed = SweepRunner(store, workers=1).run("fig", cells3)
         sources = [outcome.source for outcome in resumed.outcomes]
         assert sources.count("manifest") == 8

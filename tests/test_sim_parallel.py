@@ -8,12 +8,9 @@ from repro.adversary import AttackSpec
 from repro.sim import (
     ResultStore,
     Scenario,
-    budget_sweep,
     default_workers,
-    extent_sweep,
     monte_carlo,
     parallel_map,
-    rate_sweep,
 )
 from repro.sim.parallel import (
     FAST_SHARD_RUNS,
@@ -21,6 +18,7 @@ from repro.sim.parallel import (
     child_seeds,
     fast_shard_sizes,
 )
+from repro.sweep import budget_grid, extent_grid, rate_grid
 from repro.sweep.store import as_store
 
 
@@ -68,7 +66,7 @@ class TestWorkerPlumbing:
 
     def test_sweep_rejects_bad_workers(self):
         with pytest.raises(ValueError):
-            rate_sweep(["drum"], [0], n=40, runs=5, seed=1, workers=-2)
+            rate_grid(["drum"], [0], n=40, runs=5, seed=1).run(workers=-2)
 
     def test_parallel_map_preserves_order(self):
         tasks = list(range(23))
@@ -127,10 +125,9 @@ class TestChildSeeds:
         # derivation inside every sweep cell; with spawn-based (mutating)
         # derivation this diverged between workers=1 and workers=2.
         reports = [
-            rate_sweep(
-                ["drum"], [0, 16], n=40, runs=FAST_SHARD_RUNS + 20,
-                seed=7, workers=w,
-            ).to_json()
+            rate_grid(
+                ["drum"], [0, 16], n=40, runs=FAST_SHARD_RUNS + 20, seed=7,
+            ).run(workers=w).to_json()
             for w in (1, 2)
         ]
         assert reports[0] == reports[1]
@@ -172,18 +169,20 @@ class TestDeterminismAcrossWorkers:
     @pytest.mark.parametrize(
         "sweep,kwargs",
         [
-            (rate_sweep, {"rates": [0, 16]}),
-            (extent_sweep, {"alphas": [0.1, 0.2], "x": 16.0}),
-            (budget_sweep, {"alphas": [0.2, 0.5], "budget_per_process": 2.0}),
+            ("rate_sweep", {"rates": [0, 16]}),
+            ("extent_sweep", {"alphas": [0.1, 0.2], "x": 16.0}),
+            ("budget_sweep", {"alphas": [0.2, 0.5], "budget_per_process": 2.0}),
         ],
     )
     def test_sweep_reports_byte_identical(self, sweep, kwargs):
-        reports = [
-            sweep(
-                ["drum", "push"], n=40, runs=15, seed=7, workers=w, **kwargs
-            ).to_json()
-            for w in (1, 2, 4)
-        ]
+        builder = {
+            "rate_sweep": rate_grid,
+            "extent_sweep": extent_grid,
+            "budget_sweep": budget_grid,
+        }[sweep]
+        grid = builder(["drum", "push"], n=40, runs=15, seed=7, **kwargs)
+        assert grid.name == sweep
+        reports = [grid.run(workers=w).to_json() for w in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
 
     def test_exact_matches_historical_serial_aggregation(self, dos_scenario):
@@ -320,26 +319,18 @@ class TestResultCache:
 
     def test_sweep_shares_points_through_cache(self, tmp_path):
         store = ResultStore(tmp_path)
-        first = rate_sweep(
-            ["drum"], [0, 16], n=40, runs=15, seed=7, store=store
-        )
+        grid = rate_grid(["drum"], [0, 16], n=40, runs=15, seed=7)
+        first = grid.run(store=store)
         entries = sorted(p.name for p in tmp_path.glob("*.npz"))
         assert len(entries) == 2
-        again = rate_sweep(
-            ["drum"], [0, 16], n=40, runs=15, seed=7, store=store
-        )
+        again = grid.run(store=store)
         assert sorted(p.name for p in tmp_path.glob("*.npz")) == entries
         assert first.to_json() == again.to_json()
 
     def test_cached_sweep_identical_across_workers(self, tmp_path):
-        cold = rate_sweep(
-            ["drum"], [0, 16], n=40, runs=15, seed=7,
-            store=ResultStore(tmp_path), workers=2,
-        )
-        warm = rate_sweep(
-            ["drum"], [0, 16], n=40, runs=15, seed=7,
-            store=ResultStore(tmp_path), workers=1,
-        )
+        grid = rate_grid(["drum"], [0, 16], n=40, runs=15, seed=7)
+        cold = grid.run(store=ResultStore(tmp_path), workers=2)
+        warm = grid.run(store=ResultStore(tmp_path), workers=1)
         assert cold.to_json() == warm.to_json()
 
 

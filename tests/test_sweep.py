@@ -9,6 +9,7 @@ import pytest
 from repro.adversary import AttackSpec
 from repro.api import Experiment
 from repro.des import ClusterConfig, run_throughput_experiment
+from repro.metrics.report import SeriesReport
 from repro.obs import Tracer
 from repro.sim import Scenario, monte_carlo
 from repro.sweep import (
@@ -30,11 +31,10 @@ def mc_cell(series="drum", x=0.0, n=40, seed=3, runs=8, **kwargs):
 
 
 def small_grid(seed=3):
-    _, rows = rate_grid(
+    return rate_grid(
         ["drum", "push"], [0.0, 32.0], n=40, runs=8, seed=seed,
         max_rounds=100,
-    )
-    return [cell for row in rows for cell in row]
+    ).cells
 
 
 class TestCell:
@@ -304,18 +304,19 @@ class TestSweepRunner:
         assert result.computed == 1
 
     def test_series_and_fill_report(self, tmp_path):
-        report, rows = rate_grid(
+        grid = rate_grid(
             ["drum", "push"], [0.0, 32.0], n=40, runs=8, seed=3,
             max_rounds=100,
         )
-        result = SweepRunner(store=tmp_path).run(
-            "fill", [cell for row in rows for cell in row]
-        )
+        result = SweepRunner(store=tmp_path).run("fill", grid.cells)
         series = result.series()
         assert list(series) == ["drum", "push"]
         assert all(len(v) == 2 for v in series.values())
-        filled = result.fill_report(report)
+        filled = result.fill_report(
+            SeriesReport("fill", grid.x_label, list(grid.x_values))
+        )
         assert filled.series == series
+        assert grid.run(store=tmp_path).series == series
 
     def test_measurement_cells_use_envelope_tier(self, tmp_path):
         config = ClusterConfig(
@@ -392,22 +393,14 @@ class TestResumeAfterInterrupt:
         assert json.dumps(result.values) == json.dumps(clean.values)
 
     def test_interrupt_then_resume_report_bytes(self, tmp_path):
-        from repro.sim.sweeps import rate_sweep
-
-        kwargs = dict(n=40, runs=8, seed=3, max_rounds=100)
-        uninterrupted = rate_sweep(
-            ["drum", "push"], [0.0, 32.0],
-            store=tmp_path / "clean", **kwargs,
+        grid = rate_grid(
+            ["drum", "push"], [0.0, 32.0], n=40, runs=8, seed=3,
+            max_rounds=100,
         )
+        uninterrupted = grid.run(store=tmp_path / "clean")
         with pytest.raises(RuntimeError):
-            rate_sweep(
-                ["drum", "push"], [0.0, 32.0],
-                store=InterruptedStore(tmp_path / "hurt", 1), **kwargs,
-            )
-        resumed = rate_sweep(
-            ["drum", "push"], [0.0, 32.0],
-            store=tmp_path / "hurt", **kwargs,
-        )
+            grid.run(store=InterruptedStore(tmp_path / "hurt", 1))
+        resumed = grid.run(store=tmp_path / "hurt")
         assert resumed.to_json() == uninterrupted.to_json()
 
 
