@@ -1,9 +1,9 @@
 """Byte pins on the figure front door: the CLI and the grid builders.
 
 Each pin is a digest of what a seeded invocation writes, so moving the
-sweep plumbing or the CLI between entry points must leave every value,
-store key and sweep identity exactly where it was.  A store and manifest
-filled by an older build stay readable only while these hold.
+sweep plumbing or the CLI between entry points must leave every value
+and store key exactly where it was.  A store filled by an older build
+stays readable only while these hold.
 """
 
 import hashlib
@@ -12,8 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.sweep import scale_grid
-from repro.sweep.orchestrator import sweep_identity
+from repro.sweep import ResultStore, rate_grid, scale_grid
 
 TINY = ["--protocols", "drum,pull", "--n", "30", "--runs", "4", "--seed", "1"]
 
@@ -36,14 +35,20 @@ SWEEP_REPORTS = {
         "6ab360cb81060a7fa98235636ff8a8a3e65b95bca9a969c112880bf98831e623",
     ),
 }
-#: ``sweep_identity("rate_sweep", cells)`` of the tiny rate grid.
-RATE_IDENTITY = (
-    "de664a567446839992665f658f66f2e4568e90aa4ce3cb8e27211b4c7c3499a7"
-)
-#: ``sweep_identity("scale_sweep", cells)`` of the tiny scale grid.
-SCALE_IDENTITY = (
-    "12a5f990497716fd3ac98815497f181193647f2bf9eb1de9199ad0aacfac686d"
-)
+#: ``ResultStore.key_for(cell)`` of each cell of the tiny rate grid.
+RATE_KEYS = [
+    "d9c8140915f6eadcfe7e183871d4eba6d1f02d0a416a744c2b7dbde76cdd5018",
+    "5aa022daf2d8a02ac143a717acbf6a9a1e9a3b6eef3522d40b1e81ecff0ace03",
+    "674a4f0b3f2391625c2afcf94b01bb5059876348a47e092bc73af3e09fb1ffc6",
+    "bea1ee16e703da2cf31eaf748043ba91f68d1503d8bb3d280bb4884c9d7edfa3",
+]
+#: ``ResultStore.key_for(cell)`` of each cell of the tiny scale grid.
+SCALE_KEYS = [
+    "f10331659fde2125d5e424d51f5655ca473a3b19f414a4b4f8f60e28dd8cd951",
+    "b2003db6afbd60d27180ff04ccaa86c374f6d2735d337911c1c882747a4348ab",
+    "68ae86c12b4afe4b25d330bd510c04656f612f72e5fc67a10584818a8399bef3",
+    "dcfa7a3e35104aff7ff9bd3a6c7557073610c5c6a1cba5a0eaa1a689a1e589b3",
+]
 
 
 def _sha(data: bytes) -> str:
@@ -63,18 +68,34 @@ def test_sweep_report_bytes(kind, tmp_path, capsys):
     assert _sha(out.read_bytes()) == digest
 
 
-def test_rate_sweep_manifest_identity(tmp_path, capsys):
-    """The manifest a stored ``repro sweep`` writes names the sweep by
-    ``sweep_identity(name, cells)`` of its ``rate_grid`` cells."""
+def test_rate_sweep_store_keys(tmp_path, capsys):
+    """A stored ``repro sweep`` files each cell under
+    ``ResultStore.key_for(cell)`` of its ``rate_grid`` cell."""
     main(
         ["sweep", "--kind", "rate", "--values", "0,16", *TINY,
          "--store", str(tmp_path)]
     )
     capsys.readouterr()
-    manifest = json.loads(
-        (tmp_path / "manifests" / "rate_sweep.json").read_text()
+    grid = rate_grid(
+        ["drum", "pull"], [0.0, 16.0], n=30, malicious_fraction=0.1,
+        runs=4, seed=1, max_rounds=400, alpha=0.1,
     )
-    assert manifest["identity"] == RATE_IDENTITY
+    store = ResultStore(tmp_path)
+    assert [store.key_for(cell) for cell in grid.cells] == RATE_KEYS
+    assert sorted(p.stem for p in tmp_path.glob("*.npz")) == sorted(RATE_KEYS)
+
+
+def test_stored_sweep_reruns_with_nothing_computed(tmp_path, capsys):
+    """A store filled by the tiny ``repro sweep --store`` serves every
+    cell of the same sweep run again."""
+    argv = ["sweep", "--kind", "rate", "--values", "0,16", *TINY,
+            "--store", str(tmp_path), "--json"]
+    main(argv)
+    cold = json.loads(capsys.readouterr().out)["sweep"]
+    main(argv)
+    warm = json.loads(capsys.readouterr().out)["sweep"]
+    assert (cold["computed"], cold["cache_hits"]) == (4, 0)
+    assert (warm["computed"], warm["cache_hits"]) == (0, 4)
 
 
 @pytest.mark.parametrize(
@@ -98,7 +119,7 @@ def test_cli_json_payload(argv, digest, capsys):
     assert _sha(capsys.readouterr().out.encode()) == digest
 
 
-def test_scale_grid_cells():
+def test_scale_grid_cells(tmp_path):
     grid = scale_grid(["drum", "pull"], [64, 128], runs=2, seed=5)
     assert (grid.name, grid.x_label, grid.x_values, grid.metadata) == (
         "scale_sweep", "n (group size)", (64.0, 128.0),
@@ -109,4 +130,5 @@ def test_scale_grid_cells():
         ("drum", 64.0, "mega", 2), ("drum", 128.0, "mega", 2),
         ("pull", 64.0, "mega", 2), ("pull", 128.0, "mega", 2),
     ]
-    assert sweep_identity(grid.name, cells) == SCALE_IDENTITY
+    store = ResultStore(tmp_path)
+    assert [store.key_for(cell) for cell in cells] == SCALE_KEYS
