@@ -15,9 +15,10 @@ Environment knobs:
   (default 1; results are bit-identical for any count).
 - ``REPRO_CACHE_DIR`` — on-disk result store location (default
   ``benchmarks/results/.cache``); points shared between figures (e.g.
-  the rate-0 baseline) are computed once, and interrupted figure grids
-  resume from their sweep manifests.  Delete the directory after
-  changing engine semantics.
+  the rate-0 baseline) are computed once, and every finished cell is
+  stored as it lands, so an interrupted figure grid run again serves
+  those cells as store hits.  Delete the directory after changing
+  engine semantics.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ def mc_kwargs() -> dict:
 
 
 def sweep_runner(tracer=None) -> SweepRunner:
-    """A manifest-checkpointed grid runner over the shared store.
+    """A grid runner over the shared store.
 
     Figure benchmarks hand whole cell grids to this instead of looping
-    ``monte_carlo`` serially: cells fan out over the process pool,
-    finished cells persist per-cell, and a killed benchmark resumes
-    from its manifest recomputing only what never finished.
+    ``monte_carlo`` serially: cells fan out over the process pool and
+    each finished cell is stored as it lands, so a killed benchmark run
+    again serves those cells as store hits and recomputes only what
+    never finished.
     """
     return SweepRunner(store=store(), workers=workers(), tracer=tracer)
 

@@ -12,9 +12,10 @@ subcommands mirror the library's three evaluation stacks::
     # Full-protocol measurement (Section 8): stream throughput/latency
     python -m repro measure --protocol pull --n 50 --alpha 0.1 -x 128
 
-    # Resumable figure sweep through the content-addressed store
+    # Figure sweep through the content-addressed store (a rerun
+    # recomputes only the cells the store lacks)
     python -m repro sweep --kind rate --protocols drum,push,pull \\
-        --values 0,32,64,128 --seed 1 --store results/.cache --resume
+        --values 0,32,64,128 --seed 1 --store results/.cache
 
     # Replay a JSONL event trace recorded with --trace
     python -m repro trace run.jsonl
@@ -353,7 +354,6 @@ def cmd_sweep(args) -> int:
             workers=args.workers,
             store=args.store,
             tracer=tracer,
-            resume=args.resume,
         )
     finally:
         if sink is not None:
@@ -575,14 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--store", default=None, metavar="DIR",
-        help="persistent result store directory; required for the sweep "
-             "to be resumable and for cells to be cached across runs",
-    )
-    p_sweep.add_argument(
-        "--resume", action=argparse.BooleanOptionalAction, default=True,
-        help="reuse the sweep manifest in --store, recomputing only "
-             "unfinished cells (--no-resume rebuilds the manifest; "
-             "completed cells still hit the content-addressed store)",
+        help="persistent result store directory: every computed cell "
+             "is kept, so a rerun (or the next run of an interrupted "
+             "sweep) recomputes only the cells the store lacks",
     )
     p_sweep.add_argument(
         "--out", default=None, metavar="FILE",

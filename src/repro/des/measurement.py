@@ -12,7 +12,7 @@ from repro.metrics.latency import (
     mean_latency_per_process,
     propagation_round_percentile,
 )
-from repro.metrics.throughput import ThroughputSummary, received_throughput
+from repro.metrics.throughput import ThroughputSummary
 
 MessageId = Tuple[int, int]
 
@@ -118,7 +118,9 @@ class MeasurementResult:
         Computed as distinct messages delivered divided by the stream
         duration.  In steady state this equals the paper's
         trimmed-window rate (the paper streams 10,000 messages over
-        250 s, so its pipeline fill/drain is negligible); for the
+        250 s, so its pipeline fill/drain is negligible;
+        :func:`repro.metrics.received_throughput` computes that rate
+        from raw delivery times); for the
         shorter default streams here it avoids the fill/drain bias while
         measuring the same thing — how much of the offered load each
         receiver actually gets.  Lost (purged-before-delivery) messages
@@ -142,19 +144,6 @@ class MeasurementResult:
             min_msgs_per_sec=float(rates.min()),
             max_msgs_per_sec=float(rates.max()),
             per_process=per_process,
-        )
-
-    def windowed_throughput(self, *, trim_fraction: float = 0.05) -> ThroughputSummary:
-        """The paper's literal trimmed-window rate (best for long streams)."""
-        times: Dict[int, List[float]] = {pid: [] for pid in self.correct_receivers}
-        for record in self.deliveries:
-            if record.receiver in times:
-                times[record.receiver].append(record.delivered_at_ms)
-        return received_throughput(
-            times,
-            self.experiment_start_ms,
-            self.experiment_end_ms,
-            trim_fraction=trim_fraction,
         )
 
     # -- latency (Figure 11) ------------------------------------------------------

@@ -38,15 +38,14 @@ continuous-time stacks.  Remaining keys by type:
     Terminal summary: ``delivered`` (final holder count), ``rounds``.
 ``sweep_start`` / ``sweep_end``
     Sweep-orchestrator lifecycle (:mod:`repro.sweep`): ``name``,
-    ``cells``, ``pending`` on start; ``computed``, ``cache_hits`` on
-    end.
+    ``cells``, ``pending`` (the cells to evaluate, i.e. all of them) on
+    start; ``computed``, ``cache_hits`` on end.
 ``cell_start`` / ``cell_finish``
     One grid cell's evaluation: ``index``, ``series``, ``x`` on start;
     ``index``, ``value``, ``cached`` on finish.
 ``cell_cache_hit``
     The cell was served without an engine run: ``index`` plus
-    ``source`` (``"store"`` — content-addressed hit — or
-    ``"manifest"`` — trusted done entry from a prior sweep).
+    ``source`` (always ``"store"``, a content-addressed hit).
 ``cache_hit`` / ``cache_miss`` / ``cache_corrupt``
     One :class:`repro.sweep.store.ResultStore` consultation by the
     sweep orchestrator: ``key`` (the content-address) and ``tier``

@@ -39,7 +39,7 @@ from repro.sim.executor import (
     pool_override,
     stats as executor_stats,
 )
-from repro.sim.parallel import default_workers, parallel_map, run_sharded
+from repro.sim.parallel import default_workers, run_sharded
 from repro.sim.runner import default_runs, monte_carlo
 from repro.sweep.store import ResultStore
 
@@ -56,7 +56,6 @@ __all__ = [
     "default_workers",
     "executor_stats",
     "monte_carlo",
-    "parallel_map",
     "pool_override",
     "run_exact",
     "run_fast",

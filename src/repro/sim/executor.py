@@ -466,7 +466,7 @@ def close_pool() -> None:
 class pool_override:
     """Context manager routing :func:`get_pool` to a stand-in pool.
 
-    The stand-in only needs ``imap_calls``/``run_calls``; the
+    The stand-in only needs ``imap_calls``; the
     fault-injection tests use this to delay, reorder, and kill task
     completion without touching production scheduling.
     """

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,21 +80,24 @@ def default_workers(fallback: int = 1) -> int:
     return value
 
 
-def parallel_map(fn: Callable, tasks: Sequence, workers: int = 1) -> List:
-    """``[fn(t) for t in tasks]``, optionally across the persistent pool.
+def iter_calls(
+    calls: Sequence[Tuple[Callable, object]], workers: int = 1
+) -> Iterator[Tuple[int, object]]:
+    """Yield ``(index, fn(payload))`` for each ``(fn, payload)`` call.
 
-    Output order always matches input order, so callers see identical
-    results for any ``workers``; with one task (or one worker) the work
-    runs serially in-process.  Parallel calls ride the process-wide
-    :class:`~repro.sim.executor.WorkerPool` — the pool is forked once
-    and reused, not per call.
+    With one worker or one call the calls run in-process, in order;
+    otherwise they ride the process-wide persistent pool
+    (:meth:`~repro.sim.executor.WorkerPool.imap_calls`) and arrive in
+    completion order.  Callers place results by ``index``, so what they
+    assemble is the same either way.
     """
-    tasks = list(tasks)
+    calls = list(calls)
     workers = check_workers(workers)
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    pool = get_pool(min(workers, len(tasks)))
-    return pool.run_calls([(fn, task) for task in tasks])
+    if workers <= 1 or len(calls) <= 1:
+        for index, (fn, payload) in enumerate(calls):
+            yield index, fn(payload)
+        return
+    yield from get_pool(min(workers, len(calls))).imap_calls(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +375,17 @@ def make_job(
 def execute_job(job, *, workers: int = 1, tracer=None) -> MonteCarloResult:
     """Run ``job``'s calls and assemble its result.
 
-    Serial (``workers=1``) and single-call jobs run in-process; the rest
-    go through the persistent pool.  Assembly is positional, so the
-    result is byte-identical for any worker count or completion order.
+    The calls go through :func:`iter_calls` (in-process for one worker
+    or one call, else the persistent pool).  Assembly is positional, so
+    the result is byte-identical for any worker count or completion
+    order.
     ``tracer`` makes each call record its events and ship them back
     with its arrays.
     """
-    workers = check_workers(workers)
     calls = job.calls(tracer is not None)
-    if workers <= 1 or len(calls) <= 1:
-        shards = [fn(payload) for fn, payload in calls]
-    else:
-        shards = get_pool(min(workers, len(calls))).run_calls(calls)
+    shards: List = [None] * len(calls)
+    for index, shard in iter_calls(calls, workers):
+        shards[index] = shard
     return job.assemble(shards, tracer)
 
 

@@ -1,4 +1,4 @@
-"""Resumable experiment sweep orchestration.
+"""Experiment sweep orchestration.
 
 The paper's evaluation — and every ROADMAP item stacked on top of it —
 is a grid of Monte-Carlo cells: protocol × attack strength × group
@@ -26,10 +26,10 @@ an orchestrated, interruptible workload:
   Keys are canonical-token digests (:mod:`repro.util.canonical`) —
   stable across processes, never ``repr``-derived.
 - :class:`~repro.sweep.orchestrator.SweepRunner` — evaluates a cell
-  list cache-aside through the store, records a per-cell manifest, and
-  resumes an interrupted sweep by recomputing *only* unfinished cells.
-  Figure output is byte-identical for any worker count and for any
-  interrupt/resume pattern.
+  list cache-aside through the store, writing each computed cell the
+  moment it lands, so an interrupted sweep run again recomputes *only*
+  the cells the store lacks.  Figure output is byte-identical for any
+  worker count and for any interrupt pattern.
 
 The ``repro sweep`` CLI subcommand drives it from the shell, and the
 benchmark harness (``benchmarks/_common.py``) shares one store across

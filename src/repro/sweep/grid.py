@@ -159,22 +159,21 @@ class Grid:
         store=None,
         workers: Optional[int] = None,
         tracer=None,
-        resume: bool = True,
     ) -> SeriesReport:
         """Evaluate every cell through
         :class:`~repro.sweep.orchestrator.SweepRunner` and return the
         filled figure report.
 
         Cell seeds are fixed, so ``workers`` changes scheduling, never
-        values.  ``store`` (a directory or ``ResultStore``) makes the
-        run resumable under :attr:`name`: a rerun recomputes only the
-        cells its manifest and store do not already hold.
+        values.  ``store`` (a directory or ``ResultStore``) keeps every
+        computed cell: a rerun, or the next run of an interrupted one,
+        recomputes only the cells the store does not already hold.
         """
         # Imported lazily: the orchestrator imports Cell from here.
         from repro.sweep.orchestrator import SweepRunner
 
         runner = SweepRunner(store=store, workers=workers, tracer=tracer)
-        result = runner.run(self.name, self.cells, resume=resume)
+        result = runner.run(self.name, self.cells)
         return result.fill_report(
             SeriesReport(
                 self.name, self.x_label, list(self.x_values),

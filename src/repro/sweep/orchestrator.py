@@ -1,34 +1,27 @@
-"""The resumable sweep orchestrator.
+"""The sweep orchestrator.
 
 :class:`SweepRunner` evaluates a list of :class:`~repro.sweep.grid.Cell`
-grid points cache-aside through a :class:`~repro.sweep.store.ResultStore`
-and records a **manifest** — per-cell status, key, and value — so an
-interrupted sweep resumes by recomputing only unfinished cells:
+grid points cache-aside through a :class:`~repro.sweep.store.ResultStore`:
 
-1. The sweep's *identity* is the canonical-token digest of ``(name,
-   cells)``.  A manifest whose identity matches is trusted; one that
-   does not (the grid changed) is discarded and rebuilt.
-2. Cells already ``done`` in the manifest are served from their
-   recorded value without touching an engine or the store.
-3. The parent consults the store for every remaining cell (an
-   interrupted sweep's completed cells live there even when the
-   manifest never saw them finish), recording hit/miss/corrupt per
-   consultation.
-4. The misses are flattened into **one global work queue** of (cell,
-   shard) tasks on the process-wide persistent pool
-   (:mod:`repro.sim.executor`): every cell's shard calls are submitted
-   up front, cells complete out of order with no inter-cell barrier,
-   and each cell is assembled, written to the store, and folded into
-   the manifest the moment its last shard lands.  The manifest is
-   checkpointed every :data:`CHUNK_FACTOR` × ``workers`` completions,
-   bounding how much *finished* work a kill can hide from it.
+1. The parent consults the store for every cell, in cell order,
+   recording hit/miss/corrupt per consultation.  Hits resolve there.
+2. The misses are flattened into **one global work queue** of (cell,
+   shard) calls drained by :func:`repro.sim.parallel.iter_calls` —
+   in-process for one worker, else on the process-wide persistent pool
+   (:mod:`repro.sim.executor`), where cells complete out of order with
+   no inter-cell barrier.  Each cell is assembled and written to the
+   store the moment its last call lands.
+
+A killed sweep therefore loses only the cells still in flight: every
+finished cell is already an atomic store entry, and running the sweep
+again serves it as a store hit.
 
 Every cell's seed is fixed in the parent before anything executes, and
 results are assembled positionally from the deterministic shard layout,
 so the figure a sweep produces is byte-identical for any worker count,
-completion order, and interrupt/resume pattern — resuming changes
-*where* values come from (engine, store, or manifest), never what they
-are.
+completion order, and interrupt pattern — an interrupted sweep run
+again changes *where* values come from (engine or store), never what
+they are.
 
 Observability: with a ``tracer``, the runner emits ``sweep_start``,
 per-cell ``cell_start`` / ``cache_hit|cache_miss|cache_corrupt`` (one
@@ -50,24 +43,14 @@ import numpy as np
 
 from repro.metrics.report import SeriesReport
 from repro.metrics.stats import summarize_runs
-from repro.sim.executor import get_pool
-from repro.sim.parallel import check_workers, default_workers, make_job
-from repro.sweep.grid import Cell
-from repro.sweep.store import (
-    MANIFEST_SCHEMA,
-    MANIFEST_VERSION,
-    ResultStore,
-    as_store,
+from repro.sim.parallel import (
+    check_workers,
+    default_workers,
+    iter_calls,
+    make_job,
 )
-from repro.util.canonical import canonical_key
-
-#: Manifest checkpoint cadence, as a multiple of the worker count: the
-#: manifest is rewritten after every ``CHUNK_FACTOR * workers`` cell
-#: completions (plus once before and once after the queue drains).
-#: This bounds how much *finished* work a kill can hide from the
-#: manifest (the store still has it; resume would re-load, not re-run).
-#: Cadence never affects values — seeds are pre-derived per cell.
-CHUNK_FACTOR = 4
+from repro.sweep.grid import Cell
+from repro.sweep.store import ResultStore, as_store
 
 
 def _metric_value(cell: Cell, result) -> float:
@@ -158,16 +141,6 @@ class _CellJob:
         return self.job.assemble(self._results, None)
 
 
-def sweep_identity(name: str, cells: Sequence[Cell]) -> Optional[str]:
-    """The sweep's canonical identity, or None when any cell resists
-    canonicalisation (a generator-seeded cell, say) — such sweeps still
-    run, they just cannot carry a trustworthy manifest."""
-    try:
-        return canonical_key(["sweep", name, list(cells)])
-    except TypeError:
-        return None
-
-
 @dataclass(frozen=True)
 class CellOutcome:
     """One evaluated cell: where its value came from and what it was."""
@@ -175,8 +148,8 @@ class CellOutcome:
     index: int
     cell: Cell
     value: float
-    #: ``"engine"`` (computed this run), ``"store"`` (content-addressed
-    #: hit), or ``"manifest"`` (trusted done entry from a prior run).
+    #: ``"engine"`` (computed this run) or ``"store"`` (content-addressed
+    #: hit).
     source: str
     key: Optional[str]
 
@@ -203,7 +176,7 @@ class SweepResult:
 
     @property
     def cache_hits(self) -> int:
-        """Cells served from the store or the manifest."""
+        """Cells served from the store."""
         return sum(1 for o in self.outcomes if o.cached)
 
     def series(self) -> Dict[str, List[float]]:
@@ -221,12 +194,12 @@ class SweepResult:
 
 
 class SweepRunner:
-    """Evaluates cell grids through a store, manifest-checkpointed.
+    """Evaluates cell grids cache-aside through a store.
 
-    ``store`` may be None (ephemeral sweep: no persistence, no
-    manifest), a directory path, or a :class:`ResultStore`.  ``workers``
-    follows the ``REPRO_WORKERS`` convention used everywhere else;
-    parallel sweeps share the process-wide persistent pool.
+    ``store`` may be None (ephemeral sweep: no persistence), a directory
+    path, or a :class:`ResultStore`.  ``workers`` follows the
+    ``REPRO_WORKERS`` convention used everywhere else; parallel sweeps
+    share the process-wide persistent pool.
     """
 
     def __init__(
@@ -242,69 +215,55 @@ class SweepRunner:
         )
         self.tracer = tracer
 
-    def run(
-        self, name: str, cells: Sequence[Cell], *, resume: bool = True
-    ) -> SweepResult:
-        """Evaluate ``cells``, resuming from ``name``'s manifest.
-
-        With ``resume=False`` the manifest is rebuilt from scratch —
-        completed cells still short-circuit through the content-
-        addressed store, so even a fresh manifest never re-burns
-        compute the store already holds.
-        """
+    def run(self, name: str, cells: Sequence[Cell]) -> SweepResult:
+        """Evaluate ``cells``: serve store hits, run the misses, and
+        store each computed cell as it lands."""
         cells = [self._check_cell(i, c) for i, c in enumerate(cells)]
         if not cells:
             raise ValueError("a sweep needs at least one cell")
-        identity = sweep_identity(name, cells)
         keys = [
             self.store.key_for(cell) if self.store is not None else None
             for cell in cells
         ]
 
-        manifest_values = self._manifest_values(name, cells, identity, resume)
-        pending = [i for i in range(len(cells)) if i not in manifest_values]
-        self._checkpoint(name, cells, identity, keys, manifest_values, {})
-
         # Parent-side store consultation, in cell order.  Hits resolve
         # immediately; the statuses feed the cache_* event stream.
-        computed: Dict[int, Tuple[float, bool]] = {}
+        values: Dict[int, Tuple[float, str]] = {}
         cache_status: Dict[int, str] = {}
-        to_run: List[int] = []
-        for i in pending:
-            value, status = self._consult_store(cells[i], keys[i])
+        jobs: Dict[int, _CellJob] = {}
+        for i, cell in enumerate(cells):
+            value, status = self._consult_store(cell, keys[i])
             if status is not None:
                 cache_status[i] = status
             if value is not None:
-                computed[i] = (value, True)
+                values[i] = (value, "store")
             else:
-                to_run.append(i)
+                jobs[i] = _CellJob(cell, workers=self.workers)
 
-        if to_run:
-            checkpoint_every = max(1, self.workers * CHUNK_FACTOR)
-            run_args = (
-                name, cells, identity, keys, manifest_values, computed,
-                to_run, checkpoint_every,
-            )
-            if self.workers <= 1:
-                self._run_serial(*run_args)
-            else:
-                self._run_queue(*run_args)
-        self._checkpoint(name, cells, identity, keys, manifest_values, computed)
+        # Every miss's calls in one queue: no inter-cell barrier.
+        calls: List = []
+        owners: List[Tuple[int, int]] = []
+        for i, job in jobs.items():
+            for local_index, call in enumerate(job.calls):
+                owners.append((i, local_index))
+                calls.append(call)
+        for call_index, call_result in iter_calls(calls, self.workers):
+            i, local_index = owners[call_index]
+            if not jobs[i].deliver(local_index, call_result):
+                continue
+            cell_result = jobs.pop(i).result()
+            if keys[i] is not None:
+                self.store.store_cell(cells[i], keys[i], cell_result)
+            values[i] = (_metric_value(cells[i], cell_result), "engine")
 
-        outcomes = []
-        for i, cell in enumerate(cells):
-            if i in manifest_values:
-                outcomes.append(
-                    CellOutcome(i, cell, manifest_values[i], "manifest", keys[i])
-                )
-            else:
-                value, from_store = computed[i]
-                source = "store" if from_store else "engine"
-                outcomes.append(CellOutcome(i, cell, value, source, keys[i]))
-        result = SweepResult(name=name, outcomes=tuple(outcomes))
-        self._emit_events(
-            result, pending=len(pending), cache_status=cache_status
+        result = SweepResult(
+            name=name,
+            outcomes=tuple(
+                CellOutcome(i, cell, *values[i], keys[i])
+                for i, cell in enumerate(cells)
+            ),
         )
+        self._emit_events(result, cache_status=cache_status)
         return result
 
     # -- internals -----------------------------------------------------------
@@ -327,161 +286,17 @@ class SweepRunner:
             return None, status
         return _metric_value(cell, result), status
 
-    def _store_result(self, cell: Cell, key: Optional[str], result) -> None:
-        """Cache-aside write of one computed cell (parent-side)."""
-        if self.store is not None and key is not None:
-            self.store.store_cell(cell, key, result)
-
-    def _compute_cell(self, cell: Cell, key: Optional[str]) -> float:
-        """Serial in-process evaluation of one cell."""
-        if cell.scenario is not None:
-            from repro.sim.parallel import execute_job
-
-            job = make_job(
-                cell.scenario,
-                _cell_runs(cell),
-                seed=cell.seed,
-                engine=cell.engine,
-                horizon=cell.horizon,
-                workers=1,
-            )
-            result = execute_job(job, workers=1)
-        else:
-            result = _des_cell_task((cell.config, cell.seed))
-        self._store_result(cell, key, result)
-        return _metric_value(cell, result)
-
-    def _run_serial(
-        self, name, cells, identity, keys, manifest_values, computed,
-        to_run, checkpoint_every,
-    ) -> None:
-        done_since = 0
-        for i in to_run:
-            computed[i] = (self._compute_cell(cells[i], keys[i]), False)
-            done_since += 1
-            if done_since >= checkpoint_every:
-                self._checkpoint(
-                    name, cells, identity, keys, manifest_values, computed
-                )
-                done_since = 0
-
-    def _run_queue(
-        self, name, cells, identity, keys, manifest_values, computed,
-        to_run, checkpoint_every,
-    ) -> None:
-        """Drain every pending cell through one global (cell, shard)
-        work queue on the persistent pool — no inter-cell barrier."""
-        pool = get_pool(self.workers)
-        jobs: Dict[int, _CellJob] = {}
-        calls: List = []
-        owners: List[Tuple[int, int]] = []
-        for i in to_run:
-            job = _CellJob(cells[i], workers=self.workers)
-            jobs[i] = job
-            for local_index, call in enumerate(job.calls):
-                owners.append((i, local_index))
-                calls.append(call)
-        done_since = 0
-        for call_index, result in pool.imap_calls(calls):
-            i, local_index = owners[call_index]
-            if not jobs[i].deliver(local_index, result):
-                continue
-            cell_result = jobs.pop(i).result()
-            self._store_result(cells[i], keys[i], cell_result)
-            computed[i] = (_metric_value(cells[i], cell_result), False)
-            done_since += 1
-            if done_since >= checkpoint_every:
-                self._checkpoint(
-                    name, cells, identity, keys, manifest_values, computed
-                )
-                done_since = 0
-
-    def _manifest_values(
-        self,
-        name: str,
-        cells: Sequence[Cell],
-        identity: Optional[str],
-        resume: bool,
-    ) -> Dict[int, float]:
-        """Trusted ``{index: value}`` entries from a prior manifest."""
-        if not resume or self.store is None or identity is None:
-            return {}
-        manifest = self.store.load_manifest(name)
-        if manifest is None or manifest.get("identity") != identity:
-            return {}
-        done: Dict[int, float] = {}
-        for entry in manifest.get("cells", []):
-            index = entry.get("index")
-            if (
-                entry.get("status") == "done"
-                and isinstance(index, int)
-                and 0 <= index < len(cells)
-                and isinstance(entry.get("value"), (int, float))
-            ):
-                done[index] = float(entry["value"])
-        return done
-
-    def _checkpoint(
-        self,
-        name: str,
-        cells: Sequence[Cell],
-        identity: Optional[str],
-        keys: Sequence[Optional[str]],
-        manifest_values: Dict[int, float],
-        computed: Dict[int, Tuple[float, bool]],
-    ) -> None:
-        """Write the manifest reflecting current per-cell status."""
-        if self.store is None or identity is None:
-            return
-        entries = []
-        for i, cell in enumerate(cells):
-            if keys[i] is None:
-                # No stable content-address (seedless or generator-
-                # seeded cell): its value is not reproducible, so it is
-                # recomputed every run and never recorded as done.
-                status, value = "uncacheable", None
-            elif i in manifest_values:
-                status, value = "done", manifest_values[i]
-            elif i in computed:
-                status, value = "done", computed[i][0]
-            else:
-                status, value = "pending", None
-            entries.append(
-                {
-                    "index": i,
-                    "series": cell.series,
-                    "x": cell.x,
-                    "kind": cell.kind,
-                    "metric": cell.metric,
-                    "key": keys[i],
-                    "status": status,
-                    "value": value,
-                }
-            )
-        self.store.store_manifest(
-            name,
-            {
-                "schema": MANIFEST_SCHEMA,
-                "version": MANIFEST_VERSION,
-                "name": name,
-                "identity": identity,
-                "cells": entries,
-            },
-        )
-
     def _emit_events(
-        self,
-        result: SweepResult,
-        *,
-        pending: int,
-        cache_status: Dict[int, str],
+        self, result: SweepResult, *, cache_status: Dict[int, str]
     ) -> None:
         """Re-emit the sweep lifecycle in deterministic cell order."""
         tracer = self.tracer
         if tracer is None:
             return
         tracer.sweep_start(
-            name=result.name, cells=len(result.outcomes), pending=pending
+            name=result.name,
+            cells=len(result.outcomes),
+            pending=len(result.outcomes),
         )
         for outcome in result.outcomes:
             tracer.cell_start(

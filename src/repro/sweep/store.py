@@ -2,9 +2,8 @@
 
 Layout (everything lives under one ``root`` directory)::
 
-    <root>/<key>.npz              # npz tier: full MonteCarloResult arrays
-    <root>/<key>.json             # envelope tier: repro.result JSON
-    <root>/manifests/<name>.json  # per-sweep cell-status manifests
+    <root>/<key>.npz   # npz tier: full MonteCarloResult arrays
+    <root>/<key>.json  # envelope tier: repro.result JSON
 
 ``<key>`` is the sha256 canonical-token digest of an experiment's
 complete identity (scenario, runs, seed, engine and horizon — or a DES
@@ -26,12 +25,11 @@ signature), so the figures sharing a point (the rate-0 baseline of
 Figures 2, 3 and 7) decode it once per process; their arrays are
 read-only, so no caller can write through a hit into every later one.
 Writes are atomic (tempfile + rename) so a killed sweep never leaves a
-truncated entry that a resume would trust.
+truncated entry that its next run would trust.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from collections import OrderedDict
@@ -60,10 +58,6 @@ from repro.util.rng import SeedLike
 #: ``max_rounds`` to built-in ints, which changes the canonical token
 #: of any grid that previously smuggled numpy scalars through.
 CACHE_VERSION = 4
-
-#: Manifest document identity (see :class:`ResultStore.store_manifest`).
-MANIFEST_SCHEMA = "repro.sweep_manifest"
-MANIFEST_VERSION = 1
 
 #: Decoded npz entries kept in the process-wide LRU.
 NPZ_LRU_ENTRIES = 128
@@ -376,33 +370,6 @@ class ResultStore:
         from repro.api.results import encode_envelope
 
         self._write_text(self.envelope_path(key), encode_envelope(result))
-
-    # -- manifests -----------------------------------------------------------
-
-    def manifest_path(self, name: str) -> Path:
-        return self.root / "manifests" / f"{name}.json"
-
-    def load_manifest(self, name: str) -> Optional[dict]:
-        """The stored manifest dict, or None on miss / wrong schema /
-        any read failure."""
-        try:
-            data = json.loads(self.manifest_path(name).read_text())
-        except Exception:
-            return None
-        if (
-            not isinstance(data, dict)
-            or data.get("schema") != MANIFEST_SCHEMA
-            or data.get("version") != MANIFEST_VERSION
-        ):
-            return None
-        return data
-
-    def store_manifest(self, name: str, manifest: dict) -> None:
-        """Persist ``manifest`` atomically; failures are swallowed."""
-        self._write_text(
-            self.manifest_path(name),
-            json.dumps(manifest, sort_keys=True, indent=1),
-        )
 
     # -- internals -----------------------------------------------------------
 

@@ -324,12 +324,6 @@ class ShufflePool:
         for i in self.rng.permutation(len(calls)):
             yield int(i), results[int(i)]
 
-    def run_calls(self, calls):
-        out = [None] * len(calls)
-        for i, result in self.imap_calls(calls):
-            out[i] = result
-        return out
-
 
 class DyingPool(ShufflePool):
     """ShufflePool that simulates a fatal worker kill mid-queue: after
@@ -377,7 +371,7 @@ class TestFaultInjectedByteIdentity:
             shuffled = grid.run(workers=4).to_json()
         assert shuffled == baseline
 
-    def test_mid_sweep_kill_then_resume_through_manifest(self, tmp_path):
+    def test_mid_sweep_kill_then_resume_through_store(self, tmp_path):
         from repro.sweep.grid import rate_grid
 
         def grid():
@@ -390,28 +384,20 @@ class TestFaultInjectedByteIdentity:
         # The reference figure: fresh serial sweep, no store.
         cells = grid()
         reference = SweepRunner(workers=1).run("fig", cells)
-        # Interrupted parallel sweep: the pool dies after 9 of 12 cells.
-        # At workers=2 the manifest checkpoints every 8 completions, so
-        # the kill lands *between* checkpoints.
+        # Interrupted parallel sweep: the pool dies after 9 of 12 cells,
+        # each of which was stored the moment it landed.
         store = ResultStore(tmp_path / "store")
         cells2 = grid()
         with pool_override(DyingPool(5, fuel=9)):
             with pytest.raises(RuntimeError, match="worker kill"):
                 SweepRunner(store, workers=2).run("fig", cells2)
-        manifest = store.load_manifest("fig")
-        done_in_manifest = [
-            entry["index"]
-            for entry in manifest["cells"]
-            if entry["status"] == "done"
-        ]
-        assert len(done_in_manifest) == 8  # one checkpoint fired
-        # Resume: manifest serves its 8, the store serves the 1 computed
-        # after the last checkpoint, the engine runs only the final 3.
+        assert len(list((tmp_path / "store").glob("*.npz"))) == 9
+        # Run again: the store serves the 9, the engine runs only the
+        # final 3.
         cells3 = grid()
         resumed = SweepRunner(store, workers=1).run("fig", cells3)
         sources = [outcome.source for outcome in resumed.outcomes]
-        assert sources.count("manifest") == 8
-        assert sources.count("store") == 1
+        assert sources.count("store") == 9
         assert sources.count("engine") == 3
         assert resumed.values == reference.values
 

@@ -10,13 +10,13 @@ from repro.sim import (
     Scenario,
     default_workers,
     monte_carlo,
-    parallel_map,
 )
 from repro.sim.parallel import (
     FAST_SHARD_RUNS,
     check_workers,
     child_seeds,
     fast_shard_sizes,
+    iter_calls,
 )
 from repro.sweep import budget_grid, extent_grid, rate_grid
 from repro.sweep.store import as_store
@@ -68,10 +68,16 @@ class TestWorkerPlumbing:
         with pytest.raises(ValueError):
             rate_grid(["drum"], [0], n=40, runs=5, seed=1).run(workers=-2)
 
-    def test_parallel_map_preserves_order(self):
-        tasks = list(range(23))
-        assert parallel_map(_square, tasks, workers=4) == [t * t for t in tasks]
-        assert parallel_map(_square, tasks, workers=1) == [t * t for t in tasks]
+    def test_iter_calls_indexes_every_result(self):
+        calls = [(_square, t) for t in range(23)]
+        # In-process: in call order.
+        assert list(iter_calls(calls, workers=1)) == [
+            (t, t * t) for t in range(23)
+        ]
+        # On the pool: completion order, so place results by index.
+        pooled = dict(iter_calls(calls, workers=4))
+        assert pooled == {t: t * t for t in range(23)}
+        assert list(iter_calls([], workers=4)) == []
 
 
 def _square(x):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.sweep import ResultStore
 from repro.sweep.grid import budget_grid, extent_grid, rate_grid
 
 
@@ -99,4 +100,6 @@ class TestGridGuards:
         first = grid.run(store=tmp_path)
         again = grid.run(store=tmp_path)
         assert again.to_json() == first.to_json()
-        assert (tmp_path / "manifests" / "rate_sweep.json").exists()
+        store = ResultStore(tmp_path)
+        for cell in grid.cells:
+            assert store.path_for(store.key_for(cell)).exists()

@@ -1,4 +1,4 @@
-"""Tests for the resumable sweep orchestrator and its result store."""
+"""Tests for the sweep orchestrator and its result store."""
 
 import itertools
 import json
@@ -19,8 +19,6 @@ from repro.sweep import (
     as_store,
     rate_grid,
 )
-from repro.sweep.orchestrator import sweep_identity
-from repro.sweep.store import MANIFEST_SCHEMA, MANIFEST_VERSION
 
 
 def mc_cell(series="drum", x=0.0, n=40, seed=3, runs=8, **kwargs):
@@ -157,46 +155,6 @@ class TestResultStore:
         store.envelope_path("wrong").write_text('{"schema": "nope"}')
         assert store.load_envelope("wrong") is None
 
-    def test_manifest_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path)
-        manifest = {
-            "schema": MANIFEST_SCHEMA,
-            "version": MANIFEST_VERSION,
-            "name": "m",
-            "identity": "abc",
-            "cells": [],
-        }
-        store.store_manifest("m", manifest)
-        assert store.load_manifest("m") == manifest
-
-    def test_manifest_schema_validated(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.load_manifest("absent") is None
-        store.manifest_path("bad").parent.mkdir(parents=True, exist_ok=True)
-        store.manifest_path("bad").write_text("[]")
-        assert store.load_manifest("bad") is None
-        store.manifest_path("v9").write_text(
-            json.dumps({"schema": MANIFEST_SCHEMA, "version": 99})
-        )
-        assert store.load_manifest("v9") is None
-
-
-class TestSweepIdentity:
-    def test_stable_and_discriminating(self):
-        cells = small_grid()
-        assert sweep_identity("s", cells) == sweep_identity("s", small_grid())
-        assert sweep_identity("s", cells) != sweep_identity("t", cells)
-        assert sweep_identity("s", cells) != sweep_identity(
-            "s", small_grid(seed=4)
-        )
-
-    def test_uncanonicalisable_grid_has_no_identity(self):
-        cell = mc_cell(seed=np.random.default_rng(1))
-        assert sweep_identity("s", [cell]) is None
-        # seed=None still canonicalises: the grid has an identity, the
-        # cell is just individually uncacheable.
-        assert sweep_identity("s", [mc_cell(seed=None)]) is not None
-
 
 class TestSweepRunner:
     def test_values_match_direct_monte_carlo(self, tmp_path):
@@ -254,7 +212,7 @@ class TestSweepRunner:
         assert len(stored["a"]) == len(cells)
         assert stored["a"] == stored["b"]
 
-    def test_repeat_is_all_manifest_hits(self, tmp_path):
+    def test_repeat_is_all_store_hits(self, tmp_path):
         runner = SweepRunner(store=tmp_path)
         cells = small_grid()
         first = runner.run("again", cells)
@@ -262,9 +220,9 @@ class TestSweepRunner:
         assert second.values == first.values
         assert second.computed == 0
         assert second.cache_hits == len(cells)
-        assert all(o.source == "manifest" for o in second.outcomes)
+        assert all(o.source == "store" for o in second.outcomes)
 
-    def test_manifest_values_survive_store_deletion(self, tmp_path):
+    def test_deleted_store_entries_recompute(self, tmp_path):
         runner = SweepRunner(store=tmp_path)
         cells = small_grid()
         first = runner.run("orphan", cells)
@@ -272,22 +230,37 @@ class TestSweepRunner:
             npz.unlink()
         second = runner.run("orphan", cells)
         assert second.values == first.values
-        assert second.computed == 0
+        assert second.computed == len(cells)
 
-    def test_no_resume_still_hits_store(self, tmp_path):
+    def test_cache_version_bump_recomputes_every_cell(
+        self, tmp_path, monkeypatch
+    ):
+        # Bumping CACHE_VERSION is how the store is invalidated when
+        # engine semantics change: no earlier value may be served.
+        grid = rate_grid(["drum"], [0.0, 32.0], n=30, runs=4, seed=1)
         runner = SweepRunner(store=tmp_path)
-        cells = small_grid()
-        first = runner.run("fresh", cells)
-        second = runner.run("fresh", cells, resume=False)
+        first = runner.run(grid.name, grid.cells)
+        assert first.computed == len(grid.cells)
+        monkeypatch.setattr("repro.sweep.store.CACHE_VERSION", 99)
+        second = runner.run(grid.name, grid.cells)
+        assert second.computed == len(grid.cells)
+        assert [o.source for o in second.outcomes] == ["engine"] * 2
         assert second.values == first.values
-        assert second.computed == 0
-        assert all(o.source == "store" for o in second.outcomes)
 
-    def test_changed_grid_invalidates_manifest(self, tmp_path):
-        runner = SweepRunner(store=tmp_path)
-        runner.run("drift", small_grid(seed=3))
-        second = runner.run("drift", small_grid(seed=4))
-        assert second.computed == len(small_grid())
+    def test_store_root_holds_only_entries(self, tmp_path):
+        # One file per cell, named by its key; no per-sweep side files.
+        mc = mc_cell()
+        des = Cell(
+            series="drum", x=1.0, seed=5, metric="delivery_ratio",
+            config=ClusterConfig(
+                protocol="drum", n=8, messages=10, send_rate=50.0
+            ),
+        )
+        SweepRunner(store=tmp_path).run("entries", [mc, des])
+        store = ResultStore(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"{store.key_for(mc)}.npz", f"{store.key_for(des)}.json"]
+        )
 
     def test_uncacheable_cells_recompute_every_run(self, tmp_path):
         runner = SweepRunner(store=tmp_path)
@@ -295,9 +268,6 @@ class TestSweepRunner:
         first = runner.run("unseeded", [cell])
         second = runner.run("unseeded", [cell])
         assert first.computed == second.computed == 1
-        manifest = ResultStore(tmp_path).load_manifest("unseeded")
-        assert manifest["cells"][0]["status"] == "uncacheable"
-        assert manifest["cells"][0]["value"] is None
 
     def test_ephemeral_runner_without_store(self):
         result = SweepRunner().run("ephemeral", [mc_cell()])
@@ -327,8 +297,7 @@ class TestSweepRunner:
             metric="delivery_ratio",
         )
         runner = SweepRunner(store=tmp_path)
-        first = runner.run("des", [cell], resume=True)
-        ResultStore(tmp_path).manifest_path("des").unlink()
+        first = runner.run("des", [cell])
         second = runner.run("des", [cell])
         assert second.values == first.values
         assert second.computed == 0
