@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.des.engine import EventHandle, EventLoop
 
@@ -28,9 +28,11 @@ class LoopClock(EventLoop):
     the wall, which :meth:`catch_up` brings the heap up to.  Stamps read
     :meth:`time`, so the tick (the handle waits for the earliest due
     time rounded *up* to a multiple of ``tick_ms``; 0 coalesces
-    nothing) only sets how often the loop wakes.  A callback's exception
-    goes to the loop's exception handler and the pass goes on.  Loop
-    thread only.
+    nothing) only sets how often the loop wakes.  An event queued from
+    outside a pass (a coroutine's send, a node start) arms the handle at
+    once; a pass arms for the earliest entry left when it ends.  A
+    callback's exception goes to the loop's exception handler and the
+    pass goes on.  Loop thread only.
     """
 
     catches_errors = True
@@ -41,11 +43,12 @@ class LoopClock(EventLoop):
         self.tick_ms = tick_ms
         self._origin = self.loop.time()
         self._handle: Optional[asyncio.TimerHandle] = None
-        #: How far the armed pass will reach; ``-inf`` once closed.
+        #: How far the armed pass will reach.
         self._armed_for = math.inf
         self._pumping = False
+        self._closed = False
         self.wakes = 0
-        self.refused = 0  # events scheduled after close()
+        self.refused = 0  # events queued after close() or on a closed loop
         #: Worst wall − due, read on the first event of each pass.
         self.late_ms_max = 0.0
 
@@ -58,17 +61,17 @@ class LoopClock(EventLoop):
             self._now = self._wall()
         return self._now
 
-    def schedule(self, delay_ms: float, fn: Callable, *args) -> EventHandle:
-        if self._armed_for == -math.inf:  # closed: nobody would pump it
-            self.refused += 1
-            return EventHandle(self._now + delay_ms, cancelled=True)
-        if self._pumping:
-            return super().schedule(delay_ms, fn, *args)
+    def _push(self, handle: EventHandle, delay_ms: float, fn, *args) -> bool:
+        pumping = self._pumping
+        if self._closed or not pumping and self.loop.is_closed():
+            self.refused += 1  # nobody would pump it
+            return False
+        if pumping:  # the pass arms for what it leaves queued
+            return EventLoop._push(self, handle, delay_ms, fn, *args)
         self._now = self._wall()
-        handle = super().schedule(delay_ms, fn, *args)
-        if handle.when < self._armed_for:
-            self._arm(handle.when)
-        return handle
+        EventLoop._push(self, handle, delay_ms, fn, *args)
+        self._arm(self._now + delay_ms)  # if due before what is armed
+        return True
 
     def _arm(self, when_ms: float) -> None:
         if self.tick_ms:
@@ -133,6 +136,6 @@ class LoopClock(EventLoop):
     def close(self) -> None:
         """Drop what is pending and never wake again."""
         super().close()
-        self._armed_for = -math.inf
+        self._closed = True
         if self._handle is not None:
             self._handle.cancel()

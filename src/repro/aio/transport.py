@@ -20,7 +20,7 @@ import errno
 import io
 import pickle
 import socket
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.aio.env import LoopClock
 from repro.des.environment import LoopbackTransport
@@ -40,25 +40,10 @@ class _LoopTransport(Transport):
     #: wall time of its pass, so the tick is latency on every hop.
     _TICKS_PER_ROUND = 128
 
-    _closed = False
-    dropped = 0
-
     def attach(self, loop=None, clock: Optional[LoopClock] = None) -> None:
         """Bind the transport to ``loop`` (default: the running loop) and
         to the cluster's ``clock`` (default: its own, coalescing nothing)."""
         self.clock = clock if clock is not None else LoopClock(loop)
-
-    def schedule(self, delay_ms: float, fn: Callable, *args):
-        """An event on the clock.
-
-        Before :meth:`attach`, after ``close()`` or on a dead loop the
-        call is a counted drop and returns ``None``, like ``send``.
-        """
-        clock = self.clock
-        if self._closed or clock is None or clock.loop.is_closed():
-            self.dropped += 1
-            return None
-        return clock.schedule(delay_ms, fn, *args)
 
 
 class AioLoopbackTransport(_LoopTransport, LoopbackTransport):

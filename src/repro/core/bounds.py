@@ -14,7 +14,7 @@ the round-based simulator expresses the same semantics through
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 
 class ResourceBounds:
@@ -41,18 +41,18 @@ class ResourceBounds:
             raise ValueError(f"shared channels not in bounds: {sorted(unknown)}")
         if shared and shared_bound is None:
             raise ValueError("shared_channels given without shared_bound")
-        self._bounds = dict(bounds)
-        self._shared = shared
-        self._shared_bound = shared_bound
-        self._used: Dict[str, int] = {name: 0 for name in bounds}
-        self._shared_used = 0
+        #: channel -> its ``[used, bound]`` cell; the shared channels
+        #: hold one cell between them.
+        pool = [0, shared_bound]
+        self._cells: Dict[str, List[int]] = {
+            name: pool if name in shared else [0, bound]
+            for name, bound in bounds.items()
+        }
         self.rejected: Dict[str, int] = {name: 0 for name in bounds}
 
-    def bound_for(self, channel: str) -> Optional[int]:
-        """The effective quota of ``channel`` (None = draws from shared)."""
-        if channel in self._shared:
-            return self._shared_bound
-        return self._bounds[channel]
+    def bound_for(self, channel: str) -> int:
+        """The effective quota of ``channel`` (the shared one if shared)."""
+        return self._cells[channel][1]
 
     def try_consume(self, channel: str, amount: int = 1) -> bool:
         """Consume quota for ``amount`` messages on ``channel``.
@@ -61,34 +61,24 @@ class ResourceBounds:
         exhausted; the caller then discards the message, which is how an
         attack flooding a channel starves it.
         """
-        if channel not in self._bounds:
+        cell = self._cells.get(channel)
+        if cell is None:
             raise KeyError(f"unknown channel {channel!r}")
         if amount <= 0:
             raise ValueError(f"amount must be > 0, got {amount}")
-        if channel in self._shared:
-            if self._shared_used + amount > self._shared_bound:
-                self.rejected[channel] += amount
-                return False
-            self._shared_used += amount
-            return True
-        if self._used[channel] + amount > self._bounds[channel]:
+        used = cell[0] + amount
+        if used > cell[1]:
             self.rejected[channel] += amount
             return False
-        self._used[channel] += amount
+        cell[0] = used
         return True
 
     def remaining(self, channel: str) -> int:
         """Quota left on ``channel`` this round."""
-        if channel in self._shared:
-            return self._shared_bound - self._shared_used
-        return self._bounds[channel] - self._used[channel]
-
-    def used(self, channel: str) -> int:
-        """Quota consumed on ``channel`` this round."""
-        return self._used[channel] if channel not in self._shared else self._shared_used
+        used, bound = self._cells[channel]
+        return bound - used
 
     def reset(self) -> None:
         """Start a new round: all quotas refill (rejection stats persist)."""
-        for name in self._used:
-            self._used[name] = 0
-        self._shared_used = 0
+        for cell in self._cells.values():
+            cell[0] = 0

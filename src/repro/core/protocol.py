@@ -44,7 +44,7 @@ from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.util import derive_rng
 from repro.util.rng import SeedLike
-from repro.core.views import select_disjoint_views
+from repro.core.views import disjoint_views
 
 
 class GossipProcess:
@@ -62,7 +62,6 @@ class GossipProcess:
     ):
         self.pid = pid
         self.config = config
-        self.members = list(members)
         self.network = network
         self.rng = derive_rng(seed)
         self.keys = KeyPair(owner=pid)
@@ -126,11 +125,7 @@ class GossipProcess:
         self._push_src = self._push_dst[pid]
         self._pull_src = self._pull_dst[pid]
         self._others = [m for m in members if m != pid]
-        self._view_sizes = [config.view_push_size, config.view_pull_size]
-        self._total_view = sum(self._view_sizes)
-        # Whether the inlined disjoint draw applies (it always does at
-        # paper scale; tiny groups fall back to select_disjoint_views).
-        self._disjoint_ok = len(self._others) >= self._total_view
+        self._view_sizes = (config.view_push_size, config.view_pull_size)
 
         network.register_node(pid)
         if config.kind.uses_push:
@@ -159,34 +154,17 @@ class GossipProcess:
         and its derived caches change.  Static runs never call this —
         their hot path is untouched.
         """
-        members = sorted(set(candidates) | {self.pid})
-        self.members = members
-        self._others = [m for m in members if m != self.pid]
-        self._disjoint_ok = len(self._others) >= self._total_view
+        self._others = sorted(set(candidates) - {self.pid})
 
     # -- round phases --------------------------------------------------------
 
     def begin_round(self) -> None:
-        """Snapshot state and draw this round's views.
-
-        The common case inlines :func:`select_disjoint_views`' disjoint
-        draw against the precomputed candidate list — the same single
-        ``choice`` call on the same generator, so the RNG stream (and
-        therefore every seeded trace) is unchanged.
-        """
+        """Snapshot state and draw this round's views from the kept
+        candidate list."""
         self._had_message = self.has_message
-        if self._disjoint_ok:
-            others = self._others
-            idx = self.rng.choice(
-                len(others), size=self._total_view, replace=False
-            ).tolist()
-            split = self._view_sizes[0]
-            self._view_push = [others[i] for i in idx[:split]]
-            self._view_pull = [others[i] for i in idx[split:]]
-        else:
-            self._view_push, self._view_pull = select_disjoint_views(
-                self.members, self.pid, self._view_sizes, self.rng
-            )
+        self._view_push, self._view_pull = disjoint_views(
+            self._others, self._view_sizes, self.rng
+        )
 
     def send_phase(self) -> None:
         """Send push data to view_push and pull-requests to view_pull."""

@@ -8,9 +8,8 @@ targets unpredictable to an attacker.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence
-
-import numpy as np
 
 from repro.util import derive_rng
 from repro.util.rng import SeedLike
@@ -52,17 +51,21 @@ def select_disjoint_views(
     partner in one round.  Falls back to overlapping views when the
     group is too small to satisfy disjointness.
     """
-    generator = derive_rng(rng)
+    return disjoint_views(
+        [m for m in members if m != self_id], sizes, derive_rng(rng)
+    )
+
+
+def disjoint_views(
+    candidates: Sequence[int], sizes: Sequence[int], generator
+) -> List[List[int]]:
+    """:func:`select_disjoint_views` from ``candidates``, the members
+    other than the drawing process, as a node keeps them between rounds."""
     total = sum(sizes)
-    candidates = [m for m in members if m != self_id]
     if len(candidates) < total:
-        # Too few members for disjoint views; draw independently instead.
-        return [select_view(members, self_id, s, generator) for s in sizes]
+        # Too few for disjoint views: independent ones (self is out already).
+        return [select_view(candidates, None, s, generator) for s in sizes]
     idx = generator.choice(len(candidates), size=total, replace=False)
-    chosen = [candidates[i] for i in idx]
-    views: List[List[int]] = []
-    offset = 0
-    for s in sizes:
-        views.append(chosen[offset : offset + s])
-        offset += s
-    return views
+    chosen = [candidates[i] for i in idx.tolist()]
+    ends = itertools.accumulate(sizes)
+    return [chosen[end - s : end] for s, end in zip(sizes, ends)]

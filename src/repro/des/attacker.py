@@ -111,7 +111,7 @@ class AttackerProcess:
         )
         interval = self.round_duration_ms / self.bursts_per_round
         rates = self._port_rates()
-        schedule, send = self.env.schedule, self.env.send
+        post, send = self.env.post, self.env.send
         for victim in self.victims:
             for port, rate in rates:
                 per_burst = rate / self.bursts_per_round
@@ -132,7 +132,7 @@ class AttackerProcess:
                 offsets = self.rng.uniform(0.0, interval, size=count)
                 for offset in offsets.tolist():
                     self._nonce += 1
-                    schedule(
+                    post(
                         offset, send, src, dst,
                         FabricatedPayload(nonce=self._nonce),
                     )

@@ -130,7 +130,7 @@ class MemberNode:
     def _refresh_views(self) -> None:
         """Point the gossip node at the current certified membership."""
         members = self.membership.gossip_candidates(self.env.now() / 1000.0)
-        self.node.members = sorted(set(members) | {self.pid})
+        self.node.set_members(sorted(set(members) | {self.pid}))
 
     def multicast(self, payload: object):
         """Multicast arbitrary payload (data or a membership event)."""

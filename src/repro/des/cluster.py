@@ -287,7 +287,7 @@ class _Cluster:
             self._install_faults(self.schedule, seeds.next_seed())
         if self.churn:
             self._schedule_churn_ops()
-            self.clock.schedule(self.round_ms, self._probe)
+            self.clock.post(self.round_ms, self._probe)
 
         # run_start last: every seed position above is already consumed.
         if tracer is not None:
@@ -410,7 +410,7 @@ class _Cluster:
         """Fire every resolved membership event at its round boundary."""
 
         def at(round_no: int, op, ids: List[int]) -> None:
-            self.clock.schedule((round_no - 1) * self.round_ms, op, ids)
+            self.clock.post((round_no - 1) * self.round_ms, op, ids)
 
         for start, stop, first, count in self.schedule.join_blocks():
             ids = list(range(first, first + count))
@@ -539,7 +539,7 @@ class _Cluster:
             member._refresh_views()
         # The delay is the absolute next-round time, so probes fire at
         # R, 3R, 7R, ... — the seeded churn envelopes record this cadence.
-        self.clock.schedule(self.clock.now + self.round_ms, self._probe)
+        self.clock.post(self.clock.now + self.round_ms, self._probe)
 
     # -- lifecycle, the tracked stream and its measurement --------------------
 
@@ -637,7 +637,7 @@ def run_throughput_experiment(
         t0 = float(t0)  # churn envelopes have always stamped a float start
     interval = 1000.0 / config.send_rate
     for i in range(config.messages):
-        cluster.clock.schedule(
+        cluster.clock.post(
             t0 + i * interval,
             cluster.multicast_tracked, config.source, f"msg-{i}".encode(),
         )
@@ -710,7 +710,7 @@ def run_single_message_experiment(
                         if node.running:
                             node.multicast(f"bg-{node.pid}-{k}".encode())
 
-                    cluster.clock.schedule(when, _bg)
+                    cluster.clock.post(when, _bg)
                     when += bg_interval
                     k += 1
 
@@ -722,7 +722,7 @@ def run_single_message_experiment(
                 config.source, b"tracked-message", ttl=horizon_rounds + 5
             )
 
-        cluster.clock.schedule(t_inject, _inject)
+        cluster.clock.post(t_inject, _inject)
         t_end = t_inject + horizon_rounds * config.round_duration_ms
         cluster.clock.run_until(t_end)
         cluster.stop()

@@ -9,6 +9,7 @@ heap fired from an asyncio loop, behind the same surface.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -19,11 +20,13 @@ from typing import Callable, Dict, List, Tuple
 class EventHandle:
     """Returned by :meth:`EventLoop.schedule`; allows cancellation."""
 
-    when: float
     cancelled: bool = False
 
     def cancel(self) -> None:
         self.cancelled = True
+
+
+_POSTED = EventHandle()  #: the handle slot of a posted event: never cancelled
 
 
 class EventLoop:
@@ -34,12 +37,16 @@ class EventLoop:
     #: Whether a callback's exception stays inside the clock; here it
     #: propagates out of :meth:`run_until`.
     catches_errors = False
+    _pumping = True  #: callbacks only ever run inside :meth:`run_until`
 
     def __init__(self):
         self._now = 0.0
         self._seq = itertools.count()
         self._queue: List[Tuple[float, int, EventHandle, Callable, tuple]] = []
         self.events_run = 0
+        #: ``post(delay_ms, fn, *args)``: :meth:`schedule` with no handle,
+        #: for events nobody cancels; False if refused.  One frame a post.
+        self.post = functools.partial(self._push, _POSTED)
 
     @property
     def now(self) -> float:
@@ -54,13 +61,19 @@ class EventLoop:
         """Virtual time moves only in :meth:`run_until`: nothing is due."""
 
     def schedule(self, delay_ms: float, fn: Callable, *args) -> EventHandle:
-        """Run ``fn(*args)`` after ``delay_ms`` of virtual time."""
+        """Run ``fn(*args)`` after ``delay_ms``; the handle cancels it."""
+        handle = EventHandle()
+        if not self._push(handle, delay_ms, fn, *args):
+            handle.cancel()  # refused: it will never run
+        return handle
+
+    def _push(self, handle: EventHandle, delay_ms: float, fn, *args) -> bool:
         if not delay_ms >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
-        when = self._now + delay_ms
-        handle = EventHandle(when)
-        heapq.heappush(self._queue, (when, next(self._seq), handle, fn, args))
-        return handle
+        heapq.heappush(
+            self._queue, (self._now + delay_ms, next(self._seq), handle, fn, args)
+        )
+        return True
 
     def run_until(self, t_end: float) -> int:
         """Execute events up to and including virtual time ``t_end``.

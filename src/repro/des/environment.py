@@ -25,9 +25,10 @@ class Environment:
     clock.  ``on_error`` receives exceptions escaping a timer or receive
     callback — the wall clock's loop would otherwise swallow them into
     its exception handler and the node would just go quiet (see the
-    cluster host's node watchdog).  Without it callbacks run unguarded
-    and their exceptions propagate, out of ``run_until`` on the virtual
-    clock.
+    cluster host's node watchdog), and each guarded callback runs
+    through :meth:`_fire`.  Without it ``schedule``, ``post`` and
+    ``bind`` are the clock's and the link's own, and exceptions
+    propagate, out of ``run_until`` on the virtual clock.
     """
 
     def __init__(
@@ -43,6 +44,11 @@ class Environment:
         self.on_error = on_error
         #: Send one datagram (may be lost; closed ports swallow silently).
         self.send = transport.send
+        self.unbind = transport.unbind
+        if on_error is None:  # unguarded: straight onto the clock and link
+            self.schedule = clock.schedule
+            self.post = clock.post
+            self.bind = transport.bind
 
     def now(self) -> float:
         """Current time in milliseconds."""
@@ -51,7 +57,8 @@ class Environment:
     def _fire(self, fn: Callable, *args) -> None:
         if self._closed:
             return
-        self.clock.catch_up()  # a receive arriving from outside a pass
+        if not self.clock._pumping:  # a receive arriving from outside a pass
+            self.clock.catch_up()
         try:
             fn(*args)
         except Exception as exc:
@@ -59,18 +66,15 @@ class Environment:
 
     def schedule(self, delay_ms: float, fn: Callable, *args) -> object:
         """Run ``fn(*args)`` after ``delay_ms``; returns a cancellable handle."""
-        if self.on_error is None:
-            return self.clock.schedule(delay_ms, fn, *args)
         return self.clock.schedule(delay_ms, self._fire, fn, *args)
+
+    def post(self, delay_ms: float, fn: Callable, *args) -> None:
+        """:meth:`schedule` an event nobody will cancel, with no handle."""
+        self.clock.post(delay_ms, self._fire, fn, *args)
 
     def bind(self, addr: Address, handler: Handler) -> None:
         """Receive datagrams addressed to ``addr``."""
-        if self.on_error is not None:
-            handler = functools.partial(self._fire, handler)
-        self.transport.bind(addr, handler)
-
-    def unbind(self, addr: Address) -> None:
-        self.transport.unbind(addr)
+        self.transport.bind(addr, functools.partial(self._fire, handler))
 
     def close(self) -> None:
         """Refuse further guarded callbacks; pending ones fire as no-ops."""
@@ -83,16 +87,14 @@ class LoopbackTransport(Transport):
     Handler lookup happens at dispatch time, so a port unbound between
     send and delivery dead-letters exactly like a closed socket.  A
     schedule before a clock is given, or after :meth:`close`, is a
-    counted drop.
+    counted drop.  The link dispatches from :attr:`_handlers` itself.
     """
 
     def __init__(self, clock=None):
         super().__init__()
         self.clock = clock
         self._handlers: Dict[Address, Handler] = {}
-        self._closed = False
         self.delivered = 0
-        self.dropped = 0
 
     def bind(self, addr: Address, handler: Handler) -> None:
         self._handlers[addr] = handler
@@ -100,24 +102,17 @@ class LoopbackTransport(Transport):
     def unbind(self, addr: Address) -> None:
         self._handlers.pop(addr, None)
 
-    def schedule(self, delay_ms: float, fn: Callable, *args):
-        if self._closed or self.clock is None:
-            self.dropped += 1
-            return None
-        return self.clock.schedule(delay_ms, fn, *args)
-
     def send(self, src: Address, dst: Address, payload: object) -> None:
         self.schedule(0.0, self.deliver, src, dst, payload)
 
-    def deliver(self, src: Address, dst: Address, payload: object) -> bool:
-        """Dispatch now, from a clock event; False when nobody listens."""
+    def deliver(self, src: Address, dst: Address, payload: object) -> None:
+        """Dispatch now, from a clock event; nobody listening is a drop."""
         handler = self._handlers.get(dst)
         if handler is None:
             self.dropped += 1
-            return False
-        self.delivered += 1
-        handler(src, payload)
-        return True
+        else:
+            self.delivered += 1
+            handler(src, payload)
 
     def close(self) -> None:
         self._closed = True

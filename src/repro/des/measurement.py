@@ -110,6 +110,10 @@ class MeasurementResult:
     #: experiments, keeping their envelopes byte-unchanged.
     churn: Optional[Dict[str, object]] = None
 
+    def __repr__(self) -> str:  # asyncio reprs a finished task's result
+        return (f"MeasurementResult({self.protocol!r}, n={self.n}, "
+                f"deliveries={len(self.deliveries)})")
+
     # -- throughput (Figure 10) -----------------------------------------------
 
     def throughput(self) -> ThroughputSummary:

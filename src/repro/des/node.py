@@ -25,7 +25,8 @@ and in wall-clock time on the asyncio runtime (:mod:`repro.aio`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import functools
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.bounds import ResourceBounds
 from repro.core.buffer import MessageBuffer
@@ -42,7 +43,7 @@ from repro.core.message import (
     _default_ids,
 )
 from repro.core.ports import RandomPortAllocator
-from repro.core.views import select_disjoint_views
+from repro.core.views import disjoint_views
 from repro.crypto.encryption import SealedEnvelope, open_envelope, seal
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.signatures import SignatureRegistry, sign, verify
@@ -63,6 +64,10 @@ DeliverCallback = Callable[[int, DataMessage, float], None]
 #: ports are unattackable under random ports, and the paper leaves the
 #: data capability well above the control bounds.
 DEFAULT_DATA_BOUND = 512
+
+
+#: Peers' well-known endpoints, each built once (``Address`` validates).
+_endpoint = functools.lru_cache(maxsize=None)(Address)
 
 
 def _is_id(value: object) -> bool:
@@ -112,7 +117,7 @@ class GossipNode:
         self.env = env
         self.pid = pid
         self.config = config
-        self.members = list(members)
+        self.set_members(members)
         self.id_factory = id_factory if id_factory is not None else _default_ids
         self.rng = derive_rng(seed)
         self.keys = KeyPair(owner=pid)
@@ -130,6 +135,7 @@ class GossipNode:
         self._offer_addr = Address(pid, PORT_PUSH_OFFER)
         self._request_addr = Address(pid, PORT_PULL_REQUEST)
         self._reply_addr = Address(pid, PORT_PULL_REPLY)
+        self._view_sizes = (config.view_push_size, config.view_pull_size)
 
         self.round_no = 0
         self.running = False
@@ -153,8 +159,7 @@ class GossipNode:
 
     def _send(self, src: Address, dst: Address, payload) -> None:
         """Send one datagram, accounting its wire size."""
-        size = getattr(payload, "wire_size", None)
-        self.stats["bytes_sent"] += int(size()) if callable(size) else 64
+        self.stats["bytes_sent"] += payload.wire_size()
         self.env.send(src, dst, payload)
 
     # -- configuration ---------------------------------------------------------
@@ -181,6 +186,11 @@ class GossipNode:
         directory serves every node, where per-node copies would be
         O(n²) dict entries.  No node writes it."""
         self.peer_keys = keys
+
+    def set_members(self, members: Sequence[int]) -> None:
+        """Gossip within ``members``: the partners are kept, not rebuilt
+        for every view draw."""
+        self._candidates = [m for m in members if m != self.pid]
 
     @property
     def uses_push(self) -> bool:
@@ -290,7 +300,7 @@ class GossipNode:
         # ahead of any flood and mask the shared-bounds vulnerability.
         # (``lo + (hi - lo) * random()`` is ``uniform(lo, hi)`` bit for bit.)
         offset = 0.5 * self.config.round_duration_ms * self.rng.random()
-        self.env.schedule(offset, self._gossip)
+        self.env.post(offset, self._gossip)
 
         jitter = self.config.round_jitter
         factor = 1.0 + (-jitter + 2.0 * jitter * self.rng.random())
@@ -302,11 +312,8 @@ class GossipNode:
         """Send this round's push offers and pull requests."""
         if not self.running:
             return
-        view_push, view_pull = select_disjoint_views(
-            self.members,
-            self.pid,
-            [self.config.view_push_size, self.config.view_pull_size],
-            self.rng,
+        view_push, view_pull = disjoint_views(
+            self._candidates, self._view_sizes, self.rng
         )
         for target in view_push:
             self._send_push_offer(target)
@@ -320,7 +327,7 @@ class GossipNode:
         self.env.bind(Address(self.pid, reply_port), self._on_push_reply)
         self._send(
             self._offer_addr,
-            Address(target, PORT_PUSH_OFFER),
+            _endpoint(target, PORT_PUSH_OFFER),
             PushOffer(sender=self.pid, reply_port=self._seal_for(target, reply_port)),
         )
         self.stats["offers_sent"] += 1
@@ -392,7 +399,7 @@ class GossipNode:
             advertised = PORT_PULL_REPLY
         self._send(
             self._request_addr,
-            Address(target, PORT_PULL_REQUEST),
+            _endpoint(target, PORT_PULL_REQUEST),
             PullRequest(
                 sender=self.pid,
                 digest=self.buffer.digest(),

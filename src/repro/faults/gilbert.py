@@ -16,8 +16,8 @@ model; the vectorised engine keeps its own per-run chain (see
 ``sim/fast.py``).
 
 Chain stepping mutates state, so one model belongs to one thread: the
-clock's, on which the link draws even for sends made off it.  The golden no-fault hot path never touches
-this class.
+clock's, on which the link draws.  The golden no-fault hot path never
+touches this class.
 """
 
 from __future__ import annotations
@@ -95,17 +95,17 @@ class GilbertElliottModel:
         self._rng = derive_rng(seed)
         self._bad = False
 
-    def _step(self) -> float:
-        """Advance the chain one transmission; return the current loss."""
-        flip = self.p_bad_to_good if self._bad else self.p_good_to_bad
-        if flip > 0 and self._rng.random() < flip:
-            self._bad = not self._bad
-        return self.loss_bad if self._bad else self.loss_good
-
     def delivered(self) -> bool:
-        """Sample one transmission: True when the packet survives."""
-        loss = self._step()
-        return loss == 0.0 or self._rng.random() >= loss
+        """Sample one transmission: True when the packet survives.
+
+        The chain steps first (inline: the link draws this per datagram).
+        """
+        rng, bad = self._rng, self._bad
+        flip = self.p_bad_to_good if bad else self.p_good_to_bad
+        if flip > 0 and rng.random() < flip:
+            self._bad = bad = not bad
+        loss = self.loss_bad if bad else self.loss_good
+        return loss == 0.0 or rng.random() >= loss
 
     def surviving_count(self, sent: int) -> int:
         """Sample how many of ``sent`` consecutive packets survive.
@@ -115,17 +115,10 @@ class GilbertElliottModel:
         """
         if sent < 0:
             raise ValueError(f"sent must be >= 0, got {sent}")
-        survived = 0
-        for _ in range(sent):
-            loss = self._step()
-            if loss == 0.0 or self._rng.random() >= loss:
-                survived += 1
-        return survived
+        return sum(self.delivered() for _ in range(sent))
 
     def survival_mask(self, count: int) -> np.ndarray:
         """Boolean mask over ``count`` consecutive transmissions."""
-        mask = np.empty(count, dtype=bool)
-        for i in range(count):
-            loss = self._step()
-            mask[i] = loss == 0.0 or self._rng.random() >= loss
-        return mask
+        return np.fromiter(
+            (self.delivered() for _ in range(count)), dtype=bool, count=count
+        )

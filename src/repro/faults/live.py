@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.des.environment import LoopbackTransport
 from repro.faults.gilbert import GilbertElliottModel
 from repro.faults.plan import FaultPlan
 from repro.faults.schedule import FaultSchedule
@@ -79,9 +80,11 @@ class FaultyTransport(Transport):
         #: The active loss model; a plan's replaces this scalar one.
         self.loss = LossModel(loss, seed=self.rng)
         self.inner = inner
-        # A held datagram fires here; a loop transport dispatches it at
-        # once, anything else (a socket, a stacked link) sends it on.
-        self._deliver = getattr(inner, "deliver", None)
+        # A loopback's handlers, which the link dispatches to itself; None
+        # round anything else (a socket, a stacked link): sent on through.
+        self._handlers = (
+            inner._handlers if isinstance(inner, LoopbackTransport) else None
+        )
         self.latency_range_ms = (float(lo), float(hi))
         self.round_duration_ms = float(round_duration_ms)
         # Observability: sends and drops stamped with ``t`` = ms on the
@@ -195,24 +198,40 @@ class FaultyTransport(Transport):
         self, delay_ms: float, src: Address, dst: Address, payload: object
     ) -> None:
         """Put the datagram on the clock: one event, :meth:`_arrive`."""
-        if self._deliver is None and delay_ms <= 0:
-            self.inner.send(src, dst, payload)  # a socket: out at once
-        elif not self._closed and self.inner.schedule(
-            delay_ms, self._arrive, src, dst, payload
-        ) is not None:  # else closed, or inner is down and counted it
-            self.pending += 1
-            if delay_ms > 0:
-                self.delayed += 1
+        if self._closed:
+            return
+        inner = self.inner
+        if self._handlers is not None:
+            clock = inner.clock
+            if clock is None or inner._closed or not clock.post(
+                delay_ms, self._arrive, src, dst, payload
+            ):
+                inner.dropped += 1  # the loopback or its clock is down
+                return
+        elif delay_ms <= 0:
+            inner.send(src, dst, payload)  # a socket: out at once
+            return
+        elif inner.schedule(delay_ms, self._arrive, src, dst, payload) is None:
+            return  # inner is down and counted it
+        self.pending += 1
+        if delay_ms > 0:
+            self.delayed += 1
 
     def _arrive(self, src: Address, dst: Address, payload: object) -> None:
         """A datagram's clock event: delivered unless closed since."""
         if self._closed:
             return
         self.pending -= 1
-        deliver = self._deliver
-        if deliver is None:
+        if self._handlers is None:
             self.inner.send(src, dst, payload)
-        elif not deliver(src, dst, payload) and self.tracer is not None:
+            return
+        handler = self._handlers.get(dst)
+        if handler is not None:
+            self.inner.delivered += 1
+            handler(src, payload)
+            return
+        self.inner.dropped += 1  # unbound since: dead-lettered
+        if self.tracer is not None:
             self.tracer.dropped(
                 "closed", node=dst.node, port=dst.port, t=self.inner.now()
             )
@@ -294,4 +313,4 @@ def arm_flips(clock, schedule, nodes, round_ms: float, tracer) -> None:
                 tracer.heal(flipped, t=t)
 
     for at_ms, action, ids in crash_flips(schedule, round_ms):
-        clock.schedule(at_ms, flip, action, ids)
+        clock.post(at_ms, flip, action, ids)

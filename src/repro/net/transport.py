@@ -45,6 +45,9 @@ class Transport(ABC):
 
     #: The clock :meth:`schedule` delays count on; None until given one.
     clock = None
+    _closed = False
+    #: Calls and datagrams refused because the transport was down.
+    dropped = 0
 
     def now(self) -> float:
         """Milliseconds on :attr:`clock` (the monotonic wall without one)."""
@@ -52,15 +55,22 @@ class Transport(ABC):
             return time.monotonic() * 1000.0
         return self.clock.now
 
-    @abstractmethod
     def schedule(self, delay_ms: float, fn: Callable, *args):
         """Run ``fn(*args)`` after ``delay_ms`` in this transport's
         delivery context.
 
         Returns a handle with ``cancel()``, or ``None`` when the
-        transport is down: ``fn`` will never run and the transport has
-        counted the drop, as its ``send`` would.
+        transport is down (no clock yet, closed, or its clock refused
+        the event): ``fn`` will never run and :attr:`dropped` counts it,
+        as a ``send`` would.
         """
+        clock = self.clock
+        if not self._closed and clock is not None:
+            handle = clock.schedule(delay_ms, fn, *args)
+            if not handle.cancelled:
+                return handle
+        self.dropped += 1
+        return None
 
     def call_later(self, delay_s: float, fn: Callable, *args):
         """:meth:`schedule`, with the delay in seconds."""

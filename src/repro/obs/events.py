@@ -38,7 +38,7 @@ continuous-time stacks.  Remaining keys by type:
     Terminal summary: ``delivered`` (final holder count), ``rounds``.
 ``sweep_start`` / ``sweep_end``
     Sweep-orchestrator lifecycle (:mod:`repro.sweep`): ``name``,
-    ``cells``, ``pending`` (the cells to evaluate, i.e. all of them) on
+    ``cells``, ``pending`` (the store misses the sweep computed) on
     start; ``computed``, ``cache_hits`` on end.
 ``cell_start`` / ``cell_finish``
     One grid cell's evaluation: ``index``, ``series``, ``x`` on start;

@@ -296,7 +296,7 @@ class SweepRunner:
         tracer.sweep_start(
             name=result.name,
             cells=len(result.outcomes),
-            pending=len(result.outcomes),
+            pending=result.computed,
         )
         for outcome in result.outcomes:
             tracer.cell_start(

@@ -227,6 +227,45 @@ class TestPump:
         assert clock.pending() == 0
         assert clock.stats()["refused"] >= 2
 
+    def test_a_post_after_close_is_refused_and_counted(self):
+        """The handle-free path refuses like ``schedule``: from a callback
+        that closed the clock mid-pass, and from outside a pass."""
+
+        async def main(loop):
+            clock = LoopClock(tick_ms=0.0)
+            ran, queued = [], []
+
+            def close_then_post():
+                clock.close()
+                queued.append(clock.post(0.0, ran.append, "mid-pass"))
+
+            clock.post(1.0, close_then_post)
+            await asyncio.sleep(0.01)
+            queued.append(clock.post(1.0, ran.append, "outside"))
+            await asyncio.sleep(0.01)
+            return clock, ran, queued
+
+        clock, ran, queued = run_fake(main)
+        assert (ran, queued, clock.pending()) == ([], [False, False], 0)
+        assert clock.stats()["refused"] == 2
+
+    def test_a_hop_on_a_closed_clock_is_a_counted_drop(self):
+        async def main(loop):
+            inner = AioLoopbackTransport()
+            inner.attach()
+            link = FaultyTransport(
+                inner, FaultPlan.parse("delay:5"), n=2, num_alive_correct=2,
+                round_duration_ms=100.0, seed=1,
+            )
+            link.bind(Address(1, 1), lambda src, payload: None)
+            inner.clock.close()
+            link.send(Address(0, 1), Address(1, 1), "late")
+            return inner, link
+
+        inner, link = run_fake(main)
+        assert (inner.dropped, link.pending, link.delayed) == (1, 0, 0)
+        assert inner.clock.refused == 1
+
     def test_an_earlier_event_rearms_a_later_one_does_not(self):
         async def main(loop):
             arms, _ = watch_arming(loop)
@@ -307,6 +346,34 @@ def test_negative_or_nan_delay_raises_on_both_continuous_stacks(delay_ms):
         return env.clock.pending()
 
     assert run_fake(main) == 0
+
+
+@pytest.mark.parametrize("delay_ms", [-1.0, math.nan])
+def test_negative_or_nan_delay_raises_on_every_post_path(delay_ms):
+    sim = sim_env()
+    with pytest.raises(ValueError, match="delay_ms"):
+        sim.post(delay_ms, print)
+    sim.clock.post(1.0, sim.clock.post, delay_ms, print)  # inside a pass
+    with pytest.raises(ValueError, match="delay_ms"):
+        sim.clock.run_until(2.0)
+
+    async def main(loop):
+        errors = []
+        loop.set_exception_handler(
+            lambda _loop, context: errors.append(context["exception"])
+        )
+        env = Environment(
+            AioLoopbackTransport(), clock=LoopClock(), on_error=errors.append
+        )
+        with pytest.raises(ValueError, match="delay_ms"):
+            env.post(delay_ms, print)
+        env.clock.post(1.0, env.clock.post, delay_ms, print)
+        await asyncio.sleep(0.01)
+        return errors, env.clock.pending()
+
+    errors, pending = run_fake(main)
+    assert [type(exc) for exc in errors] == [ValueError]
+    assert pending == 0
 
 
 # -- (c) outside entries catch the clock up ---------------------------------
@@ -433,6 +500,33 @@ def test_a_shaped_datagram_costs_one_heap_event():
     assert sorted(got) == list(range(sends))
     assert (shaper.delayed, shaper.pending, inner.delivered) == (sends, 0, sends)
     assert events == sends
+
+
+def test_a_hop_posted_from_outside_a_pass_arms_the_loop():
+    """With no tick and nothing else queued, only the post's own arming
+    wakes the loop: a datagram sent from a coroutine lands on its due
+    time, not at the next unrelated wake-up."""
+
+    async def main(loop):
+        clock = LoopClock(tick_ms=0.0)
+        inner = AioLoopbackTransport()
+        inner.attach(loop, clock)
+        link = FaultyTransport(
+            inner, FaultPlan.parse("delay:5"), n=2, num_alive_correct=2,
+            round_duration_ms=100.0, seed=1,
+        )
+        got = []
+        link.bind(
+            Address(1, 1), lambda src, payload: got.append((payload, loop.time()))
+        )
+        sent = loop.time()
+        link.send(Address(0, 1), Address(1, 1), "hop")
+        await asyncio.sleep(0.05)
+        return got, sent, clock.wakes
+
+    got, sent, wakes = run_fake(main)
+    assert got == [("hop", pytest.approx(sent + 0.005))]
+    assert wakes == 1
 
 
 def test_a_shaped_attacked_cluster_queues_no_closure():

@@ -7,6 +7,7 @@ delivery time fails here.  Regenerate only when seeded output is
 *meant* to change: the failing assertion prints the new hash.
 """
 
+import collections
 import hashlib
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.adversary.attacks import AttackSpec
 from repro.api import Experiment, encode_envelope
 from repro.des import ClusterConfig, run_single_message_experiment
+from repro.des import engine
 from repro.des.engine import EventLoop
 from repro.obs import Tracer
 
@@ -141,6 +143,32 @@ def test_a_datagram_hop_is_one_event_with_no_closure(monkeypatch):
     assert (
         loop.events_run, sha256(encode_envelope(result) + "\n")
     ) == SHAPED_PIN
+
+
+#: The shaped run's ``EventHandle``\ s by the timer that asked for one:
+#: only the node rounds and attacker bursts a stop cancels.  Datagrams,
+#: queued flood sends, gossip offsets and stream multicasts are posted
+#: without one, so this does not grow with the traffic.
+SHAPED_HANDLES = {"GossipNode._round": 618, "AttackerProcess._burst": 121}
+
+
+def test_only_cancellable_timers_build_a_handle(monkeypatch):
+    made, timers = [], collections.Counter()
+    handle, schedule = engine.EventHandle, EventLoop.schedule
+
+    def counted():
+        made.append(1)
+        return handle()
+
+    def spy(loop, delay_ms, fn, *args):
+        timers[fn.__qualname__] += 1
+        return schedule(loop, delay_ms, fn, *args)
+
+    monkeypatch.setattr(engine, "EventHandle", counted)
+    monkeypatch.setattr(EventLoop, "schedule", spy)
+    Experiment(**{**TOY_E, "faults": SHAPED}).run(engine="des", seed=2121)
+    assert dict(timers) == SHAPED_HANDLES
+    assert len(made) == sum(SHAPED_HANDLES.values())
 
 
 #: case -> (``by_type``, ``dropped_by_reason``) of a traced seeded run:

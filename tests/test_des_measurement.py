@@ -113,3 +113,16 @@ class TestPropagationRounds:
     def test_delivery_ratio_no_messages(self):
         result = _result([], messages=0)
         assert result.delivery_ratio() == 0.0
+
+
+def test_repr_is_a_summary_not_every_record(monkeypatch):
+    # asyncio reprs a finished task's result (this) on teardown; a field
+    # repr of a long stream's deliveries ran to megabytes.
+    def refuse(self):
+        raise AssertionError("a DeliveryRecord was repr'd")
+
+    records = [_record(1 + i % 3, i, float(i)) for i in range(25_000)]
+    monkeypatch.setattr(DeliveryRecord, "__repr__", refuse)
+    text = repr(_result(records, messages=25_000))
+    assert len(text) < 1000
+    assert "deliveries=25000" in text

@@ -391,6 +391,19 @@ class TestSweepObservability:
         text = repeat_tracer.counters.exposition()
         assert 'repro_sweep_cells_total{source="cache"} 4' in text
 
+    def test_sweep_start_pending_counts_the_store_misses(self, tmp_path):
+        from repro.obs import MemorySink
+
+        cells = small_grid()
+        SweepRunner(store=tmp_path).run("half", cells[::2])
+        sink = MemorySink()
+        result = SweepRunner(store=tmp_path, tracer=Tracer(sink)).run(
+            "half", cells
+        )
+        (start,) = [e for e in sink.events if e["ev"] == "sweep_start"]
+        assert start["cells"] == len(cells)
+        assert start["pending"] == result.computed == len(cells) // 2
+
     def test_events_are_worker_invariant(self, tmp_path):
         from repro.obs import MemorySink
 
