@@ -26,7 +26,7 @@ class EventHandle:
         self.cancelled = True
 
 
-_POSTED = EventHandle()  #: the handle slot of a posted event: never cancelled
+_POSTED = EventHandle()  # every posted event's handle slot: never cancelled
 
 
 class EventLoop:
@@ -37,7 +37,7 @@ class EventLoop:
     #: Whether a callback's exception stays inside the clock; here it
     #: propagates out of :meth:`run_until`.
     catches_errors = False
-    _pumping = True  #: callbacks only ever run inside :meth:`run_until`
+    _pumping = True  # callbacks only ever run inside run_until()
 
     def __init__(self):
         self._now = 0.0
@@ -70,9 +70,8 @@ class EventLoop:
     def _push(self, handle: EventHandle, delay_ms: float, fn, *args) -> bool:
         if not delay_ms >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
-        heapq.heappush(
-            self._queue, (self._now + delay_ms, next(self._seq), handle, fn, args)
-        )
+        when = self._now + delay_ms
+        heapq.heappush(self._queue, (when, next(self._seq), handle, fn, args))
         return True
 
     def run_until(self, t_end: float) -> int:
