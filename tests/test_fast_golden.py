@@ -146,3 +146,34 @@ def test_all_nan_metrics_encode_without_warnings():
         text = encode_envelope(result) + "\n"
     assert result.to_dict()["metrics"]["rounds_to_heal"] is None
     assert hashlib.sha256(text.encode()).hexdigest() == pinned
+
+
+#: (Scenario fields, runs, horizon, sha256 of the seeded envelope) for
+#: the shard layout's two ends: 130 runs at n = 1 000 are three shards
+#: (64 + 64 + 2), each on a child seed; two runs at n = 10^5 are one
+#: shard on the caller's seed, the largest group one block held.
+LAYOUT_CASES = {
+    "three-shards-n1000": (
+        attacked("drum", n=1000), 130, None,
+        "24d8c227f3d0915c1812dd0c5db9b36df25630410713d879b5f0453c1f7d509b",
+    ),
+    "one-shard-n100000": (
+        attacked("drum", n=100_000), 2, 2,
+        "7bc9676e105bf7c97bc2e4d266b10a3c0afb013507e0b24dd70785305542da5f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_fast_shard_layout_ends_are_pinned(case):
+    fields, runs, horizon, pinned = LAYOUT_CASES[case]
+    result = monte_carlo(
+        Scenario(**fields), runs, seed=SEED, engine="fast", horizon=horizon
+    )
+    digest = hashlib.sha256(
+        (encode_envelope(result) + "\n").encode()
+    ).hexdigest()
+    assert digest == pinned, (
+        f"seeded fast {case} envelope diverged from its pinned hash; "
+        "the shard layout or the engine moved a draw"
+    )

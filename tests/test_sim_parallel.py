@@ -17,6 +17,7 @@ from repro.sim.parallel import (
     child_seeds,
     fast_shard_sizes,
     iter_calls,
+    make_job,
 )
 from repro.sweep import budget_grid, extent_grid, rate_grid
 from repro.sweep.store import as_store
@@ -91,6 +92,24 @@ class TestShardLayout:
         assert fast_shard_sizes(FAST_SHARD_RUNS + 1) == [FAST_SHARD_RUNS, 1]
         for runs in (1, 7, 63, 64, 65, 100, 1000):
             assert sum(fast_shard_sizes(runs)) == runs
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(n=1000),
+            dict(n=100_000),
+            # A churn plan widens the id universe: 90 000 + 9 000 joiners.
+            dict(n=90_000, faults="join@2:0.1"),
+        ],
+    )
+    def test_job_layout_up_to_1e5_ids_is_pinned(self, fields):
+        # Every fast seed, pin and store value at up to 10^5 ids rests
+        # on this layout: the shard count fixes each shard's seed.
+        scenario = Scenario(**fields)
+        for runs, sizes in (
+            (1, [1]), (64, [64]), (65, [64, 1]), (130, [64, 64, 2]),
+        ):
+            assert make_job(scenario, runs, seed=1)._sizes == sizes
 
     def test_invalid_runs_rejected(self):
         with pytest.raises(ValueError):
