@@ -7,8 +7,9 @@ registered execution stack with ``.run(engine=...)``:
 - ``"exact"`` — the object-level round simulator (every protocol
   mechanism really executes; golden-traced);
 - ``"fast"`` — the vectorised Monte-Carlo engine (paper-strength
-  1000-run sweeps);
-- ``"mega"`` — the packed-bitset engine for mega-scale groups;
+  1000-run sweeps, and groups to n = 10⁶ and past);
+- ``"mega"`` — the packed-bitset engine, statistically pinned to
+  ``"fast"``;
 - ``"des"`` — the discrete-event measurement platform (throughput /
   latency streams, Section 8 methodology);
 - ``"aio"`` — the asyncio wall-clock service runtime over loopback or

@@ -10,10 +10,10 @@ anywhere in :mod:`repro.api`.
 
 The registry is also the single source of "engine X can't do Y" error
 messages: :func:`group_size_refusal` builds a uniform refusal that
-names the engines that *can*, so the aio stack's and the fast engine's
-group-size errors read the same and stay correct as new engines
-register.  Every engine honours fault plans, churn tokens
-(join/leave/expel) and tracers, so none of those is a capability.
+names the engines that *can*, so a group-size error (today only the aio
+stack declares a ceiling) stays correct as new engines register.
+Every engine honours fault plans, churn tokens (join/leave/expel) and
+tracers, so none of those is a capability.
 
 A new stack plugs in with::
 
@@ -193,18 +193,16 @@ def _use_instead(predicate: Callable[[EngineCapabilities], bool]) -> str:
     return "use " + " or ".join(f'engine="{name}"' for name in names)
 
 
-def group_size_refusal(engine: str, n: int, *, detail: str = "") -> str:
+def group_size_refusal(engine: str, n: int) -> str:
     """The uniform "group too large for this engine" message."""
     spec = get_engine(engine)
     max_n = spec.capabilities.max_n
     roomy = _use_instead(
         lambda c: c.max_n is None or (max_n is not None and c.max_n > max_n)
     )
-    if detail:
-        detail = f" ({detail})"
     return (
         f'n={n} exceeds engine "{engine}"\'s declared group-size limit '
-        f"of {max_n}{detail}; " + roomy
+        f"of {max_n}; " + roomy
     )
 
 
@@ -225,8 +223,6 @@ def _ensure_builtin() -> None:
     if _BUILTIN_REGISTERED:
         return
     _BUILTIN_REGISTERED = True
-    from repro.sim.fast import FAST_MAX_N
-
     register(
         EngineSpec(
             name="exact",
@@ -239,9 +235,7 @@ def _ensure_builtin() -> None:
         EngineSpec(
             name="fast",
             runner="repro.api.experiment:run_fast_engine",
-            capabilities=EngineCapabilities(
-                determinism="bit", max_n=FAST_MAX_N
-            ),
+            capabilities=EngineCapabilities(determinism="bit"),
             summary="vectorised Monte-Carlo engine (paper-strength sweeps)",
         )
     )

@@ -132,8 +132,8 @@ class Experiment:
           object-level runs;
         - ``"fast"``: a :class:`~repro.sim.results.MonteCarloResult`;
         - ``"mega"``: a :class:`~repro.sim.mega.MegaResult` from the
-          packed-bitset engine — same aggregate metrics, built for
-          group sizes the dense engines cannot hold (n up to 10⁶);
+          packed-bitset engine — same aggregate metrics, with the
+          engine's peak state in bytes;
         - ``"des"``: a :class:`~repro.des.measurement.MeasurementResult`
           from one streamed throughput experiment;
         - ``"aio"``: a :class:`~repro.des.measurement.MeasurementResult`
@@ -154,11 +154,10 @@ class Experiment:
 
         Dispatch goes through the declared engine registry
         (:mod:`repro.api.engines`): the spec's capability declaration is
-        checked first, so asking a stack for something it can't do
-        (a fault plan on a faultless stack, a mega-scale group on
-        ``"fast"``) raises
-        one uniform :class:`~repro.api.engines.EngineCapabilityError`
-        naming the engines that *can*.
+        checked first, so a group past a stack's declared ceiling (more
+        than 50 000 nodes on ``"aio"``) raises one uniform
+        :class:`~repro.api.engines.EngineCapabilityError` naming the
+        engines that *can*.
         """
         from repro.api.engines import get_engine
 

@@ -9,9 +9,10 @@ description:
 - :mod:`repro.sim.fast` — the numpy Monte-Carlo engine: identical round
   semantics expressed as vectorised sampling, stacking all runs of an
   experiment into array operations.  Used by the benchmark harness,
-  where the paper averages 1000 runs per data point.
-- :mod:`repro.sim.mega` — the packed-bitset engine for groups up to
-  n = 10⁶, statistically pinned to the fast engine.
+  where the paper averages 1000 runs per data point, and by the
+  Section 6 scale runs to n = 10⁶.
+- :mod:`repro.sim.mega` — the packed-bitset engine, statistically
+  pinned to the fast engine.
 
 :func:`repro.sim.runner.monte_carlo` dispatches between them and
 aggregates :class:`~repro.sim.results.MonteCarloResult` statistics;

@@ -40,13 +40,12 @@ from repro.sim.views import Membership, col_ids, rows_below
 from repro.util import derive_rng
 from repro.util.rng import SeedLike
 
-#: Largest group size the dense layout accepts.  The engine stacks runs
-#: into (runs, n) state and (runs, senders, F) view matrices; past this
-#: point one 64-run shard's per-round draws alone run to hundreds of MB
-#: and the next power of ten would try multi-GB allocations.  Larger
-#: groups belong on the packed engine (``engine="mega"``), which holds
-#: per-node state in bitmaps and streams the node axis.
-FAST_MAX_N = 100_000
+#: The most runs × ids one call holds: 64 runs over 10⁵ ids, whose
+#: (runs, n) state and (runs, senders, F) view draws already peak near
+#: 1.25 GB RSS.  ``monte_carlo`` splits larger jobs into blocks under it
+#: (:func:`repro.sim.parallel.fast_shard_sizes`); a single run of any
+#: size is one block.
+FAST_BLOCK = 64 * 100_000
 
 
 def _fabricated_counts(
@@ -135,32 +134,14 @@ def run_fast(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if scenario.n > FAST_MAX_N:
-        # The refusal text comes from the engine registry so it names
-        # whichever registered engines actually scale past this limit
-        # (lazy import: the registry imports this module's FAST_MAX_N).
-        from repro.api.engines import group_size_refusal
-
-        raise ValueError(
-            group_size_refusal(
-                "fast",
-                scenario.n,
-                detail="its per-round view matrices would need multi-GB "
-                "allocations at this size",
-            )
-        )
     schedule = scenario.fault_schedule()
     members = Membership(scenario, schedule)
     width = members.width
-    if width > FAST_MAX_N:
-        from repro.api.engines import group_size_refusal
-
+    if runs > 1 and runs * width > FAST_BLOCK:
         raise ValueError(
-            group_size_refusal(
-                "fast",
-                width,
-                detail="the churn plan grows the group to this many ids",
-            )
+            f"{runs} runs over {width} ids exceed one fast block of "
+            f"{FAST_BLOCK} run-ids; run them through monte_carlo or "
+            "Experiment.run, which shard them"
         )
     rng = derive_rng(seed)
     n = scenario.n

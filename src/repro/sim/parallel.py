@@ -5,9 +5,10 @@ pool (:mod:`repro.sim.executor`) while keeping every result a pure
 function of the root seed, *independent of the worker count*:
 
 - the run fan-out of :func:`~repro.sim.runner.monte_carlo` is split into
-  shards whose layout and seeds depend only on ``(runs, seed)`` — never
-  on ``workers`` — so ``workers=1`` and ``workers=8`` produce
-  bit-identical :class:`~repro.sim.results.MonteCarloResult` arrays;
+  shards whose layout and seeds depend only on the run count, the id
+  universe and the seed — never on ``workers`` — so ``workers=1`` and
+  ``workers=8`` produce bit-identical
+  :class:`~repro.sim.results.MonteCarloResult` arrays;
 - a sweep grid (:class:`repro.sweep.grid.Grid`) pre-derives every
   cell's seed in the parent and only *schedules* cells on the pool, so
   sweep reports are byte-identical JSON for any worker count.
@@ -38,16 +39,17 @@ import numpy as np
 
 from repro.sim.engine import run_exact
 from repro.sim.executor import get_pool
-from repro.sim.fast import run_fast
+from repro.sim.fast import FAST_BLOCK, run_fast
 from repro.sim.results import MonteCarloResult
 from repro.sim.scenario import Scenario
 from repro.util import spawn_seeds
 from repro.util.rng import SeedLike
 
-#: Runs per fast-engine shard.  The shard layout is a function of the
-#: run count only (never of the worker count) — that is what makes
-#: results worker-count invariant.  64 keeps shards large enough to
-#: vectorise well while giving a 1000-run point 16-way parallelism.
+#: Runs per fast-engine shard up to 10⁵ ids.  The shard layout is a
+#: function of the run count and the id universe (never of the worker
+#: count) — that is what makes results worker-count invariant.  64 keeps
+#: shards large enough to vectorise well while giving a 1000-run point
+#: 16-way parallelism.
 FAST_SHARD_RUNS = 64
 
 
@@ -132,16 +134,21 @@ def child_seeds(seed: SeedLike, count: int) -> List[np.random.SeedSequence]:
     ]
 
 
-def fast_shard_sizes(runs: int) -> List[int]:
+def fast_shard_sizes(runs: int, width: int) -> List[int]:
     """Deterministic fast-engine shard layout for ``runs`` runs.
 
-    A function of ``runs`` alone, so the per-shard seed derivation (and
-    therefore every sampled value) is identical for any worker count.
+    ``width`` is the id universe (n plus every churn joiner, seedless).
+    A shard holds :data:`FAST_SHARD_RUNS` runs, fewer once that would
+    pass :data:`~repro.sim.fast.FAST_BLOCK` runs × ids, and at least
+    one; up to 10⁵ ids that is always 64.  The layout never depends on
+    the worker count, so the per-shard seed derivation (and therefore
+    every sampled value) is identical for any worker count.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    full, rem = divmod(runs, FAST_SHARD_RUNS)
-    return [FAST_SHARD_RUNS] * full + ([rem] if rem else [])
+    per = max(1, min(FAST_SHARD_RUNS, FAST_BLOCK // width))
+    full, rem = divmod(runs, per)
+    return [per] * full + ([rem] if rem else [])
 
 
 def _shard_tracer():
@@ -269,7 +276,8 @@ class _DenseJob:
         schedule = scenario.fault_schedule()
         self.has_churn = schedule is not None and schedule.has_churn
         if engine == "fast":
-            sizes = fast_shard_sizes(self.runs)
+            width = schedule.total_n if self.has_churn else scenario.n
+            sizes = fast_shard_sizes(self.runs, width)
             if len(sizes) == 1:
                 # Single shard: pass the caller's seed straight through
                 # so small experiments replay the historical serial
@@ -402,8 +410,9 @@ def run_sharded(
     """Run ``scenario`` ``runs`` times, sharded across ``workers``.
 
     Seeds are derived in the parent before any shard executes, and the
-    fast engine's shard layout depends only on ``runs`` — so the result
-    is bit-identical for every worker count.  The exact engine derives
+    fast engine's shard layout depends only on ``runs`` and the id
+    universe (:func:`fast_shard_sizes`) — so the result is
+    bit-identical for every worker count.  The exact engine derives
     one child seed per run (exactly the historical serial behaviour),
     which makes *its* sharding free to chase load balance; the packed
     engine runs one task per run (:class:`repro.sim.mega.MegaJob`).

@@ -11,9 +11,10 @@ the ``REPRO_WORKERS`` env var, else 1) spreads the shards over the
 process-wide persistent pool (:mod:`repro.sim.executor` — forked once,
 reused across calls; ``REPRO_START_METHOD`` overrides the fork/spawn
 choice), and because shard layout and seed derivation depend only on
-the run count and root seed, the result is bit-identical for every
-worker count.  An optional :class:`~repro.sweep.store.ResultStore`
-memoises results on disk by ``(scenario, runs, seed, engine, horizon)``.
+the run count, group size and root seed, the result is bit-identical
+for every worker count.  An optional
+:class:`~repro.sweep.store.ResultStore` memoises results on disk by
+``(scenario, runs, seed, engine, horizon)``.
 
 The run count honours the ``REPRO_RUNS`` environment variable so the
 benchmark harness can be dialled between quick smoke sweeps and

@@ -33,8 +33,7 @@ engines themselves do not; the test suite cross-checks the statistics
 against scipy where it is available.
 
 This file deliberately does **not** start with ``test_`` — it is a
-library imported by the test suite and by
-``benchmarks/bench_asymptotic_scale.py``, not a collectable test module.
+library imported by the test suite, not a collectable test module.
 """
 
 from __future__ import annotations

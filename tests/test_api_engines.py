@@ -9,10 +9,8 @@ from repro.api.engines import (
     EngineSpec,
     capability_table,
     get_engine,
-    group_size_refusal,
 )
 from repro.faults import FaultPlan
-from repro.sim.fast import FAST_MAX_N
 
 
 class TestRegistry:
@@ -81,7 +79,7 @@ class TestRegistry:
     def test_capability_table_covers_every_engine(self):
         rows = {row["engine"]: row for row in capability_table()}
         assert set(rows) == set(engines.engines())
-        assert rows["fast"]["max_n"] == FAST_MAX_N
+        assert rows["fast"]["max_n"] is None
         assert rows["aio"]["determinism"] == "wallclock"
         assert rows["aio"]["continuous"] is True
         # Every engine churns, honours fault plans and traces: the table
@@ -110,26 +108,39 @@ class TestCapabilityChecks:
         with pytest.raises(TypeError, match="churn"):
             EngineCapabilities(churn=False)
 
-    def test_fast_group_size_refusal_names_roomier_engines(self):
-        with pytest.raises(EngineCapabilityError) as exc:
-            Experiment(n=FAST_MAX_N + 1, runs=1).run("fast")
-        message = str(exc.value)
-        assert f"n={FAST_MAX_N + 1}" in message
-        assert 'engine="mega"' in message
+    def test_aio_group_size_refusal_names_roomier_engines(self):
+        from repro.aio.cluster import AioClusterConfig
 
-    def test_group_size_refusal_helper_matches_config_guard(self):
+        expected = (
+            'n=50001 exceeds engine "aio"\'s declared group-size limit of '
+            '50000; use engine="exact" or engine="fast" or engine="mega" '
+            'or engine="des"'
+        )
+        with pytest.raises(EngineCapabilityError) as exc:
+            Experiment(n=50_001).run("aio")
+        assert str(exc.value) == expected
+        # The config guard reads the same registry message.
+        with pytest.raises(ValueError) as exc:
+            AioClusterConfig(n=50_001)
+        assert str(exc.value) == expected
+
+    def test_fast_takes_a_group_past_1e5(self):
+        result = Experiment(n=100_001, runs=1, max_rounds=12).run(
+            "fast", seed=5
+        )
+        assert result.runs == 1
+        assert result.scenario.n == 100_001
+
+    def test_fast_refuses_an_over_budget_block_and_names_monte_carlo(self):
+        from repro.sim.fast import FAST_BLOCK, run_fast
         from repro.sim.scenario import Scenario
 
-        expected = group_size_refusal(
-            "fast", FAST_MAX_N + 1,
-            detail="its per-round view matrices would need multi-GB "
-                   "allocations at this size",
-        )
-        from repro.sim.fast import run_fast
-
-        with pytest.raises(ValueError) as exc:
-            run_fast(Scenario(n=FAST_MAX_N + 1), runs=1, seed=1)
-        assert str(exc.value) == expected
+        # 64 runs over 100 001 ids pass FAST_BLOCK by 64 run-ids; one
+        # run of any size is a block of its own.
+        assert 64 * 100_001 > FAST_BLOCK
+        with pytest.raises(ValueError, match="monte_carlo") as exc:
+            run_fast(Scenario(n=100_001), runs=64, seed=1)
+        assert "Experiment.run" in str(exc.value)
 
     def test_aio_group_size_ceiling_checked_before_running(self):
         from repro.aio.engine import AIO_MAX_N

@@ -6,12 +6,15 @@ assertions).  These are the repository's ground truth: if one of these
 fails, the reproduction has regressed.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.adversary import AttackSpec
 from repro.metrics import adversary_best_extent, dos_impact
 from repro.sim import Scenario, monte_carlo
+from repro.sweep import scale_grid
 
 RUNS = 150
 N = 80
@@ -28,6 +31,31 @@ def _prop_time(protocol, attack=None, seed=0, **kwargs):
         **kwargs,
     )
     return monte_carlo(scenario, runs=RUNS, seed=seed).mean_rounds()
+
+
+class TestSection6Asymptotics:
+    """Section 6 on the fast engine: under a source-targeted flood
+    (α = 1/n, B = n) Drum propagates in O(log n) rounds while Pull needs
+    Θ(n).  Measured drum 7.6 → 9.2, pull 57 → 355 rounds."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return scale_grid(
+            ["drum", "pull"], [10**3, 10**4], budget_per_node=1.0, runs=5,
+            seed=97, max_rounds=400, engine="fast",
+        ).run().series
+
+    def test_drum_rounds_stay_logarithmic(self, series):
+        for n, rounds in zip((10**3, 10**4), series["drum"]):
+            assert rounds <= 2.5 * math.log2(n)
+
+    def test_pull_grows_faster_than_drum(self, series):
+        drum, pull = series["drum"], series["pull"]
+        assert pull[1] / pull[0] > drum[1] / drum[0]
+
+    def test_pull_is_well_above_drum(self, series):
+        for drum, pull in zip(series["drum"], series["pull"]):
+            assert pull > 3.0 * drum
 
 
 class TestSection71KnownResults:

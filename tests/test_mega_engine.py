@@ -8,8 +8,8 @@ Three layers of pinning:
    randomness is drawn per fixed 4096-node block, never per shard;
 3. the integration surface — ``monte_carlo(engine="mega")``,
    ``Experiment.run(engine="mega")``, the ``"mega"`` result envelope,
-   npz-cache round-trips, the fast engine's ``FAST_MAX_N`` hand-off,
-   and numpy-integer coercion in scenarios and sweep grids.
+   npz-cache round-trips, and numpy-integer coercion in scenarios and
+   sweep grids.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ import pytest
 from repro.adversary.attacks import AttackSpec
 from repro.api import Experiment, decode_envelope, encode_envelope
 from repro.obs import MemorySink, Tracer
-from repro.sim.fast import FAST_MAX_N, run_fast
 from repro.sim.mega import (
     DEFAULT_SHARD_NODES,
     MEGA_BLOCK_NODES,
@@ -178,9 +177,8 @@ def test_mega_peak_state_bytes_stays_linear_and_small():
     assert result.peak_state_bytes > 0
     # The packed layout holds well under 64 bytes of engine state per
     # node (bitmaps are 1/8 byte; the sender stash dominates at ~v·8):
-    # that linear coefficient is what makes the n = 10⁶ ceiling in
-    # benchmarks/bench_asymptotic_scale.py a few tens of MB, where the
-    # dense engines would need per-node object or float vectors.
+    # that linear coefficient is what keeps the n = 10⁶ spot run's
+    # state (tests/test_mega_equivalence.py) a few tens of MB.
     assert result.peak_state_bytes < 64 * scenario.n
 
 
@@ -245,26 +243,8 @@ def test_cached_monte_carlo_mega_hits(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# satellites: fast-engine hand-off, integer coercion, scale grid
+# satellites: integer coercion, scale grid
 # ---------------------------------------------------------------------------
-
-def test_fast_engine_refuses_mega_scale_n():
-    scenario = Scenario(protocol="drum", n=FAST_MAX_N + 1, max_rounds=10)
-    with pytest.raises(ValueError, match='engine="mega"'):
-        run_fast(scenario, 1, seed=1)
-
-
-def test_fast_engine_limit_is_inclusive():
-    # FAST_MAX_N itself stays legal; only the guard's error message is
-    # asserted above, not an allocation at the boundary (that is a
-    # memory question, not an API one) — so just check the guard
-    # triggers strictly above the limit.
-    scenario = Scenario(protocol="drum", n=FAST_MAX_N, max_rounds=1)
-    try:
-        run_fast(scenario, 1, seed=1, horizon=1)
-    except ValueError as exc:  # pragma: no cover - would mean a bad guard
-        pytest.fail(f"n == FAST_MAX_N must not trip the guard: {exc}")
-
 
 def test_coerce_int_accepts_integer_like_values():
     assert coerce_int("n", 7) == 7

@@ -5,7 +5,11 @@ engine on a packed layout and a different stream order, so the pinning
 is statistical (:mod:`equivalence`), not byte-level:
 
 - mega-vs-fast must pass the three-test equivalence gate at n = 10³
-  (two protocols) and n = 10⁴ (the paper's attacked-drum headline);
+  (two protocols), n = 10⁴ (the paper's attacked-drum headline) and
+  n = 10⁵ (drum and pull, 12 runs each);
+- at n = 10⁶ one seeded Section 6 drum run per engine, each in its own
+  process, is pinned, stays uncensored under 1 GB RSS, and the two
+  engines' rounds agree within 2;
 - a shared crash/partition fault plan must leave both engines with the
   same reachable set and full residual reliability;
 - seeded mega aggregates for all five protocol variants at n = 10³ are
@@ -22,6 +26,9 @@ is statistical (:mod:`equivalence`), not byte-level:
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +149,98 @@ def test_mega_matches_fast_at_n_10000():
     mega = run_mega(scenario, 40, seed=602)
     report = eq.compare_results(fast, mega)
     assert report.passed, report.describe()
+
+
+@pytest.mark.parametrize("protocol", ["drum", "pull"])
+def test_mega_matches_fast_at_n_100000(protocol):
+    scenario = attacked_scenario(100_000, protocol)
+    fast = run_fast(scenario, 12, seed=901)
+    mega = run_mega(scenario, 12, seed=902)
+    report = eq.compare_results(fast, mega)
+    assert report.passed, report.describe()
+
+
+# ---------------------------------------------------------------------------
+# the n = 10⁶ Section 6 spot run, one process per engine
+# ---------------------------------------------------------------------------
+
+#: One seeded drum run at n = 10⁶ under the full Section 6 flood: all of
+#: B = 8n fabricated messages a round aimed at the source (α = 1/n).
+#: Each engine runs in a fresh interpreter, so its peak RSS is its own.
+SPOT_SCRIPT = """
+import json, resource, sys
+from repro import AttackSpec, Experiment
+n = 10**6
+result = Experiment(
+    protocol="drum", n=n, attack=AttackSpec(alpha=1.0 / n, x=8.0 * n),
+    max_rounds=400, runs=1,
+).run(sys.argv[1], seed=777)
+print(json.dumps({
+    "counts": result.counts[0].tolist(),
+    "rounds": float(result.mean_rounds()),
+    "censored": int(result.censored_runs()),
+    "rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+    "peak_state_bytes": getattr(result, "peak_state_bytes", None),
+}))
+"""
+
+#: engine -> the seeded run's holder count per round.
+SPOT_COUNTS = {
+    "fast": [
+        1, 2, 8, 28, 110, 430, 1689, 6669, 25787, 96171, 321457, 761159,
+        988341, 999857,
+    ],
+    "mega": [
+        1, 3, 10, 35, 128, 517, 1982, 7660, 29458, 109338, 358291, 803428,
+        992446,
+    ],
+}
+
+RSS_CEILING = 1024 * 1024 * 1024
+PEAK_STATE_CEILING = 128 * 1024 * 1024
+
+
+@pytest.fixture(scope="module")
+def spot_runs():
+    """Both engines' spot runs, started side by side."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    procs = {
+        engine: subprocess.Popen(
+            [sys.executable, "-c", SPOT_SCRIPT, engine],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        for engine in SPOT_COUNTS
+    }
+    runs = {}
+    try:
+        for engine, proc in procs.items():
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            runs[engine] = json.loads(out.splitlines()[-1])
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
+    return runs
+
+
+@pytest.mark.parametrize("engine", sorted(SPOT_COUNTS))
+def test_spot_run_at_n_1e6_fits_and_is_pinned(spot_runs, engine):
+    run = spot_runs[engine]
+    assert run["censored"] == 0
+    assert run["rss_bytes"] <= RSS_CEILING
+    assert run["counts"] == SPOT_COUNTS[engine]
+
+
+def test_mega_spot_run_state_fits_its_ceiling(spot_runs):
+    assert 0 < spot_runs["mega"]["peak_state_bytes"] <= PEAK_STATE_CEILING
+
+
+def test_mega_matches_fast_at_n_1e6(spot_runs):
+    # One run a side, so the gate is its rounds to threshold, within 2.
+    assert abs(spot_runs["fast"]["rounds"] - spot_runs["mega"]["rounds"]) <= 2
 
 
 def test_gate_would_catch_a_wrong_protocol():

@@ -11,6 +11,7 @@ from repro.sim import (
     default_workers,
     monte_carlo,
 )
+from repro.sim.fast import FAST_BLOCK
 from repro.sim.parallel import (
     FAST_SHARD_RUNS,
     check_workers,
@@ -87,11 +88,37 @@ def _square(x):
 
 class TestShardLayout:
     def test_layout_depends_on_runs_only(self):
-        assert fast_shard_sizes(1) == [1]
-        assert fast_shard_sizes(FAST_SHARD_RUNS) == [FAST_SHARD_RUNS]
-        assert fast_shard_sizes(FAST_SHARD_RUNS + 1) == [FAST_SHARD_RUNS, 1]
-        for runs in (1, 7, 63, 64, 65, 100, 1000):
-            assert sum(fast_shard_sizes(runs)) == runs
+        # Up to 10^5 ids the width never shows in the layout.
+        for width in (1, 1000, 100_000):
+            assert fast_shard_sizes(1, width) == [1]
+            assert fast_shard_sizes(FAST_SHARD_RUNS, width) == [
+                FAST_SHARD_RUNS
+            ]
+            assert fast_shard_sizes(FAST_SHARD_RUNS + 1, width) == [
+                FAST_SHARD_RUNS, 1
+            ]
+            for runs in (1, 7, 63, 64, 65, 100, 1000):
+                assert sum(fast_shard_sizes(runs, width)) == runs
+
+    @pytest.mark.parametrize(
+        "runs, width, sizes",
+        [
+            (65, 100_001, [63, 2]),
+            (130, 200_000, [32, 32, 32, 32, 2]),
+            (3, 10**6, [3]),
+            (13, 10**6, [6, 6, 1]),
+            (2, 10**7, [1, 1]),
+        ],
+    )
+    def test_wider_groups_get_smaller_shards(self, runs, width, sizes):
+        assert fast_shard_sizes(runs, width) == sizes
+        for size in sizes:
+            assert size == 1 or size * width <= FAST_BLOCK
+
+    def test_churn_joiners_count_in_the_width(self):
+        # 100 000 + 10 000 joiners: 6.4e6 // 110 000 = 58 runs a shard.
+        scenario = Scenario(n=100_000, faults="join@2:0.1")
+        assert make_job(scenario, 65, seed=1)._sizes == [58, 7]
 
     @pytest.mark.parametrize(
         "fields",
@@ -113,7 +140,7 @@ class TestShardLayout:
 
     def test_invalid_runs_rejected(self):
         with pytest.raises(ValueError):
-            fast_shard_sizes(0)
+            fast_shard_sizes(0, 1000)
 
 
 class TestChildSeeds:
