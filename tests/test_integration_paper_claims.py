@@ -38,15 +38,17 @@ class TestSection6Asymptotics:
     (α = 1/n, B = n) Drum propagates in O(log n) rounds while Pull needs
     Θ(n).  Measured drum 7.6 → 9.2, pull 57 → 355 rounds."""
 
+    NS = (10**3, 10**4)
+
     @pytest.fixture(scope="class")
     def series(self):
         return scale_grid(
-            ["drum", "pull"], [10**3, 10**4], budget_per_node=1.0, runs=5,
+            ["drum", "pull"], self.NS, budget_per_node=1.0, runs=5,
             seed=97, max_rounds=400, engine="fast",
         ).run().series
 
     def test_drum_rounds_stay_logarithmic(self, series):
-        for n, rounds in zip((10**3, 10**4), series["drum"]):
+        for n, rounds in zip(self.NS, series["drum"]):
             assert rounds <= 2.5 * math.log2(n)
 
     def test_pull_grows_faster_than_drum(self, series):
