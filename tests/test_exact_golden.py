@@ -9,18 +9,23 @@ Section 9 ablations against committed golden files, which is what lets
 the bulk fast path claim *exact* equivalence with the pre-optimisation
 engine rather than statistical similarity.  ``OP_COUNTS`` pins the work
 a seeded run does (packets sent, channels opened) on top of its trace.
+``ROUTE_PINS`` hashes the envelopes of runs built along other routes:
+churn joiners, an adaptive attacker, and a snooper on cleartext ports.
 
 Regenerating a golden file (only when a change is *meant* to alter the
 trace) is the test body itself: run the scenario and write ``render()``
 to ``tests/golden/exact_<protocol>.json``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.adversary.adaptive import FrontierAttacker
 from repro.adversary.attacks import AttackSpec
+from repro.adversary.snooping import SnoopingAttacker
 from repro.core.message import DataMessage
 from repro.crypto import signatures
 from repro.crypto.keys import KeyPair
@@ -134,6 +139,76 @@ def test_op_counts_pinned(protocol, n, x):
         sim.network.channels_opened,
         flooded,
     ) == OP_COUNTS[(protocol, n, x)]
+
+
+CHURN = "join@4:0.2; leave@9:0.1; expel@13:0.1"
+
+
+def churn_run(protocol: str):
+    """Eight joiners, built mid-run by the churn director."""
+    scenario = Scenario(
+        protocol=protocol, n=40, fan_out=4, loss=0.01, max_rounds=60,
+        faults=CHURN,
+    )
+    result = RoundSimulator(scenario, seed=1).run()
+    assert result.churn["joiner_count"] > 0
+    return result
+
+
+def frontier_run():
+    scenario = Scenario(
+        protocol="drum", n=40, malicious_fraction=0.1,
+        attack=AttackSpec(alpha=0.2, x=32),
+    )
+    return RoundSimulator(
+        scenario, seed=5, attacker_cls=FrontierAttacker
+    ).run()
+
+
+def snooping_run():
+    """Cleartext reply ports, harvested by a snooper."""
+    scenario = Scenario(
+        protocol="drum", n=40, malicious_fraction=0.1,
+        attack=AttackSpec(alpha=0.1, x=256.0), max_rounds=300,
+    )
+
+    def factory(s, network, seed):
+        return SnoopingAttacker(
+            s.attack, s.protocol, s.attacked_ids(), network, seed=seed
+        )
+
+    return RoundSimulator(
+        scenario, seed=13, attacker_factory=factory, distribute_keys=False
+    ).run()
+
+
+#: case -> (run builder, sha256 of its sorted ``to_dict()`` JSON): the
+#: node-construction routes the golden files above do not reach.
+ROUTE_PINS = {
+    "churn-drum": (
+        lambda: churn_run("drum"),
+        "8d5e08130ebc14b584b0835902118c81dc604ba091ca507c952247a99678da12",
+    ),
+    "churn-drum-shared-bounds": (
+        lambda: churn_run("drum-shared-bounds"),
+        "680533332dff1a63e73f86ae5f5486265aece0af7473d8dfe767d86332037d8f",
+    ),
+    "frontier-attacker": (
+        frontier_run,
+        "597b1c3736119cab12f2c29dacfd6950455af63f90806cc3cf3fb4f5349e4b4c",
+    ),
+    "snooping-cleartext": (
+        snooping_run,
+        "53ee1ceaf54f5055fb47b849a8631f1d56cdbee4a2d30035cfadb88a6a3144fe",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_PINS))
+def test_construction_route_pinned(case):
+    build, pinned = ROUTE_PINS[case]
+    text = json.dumps(build().to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned
 
 
 class TestDigestMemo:
