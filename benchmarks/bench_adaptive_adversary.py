@@ -23,14 +23,23 @@ from repro.sim import RoundSimulator, Scenario
 from repro.util import Table, spawn_seeds
 
 N = 60
+
+
+def _adaptive(cls):
+    """An attacker factory choosing victims among all correct processes."""
+    return lambda s, net, seed: cls(
+        s.attack, s.protocol, s.alive_correct_ids(), net, n=s.n, seed=seed
+    )
+
+
 STRATEGIES = {
     "static": None,
-    "rotating": RotatingAttacker,
-    "frontier (omniscient)": FrontierAttacker,
+    "rotating": _adaptive(RotatingAttacker),
+    "frontier (omniscient)": _adaptive(FrontierAttacker),
 }
 
 
-def _mean_rounds(protocol, attacker_cls, x, seed_root):
+def _mean_rounds(protocol, attacker_factory, x, seed_root):
     scenario = Scenario(
         protocol=protocol,
         n=N,
@@ -40,7 +49,9 @@ def _mean_rounds(protocol, attacker_cls, x, seed_root):
     )
     times = []
     for seed in spawn_seeds(seed_root, max(20, runs(5))):
-        sim = RoundSimulator(scenario, seed=seed, attacker_cls=attacker_cls)
+        sim = RoundSimulator(
+            scenario, seed=seed, attacker_factory=attacker_factory
+        )
         rounds = sim.run().rounds_to_threshold()
         times.append(rounds if not np.isnan(rounds) else scenario.max_rounds)
     return float(np.mean(times))
@@ -51,8 +62,8 @@ def test_adaptive_adversaries(benchmark):
         out = {}
         for protocol in ("drum", "push"):
             out[protocol] = {
-                name: _mean_rounds(protocol, cls, 64, seed_root=900)
-                for name, cls in STRATEGIES.items()
+                name: _mean_rounds(protocol, factory, 64, seed_root=900)
+                for name, factory in STRATEGIES.items()
             }
         return out
 

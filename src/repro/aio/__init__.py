@@ -19,26 +19,17 @@ Entry points:
 
 - :class:`~repro.aio.cluster.AioCluster` /
   :func:`~repro.aio.cluster.run_aio_experiment` — programmatic runs;
-- ``Experiment.run(engine="aio")`` — the registry path
-  (:mod:`repro.aio.engine` registers the stack);
+- ``Experiment.run(engine="aio")`` — the registry path (a row of
+  :mod:`repro.api.engines`' built-in table);
 - :class:`~repro.aio.service.GossipService` / ``repro serve`` — a live
   control plane: start/stop clusters, inject faults and attacks, scrape
   Prometheus metrics, stream observability events as JSONL.
-
-Import note: the engine registry imports :mod:`repro.aio.engine` during
-bootstrap, so nothing in this package may call back into the registry at
-module scope (capability refusals import it lazily, inside the raise
-path).
 """
 
 from repro.aio.cluster import AioCluster, AioClusterConfig, run_aio_experiment
 from repro.aio.env import LoopClock
 from repro.aio.service import EventStreamSink, GossipService
 from repro.aio.transport import AioLoopbackTransport, UdpTransport
-
-# Self-registration with the engine registry (also triggered by the
-# registry's bootstrap, whichever happens first).
-import repro.aio.engine  # noqa: E402,F401
 
 __all__ = [
     "AioCluster",

@@ -61,12 +61,9 @@ class AioClusterConfig(GroupConfig):
                 f"transport must be one of {TRANSPORTS}, got "
                 f"{self.transport!r}"
             )
-        from repro.aio.engine import AIO_MAX_N
+        from repro.api.engines import get_engine
 
-        if self.n > AIO_MAX_N:
-            from repro.api.engines import group_size_refusal
-
-            raise ValueError(group_size_refusal("aio", self.n))
+        get_engine("aio").check(self)
 
 
 class AioCluster(_Cluster):

@@ -208,16 +208,21 @@ def group_size_refusal(engine: str, n: int) -> str:
 
 # -- the built-in stacks -----------------------------------------------------
 
+#: The aio stack's declared group-size ceiling.  Each node costs a heap
+#: entry plus protocol state (not a thread), so the binding limit is
+#: loop throughput: beyond ~5·10⁴ nodes a round's control traffic
+#: outruns what one loop dispatches per round duration and slow motion
+#: stops being "uniform slowdown" and becomes collapse.
+AIO_MAX_N = 50_000
+
 _BUILTIN_REGISTERED = False
 
 
 def _ensure_builtin() -> None:
     """Register the built-in stacks once, lazily.
 
-    Lazy runners keep this import-light; the ``aio`` stack registers
-    *itself* through the public :func:`register` path (see
-    :mod:`repro.aio.engine`) — the canonical example of a pluggable
-    engine.
+    Lazy runners keep this import-light: no stack's modules load until
+    an experiment runs on it.
     """
     global _BUILTIN_REGISTERED
     if _BUILTIN_REGISTERED:
@@ -257,5 +262,13 @@ def _ensure_builtin() -> None:
             summary="discrete-event measurement platform (Section 8)",
         )
     )
-    # The asyncio service runtime registers itself on import.
-    import repro.aio.engine  # noqa: F401
+    register(
+        EngineSpec(
+            name="aio",
+            runner="repro.api.experiment:run_aio_engine",
+            capabilities=EngineCapabilities(
+                determinism="wallclock", continuous=True, max_n=AIO_MAX_N
+            ),
+            summary="asyncio service runtime (thousands of nodes on one loop)",
+        )
+    )

@@ -207,3 +207,10 @@ def run_des_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):
     return run_throughput_experiment(
         exp.cluster_config(), seed=seed, tracer=tracer
     )
+
+
+def run_aio_engine(exp: Experiment, *, seed=None, workers=None, tracer=None):
+    """Stream ``exp.messages`` through an asyncio cluster (blocking)."""
+    from repro.aio.cluster import run_aio_experiment
+
+    return run_aio_experiment(exp.aio_config(), seed=seed, tracer=tracer)

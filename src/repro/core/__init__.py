@@ -2,10 +2,11 @@
 
 This package holds everything the protocols themselves are made of —
 configuration, message types, digests, buffers, view selection, resource
-bounds, and random-port management — plus the object-level round
-protocol implementations used by :mod:`repro.sim`'s exact engine.  The
-full asynchronous node (push-offer handshake, timers, purging) lives in
-:mod:`repro.des`.
+bounds, and random-port management — plus the exact engine's node:
+one :class:`GossipProcess` runs every protocol kind from its config,
+and :class:`DrumSharedBoundsProcess` adds the Figure 12b push-offer
+handshake.  The full asynchronous node (push-offer handshake, timers,
+purging) lives in :mod:`repro.des`.
 """
 
 from repro.core.config import ProtocolConfig, ProtocolKind
@@ -23,35 +24,20 @@ from repro.core.bounds import ResourceBounds
 from repro.core.ports import RandomPortAllocator
 from repro.core.views import select_view
 from repro.core.protocol import GossipProcess
-from repro.core.drum import DrumProcess
-from repro.core.push import PushProcess
-from repro.core.pull import PullProcess
-from repro.core.variants import DrumNoRandomPortsProcess, DrumSharedBoundsProcess
-
-PROCESS_CLASSES = {
-    ProtocolKind.DRUM: DrumProcess,
-    ProtocolKind.PUSH: PushProcess,
-    ProtocolKind.PULL: PullProcess,
-    ProtocolKind.DRUM_NO_RANDOM_PORTS: DrumNoRandomPortsProcess,
-    ProtocolKind.DRUM_SHARED_BOUNDS: DrumSharedBoundsProcess,
-}
+from repro.core.variants import DrumSharedBoundsProcess
 
 __all__ = [
     "DataMessage",
     "Digest",
-    "DrumNoRandomPortsProcess",
-    "DrumProcess",
     "DrumSharedBoundsProcess",
     "GossipProcess",
     "MessageBuffer",
-    "PROCESS_CLASSES",
     "ProtocolConfig",
     "ProtocolKind",
     "PullReply",
     "PullRequest",
     "PushData",
     "PushOffer",
-    "PushProcess",
     "PushReply",
     "RandomPortAllocator",
     "ResourceBounds",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.config import ProtocolConfig, ProtocolKind
+from repro.core.config import ProtocolConfig
 from repro.core.message import (
     DataMessage,
     Digest,
@@ -32,7 +32,7 @@ from repro.core.message import (
     PushData,
 )
 from repro.core.ports import RandomPortAllocator
-from repro.crypto.encryption import SealedEnvelope, open_envelope, seal
+from repro.crypto.encryption import SealedEnvelope, open_envelope
 from repro.crypto.keys import KeyPair
 from repro.net.address import (
     PORT_PULL_REPLY,
@@ -48,7 +48,16 @@ from repro.core.views import disjoint_views
 
 
 class GossipProcess:
-    """One correct process in the exact round-based simulation."""
+    """One correct process in the exact round-based simulation.
+
+    Every protocol kind runs through this class; its config decides the
+    rest.  Drum splits the fan-out between push and pull, Push and Pull
+    put all of it on one operation, and pull-replies await on random
+    sealed ports unless the no-random-ports ablation sends them to the
+    well-known reply port.  Only the shared-bounds ablation, whose push
+    runs the offer handshake, needs a subclass
+    (:class:`~repro.core.variants.DrumSharedBoundsProcess`).
+    """
 
     def __init__(
         self,
@@ -199,10 +208,8 @@ class GossipProcess:
         dst = self._pull_dst
         pid = self.pid
         if self.config.uses_random_ports:
-            # Inlined _advertise_reply_port: allocate a random reply
-            # port, open its bounded channel, and seal the port number
-            # for the target.  Same calls in the same order, minus the
-            # per-target method dispatch and Address construction.
+            # Each request gets a fresh random reply port, sealed so only
+            # its target learns where to answer.
             allocate = self._ports.allocate
             open_at = network.open_port_at
             pending = self._pending_reply_ports
@@ -227,17 +234,13 @@ class GossipProcess:
                     )
                 )
         else:
+            # Every reply lands on the well-known reply port, so one
+            # immutable request serves all targets.
+            request = PullRequest(
+                sender=pid, digest=digest, reply_port=PORT_PULL_REPLY
+            )
             for target in view:
-                reply_port = self._advertise_reply_port(target)
-                send(
-                    Packet(
-                        dst=dst[target],
-                        payload=PullRequest(
-                            sender=pid, digest=digest, reply_port=reply_port
-                        ),
-                        sender=src,
-                    )
-                )
+                send(Packet(dst=dst[target], payload=request, sender=src))
 
     def receive_phase(self) -> None:
         """Drain bounded channels: ingest pushes, answer pull-requests."""
@@ -291,24 +294,8 @@ class GossipProcess:
 
     # -- helpers -----------------------------------------------------------
 
-    def _tracked_message(self) -> DataMessage:
-        return self._tracked
-
     def _digest(self) -> Digest:
         return self._digest_with if self._had_message else self._digest_empty
-
-    def _advertise_reply_port(self, target: int) -> object:
-        """Choose and (by default) seal the port awaiting the pull-reply."""
-        if not self.config.uses_random_ports:
-            self._pending_reply_ports.append(PORT_PULL_REPLY)
-            return PORT_PULL_REPLY
-        port = self._ports.allocate()
-        self.network.open_port_at(self.pid, port)
-        self._pending_reply_ports.append(port)
-        target_key = self.peer_keys.get(target)
-        if target_key is not None:
-            return seal(target_key, port)
-        return port
 
     def _drain(self, port: int, bound: Optional[int]) -> List[Packet]:
         channel = self.network.channel_at(self.pid, port)

@@ -1,27 +1,23 @@
-"""Section 9 ablation variants of Drum.
+"""Section 9 shared-bounds ablation of Drum (Figure 12b).
 
-Two deliberately weakened Drums, used to measure how much each
-DoS-mitigation technique contributes:
+:class:`DrumSharedBoundsProcess` puts one joint acceptance quota over
+the *control* channels: push-offers, pull-requests, and push-replies.
+This variant runs the full push-offer handshake, because that is where
+sharing hurts: the fabricated flood on the well-known ports drains the
+quota that valid push-replies — arriving on unattackable random ports —
+needed, so an attacked process loses its ability to *send* via push
+even though no attacker packet ever reaches a random port.
 
-- :class:`DrumNoRandomPortsProcess` — pull-replies arrive on a
-  well-known (hence attackable) port.  The adversary model splits the
-  pull share of its budget between the pull-request and pull-reply
-  ports (Figure 12a).
-- :class:`DrumSharedBoundsProcess` — one joint acceptance quota over
-  the *control* channels: push-offers, pull-requests, and push-replies
-  (Figure 12b).  This variant runs the full push-offer handshake,
-  because that is where sharing hurts: the fabricated flood on the
-  well-known ports drains the quota that valid push-replies — arriving
-  on unattackable random ports — needed, so an attacked process loses
-  its ability to *send* via push even though no attacker packet ever
-  reaches a random port.
+The other ablation, pull-replies on a well-known port (Figure 12a),
+needs no class of its own: :class:`~repro.core.protocol.GossipProcess`
+reads it from the config.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.config import ProtocolConfig, ProtocolKind
+from repro.core.config import ProtocolConfig
 from repro.core.message import PushOffer, PushReply
 from repro.core.protocol import GossipProcess
 from repro.crypto.encryption import seal
@@ -34,31 +30,6 @@ from repro.net.address import (
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.util.rng import SeedLike
-
-
-class DrumNoRandomPortsProcess(GossipProcess):
-    """Drum with pull-replies on a well-known port (Fig 12a)."""
-
-    def __init__(
-        self,
-        pid: int,
-        members: Sequence[int],
-        network: Network,
-        *,
-        config: ProtocolConfig = None,
-        seed: SeedLike = None,
-        has_message: bool = False,
-    ):
-        if config is None:
-            config = ProtocolConfig.drum_no_random_ports()
-        if config.kind is not ProtocolKind.DRUM_NO_RANDOM_PORTS:
-            raise ValueError(
-                f"DrumNoRandomPortsProcess requires a no-random-ports config, "
-                f"got {config.kind}"
-            )
-        super().__init__(
-            pid, config, members, network, seed=seed, has_message=has_message
-        )
 
 
 class DrumSharedBoundsProcess(GossipProcess):
@@ -79,20 +50,13 @@ class DrumSharedBoundsProcess(GossipProcess):
     def __init__(
         self,
         pid: int,
+        config: ProtocolConfig,
         members: Sequence[int],
         network: Network,
         *,
-        config: ProtocolConfig = None,
         seed: SeedLike = None,
         has_message: bool = False,
     ):
-        if config is None:
-            config = ProtocolConfig.drum_shared_bounds()
-        if config.kind is not ProtocolKind.DRUM_SHARED_BOUNDS:
-            raise ValueError(
-                f"DrumSharedBoundsProcess requires a shared-bounds config, "
-                f"got {config.kind}"
-            )
         super().__init__(
             pid, config, members, network, seed=seed, has_message=has_message
         )

@@ -40,7 +40,7 @@ from repro.sim.executor import (
     pool_override,
     stats as executor_stats,
 )
-from repro.sim.parallel import default_workers, run_sharded
+from repro.sim.parallel import default_workers
 from repro.sim.runner import default_runs, monte_carlo
 from repro.sweep.store import ResultStore
 
@@ -61,5 +61,4 @@ __all__ = [
     "run_exact",
     "run_fast",
     "run_mega",
-    "run_sharded",
 ]

@@ -218,18 +218,14 @@ class ChurnDirector:
     # -- event firing --------------------------------------------------------
 
     def _fire_join(self, ids, round_no: int, tr) -> None:
-        from repro.core import PROCESS_CLASSES
-
-        scenario = self.scenario
-        process_cls = PROCESS_CLASSES[scenario.protocol]
-        config = scenario.protocol_config()
+        config = self.scenario.protocol_config()
         members = list(range(self.total_n))
         for pid in sorted(ids):
-            proc = process_cls(
+            proc = self.sim._process_cls(
                 pid,
+                config,
                 members,
                 self.sim.network,
-                config=config,
                 seed=self.joiner_seeds[pid],
                 has_message=False,
             )

@@ -25,8 +25,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.adversary.attacker import RoundAttacker
-from repro.core import PROCESS_CLASSES
+from repro.core.config import ProtocolKind
 from repro.core.protocol import GossipProcess
+from repro.core.variants import DrumSharedBoundsProcess
 from repro.faults.gilbert import GilbertElliottModel
 from repro.net.link import LossModel
 from repro.net.network import Network
@@ -44,21 +45,18 @@ class RoundSimulator:
         scenario: Scenario,
         *,
         seed: SeedLike = None,
-        attacker_cls: Optional[type] = None,
         attacker_factory=None,
         distribute_keys: bool = True,
         naive: bool = False,
         tracer=None,
     ):
-        """``attacker_cls`` overrides the static :class:`RoundAttacker`
-        with an adaptive one (see :mod:`repro.adversary.adaptive`); it is
-        constructed with the scenario's attack spec and the full set of
-        alive correct processes as candidates.  ``attacker_factory``
-        gives full control: called as ``factory(scenario, network,
-        seed)`` and must return a :class:`RoundAttacker`-compatible
-        object.  ``distribute_keys=False`` runs the *unencrypted-ports*
-        ablation: processes advertise their random reply ports in
-        cleartext, which a snooping adversary can harvest.
+        """``attacker_factory`` replaces the static :class:`RoundAttacker`
+        (with an adaptive or snooping one, see :mod:`repro.adversary`):
+        it is called as ``factory(scenario, network, seed)`` and must
+        return a :class:`RoundAttacker`-compatible object.
+        ``distribute_keys=False`` runs the *unencrypted-ports* ablation:
+        processes advertise their random reply ports in cleartext,
+        which a snooping adversary can harvest.
 
         ``naive=True`` runs the network in its unoptimised reference
         mode (object-per-packet floods, eagerly-seeded object-level
@@ -87,7 +85,14 @@ class RoundSimulator:
             tracer=tracer,
         )
         config = scenario.protocol_config()
-        process_cls = PROCESS_CLASSES[scenario.protocol]
+        # One node class runs every kind but the shared-bounds ablation,
+        # whose push handshake overrides four phases; churn joiners are
+        # built with the same choice.
+        self._process_cls = (
+            DrumSharedBoundsProcess
+            if config.kind is ProtocolKind.DRUM_SHARED_BOUNDS
+            else GossipProcess
+        )
         # The schedule itself is seedless, so resolving it early (the
         # full id universe is needed before processes are built under a
         # churn plan) consumes no seed positions; the conditional
@@ -108,11 +113,11 @@ class RoundSimulator:
 
         self.processes: Dict[int, GossipProcess] = {}
         for pid in scenario.alive_correct_ids():
-            self.processes[pid] = process_cls(
+            self.processes[pid] = self._process_cls(
                 pid,
+                config,
                 members,
                 self.network,
-                config=config,
                 seed=seeds.next_seed(),
                 has_message=(pid == scenario.source),
             )
@@ -142,15 +147,6 @@ class RoundSimulator:
             if attacker_factory is not None:
                 self.attacker = attacker_factory(
                     scenario, self.network, seeds.next_seed()
-                )
-            elif attacker_cls is not None:
-                self.attacker = attacker_cls(
-                    scenario.attack,
-                    scenario.protocol,
-                    scenario.alive_correct_ids(),
-                    self.network,
-                    n=scenario.n,
-                    seed=seeds.next_seed(),
                 )
             else:
                 self.attacker = RoundAttacker(

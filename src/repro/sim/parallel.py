@@ -19,6 +19,8 @@ front, its shard calls return their arrays through the pool's pickled
 results, and the parent stacks them positionally (padding each row with
 its final value, :func:`_stack_padded`) — so the assembled result is the
 same in-process, on any number of workers, in any completion order.
+:func:`~repro.sim.runner.monte_carlo` builds one job and executes it;
+the sweep orchestrator splices many jobs' calls into one work queue.
 
 The worker count defaults to the ``REPRO_WORKERS`` environment variable
 (validated exactly like ``REPRO_RUNS``; fallback 1 = serial in-process).
@@ -157,7 +159,7 @@ def _shard_tracer():
     Workers cannot share the caller's tracer across process boundaries,
     so each shard records into its own in-memory sink and ships the
     plain-dict events back with its arrays; the parent re-emits them in
-    deterministic shard order (see :func:`run_sharded`).
+    deterministic shard order (see :func:`execute_job`).
     """
     from repro.obs import MemorySink, Tracer
 
@@ -387,49 +389,14 @@ def execute_job(job, *, workers: int = 1, tracer=None) -> MonteCarloResult:
     or one call, else the persistent pool).  Assembly is positional, so
     the result is byte-identical for any worker count or completion
     order.
-    ``tracer`` makes each call record its events and ship them back
-    with its arrays.
+    ``tracer`` makes each call record its events into a worker-local
+    sink and ship them back with its arrays; the parent re-emits them
+    ordered by *shard index* (fast, tagged ``shard``) or *run index*
+    (exact, tagged ``run``), an order fixed by the seed layout, so the
+    merged event stream is identical for any ``workers``.
     """
     calls = job.calls(tracer is not None)
     shards: List = [None] * len(calls)
     for index, shard in iter_calls(calls, workers):
         shards[index] = shard
     return job.assemble(shards, tracer)
-
-
-def run_sharded(
-    scenario: Scenario,
-    runs: int,
-    *,
-    seed: SeedLike = None,
-    engine: str = "fast",
-    horizon: Optional[int] = None,
-    workers: int = 1,
-    tracer=None,
-) -> MonteCarloResult:
-    """Run ``scenario`` ``runs`` times, sharded across ``workers``.
-
-    Seeds are derived in the parent before any shard executes, and the
-    fast engine's shard layout depends only on ``runs`` and the id
-    universe (:func:`fast_shard_sizes`) — so the result is
-    bit-identical for every worker count.  The exact engine derives
-    one child seed per run (exactly the historical serial behaviour),
-    which makes *its* sharding free to chase load balance; the packed
-    engine runs one task per run (:class:`repro.sim.mega.MegaJob`).
-
-    ``tracer`` attaches a :class:`repro.obs.Tracer`.  Each shard records
-    into a worker-local in-memory sink and ships its events back; the
-    parent re-emits them into the caller's tracer ordered by *shard
-    index* (fast) or *run index* (exact) — an ordering fixed by the
-    seed-derivation layout, never by the worker count or completion
-    order, so the merged event stream is identical for any ``workers``.
-    Re-emitted events carry a ``shard`` (fast) or ``run`` (exact) key.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    workers = check_workers(workers)
-    job = make_job(
-        scenario, runs, seed=seed, engine=engine, horizon=horizon,
-        workers=workers,
-    )
-    return execute_job(job, workers=workers, tracer=tracer)

@@ -26,7 +26,12 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.sim.parallel import check_workers, default_workers, run_sharded
+from repro.sim.parallel import (
+    check_workers,
+    default_workers,
+    execute_job,
+    make_job,
+)
 from repro.sim.results import MonteCarloResult
 from repro.sim.scenario import Scenario
 from repro.util.rng import SeedLike
@@ -88,6 +93,8 @@ def monte_carlo(
     """
     if runs is None:
         runs = default_runs()
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     check_engine(engine)
     workers = default_workers() if workers is None else check_workers(workers)
 
@@ -105,10 +112,11 @@ def monte_carlo(
             if hit is not None:
                 return hit
 
-    result = run_sharded(
+    job = make_job(
         scenario, runs, seed=seed, engine=engine, horizon=horizon,
-        workers=workers, tracer=tracer,
+        workers=workers,
     )
+    result = execute_job(job, workers=workers, tracer=tracer)
     if key is not None:
         store.store(key, result)
     return result

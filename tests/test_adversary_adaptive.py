@@ -11,6 +11,13 @@ from repro.sim import RoundSimulator, Scenario
 from repro.util import spawn_seeds
 
 
+def _adaptive(cls):
+    """An attacker factory choosing victims among all correct processes."""
+    return lambda s, net, seed: cls(
+        s.attack, s.protocol, s.alive_correct_ids(), net, n=s.n, seed=seed
+    )
+
+
 def _network(victims):
     net = Network(LossModel(0.0), seed=0)
     for pid in victims:
@@ -71,14 +78,16 @@ class TestFrontierAttacker:
 class TestAdaptiveVsDrum:
     """Drum's resistance argument extends to adaptive adversaries."""
 
-    def _mean_rounds(self, attacker_cls, seeds, protocol="drum"):
+    def _mean_rounds(self, attacker_factory, seeds, protocol="drum"):
         times = []
         scenario = Scenario(
             protocol=protocol, n=50, malicious_fraction=0.1,
             attack=AttackSpec(alpha=0.2, x=64), max_rounds=300,
         )
         for seed in seeds:
-            sim = RoundSimulator(scenario, seed=seed, attacker_cls=attacker_cls)
+            sim = RoundSimulator(
+                scenario, seed=seed, attacker_factory=attacker_factory
+            )
             result = sim.run()
             rounds = result.rounds_to_threshold()
             times.append(rounds if not np.isnan(rounds) else 300)
@@ -87,7 +96,7 @@ class TestAdaptiveVsDrum:
     def test_frontier_attack_gains_little_against_drum(self):
         seeds = spawn_seeds(99, 40)
         static = self._mean_rounds(None, seeds)
-        frontier = self._mean_rounds(FrontierAttacker, seeds)
+        frontier = self._mean_rounds(_adaptive(FrontierAttacker), seeds)
         # Even an omniscient frontier attacker cannot blow Drum up:
         # within a few rounds of the static attack of equal budget.
         assert frontier < static + 4.0, (static, frontier)
@@ -95,5 +104,5 @@ class TestAdaptiveVsDrum:
     def test_rotating_no_worse_than_static_for_drum(self):
         seeds = spawn_seeds(7, 40)
         static = self._mean_rounds(None, seeds)
-        rotating = self._mean_rounds(RotatingAttacker, seeds)
+        rotating = self._mean_rounds(_adaptive(RotatingAttacker), seeds)
         assert rotating < static + 3.0, (static, rotating)

@@ -38,7 +38,7 @@ class TestAioClusterConfig:
         assert config.faults.has_churn
 
     def test_group_size_ceiling_enforced(self):
-        from repro.aio.engine import AIO_MAX_N
+        from repro.api.engines import AIO_MAX_N
 
         with pytest.raises(ValueError, match="group-size limit"):
             AioClusterConfig(n=AIO_MAX_N + 1)

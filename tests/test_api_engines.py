@@ -142,7 +142,7 @@ class TestCapabilityChecks:
         assert "Experiment.run" in str(exc.value)
 
     def test_aio_group_size_ceiling_checked_before_running(self):
-        from repro.aio.engine import AIO_MAX_N
+        from repro.api.engines import AIO_MAX_N
 
         with pytest.raises(EngineCapabilityError, match="group-size limit"):
             Experiment(n=AIO_MAX_N + 1).run("aio")

@@ -1,13 +1,6 @@
-"""Tests for the object-level round protocol (GossipProcess and friends)."""
+"""Tests for the object-level round protocol (GossipProcess)."""
 
-import pytest
-
-from repro.core import (
-    DrumProcess,
-    ProtocolConfig,
-    PullProcess,
-    PushProcess,
-)
+from repro.core import GossipProcess, ProtocolConfig
 from repro.core.message import PullRequest, PushData
 from repro.net import (
     Address,
@@ -19,15 +12,17 @@ from repro.net import (
 )
 
 
-def _lossless_pair(cls, config=None, n=6):
+DRUM = ProtocolConfig.drum()
+
+
+def _lossless_pair(config, n=6):
     """Two live processes (0 has M, 1 does not) plus silent others."""
     net = Network(LossModel(0.0), seed=1)
     members = list(range(n))
     procs = {}
     for pid in (0, 1):
-        procs[pid] = cls(
-            pid, members, net,
-            config=config, seed=pid + 10, has_message=(pid == 0),
+        procs[pid] = GossipProcess(
+            pid, config, members, net, seed=pid + 10, has_message=(pid == 0)
         )
     for pid in range(2, n):
         net.register_node(pid)
@@ -58,12 +53,12 @@ def _run_round(net, procs, attacker=None):
 
 class TestDrumProcess:
     def test_ports_open_on_construction(self):
-        net, procs = _lossless_pair(DrumProcess)
+        net, procs = _lossless_pair(DRUM)
         assert net.is_open(Address(0, PORT_PUSH_DATA))
         assert net.is_open(Address(0, PORT_PULL_REQUEST))
 
     def test_message_propagates_in_tiny_group(self):
-        net, procs = _lossless_pair(DrumProcess, n=2)
+        net, procs = _lossless_pair(DRUM, n=2)
         for _ in range(5):
             _run_round(net, procs)
             if procs[1].has_message:
@@ -73,23 +68,18 @@ class TestDrumProcess:
         assert procs[1].delivery_path in ("push", "pull")
 
     def test_source_metadata(self):
-        _, procs = _lossless_pair(DrumProcess)
+        _, procs = _lossless_pair(DRUM)
         assert procs[0].delivery_round == 0
         assert procs[0].delivery_path == "source"
 
-    def test_wrong_config_kind_rejected(self):
-        net = Network(LossModel(0.0), seed=1)
-        with pytest.raises(ValueError):
-            DrumProcess(0, [0, 1], net, config=ProtocolConfig.push())
-
     def test_rounds_advance(self):
-        net, procs = _lossless_pair(DrumProcess)
+        net, procs = _lossless_pair(DRUM)
         _run_round(net, procs)
         _run_round(net, procs)
         assert procs[0].round == 2
 
     def test_reply_ports_expire(self):
-        net, procs = _lossless_pair(DrumProcess)
+        net, procs = _lossless_pair(DRUM)
         lifetime = procs[0].config.random_port_lifetime
         _run_round(net, procs)
         open_after_one = set(net.open_ports(0))
@@ -110,11 +100,11 @@ class TestDrumProcess:
 
 class TestPushProcess:
     def test_no_pull_port(self):
-        net, procs = _lossless_pair(PushProcess)
+        net, procs = _lossless_pair(ProtocolConfig.push())
         assert not net.is_open(Address(0, PORT_PULL_REQUEST))
 
     def test_propagation_via_push_only(self):
-        net, procs = _lossless_pair(PushProcess, n=2)
+        net, procs = _lossless_pair(ProtocolConfig.push(), n=2)
         for _ in range(5):
             _run_round(net, procs)
         assert procs[1].has_message
@@ -123,11 +113,11 @@ class TestPushProcess:
 
 class TestPullProcess:
     def test_no_push_port(self):
-        net, procs = _lossless_pair(PullProcess)
+        net, procs = _lossless_pair(ProtocolConfig.pull())
         assert not net.is_open(Address(0, PORT_PUSH_DATA))
 
     def test_propagation_via_pull_only(self):
-        net, procs = _lossless_pair(PullProcess, n=2)
+        net, procs = _lossless_pair(ProtocolConfig.pull(), n=2)
         for _ in range(5):
             _run_round(net, procs)
         assert procs[1].has_message
@@ -136,7 +126,7 @@ class TestPullProcess:
 
 class TestSanityChecks:
     def test_junk_on_push_port_ignored(self):
-        net, procs = _lossless_pair(DrumProcess)
+        net, procs = _lossless_pair(DRUM)
 
         def attacker():
             net.send(Packet(dst=Address(1, PORT_PUSH_DATA), payload="junk"))
@@ -146,7 +136,7 @@ class TestSanityChecks:
         assert procs[1].delivery_path in (None, "push", "pull")
 
     def test_junk_pull_request_ignored(self):
-        net, procs = _lossless_pair(DrumProcess)
+        net, procs = _lossless_pair(DRUM)
 
         def attacker():
             net.send(
@@ -156,7 +146,7 @@ class TestSanityChecks:
         _run_round(net, procs, attacker)  # must not raise
 
     def test_unsealed_reply_port_of_wrong_type_dropped(self):
-        net, procs = _lossless_pair(DrumProcess)
+        net, procs = _lossless_pair(DRUM)
         bogus = PullRequest(sender=1, digest=procs[1]._digest(), reply_port="nope")
         procs[0].begin_round()
         procs[0]._answer_pull_request(bogus)  # must not raise or send
@@ -170,8 +160,8 @@ class TestFloodedChannels:
         for seed in range(40):
             net = Network(LossModel(0.0), seed=seed)
             procs = {
-                pid: DrumProcess(
-                    pid, [0, 1], net, seed=seed * 2 + pid,
+                pid: GossipProcess(
+                    pid, DRUM, [0, 1], net, seed=seed * 2 + pid,
                     has_message=(pid == 0),
                 )
                 for pid in (0, 1)
@@ -196,8 +186,8 @@ class TestFloodedChannels:
         for seed in range(30):
             net = Network(LossModel(0.0), seed=seed)
             procs = {
-                pid: DrumProcess(
-                    pid, [0, 1], net, seed=seed * 2 + pid,
+                pid: GossipProcess(
+                    pid, DRUM, [0, 1], net, seed=seed * 2 + pid,
                     has_message=(pid == 0),
                 )
                 for pid in (0, 1)

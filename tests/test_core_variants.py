@@ -1,12 +1,6 @@
 """Tests for the Section 9 ablation variants."""
 
-import pytest
-
-from repro.core import (
-    DrumNoRandomPortsProcess,
-    DrumSharedBoundsProcess,
-    ProtocolConfig,
-)
+from repro.core import DrumSharedBoundsProcess, GossipProcess, ProtocolConfig
 from repro.net import (
     Address,
     LossModel,
@@ -18,11 +12,16 @@ from repro.net import (
 )
 
 
-def _pair(cls, n=2):
+NO_RANDOM_PORTS = ProtocolConfig.drum_no_random_ports()
+SHARED_BOUNDS = ProtocolConfig.drum_shared_bounds()
+
+
+def _pair(cls, config, n=2):
     net = Network(LossModel(0.0), seed=1)
     members = list(range(n))
     procs = {
-        pid: cls(pid, members, net, seed=pid + 5, has_message=(pid == 0))
+        pid: cls(pid, config, members, net, seed=pid + 5,
+                 has_message=(pid == 0))
         for pid in range(min(2, n))
     }
     for pid in range(2, n):
@@ -54,11 +53,11 @@ def _run_round(net, procs, attacker=None):
 
 class TestDrumNoRandomPorts:
     def test_well_known_reply_port_open(self):
-        net, procs = _pair(DrumNoRandomPortsProcess)
+        net, procs = _pair(GossipProcess, NO_RANDOM_PORTS)
         assert net.is_open(Address(0, PORT_PULL_REPLY))
 
     def test_propagates_without_attack(self):
-        net, procs = _pair(DrumNoRandomPortsProcess)
+        net, procs = _pair(GossipProcess, NO_RANDOM_PORTS)
         for _ in range(6):
             _run_round(net, procs)
         assert procs[1].has_message
@@ -70,8 +69,8 @@ class TestDrumNoRandomPorts:
         for seed in range(30):
             net = Network(LossModel(0.0), seed=seed)
             procs = {
-                pid: DrumNoRandomPortsProcess(
-                    pid, [0, 1], net, seed=seed + pid * 100,
+                pid: GossipProcess(
+                    pid, NO_RANDOM_PORTS, [0, 1], net, seed=seed + pid * 100,
                     has_message=(pid == 0),
                 )
                 for pid in (0, 1)
@@ -91,20 +90,15 @@ class TestDrumNoRandomPorts:
                 pull_deliveries += 1
         assert pull_deliveries <= 6
 
-    def test_wrong_config_rejected(self):
-        net = Network(LossModel(0.0), seed=1)
-        with pytest.raises(ValueError):
-            DrumNoRandomPortsProcess(0, [0, 1], net, config=ProtocolConfig.drum())
-
 
 class TestDrumSharedBounds:
     def test_uses_offer_port_not_data_port(self):
-        net, procs = _pair(DrumSharedBoundsProcess)
+        net, procs = _pair(DrumSharedBoundsProcess, SHARED_BOUNDS)
         assert net.is_open(Address(0, PORT_PUSH_OFFER))
         assert not net.is_open(Address(0, PORT_PUSH_DATA))
 
     def test_push_handshake_works_without_attack(self):
-        net, procs = _pair(DrumSharedBoundsProcess)
+        net, procs = _pair(DrumSharedBoundsProcess, SHARED_BOUNDS)
         delivered_via = None
         for _ in range(8):
             _run_round(net, procs)
@@ -122,7 +116,7 @@ class TestDrumSharedBounds:
             net = Network(LossModel(0.0), seed=seed)
             procs = {
                 pid: DrumSharedBoundsProcess(
-                    pid, [0, 1], net, seed=seed + pid * 100,
+                    pid, SHARED_BOUNDS, [0, 1], net, seed=seed + pid * 100,
                     has_message=(pid == 0),
                 )
                 for pid in (0, 1)
@@ -141,11 +135,6 @@ class TestDrumSharedBounds:
             if procs[1].delivery_path == "push":
                 sends += 1
         assert sends <= 6
-
-    def test_wrong_config_rejected(self):
-        net = Network(LossModel(0.0), seed=1)
-        with pytest.raises(ValueError):
-            DrumSharedBoundsProcess(0, [0, 1], net, config=ProtocolConfig.drum())
 
     def test_shared_quota_value(self):
         cfg = ProtocolConfig.drum_shared_bounds(fan_out=4)

@@ -160,9 +160,14 @@ def frontier_run():
         protocol="drum", n=40, malicious_fraction=0.1,
         attack=AttackSpec(alpha=0.2, x=32),
     )
-    return RoundSimulator(
-        scenario, seed=5, attacker_cls=FrontierAttacker
-    ).run()
+
+    def factory(s, network, seed):
+        return FrontierAttacker(
+            s.attack, s.protocol, s.alive_correct_ids(), network, n=s.n,
+            seed=seed,
+        )
+
+    return RoundSimulator(scenario, seed=5, attacker_factory=factory).run()
 
 
 def snooping_run():

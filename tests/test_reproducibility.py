@@ -34,8 +34,15 @@ class TestSimulationReproducibility:
             protocol="drum", n=40, malicious_fraction=0.1,
             attack=AttackSpec(alpha=0.2, x=32),
         )
-        a = RoundSimulator(scenario, seed=5, attacker_cls=FrontierAttacker).run()
-        b = RoundSimulator(scenario, seed=5, attacker_cls=FrontierAttacker).run()
+
+        def frontier(s, net, seed):
+            return FrontierAttacker(
+                s.attack, s.protocol, s.alive_correct_ids(), net, n=s.n,
+                seed=seed,
+            )
+
+        a = RoundSimulator(scenario, seed=5, attacker_factory=frontier).run()
+        b = RoundSimulator(scenario, seed=5, attacker_factory=frontier).run()
         assert (a.counts == b.counts).all()
 
     def test_different_seeds_differ(self):

@@ -273,7 +273,7 @@ class TestResultCache:
         def explode(*args, **kwargs):
             raise AssertionError("store hit should not recompute")
 
-        monkeypatch.setattr("repro.sim.runner.run_sharded", explode)
+        monkeypatch.setattr("repro.sim.runner.execute_job", explode)
         warm = monte_carlo(dos_scenario, runs=20, seed=9, store=store)
         assert warm.runs == 20
 
