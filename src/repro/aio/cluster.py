@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.adversary.attacks import AttackSpec
 from repro.aio.env import LoopClock
@@ -48,8 +48,8 @@ class AioClusterConfig(GroupConfig):
     #: Stream length for :func:`run_aio_experiment`.
     messages: int = 40
     #: Extra drain after the stream tail is awaited, in round durations —
-    #: lets earlier messages' tails finish spreading before teardown.
-    drain_rounds: float = 0.0
+    #: lets the stream finish spreading before teardown.
+    drain_rounds: float = 1.0
     #: ``"loopback"`` (in-process datagrams) or ``"udp"`` (real sockets
     #: via :class:`~repro.aio.transport.UdpTransport`).
     transport: str = "loopback"
@@ -95,6 +95,8 @@ class AioCluster(_Cluster):
         self.clock: Optional[LoopClock] = None
         self._started_at: Optional[float] = None
         self._stopped = False
+        #: ``await_delivery`` calls in progress: (msg id, needed, future).
+        self._waiters: List[Tuple[Tuple[int, int], int, asyncio.Future]] = []
 
     # -- the network ----------------------------------------------------------
 
@@ -118,8 +120,10 @@ class AioCluster(_Cluster):
                     f"{transport.ports_per_node} per id: at most "
                     f"{transport.max_ids} ids (n plus churn joiners)"
                 )
+        round_ms = config.round_duration_ms
         ticks = getattr(transport, "_TICKS_PER_ROUND", 128)  # else as UDP
-        self.clock = LoopClock(loop, config.round_duration_ms / ticks)
+        wakes = getattr(transport, "_WAKES_PER_ROUND", ticks)
+        self.clock = LoopClock(loop, round_ms / ticks, round_ms / wakes)
         attach = getattr(transport, "attach", None)
         if attach is not None:
             attach(loop, self.clock)
@@ -164,6 +168,7 @@ class AioCluster(_Cluster):
                 self.transport.close()
             if self.clock is not None:
                 self.clock.close()
+        self._recheck()
         if self.tracer is not None and self._started_at is not None:
             self.tracer.run_end(delivered=len(self.log.deliveries))
         # Let cancelled callbacks drain before the loop is torn down.
@@ -229,30 +234,49 @@ class AioCluster(_Cluster):
         fraction: float = 1.0,
         timeout_s: float = 30.0,
     ) -> bool:
-        """Wait until ``fraction`` of correct processes delivered ``msg_id``.
+        """Wait until ``fraction`` of correct processes delivered ``msg_id``:
+        True from the pass that gets there, False once ``timeout_s`` of
+        clock time (slow motion on a saturated loop) or a stop passes.
 
         Raises :class:`RuntimeError` if any node callback has died —
         waiting out the timeout against a dead node would just report a
         bogus delivery failure.
         """
-        receivers = set(self.config.correct_ids())
-        needed = max(1, int(fraction * len(receivers)))
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout_s
-        while True:
-            self.clock.catch_up()
-            if self.node_errors:
-                pid, exc = self.node_errors[0]
-                raise RuntimeError(
-                    f"{len(self.node_errors)} node callback error(s); "
-                    f"first from node {pid}: {exc!r}"
-                ) from exc
-            got = self.log.receivers.get(msg_id, ())
-            if len(got) >= needed:
-                return True
-            if loop.time() >= deadline:
-                return False
-            await asyncio.sleep(0.02)
+        needed = max(1, int(fraction * len(self.config.correct_ids())))
+        self.clock.catch_up()
+        waiter = (msg_id, needed, asyncio.get_running_loop().create_future())
+        self._waiters.append(waiter)
+        self._recheck()  # no loop timer: the deadline is a clock event
+        deadline = self.clock.schedule(timeout_s * 1000.0, _wake, waiter[2])
+        try:
+            await waiter[2]
+        finally:
+            deadline.cancel()
+            self._waiters.remove(waiter)
+        if self.node_errors:
+            pid, exc = self.node_errors[0]
+            raise RuntimeError(
+                f"{len(self.node_errors)} node callback error(s); "
+                f"first from node {pid}: {exc!r}"
+            ) from exc
+        return len(self.log.receivers.get(msg_id, ())) >= needed
+
+    def _recheck(self) -> None:
+        """Wake each delivery wait that is over: its threshold crossed,
+        a node callback dead, or the cluster stopped."""
+        over, receivers = self.node_errors or self._stopped, self.log.receivers
+        for msg_id, needed, done in self._waiters:
+            if over or len(receivers.get(msg_id, ())) >= needed:
+                _wake(done)
+
+    def _record(self, pid: int, message, now_ms: float) -> None:
+        _Cluster._record(self, pid, message, now_ms)
+        if self._waiters:
+            self._recheck()
+
+    def _record_node_error(self, pid: int, exc: BaseException) -> None:
+        _Cluster._record_node_error(self, pid, exc)
+        self._recheck()
 
     def delivered_counts(self) -> Dict[Tuple[int, int], int]:
         """Receivers reached per tracked message (status queries)."""
@@ -267,6 +291,11 @@ class AioCluster(_Cluster):
             send_rate, messages_sent, self._started_at, self._stamp(),
             horizon_ms=self.clock.now,
         )
+
+
+def _wake(done: asyncio.Future) -> None:
+    if not done.done():
+        done.set_result(None)
 
 
 def run_aio_experiment(

@@ -26,9 +26,12 @@ class LoopClock(EventLoop):
     delays chain off due times as on the virtual clock and an
     overloaded loop runs the protocol in slow motion; outside one it is
     the wall, which :meth:`catch_up` brings the heap up to.  Stamps read
-    :meth:`time`, so the tick (the handle waits for the earliest due
-    time rounded *up* to a multiple of ``tick_ms``; 0 coalesces
-    nothing) only sets how often the loop wakes.  An event queued from
+    :meth:`time`, so two intervals only set how the loop is woken: the
+    handle sleeps until the earliest due time rounded *up* to a multiple
+    of ``wake_ms`` (default ``tick_ms``; 0 coalesces nothing), and a
+    pass stops at the first ``tick_ms`` boundary at or after its
+    earliest event.  What a wake leaves due is chained at once, a pass
+    per loop turn, so other tasks run in between.  An event queued from
     outside a pass (a coroutine's send, a node start) arms the handle at
     once; a pass arms for the earliest entry left when it ends.  A
     callback's exception goes to the loop's exception handler and the
@@ -37,10 +40,11 @@ class LoopClock(EventLoop):
 
     catches_errors = True
 
-    def __init__(self, loop=None, tick_ms: float = 0.0):
+    def __init__(self, loop=None, tick_ms: float = 0.0, wake_ms=None):
         super().__init__()
         self.loop = loop if loop is not None else asyncio.get_running_loop()
         self.tick_ms = tick_ms
+        self.wake_ms = tick_ms if wake_ms is None else wake_ms
         self._origin = self.loop.time()
         self._handle: Optional[asyncio.TimerHandle] = None
         #: How far the armed pass will reach.
@@ -74,8 +78,8 @@ class LoopClock(EventLoop):
         return True
 
     def _arm(self, when_ms: float) -> None:
-        if self.tick_ms:
-            when_ms += -when_ms % self.tick_ms  # up to the tick, never down
+        if self.wake_ms:
+            when_ms += -when_ms % self.wake_ms  # up to the wake, never down
         if when_ms >= self._armed_for:
             return
         if self._handle is not None:
@@ -86,29 +90,30 @@ class LoopClock(EventLoop):
         )
 
     def _pump(self) -> None:
-        wall, horizon = self._wall(), self._armed_for
+        wall = self._wall()
         if self._queue:
             self.late_ms_max = max(self.late_ms_max, wall - self._queue[0][0])
-        # With a tick a pass reaches the armed time and no further: a
-        # backlog is worked off a tick per turn, other tasks in between,
-        # instead of in passes that each outlast the one before.
-        if not self.tick_ms and wall > horizon:
-            horizon = wall
         self.wakes += 1
-        self._pass(horizon)
+        self._pass(max(wall, self._armed_for))
 
     def catch_up(self) -> None:
-        """A pass up to the wall now — with a tick, the armed tick at most,
-        so a saturated loop still works a backlog off a tick per turn.
+        """A pass up to the wall now — while the pump is overdue (a
+        saturated loop), one slice of it, and the pump chains the rest.
         Every entry from outside the clock calls this first."""
         if self._pumping or not self._queue:
             return
         wall = self._wall()
-        horizon = min(wall, self._armed_for) if self.tick_ms else wall
-        if self._queue[0][0] <= horizon:
-            self._pass(horizon)
+        if self._queue[0][0] <= wall:
+            self._pass(wall, whole=self._armed_for > wall)
 
-    def _pass(self, horizon: float) -> None:
+    def _pass(self, horizon: float, whole: bool = False) -> None:
+        if self.tick_ms and not whole and self._queue:
+            # A slice, up to the first tick boundary at or after the
+            # earliest event: a backlog is worked off a tick per turn,
+            # other tasks in between, instead of in passes that each
+            # outlast the one before.
+            first = self._queue[0][0]
+            horizon = min(horizon, first + -first % self.tick_ms)
         if self._handle is not None:
             self._handle.cancel()  # re-armed for what is left, below
         self._handle, self._armed_for = None, math.inf

@@ -36,9 +36,10 @@ class _LoopTransport(Transport):
     thread only.
     """
 
-    #: Clock ticks per round: a datagram leaving the process goes at the
-    #: wall time of its pass, so the tick is latency on every hop.
-    _TICKS_PER_ROUND = 128
+    #: Clock ticks (the most event time a pass covers) and wakes per
+    #: round: a datagram leaves at the wall time of its pass, so both
+    #: are latency on every hop.
+    _TICKS_PER_ROUND = _WAKES_PER_ROUND = 128
 
     def attach(self, loop=None, clock: Optional[LoopClock] = None) -> None:
         """Bind the transport to ``loop`` (default: the running loop) and
@@ -53,8 +54,9 @@ class AioLoopbackTransport(_LoopTransport, LoopbackTransport):
     interface.
     """
 
-    #: Every hop is a clock event, so the tick only batches wake-ups.
-    _TICKS_PER_ROUND = 16
+    #: Every hop is a clock event, so these only batch work: the loop
+    #: sleeps to quarter rounds, then runs passes of 1/16 round back to back.
+    _TICKS_PER_ROUND, _WAKES_PER_ROUND = 16, 4
 
 
 #: The classes that cross the wire, by module: the protocol's messages,

@@ -108,11 +108,6 @@ class DataMessage:
             object.__setattr__(self, "_body_digest", digest)
         return digest
 
-    def wire_size(self) -> int:
-        """Rough wire size in bytes (the paper uses 50-byte payloads)."""
-        payload_len = len(self.payload) if hasattr(self.payload, "__len__") else 8
-        return 32 + payload_len
-
 
 @dataclass(frozen=True, slots=True)
 class Digest:
@@ -134,9 +129,6 @@ class Digest:
         """Ids in ``ids`` that this digest does not cover."""
         return frozenset(i for i in ids if i not in self.message_ids)
 
-    def wire_size(self) -> int:
-        return 16 + 8 * len(self.message_ids)
-
 
 @dataclass(frozen=True, slots=True)
 class PushOffer:
@@ -149,9 +141,6 @@ class PushOffer:
     sender: int
     reply_port: SealedEnvelope
 
-    def wire_size(self) -> int:
-        return 24
-
 
 @dataclass(frozen=True, slots=True)
 class PushReply:
@@ -161,9 +150,6 @@ class PushReply:
     digest: Digest
     data_port: SealedEnvelope
 
-    def wire_size(self) -> int:
-        return 24 + self.digest.wire_size()
-
 
 @dataclass(frozen=True, slots=True)
 class PushData:
@@ -171,9 +157,6 @@ class PushData:
 
     sender: int
     messages: Tuple[DataMessage, ...]
-
-    def wire_size(self) -> int:
-        return 16 + sum(m.wire_size() for m in self.messages)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,9 +171,6 @@ class PullRequest:
     digest: Digest
     reply_port: object  # SealedEnvelope or plain int for the ablation
 
-    def wire_size(self) -> int:
-        return 24 + self.digest.wire_size()
-
 
 @dataclass(frozen=True, slots=True)
 class PullReply:
@@ -198,6 +178,3 @@ class PullReply:
 
     sender: int
     messages: Tuple[DataMessage, ...]
-
-    def wire_size(self) -> int:
-        return 16 + sum(m.wire_size() for m in self.messages)

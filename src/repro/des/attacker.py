@@ -30,7 +30,9 @@ from repro.util.rng import SeedLike
 class FabricatedPayload:
     """Junk that consumes a quota slot and then fails every sanity check."""
 
-    nonce: int
+
+#: Every flood packet carries this one instance: nothing reads a field.
+_JUNK = FabricatedPayload()
 
 
 class AttackerProcess:
@@ -62,7 +64,6 @@ class AttackerProcess:
         self.rng = derive_rng(seed)
         self.running = False
         self.injected_total = 0
-        self._nonce = 0
         self._handle: Optional[object] = None
 
     def _port_rates(self) -> List:
@@ -131,10 +132,6 @@ class AttackerProcess:
                 # ``count`` scalar ``uniform`` calls.
                 offsets = self.rng.uniform(0.0, interval, size=count)
                 for offset in offsets.tolist():
-                    self._nonce += 1
-                    post(
-                        offset, send, src, dst,
-                        FabricatedPayload(nonce=self._nonce),
-                    )
+                    post(offset, send, src, dst, _JUNK)
                 self.injected_total += count
         self._handle = self.env.schedule(interval, self._burst)

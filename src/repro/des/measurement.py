@@ -44,7 +44,7 @@ class DeliveryLog:
         self.created_at: Dict[MessageId, float] = {}
         self.deliveries: List[DeliveryRecord] = []
         #: msg_id -> receivers that delivered it (incremental, so a
-        #: delivery wait polls in O(1) instead of scanning the log).
+        #: delivery wait checks in O(1) instead of scanning the log).
         self.receivers: Dict[MessageId, Set[int]] = {}
 
     def sent(self, source: int, msg_id: MessageId, now: float) -> None:

@@ -147,20 +147,11 @@ class GossipNode:
 
         # Instrumentation.
         self.stats = {
-            "offers_sent": 0,
             "offers_answered": 0,
-            "pull_requests_sent": 0,
-            "pull_requests_answered": 0,
             "data_messages_sent": 0,
             "data_messages_delivered": 0,
             "invalid_dropped": 0,
-            "bytes_sent": 0,
         }
-
-    def _send(self, src: Address, dst: Address, payload) -> None:
-        """Send one datagram, accounting its wire size."""
-        self.stats["bytes_sent"] += payload.wire_size()
-        self.env.send(src, dst, payload)
 
     # -- configuration ---------------------------------------------------------
 
@@ -325,12 +316,11 @@ class GossipNode:
     def _send_push_offer(self, target: int) -> None:
         reply_port = self.ports.allocate()
         self.env.bind(Address(self.pid, reply_port), self._on_push_reply)
-        self._send(
+        self.env.send(
             self._offer_addr,
             _endpoint(target, PORT_PUSH_OFFER),
             PushOffer(sender=self.pid, reply_port=self._seal_for(target, reply_port)),
         )
-        self.stats["offers_sent"] += 1
 
     def _on_push_offer(self, src: Address, payload: object) -> None:
         # Quota burns before validation: flooding this port costs us
@@ -346,7 +336,7 @@ class GossipNode:
             return
         data_port = self.ports.allocate()
         self.env.bind(Address(self.pid, data_port), self._on_push_data)
-        self._send(
+        self.env.send(
             self._offer_addr,
             Address(payload.sender, reply_port),
             PushReply(
@@ -372,7 +362,7 @@ class GossipNode:
         )
         if not missing:
             return
-        self._send(
+        self.env.send(
             self._offer_addr,
             Address(payload.sender, data_port),
             PushData(sender=self.pid, messages=tuple(missing)),
@@ -397,7 +387,7 @@ class GossipNode:
             advertised: object = self._seal_for(target, reply_port)
         else:
             advertised = PORT_PULL_REPLY
-        self._send(
+        self.env.send(
             self._request_addr,
             _endpoint(target, PORT_PULL_REQUEST),
             PullRequest(
@@ -406,7 +396,6 @@ class GossipNode:
                 reply_port=advertised,
             ),
         )
-        self.stats["pull_requests_sent"] += 1
 
     def _on_pull_request(self, src: Address, payload: object) -> None:
         if not self.bounds.try_consume("pull_request"):
@@ -423,12 +412,11 @@ class GossipNode:
         )
         if not missing:
             return
-        self._send(
+        self.env.send(
             self._request_addr,
             Address(payload.sender, reply_port),
             PullReply(sender=self.pid, messages=tuple(missing)),
         )
-        self.stats["pull_requests_answered"] += 1
         self.stats["data_messages_sent"] += len(missing)
 
     def _on_pull_data(self, src: Address, payload: object) -> None:

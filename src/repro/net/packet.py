@@ -24,10 +24,3 @@ class Packet:
     payload: Any
     sender: Optional[Address] = None
     fabricated: bool = False
-
-    def size_hint(self) -> int:
-        """A rough wire-size proxy used by bandwidth accounting."""
-        payload_size = getattr(self.payload, "wire_size", None)
-        if callable(payload_size):
-            return int(payload_size())
-        return 64

@@ -64,11 +64,12 @@ def run_fake(main):
 def watch_arming(loop):
     """Record every timer the loop is asked for.
 
-    Returns ``(arms, others)``: ``arms`` counts pump handles and trips
-    if a second one is armed while the first is live; ``others`` names
-    the callbacks of every timer that is not the pump.
+    Returns ``(arms, others)``: ``arms[0]`` counts pump handles (and
+    trips if a second one is armed while the first is live), ``arms[1]``
+    those armed for a future time, so a sleep; ``others`` names the
+    callbacks of every timer that is not the pump.
     """
-    arms, others, live = [0], set(), []
+    arms, others, live = [0, 0], set(), []
     real_call_at = loop.call_at
 
     def call_at(when, callback, *args, **kwargs):
@@ -82,6 +83,7 @@ def watch_arming(loop):
             callback()
 
         arms[0] += 1
+        arms[1] += when > loop.time()
         live[:] = [real_call_at(when, pump)]
         return live[0]
 
@@ -433,9 +435,12 @@ def test_stop_fires_what_was_due_and_drops_only_later_events():
 # -- (d) the tick is invisible ----------------------------------------------
 
 
-def _traced_run(ticks, monkeypatch):
-    """One seeded fake-time run; returns (delivery log, trace, stats)."""
-    monkeypatch.setattr(AioLoopbackTransport, "_TICKS_PER_ROUND", ticks)
+def _traced_run(monkeypatch, per_round=None):
+    """One seeded fake-time run, on the loopback's own clock or with
+    ``per_round`` ticks and wakes; returns (delivery log, trace, clock)."""
+    if per_round is not None:
+        for name in ("_TICKS_PER_ROUND", "_WAKES_PER_ROUND"):
+            monkeypatch.setattr(AioLoopbackTransport, name, per_round)
     config = AioClusterConfig(
         n=12, round_duration_ms=100.0, loss=0.01,
         faults="delay:8~4; dup:0.1; loss:0.05; crash@2-4:0.2; "
@@ -460,14 +465,15 @@ def _traced_run(ticks, monkeypatch):
          d.round_counter)
         for d in cluster.log.deliveries
     ]
-    return log, [encode_event(e) for e in sink.events], cluster.clock.stats()
+    return log, [encode_event(e) for e in sink.events], cluster.clock
 
 
 def test_the_tick_moves_no_stamp_and_no_event(monkeypatch):
-    coarse_log, coarse_trace, coarse = _traced_run(16, monkeypatch)
-    fine_log, fine_trace, fine = _traced_run(128, monkeypatch)
-    assert (coarse["tick_ms"], fine["tick_ms"]) == (100.0 / 16, 100.0 / 128)
-    assert coarse["wakes"] < fine["wakes"]
+    coarse_log, coarse_trace, coarse = _traced_run(monkeypatch)
+    fine_log, fine_trace, fine = _traced_run(monkeypatch, 128)
+    assert (coarse.wake_ms, coarse.tick_ms) == (100.0 / 4, 100.0 / 16)
+    assert (fine.wake_ms, fine.tick_ms) == (100.0 / 128, 100.0 / 128)
+    assert coarse.wakes < fine.wakes
     kinds = {json.loads(line)["ev"] for line in coarse_trace}
     assert {"delivered", "dropped", "crash", "heal"} <= kinds
     assert len(coarse_log) > 12
@@ -562,13 +568,25 @@ def test_a_shaped_attacked_cluster_queues_no_closure():
 # -- (f) the wake-up tripwire -----------------------------------------------
 
 
-def _tripwire_run(transport=None):
+def _tripwire_run(monkeypatch, transport=None):
     rounds = 12
     config = AioClusterConfig(
         n=12, round_duration_ms=100.0, loss=0.0,
         faults="delay:8~4; dup:0.1; crash@3-6:0.2",
         attack=AttackSpec(alpha=0.2, x=16.0),
     )
+    #: Event time each sliced pass covers past its earliest event (a
+    #: catch-up while the pump is not overdue runs whole, to the wall).
+    spans = []
+    real_pass = LoopClock._pass
+
+    def timed_pass(clock, horizon, whole=False):
+        first = clock._queue[0][0]
+        real_pass(clock, horizon, whole)
+        if not whole:
+            spans.append(clock._now - first)  # where run_until stopped
+
+    monkeypatch.setattr(LoopClock, "_pass", timed_pass)
 
     async def main(loop):
         arms, others = watch_arming(loop)
@@ -579,41 +597,140 @@ def _tripwire_run(transport=None):
         stats = cluster.clock.stats()
         delivered = cluster.delivered_counts()[mid]
         await cluster.stop()
-        return stats, arms[0], others, delivered, cluster
+        return stats, arms, others, delivered, cluster
 
-    return (rounds, config) + run_fake(main)
+    return (rounds, config, spans) + run_fake(main)
 
 
-def test_a_cluster_wakes_at_most_once_per_tick_on_one_handle():
+def test_a_cluster_wakes_at_most_once_per_tick_on_one_handle(monkeypatch):
     """Deterministic: counted on virtual time, not timed.
 
     With flips, shaped packets and a flood all riding the clock, the
     only timers the loop ever sees are the pump (one at a time) and the
-    test's own sleeps.  On loopback the tick is 1/16 round.
+    test's own sleeps.  On loopback the loop sleeps to quarter rounds
+    and a pass covers at most a tick, 1/16 round, of event time.
     """
-    rounds, config, stats, arms, others, delivered, cluster = _tripwire_run()
+    rounds, config, spans, stats, arms, others, delivered, cluster = (
+        _tripwire_run(monkeypatch)
+    )
+    wake_ms = cluster.clock.wake_ms
+    assert wake_ms == config.round_duration_ms / 4
     assert stats["tick_ms"] == config.round_duration_ms / 16
+    assert arms[1] <= 4 * rounds + 8  # sleeps
     assert stats["wakes"] <= 16 * rounds + 8
     assert stats["events"] > 2 * stats["wakes"]  # it does coalesce
-    assert stats["wakes"] <= arms <= stats["wakes"] + 8 + 2 * config.n
+    assert stats["wakes"] <= arms[0] <= stats["wakes"] + 8 + 2 * config.n
+    assert len(spans) >= stats["wakes"]
+    assert max(spans) <= stats["tick_ms"] + 1e-6
     assert others <= {"_set_result_unless_cancelled"}
     assert delivered >= 8 and not cluster.node_errors
-    # Virtual time has no lag: nothing fired more than a tick late.
-    assert stats["late_ms_max"] <= stats["tick_ms"] + 1e-6
+    # Virtual time has no lag: nothing fired more than a wake late.
+    assert stats["late_ms_max"] <= wake_ms + 1e-6
 
 
-def test_the_udp_bridge_keeps_the_fine_tick():
+def test_the_udp_bridge_keeps_the_fine_tick(monkeypatch):
     """A datagram leaves at the wall time of its pass, so over real
-    sockets the tick is latency on every hop: 1/128 round."""
-    rounds, config, stats, arms, others, _, _ = _tripwire_run(
-        UdpTransport(base_port=28800, ports_per_node=16)
+    sockets the tick is latency on every hop: 1/128 round, for the wake
+    and the pass alike."""
+    rounds, config, _, stats, arms, others, _, cluster = _tripwire_run(
+        monkeypatch, UdpTransport(base_port=28800, ports_per_node=16)
     )
     assert stats["tick_ms"] == config.round_duration_ms / 128
+    assert cluster.clock.wake_ms == stats["tick_ms"]
     assert 0 < stats["wakes"] <= 128 * rounds + 8
     assert others <= {"_set_result_unless_cancelled"}
 
 
-# -- (g) the chaos plan on the asyncio stack --------------------------------
+# -- (g) a delivery wait is woken, not polled ------------------------------
+
+
+def _await(body):
+    """Run ``body(cluster, loop)`` on a started fake-time cluster, with
+    the loop's timers watched; returns (body's result, others, cluster)."""
+
+    async def main(loop):
+        _, others = watch_arming(loop)
+        config = AioClusterConfig(n=8, round_duration_ms=100.0)
+        cluster = AioCluster(config, seed=9)
+        await cluster.start()
+        try:
+            return await body(cluster, loop), others, cluster
+        finally:
+            await cluster.stop()
+
+    return run_fake(main)
+
+
+def test_a_delivery_wait_ends_on_the_pass_that_crosses_and_arms_nothing():
+    async def body(cluster, loop):
+        crossed = []
+        record = cluster._record
+
+        def spy(pid, message, now_ms):
+            record(pid, message, now_ms)
+            got = cluster.log.receivers.get(message.msg_id, ())
+            if len(got) == 6 and not crossed:
+                crossed.append((loop.time(), cluster.clock.wakes))
+
+        for node in cluster.nodes.values():
+            node.on_deliver = spy
+        mid = cluster.multicast(0, b"wait")
+        ok = await cluster.await_delivery(mid, fraction=0.75, timeout_s=5.0)
+        return ok, crossed, (loop.time(), cluster.clock.wakes)
+
+    (ok, crossed, returned), others, cluster = _await(body)
+    assert ok is True
+    assert crossed == [returned]  # same instant, no pass in between
+    assert others == set()  # no poll, no timeout timer: only the pump
+    assert cluster._waiters == []
+
+
+def test_a_delivery_wait_times_out_on_the_clock():
+    async def body(cluster, loop):
+        started = loop.time()
+        ok = await cluster.await_delivery((7, 7), timeout_s=0.3)
+        return ok, loop.time() - started
+
+    (ok, waited), others, cluster = _await(body)
+    assert ok is False
+    assert 0.3 <= waited <= 0.3 + cluster.clock.wake_ms / 1000.0 + 1e-9
+    assert others == set()
+    assert cluster._waiters == []
+
+
+def test_a_node_error_ends_a_delivery_wait_on_its_own_pass():
+    def boom():
+        raise ValueError("simulated node death")
+
+    async def body(cluster, loop):
+        cluster.nodes[1]._round = boom  # its second round raises
+        with pytest.raises(RuntimeError, match="node 1"):
+            await cluster.await_delivery((7, 7), timeout_s=5.0)
+        return loop.time()
+
+    raised_at, others, cluster = _await(body)
+    (pid, exc), = cluster.node_errors
+    assert (pid, type(exc)) == (1, ValueError)
+    # Two rounds in at most, not the 5 s timeout.
+    assert raised_at <= 0.2 + cluster.clock.wake_ms / 1000.0
+    assert others == set()
+
+
+def test_a_stop_ends_a_delivery_wait():
+    async def body(cluster, loop):
+        waiting = asyncio.ensure_future(
+            cluster.await_delivery((7, 7), timeout_s=60.0)
+        )
+        await asyncio.sleep(0)
+        await cluster.stop()
+        return await waiting, loop.time()
+
+    (ok, at), _, cluster = _await(body)
+    assert ok is False and at < 1.0
+    assert cluster._waiters == []
+
+
+# -- (h) the chaos plan on the asyncio stack --------------------------------
 
 CHAOS = "crash@5:0.1;partition@8-15:0.4;gilbert:0.01,0.3,0.05,0.25"
 

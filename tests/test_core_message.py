@@ -1,7 +1,7 @@
 """Tests for repro.core.message."""
 
 from repro.core import DataMessage, Digest
-from repro.core.message import PullRequest, PushData, fresh_message_id
+from repro.core.message import fresh_message_id
 
 
 class TestFreshMessageId:
@@ -30,11 +30,6 @@ class TestDataMessage:
         b = DataMessage(msg_id=(0, 1), source=0, payload=b"x", round_counter=9)
         assert a.signed_body() == b.signed_body()
 
-    def test_wire_size_scales_with_payload(self):
-        small = DataMessage(msg_id=(0, 1), source=0, payload=b"x")
-        large = DataMessage(msg_id=(0, 2), source=0, payload=b"x" * 50)
-        assert large.wire_size() > small.wire_size()
-
 
 class TestDigest:
     def test_membership(self):
@@ -52,18 +47,3 @@ class TestDigest:
         digest = Digest.of([])
         assert digest.missing_from([(1, 1)]) == frozenset({(1, 1)})
 
-    def test_wire_size_grows(self):
-        assert Digest.of([(0, i) for i in range(10)]).wire_size() > Digest.of([]).wire_size()
-
-
-class TestWireSizes:
-    def test_push_data_sums_messages(self):
-        msgs = tuple(
-            DataMessage(msg_id=(0, i), source=0, payload=b"12345") for i in range(3)
-        )
-        bundle = PushData(sender=0, messages=msgs)
-        assert bundle.wire_size() > sum(m.wire_size() for m in msgs)
-
-    def test_pull_request_includes_digest(self):
-        req = PullRequest(sender=0, digest=Digest.of([(0, 1)]), reply_port=5000)
-        assert req.wire_size() > Digest.of([(0, 1)]).wire_size()

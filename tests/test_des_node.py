@@ -146,7 +146,7 @@ class TestSecurity:
         node.start()
         node.bounds.reset()
         before = node.bounds.remaining("push_offer")
-        node._on_push_offer(Address(9, 9), FabricatedPayload(nonce=1))
+        node._on_push_offer(Address(9, 9), FabricatedPayload())
         assert node.bounds.remaining("push_offer") == before - 1
         assert node.stats["invalid_dropped"] >= 1
 
@@ -155,8 +155,8 @@ class TestSecurity:
         node = nodes[0]
         node.start()
         node.bounds.reset()
-        for i in range(node.config.view_push_size):
-            node._on_push_offer(Address(9, 9), FabricatedPayload(nonce=i))
+        for _ in range(node.config.view_push_size):
+            node._on_push_offer(Address(9, 9), FabricatedPayload())
         answered_before = node.stats["offers_answered"]
         from repro.core.message import PushOffer
 

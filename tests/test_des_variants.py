@@ -88,8 +88,8 @@ class TestSharedBoundsVariant:
         from repro.des.attacker import FabricatedPayload
 
         # Exhaust the shared pool with junk "pull requests".
-        for i in range(10):
-            node._on_pull_request(Address(9, 9), FabricatedPayload(nonce=i))
+        for _ in range(10):
+            node._on_pull_request(Address(9, 9), FabricatedPayload())
         # A push-reply now finds no quota.
         from repro.core.message import Digest, PushReply
 

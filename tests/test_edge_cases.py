@@ -5,20 +5,9 @@ import pytest
 from repro.adversary import AttackSpec
 from repro.core import DataMessage, ProtocolConfig
 from repro.des import GossipNode
-from repro.net import Address, Packet
+from repro.net import Address
 from repro.sim import Scenario, monte_carlo, run_fast
 from conftest import sim_env
-
-
-class TestPacketSizeHint:
-    def test_payload_with_wire_size(self):
-        msg = DataMessage(msg_id=(0, 1), source=0, payload=b"12345")
-        packet = Packet(dst=Address(0, 1), payload=msg)
-        assert packet.size_hint() == msg.wire_size()
-
-    def test_payload_without_wire_size(self):
-        packet = Packet(dst=Address(0, 1), payload="just a string")
-        assert packet.size_hint() == 64
 
 
 class TestDataQuotaExhaustion:
